@@ -188,7 +188,7 @@ SCHEMAS = {
             "hurst": _HURST,
             "time": _POSNUM,
             "component": {"type": "integer", "minimum": 1, "maximum": 16},
-            "paths": _PATHS,
+            "paths": {"type": "integer", "minimum": 200},
             "grid_points": _GRID,
             "bandwidth": _POSNUM,
             "seed": _SEED,
@@ -683,8 +683,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = resolve_config(command, args)
         if "fields" in config:
-            load_fields(config["fields"])  # existence check up front
-    except ConfigError as exc:
+            m = load_fields(config["fields"])[0].m  # existence and parse check up front
+            point = config.get("hormander")
+            if point is not None and len(point) != m:
+                raise ConfigError(f"hormander point needs {m} coordinates, got {len(point)}")
+    except (ConfigError, RoughflowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     print(json.dumps({"command": command, "config": config}, sort_keys=True))

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import BlowUpError, ConvergenceError, DomainError
 from .fbm import SamplePath, TimeGrid
 from .increments import Increment2, holder_norm
-from .liefields import PolyVectorField, bracket
+from .liefields import CompiledField, PolyVectorField, bracket
 from .signature import batch_levy_prefix
 
 #: Relative stabilization demanded between the last two refinement levels.
@@ -269,6 +269,11 @@ def taylor_correction_fields(
     return out
 
 
+def _davie_stack(fields: list[PolyVectorField]) -> CompiledField:
+    """V_1..V_d then W[i][j] (row-major), compiled as one family of fields."""
+    return CompiledField.stack(list(fields) + [w for row in taylor_correction_fields(fields) for w in row])
+
+
 def rde_solve(
     fields: list[PolyVectorField],
     a: np.ndarray,
@@ -296,21 +301,14 @@ def rde_solve(
         stride = int(round(ratio))
         if abs(ratio - stride) > 1e-9 or abs(grid.horizon - driver.grid.horizon) > 1e-12:
             raise DomainError("solve grid must subsample the driver grid")
-    corrections = taylor_correction_fields(fields)
+    stack = _davie_stack(fields)
     n = grid.n_points
     y = np.empty((n, m))
     y[0] = a
     for k in range(n - 1):
         lo, hi = k * stride, (k + 1) * stride
-        b1 = driver.b1(lo, hi)
-        b2 = driver.b2(lo, hi)
-        state = y[k]
-        step = np.zeros(m)
-        for i in range(d):
-            step += fields[i](state) * b1[i]
-            for j in range(d):
-                step += corrections[i][j](state) * b2[i, j]
-        y[k + 1] = state + step
+        weights = np.concatenate([driver.b1(lo, hi), driver.b2(lo, hi).ravel()])
+        y[k + 1] = y[k] + stack.weighted(weights)(y[k])
         if not np.all(np.isfinite(y[k + 1])):
             raise BlowUpError("RDE state became non-finite", when=grid.times[k + 1])
     zeta = np.stack([f(y) for f in fields], axis=-1)
@@ -338,18 +336,14 @@ def rde_solve_batch(
     if d != len(fields):
         raise DomainError(f"{len(fields)} fields for a {d}-dimensional driver")
     m = fields[0].m
-    corrections = taylor_correction_fields(fields)
+    stack = _davie_stack(fields)
     y = np.empty((n_paths, n_points, m))
     y[:, 0] = np.asarray(a, dtype=float)
     for k in range(n_points - 1):
-        dv = values[:, k + 1] - values[:, k]
-        state = y[:, k]
-        step = np.zeros((n_paths, m))
-        for i in range(d):
-            step += fields[i](state) * dv[:, i : i + 1]
-            for j in range(d):
-                step += corrections[i][j](state) * (0.5 * dv[:, i] * dv[:, j])[:, None]
-        y[:, k + 1] = state + step
+        dv = (values[:, k + 1] - values[:, k]).T
+        area = 0.5 * dv[:, None, :] * dv[None, :, :]
+        weights = np.concatenate([dv, area.reshape(d * d, n_paths)])
+        y[:, k + 1] = y[:, k] + stack.weighted(weights)(y[:, k].T).T
         if not np.all(np.isfinite(y[:, k + 1])):
             raise BlowUpError("batched RDE state became non-finite", when=k + 1)
     return y

@@ -41,13 +41,13 @@ import numpy as np
 from .controlled import RoughDriver, rde_solve
 from .errors import DomainError, PreconditionError
 from .fbm import SamplePath, TimeGrid
-from .liefields import PolyVectorField, Polynomial, bracket, constant_brackets
+from .liefields import CompiledField, PolyVectorField, Polynomial, bracket, constant_brackets
 from .signature import IteratedIntegrals, Word, chen_concat, path_signature, segment_signature
 from .strichartz import (
     DEFAULT_FLOW_STEPS,
-    FlowField,
     build_Z,
     psi,
+    rk4,
     _psi_terms,
 )
 
@@ -91,31 +91,24 @@ class MalliavinSlice:
 
 
 def _flow_with_jacobians(
-    z: FlowField, a: np.ndarray, steps: int
+    z: CompiledField, a: np.ndarray, steps: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """RK4 of (phi, Jtilde, Jbar) along the frozen field on s in [0, 1]."""
-    m = z.m
-    phi = np.asarray(a, dtype=float).copy()
-    J = np.eye(m)
-    Jb = np.eye(m)
-    h = 1.0 / steps
+    """RK4 of (phi, Jtilde, Jbar) along compiled frozen fields on s in [0, 1].
+
+    The family axes K of ``z`` (none, or one per frozen field) batch the
+    flows, with phi component-major inside.  Returns (phi, J, Jbar) shaped
+    (*K, m), (*K, m, m), (*K, m, m).
+    """
+    K, m = z.coef.shape[1:], z.exponents.shape[1]
 
     def rhs(state):
-        p, j, jb = state
-        gz = z.jacobian_at(p)
-        return (z(p), gz @ j, -jb @ gz)
+        p_, j_, jb_ = state
+        gz = z.jacobian(p_)
+        return (z(p_), np.einsum("ab...,...bc->...ac", gz, j_), -np.einsum("...ab,bc...->...ac", jb_, gz))
 
-    state = (phi, J, Jb)
-    for _ in range(steps):
-        k1 = rhs(state)
-        k2 = rhs(tuple(s + 0.5 * h * k for s, k in zip(state, k1)))
-        k3 = rhs(tuple(s + 0.5 * h * k for s, k in zip(state, k2)))
-        k4 = rhs(tuple(s + h * k for s, k in zip(state, k3)))
-        state = tuple(
-            s + (h / 6.0) * (a1 + 2 * a2 + 2 * a3 + a4)
-            for s, a1, a2, a3, a4 in zip(state, k1, k2, k3, k4)
-        )
-    return state
+    eye = np.broadcast_to(np.eye(m), K + (m, m))
+    phi, J, Jb = rk4(rhs, (np.broadcast_to(np.asarray(a, dtype=float), K + (m,)).T, eye, eye), steps)
+    return phi.T, J, Jb
 
 
 def jacobian_flow_strichartz(
@@ -137,50 +130,8 @@ def jacobian_flow_strichartz(
         return np.eye(m), np.eye(m)
     sig = path_signature(p, 0.0, t, n - 1)
     z = build_Z(fields, sig, n, check_nilpotency=check_hypotheses)
-    _, J, Jb = _flow_with_jacobians(z, a, steps)
+    _, J, Jb = _flow_with_jacobians(z.compiled, a, steps)
     return J, Jb
-
-
-def _batched_flow_jacobians(
-    bracket_fields: list[PolyVectorField],
-    psi_mat: np.ndarray,
-    a: np.ndarray,
-    steps: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flow + variational flows for a batch of frozen fields at once.
-
-    Row k of ``psi_mat`` holds the psi weights of one frozen field over the
-    shared bracket fields; states phi, Jtilde, Jbar are advanced jointly.
-    Returns (phi, J, Jbar) with shapes (K, m), (K, m, m), (K, m, m).
-    """
-    K = psi_mat.shape[0]
-    m = bracket_fields[0].m
-    phi = np.broadcast_to(np.asarray(a, dtype=float), (K, m)).copy()
-    J = np.broadcast_to(np.eye(m), (K, m, m)).copy()
-    Jb = J.copy()
-    h = 1.0 / steps
-
-    def rhs(state):
-        p_, j_, jb_ = state
-        dz = np.zeros_like(p_)
-        gz = np.zeros_like(j_)
-        for q, fld in enumerate(bracket_fields):
-            w = psi_mat[:, q]
-            dz += w[:, None] * fld(p_)
-            gz += w[:, None, None] * fld.jacobian_at(p_)
-        return (dz, np.einsum("kab,kbc->kac", gz, j_), -np.einsum("kab,kbc->kac", jb_, gz))
-
-    state = (phi, J, Jb)
-    for _ in range(steps):
-        k1 = rhs(state)
-        k2 = rhs(tuple(s + 0.5 * h * k for s, k in zip(state, k1)))
-        k3 = rhs(tuple(s + 0.5 * h * k for s, k in zip(state, k2)))
-        k4 = rhs(tuple(s + h * k for s, k in zip(state, k3)))
-        state = tuple(
-            s + (h / 6.0) * (a1 + 2 * a2 + 2 * a3 + a4)
-            for s, a1, a2, a3, a4 in zip(state, k1, k2, k3, k4)
-        )
-    return state
 
 
 def jacobian_path_strichartz(
@@ -208,7 +159,8 @@ def jacobian_path_strichartz(
     for k in range(1, k_max + 1):
         for q, w in enumerate(words):
             psi_mat[k - 1, q] = psi(prefixes[k], w)
-    phi, J, Jb = _batched_flow_jacobians(list(table.values()), psi_mat, a, steps)
+    z = CompiledField.stack(list(table.values())).weighted(psi_mat.T)
+    phi, J, Jb = _flow_with_jacobians(z, a, steps)
     y = np.vstack([np.asarray(a, dtype=float)[None], phi])
     eye = np.eye(m)[None]
     return (
@@ -375,39 +327,26 @@ def malliavin_derivative(
     suffixes = _suffix_signatures(p, k_t, n - 1)
 
     higher_terms = [(w, fld) for w, fld, _ in z.terms if len(w) >= 2]
-    # Forcing weights: dpsi[k, q, j] = D^j_{u_k} psi^{w_q} for u_k <= t.
+    # Forcing weights per (u_k, j) on the fields V_1..V_d, then the higher
+    # brackets: 1_{[0,t)}(u_k) 1_{i=j} for V_i and D^j_{u_k} psi^w for V_w.
     n_u = k_t + 1
-    dpsi = np.zeros((n_u, len(higher_terms), d))
+    weights = np.zeros((d + len(higher_terms), n_u, d))
+    for j in range(d):
+        weights[j, :k_t, j] = 1.0
     for k in range(n_u):
         for q, (w, _) in enumerate(higher_terms):
             for j in range(1, d + 1):
-                dpsi[k, q, j - 1] = d_psi(prefixes[k], suffixes[k], w, j)
-
-    indicator = np.zeros(n_u)
-    indicator[:k_t] = 1.0  # 1_{[0,t)}(u_k)
+                weights[d + q, k, j - 1] = d_psi(prefixes[k], suffixes[k], w, j)
+    forcing = CompiledField.stack(list(fields) + [f for _, f in higher_terms]).weighted(weights)
+    zc = z.compiled
 
     # Joint RK4 in s: phi (m,) and D (n_u, m, d).
-    phi = np.asarray(a, dtype=float).copy()
-    D = np.zeros((n_u, m, d))
-    h = 1.0 / steps
+    def rhs(state):
+        phi_s, D_s = state
+        dD = np.einsum("ab,ubj->uaj", zc.jacobian(phi_s), D_s)
+        return zc(phi_s), dD + forcing(phi_s).transpose(1, 0, 2)
 
-    def rhs(phi_s, D_s):
-        gz = z.jacobian_at(phi_s)
-        dD = np.einsum("ab,ubj->uaj", gz, D_s)
-        vj = np.stack([fld(phi_s) for fld in fields], axis=1)  # (m, d)
-        dD += indicator[:, None, None] * vj[None, :, :]
-        for q, (_, fld) in enumerate(higher_terms):
-            dD += dpsi[:, q, :][:, None, :] * fld(phi_s)[None, :, None]
-        return z(phi_s), dD
-
-    for _ in range(steps):
-        k1p, k1d = rhs(phi, D)
-        k2p, k2d = rhs(phi + 0.5 * h * k1p, D + 0.5 * h * k1d)
-        k3p, k3d = rhs(phi + 0.5 * h * k2p, D + 0.5 * h * k2d)
-        k4p, k4d = rhs(phi + h * k3p, D + h * k3d)
-        phi = phi + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-        D = D + (h / 6.0) * (k1d + 2 * k2d + 2 * k3d + k4d)
-    values[:n_u] = D
+    _, values[:n_u] = rk4(rhs, (np.asarray(a, dtype=float), np.zeros((n_u, m, d))), steps)
     return MalliavinSlice(grid=grid, t=t, values=values)
 
 
@@ -426,12 +365,9 @@ def malliavin_via_jacobian(
     k_t = grid.index_of(t)
     values = np.zeros((grid.n_points, m, d))
     ypath, jac = jacobian_path_strichartz(fields, p, a, n, steps)
-    J_t = jac.J[k_t]
-    for k in range(k_t):
-        carry = J_t @ jac.J_inv[k]
-        y_u = ypath.values[k]
-        for j in range(d):
-            values[k, :, j] = carry @ fields[j](y_u)
+    carry = jac.J[k_t] @ jac.J_inv[:k_t]
+    v = CompiledField.stack(fields)(ypath.values[:k_t].T[..., None])  # (m, k_t, d)
+    values[:k_t] = np.einsum("kab,bkj->kaj", carry, v)
     return MalliavinSlice(grid=grid, t=t, values=values)
 
 

@@ -205,13 +205,16 @@ class PolyVectorField:
     def is_constant(self) -> bool:
         return all(c.is_constant for c in self.components)
 
+    @property
+    def compiled(self) -> "CompiledField":
+        """Float evaluator of this field, built on first use and kept."""
+        if "_compiled" not in self.__dict__:
+            object.__setattr__(self, "_compiled", CompiledField.stack([self]).weighted(np.ones(1)))
+        return self.__dict__["_compiled"]
+
     def __call__(self, x) -> np.ndarray:
         """Evaluate at (m,) or batched (..., m) points; output matches."""
-        x = np.asarray(x, dtype=float)
-        vals = [c(x) for c in self.components]
-        if x.ndim == 1:
-            return np.array(vals)
-        return np.stack(vals, axis=-1)
+        return self.compiled.at(x)
 
     def jacobian(self) -> list[list[Polynomial]]:
         """Matrix of partials J[i][l] = d_l V^i, as polynomials."""
@@ -219,11 +222,7 @@ class PolyVectorField:
 
     def jacobian_at(self, x) -> np.ndarray:
         """Jacobian matrix evaluated at a point (m, m) or batch (..., m, m)."""
-        x = np.asarray(x, dtype=float)
-        rows = [[c.diff(l)(x) for l in range(self.m)] for c in self.components]
-        if x.ndim == 1:
-            return np.array(rows, dtype=float)
-        return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+        return self.compiled.jacobian_at(x)
 
     @staticmethod
     def zero(m: int) -> "PolyVectorField":
@@ -238,6 +237,105 @@ class PolyVectorField:
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.components) + ")"
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledField:
+    """Float form of polynomial vector fields, compiled once for evaluation.
+
+    ``exponents`` is the (n, m) monomial table, closed under first partials.
+    Row k of ``coef`` is the coefficient of component i on monomial q for
+    ``pairs[k] = (i, q)``; ``jac_coef`` does the same for d_l V^i and
+    ``jac_pairs = (i, l, q)``.  Only pairs nonzero somewhere are kept.  The
+    axes of a row after the first index a family of fields on one table (one
+    frozen field per path, say); they broadcast against the batch axes of the
+    component-major points x (m, *batch) that ``__call__`` takes.
+    """
+
+    exponents: np.ndarray
+    pairs: list[tuple[int, int]]
+    coef: np.ndarray
+    jac_pairs: list[tuple[int, int, int]]
+    jac_coef: np.ndarray
+
+    @staticmethod
+    def stack(fields: Sequence[PolyVectorField]) -> "CompiledField":
+        """Compile exact fields on a shared table; the last coef axis picks the field."""
+        m = fields[0].m
+        values: dict = {}
+        partials: dict = {}
+        for f, fld in enumerate(fields):
+            for i, comp in enumerate(fld.components):
+                for e, c in comp.terms.items():
+                    values.setdefault((i, e), {})[f] = float(c)
+                    for l, p in enumerate(e):
+                        if p:
+                            low = e[:l] + (p - 1,) + e[l + 1 :]
+                            partials.setdefault((i, l, low), {})[f] = float(c * p)
+        table = sorted({key[-1] for key in (*values, *partials)})
+        index = {e: q for q, e in enumerate(table)}
+
+        def pack(entries: dict):
+            keys = sorted(entries)
+            coef = np.zeros((len(keys), len(fields)))
+            for k, key in enumerate(keys):
+                for f, c in entries[key].items():
+                    coef[k, f] = c
+            return [key[:-1] + (index[key[-1]],) for key in keys], coef
+
+        pairs, coef = pack(values)
+        jac_pairs, jac_coef = pack(partials)
+        exponents = np.array(table, dtype=int).reshape(len(table), m)
+        return CompiledField(exponents, pairs, coef, jac_pairs, jac_coef)
+
+    def weighted(self, w) -> "CompiledField":
+        """The field sum_f w[f] V_f of a stack; w is (n_fields, *family)."""
+        w = np.asarray(w, dtype=float)
+
+        def contract(c: np.ndarray) -> np.ndarray:
+            return (c @ w.reshape(w.shape[0], -1)).reshape(c.shape[:1] + w.shape[1:])
+
+        return CompiledField(
+            self.exponents, self.pairs, contract(self.coef), self.jac_pairs, contract(self.jac_coef)
+        )
+
+    def monomials(self, x: np.ndarray) -> list:
+        """Each table monomial at component-major points x (m, *batch)."""
+        out = []
+        for e in self.exponents.tolist():
+            val = 1.0
+            for k, p in enumerate(e):
+                if p:
+                    val = val * x[k] ** p
+            out.append(val)
+        return out
+
+    def _sum(self, x, pairs, coef, rank: int) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        mono = self.monomials(x)
+        m = self.exponents.shape[1]
+        out = np.zeros((m,) * rank + np.broadcast_shapes(coef.shape[1:], x.shape[1:]))
+        for (*idx, q), c in zip(pairs, coef):
+            out[tuple(idx)] += c * mono[q]
+        return out
+
+    def __call__(self, x) -> np.ndarray:
+        """Values V^i at component-major points: (m, *family-and-batch)."""
+        return self._sum(x, self.pairs, self.coef, 1)
+
+    def jacobian(self, x) -> np.ndarray:
+        """Partials d_l V^i at component-major points: (m, m, *family-and-batch)."""
+        return self._sum(x, self.jac_pairs, self.jac_coef, 2)
+
+    def at(self, x) -> np.ndarray:
+        """Values at point-major x (..., m), shaped like x."""
+        x = np.moveaxis(np.asarray(x, dtype=float), -1, 0)
+        return np.ascontiguousarray(np.moveaxis(self(x), 0, -1))
+
+    def jacobian_at(self, x) -> np.ndarray:
+        """Jacobian at point-major x (..., m), shaped (..., m, m)."""
+        jac = self.jacobian(np.moveaxis(np.asarray(x, dtype=float), -1, 0))
+        return np.ascontiguousarray(np.moveaxis(jac, (0, 1), (-2, -1)))
 
 
 def bracket(v: PolyVectorField, w: PolyVectorField) -> PolyVectorField:

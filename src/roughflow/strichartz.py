@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations, product as iter_product
 from typing import Callable, Sequence
 
@@ -32,6 +32,7 @@ import numpy as np
 from .errors import BlowUpError, DomainError, PreconditionError
 from .fbm import SamplePath
 from .liefields import (
+    CompiledField,
     PolyVectorField,
     bracket as lie_bracket,
     format_field_file,
@@ -146,20 +147,18 @@ class FlowField:
             z = z + fld * scalar
         return z
 
+    @cached_property
+    def compiled(self) -> CompiledField:
+        """sum_w psi^w V_w compiled to one float field (built on first use)."""
+        # The leading zero field keeps the table defined when no term survives.
+        fields = [PolyVectorField.zero(self.m)] + [fld for _, fld, _ in self.terms]
+        return CompiledField.stack(fields).weighted([0.0] + [s for _, _, s in self.terms])
+
     def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape)
-        for _, fld, scalar in self.terms:
-            out = out + scalar * fld(x)
-        return out
+        return self.compiled.at(x)
 
     def jacobian_at(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        shape = x.shape[:-1] + (self.m, self.m)
-        out = np.zeros(shape)
-        for _, fld, scalar in self.terms:
-            out = out + scalar * fld.jacobian_at(x)
-        return out
+        return self.compiled.jacobian_at(x)
 
     @property
     def degree(self) -> int:
@@ -205,31 +204,40 @@ def build_Z(
     )
 
 
-def rk4(
-    rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray, steps: int
-) -> np.ndarray:
-    """Classical RK4 for the autonomous flow on s in [0, 1]."""
+def rk4(rhs: Callable, y0, steps: int):
+    """Classical RK4 for the autonomous flow on s in [0, 1].
+
+    The state is an array, or a tuple of arrays advanced jointly (then
+    ``rhs`` maps a tuple to a tuple).
+    """
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
-    y = np.asarray(y0, dtype=float).copy()
+    joint = isinstance(y0, tuple)
+    f = rhs if joint else lambda s: (rhs(s[0]),)
+    y = tuple(np.array(s, dtype=float) for s in (y0 if joint else (y0,)))
     h = 1.0 / steps
-    for k in range(steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise BlowUpError("exp-flow state became non-finite", when=(k + 1) * h)
-    return y
+
+    def shift(c: float, k: tuple) -> tuple:
+        return tuple(s + c * d for s, d in zip(y, k))
+
+    for n in range(steps):
+        k1 = f(y)
+        k2 = f(shift(0.5 * h, k1))
+        k3 = f(shift(0.5 * h, k2))
+        k4 = f(shift(h, k3))
+        y = tuple(
+            s + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d) for s, a, b, c, d in zip(y, k1, k2, k3, k4)
+        )
+        if not all(np.all(np.isfinite(s)) for s in y):
+            raise BlowUpError("RK4 flow state became non-finite", when=(n + 1) * h)
+    return y if joint else y[0]
 
 
 def exp_flow(
     z: FlowField | PolyVectorField, a: np.ndarray, steps: int = DEFAULT_FLOW_STEPS
 ) -> np.ndarray:
     """[exp(Z)](a): integrate dPsi/ds = Z(Psi) from a over s in [0, 1]."""
-    a = np.asarray(a, dtype=float)
-    return rk4(lambda y: z(y), a, steps)
+    return rk4(z.compiled, np.asarray(a, dtype=float), steps)
 
 
 def strichartz_solve(
@@ -291,19 +299,16 @@ def exp_flow_batch(
     a: np.ndarray,
     steps: int = DEFAULT_FLOW_STEPS,
 ) -> np.ndarray:
-    """Batched [exp(Z)](a) across paths; a is (m,) or (n_paths, m)."""
+    """Batched [exp(Z)](a) across paths; a is (m,) or (n_paths, m).
+
+    The bracket table is summed once into per-path coefficients
+    C[pair, path] = sum_w psi^w[path] coef_w[pair], and the RK4 state is
+    component-major (m, n_paths).
+    """
     if not terms:
         raise DomainError("empty flow decomposition")
     n_paths = terms[0][1].shape[0]
     m = terms[0][0].m
-    y0 = np.asarray(a, dtype=float)
-    if y0.ndim == 1:
-        y0 = np.broadcast_to(y0, (n_paths, m)).copy()
-
-    def rhs(y: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(y)
-        for fld, scalars in terms:
-            out += scalars[:, None] * fld(y)
-        return out
-
-    return rk4(rhs, y0, steps)
+    z = CompiledField.stack([fld for fld, _ in terms]).weighted(np.stack([w for _, w in terms]))
+    y0 = np.broadcast_to(np.asarray(a, dtype=float), (n_paths, m)).T
+    return rk4(z, y0, steps).T

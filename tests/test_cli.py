@@ -61,6 +61,28 @@ def test_missing_fields_file_exits_two(tmp_path):
     assert rc == 2
 
 
+def test_malformed_fields_file_exits_two(tmp_path, capsys):
+    bad = tmp_path / "short.vf"
+    bad.write_text("3 3\n0\n0\n")  # the header promises nine component lines
+    rc = main(["solve", "--fields", str(bad), "--out", str(tmp_path)])
+    assert rc == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("point", ["0", "0,0", "0,0,0,0"])
+def test_hormander_point_length_exits_two(point, tmp_path, capsys):
+    rc = main(["check-fields", "yamato", "--hormander", point, "--out", str(tmp_path)])
+    assert rc == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not (tmp_path / "check-fields-seed0").exists()
+
+
+def test_density_paths_below_minimum_exit_two(tmp_path):
+    rc = main(["density", "--paths", "199", "--grid-points", "9", "--out", str(tmp_path)])
+    assert rc == 2
+    assert main(["density", "--paths", "200", "--grid-points", "9", "--out", str(tmp_path)]) == 0
+
+
 def test_bad_config_file_exits_two(tmp_path):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{not json")

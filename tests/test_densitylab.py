@@ -3,6 +3,7 @@ import pytest
 
 from roughflow.controlled import RoughDriver, rde_solve
 from roughflow.densitylab import (
+    KDE_CHUNK,
     check_hypotheses,
     density_report,
     flow_endpoint_samples,
@@ -87,6 +88,14 @@ class TestKde:
     def test_values_nonnegative(self, rng):
         est = kde(rng.standard_normal(2000))
         assert np.all(est.values >= 0.0)
+
+    def test_chunked_sum_equals_dense_evaluation(self, rng):
+        n = 2 * KDE_CHUNK + 77  # the last chunk is partial
+        x = rng.standard_normal(n)
+        est = kde(x, grid_points=64)
+        u = (est.xs[:, None] - x[None, :]) / est.bandwidth
+        dense = np.exp(-0.5 * u * u).sum(axis=1) / (n * est.bandwidth * np.sqrt(2 * np.pi))
+        assert np.max(np.abs(est.values - dense)) <= 1e-13
 
     def test_silverman_default_bandwidth(self, rng):
         x = rng.standard_normal(10000)

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roughflow.densitylab import yamato_fields
 from roughflow.errors import DomainError
 from roughflow.liefields import (
+    CompiledField,
     Polynomial,
     PolyVectorField,
     bracket,
@@ -30,6 +32,31 @@ def random_field(m, deg, rng, density=0.4):
                 terms[e] = Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
         comps.append(Polynomial(m, terms))
     return PolyVectorField(tuple(comps))
+
+
+@st.composite
+def exact_field_and_point(draw):
+    """A random exact field on R^m and a point of eighths (exact as floats)."""
+    m = draw(st.integers(1, 3))
+    exponent = st.tuples(*[st.integers(0, 3)] * m)
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+    comps = tuple(
+        Polynomial(m, draw(st.dictionaries(exponent, coeff, max_size=6))) for _ in range(m)
+    )
+    point = draw(st.lists(st.integers(-16, 16), min_size=m, max_size=m))
+    return PolyVectorField(comps), [Fraction(k, 8) for k in point]
+
+
+def exact_value_and_scale(poly, point):
+    """Exact value at a rational point and the sum of the absolute terms."""
+    value, scale = Fraction(0), Fraction(0)
+    for e, c in poly.terms.items():
+        term = c
+        for xk, p in zip(point, e):
+            term *= xk**p
+        value += term
+        scale += abs(term)
+    return value, scale
 
 
 class TestPolynomial:
@@ -64,6 +91,59 @@ class TestPolynomial:
         p = parse_polynomial("1/3*x1", 1)
         q = p * 3
         assert q.terms[(1,)] == Fraction(1)
+
+
+class TestCompiledField:
+    @given(exact_field_and_point())
+    @settings(max_examples=80, deadline=None)
+    def test_values_and_jacobian_match_exact_evaluation(self, case):
+        fld, point = case
+        x = np.array([float(v) for v in point])
+        vals, jac = fld(x), fld.jacobian_at(x)
+        for i, comp in enumerate(fld.components):
+            # Relative to the sum of absolute terms, so cancellation is fair.
+            for got, poly in [(vals[i], comp)] + [(jac[i, l], comp.diff(l)) for l in range(fld.m)]:
+                exact, scale = exact_value_and_scale(poly, point)
+                assert abs(got - float(exact)) <= 1e-12 * float(scale)
+
+    def test_family_axes_weight_the_fields(self, rng):
+        fields = [random_field(2, 3, rng) for _ in range(3)]
+        w = rng.standard_normal((3, 7))  # one weight vector per path
+        x = rng.standard_normal((7, 2))  # one point per path
+        z = CompiledField.stack(fields).weighted(w)
+        # Oracle: the interpreted Polynomial evaluator and the exact partials.
+        expect = sum(
+            w[f][:, None] * np.stack([c(x) for c in fld.components], axis=-1)
+            for f, fld in enumerate(fields)
+        )
+        jexpect = sum(
+            w[f][:, None, None] * np.array([[d(x) for d in row] for row in fld.jacobian()]).transpose(2, 0, 1)
+            for f, fld in enumerate(fields)
+        )
+        assert np.allclose(z(x.T).T, expect, rtol=1e-12, atol=1e-12)
+        assert np.allclose(np.moveaxis(z.jacobian(x.T), -1, 0), jexpect, rtol=1e-12, atol=1e-12)
+
+    def test_table_closed_under_partials(self, rng):
+        z = CompiledField.stack([random_field(3, 3, rng)])
+        table = [tuple(e) for e in z.exponents.tolist()]
+        for _, q in z.pairs:
+            e = table[q]
+            for l, p in enumerate(e):
+                if p:
+                    assert e[:l] + (p - 1,) + e[l + 1 :] in table
+
+    def test_compiled_once_on_first_use(self):
+        fld = yamato_fields()[1]
+        assert "_compiled" not in vars(fld)
+        first = fld.compiled
+        fld(np.zeros(3))
+        fld.jacobian_at(np.zeros((4, 3)))
+        assert fld.compiled is first
+
+    def test_zero_field_evaluates_to_zero(self):
+        z = PolyVectorField.zero(2)
+        assert np.array_equal(z(np.ones((5, 2))), np.zeros((5, 2)))
+        assert np.array_equal(z.jacobian_at(np.ones(2)), np.zeros((2, 2)))
 
 
 class TestBracket:

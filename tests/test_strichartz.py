@@ -22,8 +22,26 @@ from roughflow.strichartz import (
     psi,
     psi_batch,
     psi_table,
+    rk4,
     strichartz_solve,
 )
+
+
+def interpreted_exp_flow_batch(terms, a, steps):
+    """The term-by-term route the compiled batched flow replaced (its oracle).
+
+    Every RK4 stage reads each bracket field's exact Fraction polynomials
+    through ``Polynomial.__call__`` and weights it by the per-path psi.
+    """
+    n_paths, m = terms[0][1].shape[0], terms[0][0].m
+
+    def rhs(y):
+        out = np.zeros_like(y)
+        for fld, scalars in terms:
+            out += scalars[:, None] * np.stack([c(y) for c in fld.components], axis=-1)
+        return out
+
+    return rk4(rhs, np.broadcast_to(np.asarray(a, dtype=float), (n_paths, m)).copy(), steps)
 
 
 class TestDescents:
@@ -226,6 +244,25 @@ class TestBatchEngine:
             p = SamplePath(grid, drivers[i], hurst=rough_hurst)
             single = strichartz_solve(yamato, p, a, 1.0, 3)
             assert np.max(np.abs(batch[i] - single)) < 1e-12
+
+    def test_compiled_flow_matches_interpreted_oracle(self, yamato, rough_hurst):
+        drivers = sample_fbm_array(rough_hurst, TimeGrid(1.0, 17), 3, 300, seed=4)
+        terms = build_Z_batch(yamato, batch_signature_levels(drivers, 2), 3)
+        a = np.array([0.4, -0.2, 0.7])
+        fast = exp_flow_batch(terms, a, steps=64)
+        assert np.max(np.abs(fast - interpreted_exp_flow_batch(terms, a, 64))) < 1e-12
+
+    def test_compiled_flow_oracle_degree_two_family(self, rough_hurst):
+        # V1 = d/dx1, V2 = x1^2 d/dx2: [V1, V2] = 2 x1 d/dx2 is not constant,
+        # [[V1, V2], V1] = -2 d/dx2, and every order-4 bracket vanishes.
+        v1 = PolyVectorField((parse_polynomial("1", 2), parse_polynomial("0", 2)))
+        v2 = PolyVectorField((parse_polynomial("0", 2), parse_polynomial("x1^2", 2)))
+        drivers = sample_fbm_array(rough_hurst, TimeGrid(1.0, 17), 2, 200, seed=6)
+        terms = build_Z_batch([v1, v2], batch_signature_levels(drivers, 3), 4)
+        assert max(fld.degree for fld, _ in terms) == 2
+        a = np.random.default_rng(6).standard_normal((200, 2))  # one start per path
+        fast = exp_flow_batch(terms, a, steps=64)
+        assert np.max(np.abs(fast - interpreted_exp_flow_batch(terms, a, 64))) < 1e-12
 
     def test_psi_batch_matches_scalar(self, yamato, rough_hurst):
         grid = TimeGrid(1.0, 17)
