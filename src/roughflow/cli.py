@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -198,7 +197,7 @@ SCHEMAS = {
 }
 
 DEFAULTS = {
-    "sample-fbm": {"hurst": 0.4, "horizon": 1.0, "grid_points": 257, "dim": 1, "paths": 10, "seed": 0, "threads": os.cpu_count() or 1},
+    "sample-fbm": {"hurst": 0.4, "horizon": 1.0, "grid_points": 257, "dim": 1, "paths": 10, "seed": 0, "threads": 1},
     "signature": {"hurst": 0.4, "horizon": 1.0, "grid_points": 65, "dim": 2, "level": 4, "seed": 0},
     "sewing-test": {"mu": 1.2, "depth": 12, "grid_points": 65, "trials": 100, "seed": 0},
     "solve": {"fields": "yamato", "hurst": 0.4, "horizon": 1.0, "mesh_exp": 8, "seed": 0},
@@ -210,6 +209,9 @@ DEFAULTS = {
     "norris-mc": {"fields": "yamato", "hurst": 0.4, "paths": 2000, "eps": [0.4, 0.2, 0.1, 0.05], "q": 0.5, "horizon": 1e-4, "grid_points": 65, "seed": 0},
     "density": {"fields": "yamato", "hurst": 0.4, "time": 1.0, "component": 3, "paths": 20000, "grid_points": 33, "seed": 0},
 }
+
+#: Experiments that lift the driver to level 2, valid only for 1/3 < H < 1/2.
+ROUGH_REGIME = {"solve", "strichartz", "jacobian", "malliavin", "norris-mc", "density"}
 
 
 class ConfigError(Exception):
@@ -246,6 +248,8 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict:
         jsonschema.validate(config, SCHEMAS[command])
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"config violates schema: {exc.message}") from exc
+    if command in ROUGH_REGIME and not HurstParam(config["hurst"]).in_rough_regime:
+        raise ConfigError(f"{command} needs 1/3 < hurst < 1/2, got {config['hurst']}")
     return config
 
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from .errors import DomainError, PreconditionError
 from .fbm import HurstParam, SamplePath, TimeGrid, sample_fbm_array
@@ -309,6 +308,7 @@ def density_report(
     }
     sampler = _EXPLICIT_SAMPLERS.get(fields_hash(fields))
     if sampler is not None:
+        from scipy.stats import ks_2samp
         grid = TimeGrid(t, grid_points)
         drivers = sample_fbm_array(hurst, grid, len(fields), n_paths, seed + 1)
         explicit = sampler(drivers, initial) @ weights

@@ -77,6 +77,42 @@ def test_hormander_point_length_exits_two(point, tmp_path, capsys):
     assert not (tmp_path / "check-fields-seed0").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["density", "--hurst", "0.25"], 2),
+        (["solve", "--hurst", "0.9"], 2),
+        (["sample-fbm", "--hurst", "0.9", "--grid-points", "9", "--paths", "1"], 0),
+    ],
+)
+def test_level_two_experiments_need_rough_regime(argv, code, tmp_path, capsys):
+    assert main([*argv, "--out", str(tmp_path)]) == code
+    if code == 2:
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not any(tmp_path.iterdir())
+
+
+def test_sample_fbm_threads_do_not_change_artifacts(tmp_path):
+    base = ["sample-fbm", "--grid-points", "17", "--paths", "3"]
+    assert main([*base, "--out", str(tmp_path / "a")]) == 0
+    assert main([*base, "--threads", "2", "--out", str(tmp_path / "b")]) == 0
+    a, b = tmp_path / "a" / "sample-fbm-seed0", tmp_path / "b" / "sample-fbm-seed0"
+    assert json.loads((a / "config.json").read_text())["config"]["threads"] == 1
+    for i in range(3):
+        name = f"path_{i:03d}.csv"
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_cli_import_leaves_out_heavy_scipy_modules():
+    code = (
+        "import sys, roughflow.cli; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.stats') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_density_paths_below_minimum_exit_two(tmp_path):
     rc = main(["density", "--paths", "199", "--grid-points", "9", "--out", str(tmp_path)])
     assert rc == 2

@@ -9,6 +9,7 @@ from scipy.special import beta as beta_fn
 from roughflow.errors import DomainError
 from roughflow.fbm import (
     CHOLESKY_CAP,
+    DH_MIN_POINTS,
     HurstParam,
     SamplePath,
     TimeGrid,
@@ -19,6 +20,9 @@ from roughflow.fbm import (
     kernel_covariance,
     sample_fbm,
     sample_fbm_array,
+    _cholesky_with_jitter,
+    _embedding_eigenvalues,
+    _transport,
 )
 
 
@@ -93,11 +97,15 @@ class TestCovariance:
 
 class TestSampling:
     def test_seed_determinism_bitwise(self, rough_hurst):
-        g = TimeGrid(1.0, 33)
-        a = sample_fbm(rough_hurst, g, d=2, n_paths=3, seed=9)
-        b = sample_fbm(rough_hurst, g, d=2, n_paths=3, seed=9)
-        for pa, pb in zip(a, b):
-            assert np.array_equal(pa.values, pb.values)
+        for n_points in (33, DH_MIN_POINTS):
+            g = TimeGrid(1.0, n_points)
+            a = sample_fbm(rough_hurst, g, d=2, n_paths=3, seed=9)
+            b = sample_fbm(rough_hurst, g, d=2, n_paths=3, seed=9)
+            for pa, pb in zip(a, b):
+                assert np.array_equal(pa.values, pb.values)
+            # Per-(path, component) streams: a batch of one draws the same path.
+            alone = sample_fbm(rough_hurst, g, d=2, n_paths=1, seed=9)[0]
+            assert np.allclose(alone.values, a[0].values, rtol=0.0, atol=1e-12)
 
     def test_paths_vanish_at_origin(self, rough_hurst):
         p = sample_fbm(rough_hurst, TimeGrid(1.0, 17), d=3, n_paths=1, seed=0)[0]
@@ -137,10 +145,39 @@ class TestSampling:
             assert abs(v - target) < 3 * se
 
     def test_array_sampler_deterministic(self, rough_hurst):
-        g = TimeGrid(1.0, 17)
-        a = sample_fbm_array(rough_hurst, g, 2, 5, seed=3)
-        b = sample_fbm_array(rough_hurst, g, 2, 5, seed=3)
-        assert np.array_equal(a, b)
+        for n_points in (17, DH_MIN_POINTS):
+            g = TimeGrid(1.0, n_points)
+            a = sample_fbm_array(rough_hurst, g, 2, 5, seed=3)
+            b = sample_fbm_array(rough_hurst, g, 2, 5, seed=3)
+            assert np.array_equal(a, b)
+            assert a.shape == (5, n_points, 2) and np.all(a[:, 0] == 0.0)
+
+
+class TestTransport:
+    """The samplers are linear in their normals: pushing the identity through
+    the transport gives its matrix A, whose law is fixed by A A^T."""
+
+    @pytest.mark.parametrize("h", [0.4, 0.7])
+    def test_circulant_embedding_reproduces_covariance(self, h):
+        g = TimeGrid(1.0, DH_MIN_POINTS)
+        k, apply = _transport(g, HurstParam(h))
+        assert k == 2 * (g.n_points - 1)
+        # Identity columns in blocks keep the transient arrays small.
+        a = np.hstack([apply(np.eye(k, 512, -i)) for i in range(0, k, 512)])
+        cov = covariance_matrix(g, HurstParam(h))
+        assert np.max(np.abs(a @ a.T - cov)) <= 1e-12
+
+    def test_short_grids_keep_the_cholesky_factor(self, rough_hurst):
+        g = TimeGrid(1.0, 1025)
+        k, apply = _transport(g, rough_hurst)
+        factor, _ = _cholesky_with_jitter(covariance_matrix(g, rough_hurst))
+        assert k == g.n_points - 1
+        assert np.array_equal(apply(np.eye(k)), factor)
+
+    def test_embedding_eigenvalues_positive_across_hurst(self):
+        g = TimeGrid(1.0, CHOLESKY_CAP)
+        for h in np.linspace(0.01, 0.99, 99):
+            assert _embedding_eigenvalues(g, HurstParam(float(h))).min() > 0.0
 
 
 class TestVolterraKernel:
