@@ -33,7 +33,7 @@ import numpy as np
 from .errors import BlowUpError, ConvergenceError, DomainError
 from .fbm import SamplePath, TimeGrid
 from .increments import Increment2, holder_norm
-from .liefields import CompiledField, PolyVectorField, bracket
+from .liefields import CompiledField, PolyVectorField
 from .signature import batch_levy_prefix
 
 #: Relative stabilization demanded between the last two refinement levels.
@@ -348,9 +348,3 @@ def rde_solve_batch(
             raise BlowUpError("batched RDE state became non-finite", when=k + 1)
     return y
 
-
-def z_dynamics_fields(
-    fields: list[PolyVectorField], u_field: PolyVectorField
-) -> list[PolyVectorField]:
-    """Brackets [V_j, U] driving the expansion of J^{-1} U(y) pairings."""
-    return [bracket(vj, u_field) for vj in fields]

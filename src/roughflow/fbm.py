@@ -37,6 +37,10 @@ CHOLESKY_CAP = 4097
 #: raised the peak RSS of the 2000-path ``norris-stats`` default, 115 -> 150 MB.
 DH_MIN_POINTS = 2049
 
+#: Normals per column block of ``sample_fbm_array``'s in-place transport, which bounds
+#: its temporaries: a block holds the largest power of two of k-normal columns that fits.
+TRANSPORT_FLOATS = 2**18
+
 #: Escalating diagonal jitter tried before giving up on a factorization.
 JITTER_LADDER = (0.0, 1e-14, 1e-12, 1e-10)
 
@@ -182,8 +186,10 @@ def _transport(grid: TimeGrid, hurst: HurstParam) -> tuple[int, Callable]:
     scale[[0, n]] *= math.sqrt(2.0)
 
     def apply(z: np.ndarray) -> np.ndarray:
-        coef = (scale[:, None] * z[: n + 1]).astype(complex)
-        coef[1:n].imag = scale[1:n, None] * z[n + 1 :]
+        coef = np.empty((n + 1, z.shape[1]), dtype=complex)
+        np.multiply(scale[:, None], z[: n + 1], out=coef.real)
+        np.multiply(scale[1:n, None], z[n + 1 :], out=coef.imag[1:n])
+        coef.imag[[0, n]] = 0.0
         return np.cumsum(np.fft.irfft(coef, n=2 * n, axis=0)[:n], axis=0)
 
     return 2 * n, apply
@@ -236,17 +242,27 @@ def sample_fbm_array(
     Uses a single counter-based stream keyed by ``seed`` with a fixed
     (normal, path, component) draw layout; meant for Monte-Carlo engines
     where per-path streams would dominate the runtime.  Deterministic for
-    fixed (seed, n_paths, d, grid).
+    fixed (seed, n_paths, d, grid).  The result is a time-major view: the
+    normals are drawn into one (k + 1, n_paths * d) buffer and transported
+    in place, so no second copy of the batch is made.
     """
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
     k, apply = _transport(grid, hurst)
-    n = grid.n_points - 1
+    n, cols = grid.n_points - 1, n_paths * d
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    g = apply(rng.standard_normal((k, n_paths * d)))
-    out = np.zeros((n_paths, grid.n_points, d))
-    out[:, 1:, :] = g.reshape(n, n_paths, d).transpose(1, 0, 2)
-    return out
+    # Time-major buffer: row 0 is the origin, rows 1.. take the normals and
+    # then, block by block, the path values they transport to.
+    buf = np.empty((k + 1, cols))
+    buf[0] = 0.0
+    rng.standard_normal(out=buf[1:])
+    # Power-of-two column blocks, the last one taking the remainder: BLAS treats each
+    # column as in one product over the whole batch, so the blocking changes no value.
+    step = 1 << (TRANSPORT_FLOATS // k).bit_length() - 1
+    for c in range(0, max(cols - step, 0) + 1, step):
+        stop = c + step if c + 2 * step <= cols else cols
+        buf[1 : n + 1, c:stop] = apply(buf[1:, c:stop])
+    return buf[: n + 1].reshape(grid.n_points, n_paths, d).transpose(1, 0, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from roughflow.controlled import RoughDriver, rde_solve
 from roughflow.densitylab import (
+    KDE_BLOCK,
     KDE_CHUNK,
     check_hypotheses,
     density_report,
@@ -97,10 +100,61 @@ class TestKde:
         dense = np.exp(-0.5 * u * u).sum(axis=1) / (n * est.bandwidth * np.sqrt(2 * np.pi))
         assert np.max(np.abs(est.values - dense)) <= 1e-13
 
+    @pytest.mark.parametrize("kwargs", [{"grid_points": 1}, {"grid_points": 0}, {"span": -100.0}])
+    def test_meaningless_grid_refused(self, rng, kwargs):
+        with pytest.raises(DomainError):
+            kde(rng.standard_normal(500), **kwargs)
+
     def test_silverman_default_bandwidth(self, rng):
         x = rng.standard_normal(10000)
         est = kde(x)
         assert est.bandwidth == pytest.approx(1.06 * np.std(x) * 10000 ** (-0.2))
+
+
+def dense_kde(est, x):
+    """The one-shot sum over every sample at every grid point."""
+    u = (est.xs[:, None] - x[None, :]) / est.bandwidth
+    return np.exp(-0.5 * u * u).sum(axis=1) / (x.size * est.bandwidth * np.sqrt(2 * np.pi))
+
+
+def stress_samples(law, n, scale, seed):
+    rng = np.random.default_rng(seed)
+    if law == "cauchy":
+        return scale * rng.standard_cauchy(n)
+    if law == "clusters":  # two clusters 1e3 apart: windows between them are empty
+        return scale * np.concatenate([rng.standard_normal(n // 2), 1e3 + rng.standard_normal(n - n // 2)])
+    return scale * rng.standard_normal(n)
+
+
+class TestWindowedKde:
+    """The windowed sum drops only terms below e^{-72} of the kernel's peak, so
+    it equals the dense sum up to rounding, whatever the samples look like."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        law=st.sampled_from(["normal", "cauchy", "clusters"]),
+        n=st.integers(100, 6000),
+        scale=st.sampled_from([1e-9, 1.0, 1e3]),
+        grid_points=st.one_of(st.integers(2, 3 * KDE_BLOCK + 1), st.sampled_from([77, 512])),
+        bandwidth=st.one_of(st.none(), st.floats(0.01, 2.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(law="cauchy", n=50000, scale=1.0, grid_points=77, bandwidth=None, seed=0)
+    @example(law="clusters", n=4000, scale=1.0, grid_points=512, bandwidth=0.5, seed=1)
+    @example(law="normal", n=3000, scale=1e-9, grid_points=512, bandwidth=None, seed=2)
+    @example(law="normal", n=3000, scale=1.0, grid_points=77, bandwidth=0.3, seed=3)
+    def test_windowed_sum_equals_dense_sum(self, law, n, scale, grid_points, bandwidth, seed):
+        x = stress_samples(law, n, scale, seed)
+        if bandwidth is not None:
+            bandwidth *= scale
+        est = kde(x, bandwidth=bandwidth, grid_points=grid_points)
+        dense = dense_kde(est, x)
+        assert np.max(np.abs(est.values - dense)) <= 1e-13 * dense.max()
+
+    def test_empty_windows_between_clusters(self):
+        x = stress_samples("clusters", 4000, 1.0, 1)
+        est = kde(x, bandwidth=0.5)
+        assert np.any(est.values == 0.0) and np.all(dense_kde(est, x)[est.values == 0.0] == 0.0)
 
 
 class TestFlowSamples:

@@ -10,6 +10,7 @@ from roughflow.errors import DomainError
 from roughflow.fbm import (
     CHOLESKY_CAP,
     DH_MIN_POINTS,
+    TRANSPORT_FLOATS,
     HurstParam,
     SamplePath,
     TimeGrid,
@@ -153,6 +154,33 @@ class TestSampling:
             assert a.shape == (5, n_points, 2) and np.all(a[:, 0] == 0.0)
 
 
+def reference_sample_fbm_array(hurst, grid, d, n_paths, seed):
+    """The unblocked sampler: one transport of the whole batch, then a
+    path-major copy.  Oracle of the in-place time-major sampler."""
+    k, apply = _transport(grid, hurst)
+    n = grid.n_points - 1
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    g = apply(rng.standard_normal((k, n_paths * d)))
+    out = np.zeros((n_paths, grid.n_points, d))
+    out[:, 1:, :] = g.reshape(n, n_paths, d).transpose(1, 0, 2)
+    return out
+
+
+class TestInPlaceSampler:
+    @pytest.mark.parametrize("n_points", [33, 257, DH_MIN_POINTS])
+    def test_matches_unblocked_sampler_bitwise(self, rough_hurst, n_points):
+        g = TimeGrid(1.0, n_points)
+        k, _ = _transport(g, rough_hurst)
+        block = 1 << (TRANSPORT_FLOATS // k).bit_length() - 1
+        # Columns below, at and above one block, the last not a multiple of it.
+        for d, n_paths in ((1, block - 1), (1, block), (1, 2 * block + 3), (3, block // 2 + 1)):
+            a = sample_fbm_array(rough_hurst, g, d, n_paths, seed=8)
+            b = reference_sample_fbm_array(rough_hurst, g, d, n_paths, seed=8)
+            assert a.shape == (n_paths, n_points, d)
+            assert np.array_equal(a, b)
+            assert np.all(a[:, 0] == 0.0)
+
+
 class TestTransport:
     """The samplers are linear in their normals: pushing the identity through
     the transport gives its matrix A, whose law is fixed by A A^T."""
@@ -166,6 +194,19 @@ class TestTransport:
         a = np.hstack([apply(np.eye(k, 512, -i)) for i in range(0, k, 512)])
         cov = covariance_matrix(g, HurstParam(h))
         assert np.max(np.abs(a @ a.T - cov)) <= 1e-12
+
+    @pytest.mark.parametrize("n_points", [DH_MIN_POINTS, CHOLESKY_CAP])
+    def test_one_pass_coefficients_match_two_pass(self, rough_hurst, n_points):
+        g = TimeGrid(1.0, n_points)
+        n = n_points - 1
+        k, apply = _transport(g, rough_hurst)
+        z = np.random.default_rng(n).standard_normal((k, 37))
+        scale = np.sqrt(n * _embedding_eigenvalues(g, rough_hurst))
+        scale[[0, n]] *= math.sqrt(2.0)
+        coef = (scale[:, None] * z[: n + 1]).astype(complex)
+        coef[1:n].imag = scale[1:n, None] * z[n + 1 :]
+        two_pass = np.cumsum(np.fft.irfft(coef, n=2 * n, axis=0)[:n], axis=0)
+        assert np.array_equal(apply(z), two_pass)
 
     def test_short_grids_keep_the_cholesky_factor(self, rough_hurst):
         g = TimeGrid(1.0, 1025)
