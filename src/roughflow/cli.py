@@ -26,13 +26,7 @@ from .errors import RoughflowError
 from .fbm import HurstParam, TimeGrid, sample_fbm
 from .flows import jacobian_path_strichartz, malliavin_derivative, malliavin_via_jacobian
 from .increments import Increment2, delta2, holder_norm, holder_norm_c3, sewing
-from .liefields import (
-    PolyVectorField,
-    constant_brackets,
-    hormander_rank,
-    is_nilpotent,
-    parse_field_file,
-)
+from .liefields import FieldFamily, PolyVectorField, hormander_rank, parse_field_file
 from .norris import TwoScale, block_stats_mc, concentration_table, hermite_moments, norris_dichotomy_mc, s_k
 from .reporting import parallel_map, svg_line_plot, write_csv, write_json, write_manifest
 from .signature import path_signature
@@ -354,24 +348,24 @@ def run_solve(config: dict, outdir: Path) -> None:
 
 
 def run_check_fields(config: dict, outdir: Path) -> None:
-    fields = load_fields(config["fields"])
+    family = FieldFamily.of(load_fields(config["fields"]))
     n = config["nilpotent"]
-    nil, witness = is_nilpotent(fields, n)
+    nil, witness = family.nilpotent(n)
     report = {
-        "fields_hash": fields_hash(fields),
+        "fields_hash": family.key,
         "nilpotent": {"order": n, "ok": nil, "witness": list(witness) if witness else None},
     }
     if config.get("constant_brackets"):
-        report["constant_brackets"] = {"up_to": n, "ok": constant_brackets(fields, n)}
+        report["constant_brackets"] = {"up_to": n, "ok": family.constant_brackets(n)}
     if config.get("hormander") is not None:
         point = [float(v) for v in config["hormander"]]
         up_to = config.get("up_to", n - 1)
-        rank = hormander_rank(fields, point, up_to)
+        rank = hormander_rank(family.fields, point, up_to)
         report["hormander"] = {
             "point": point,
             "up_to": up_to,
             "rank": rank,
-            "full": rank == fields[0].m,
+            "full": rank == family.m,
         }
     report["all_pass"] = all(
         section["ok"] if "ok" in section else section["full"]

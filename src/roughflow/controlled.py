@@ -33,7 +33,7 @@ import numpy as np
 from .errors import BlowUpError, ConvergenceError, DomainError
 from .fbm import SamplePath, TimeGrid
 from .increments import Increment2, holder_norm
-from .liefields import CompiledField, PolyVectorField
+from .liefields import FieldFamily, PolyVectorField, taylor_correction_fields
 from .signature import batch_levy_prefix
 
 #: Relative stabilization demanded between the last two refinement levels.
@@ -246,36 +246,8 @@ def pair_integral(z: ControlledPath, s: float, t: float) -> float:
     return float(np.trace(value))
 
 
-def taylor_correction_fields(
-    fields: list[PolyVectorField],
-) -> list[list[PolyVectorField]]:
-    """Second-order scheme fields W[i][j] = grad V_j . V_i, exact."""
-    from .liefields import Polynomial
-
-    m = fields[0].m
-    out = []
-    for vi in fields:
-        row = []
-        for vj in fields:
-            jac = vj.jacobian()
-            comps = []
-            for a in range(m):
-                acc = Polynomial.zero(m)
-                for l in range(m):
-                    acc = acc + jac[a][l] * vi.components[l]
-                comps.append(acc)
-            row.append(PolyVectorField(tuple(comps)))
-        out.append(row)
-    return out
-
-
-def _davie_stack(fields: list[PolyVectorField]) -> CompiledField:
-    """V_1..V_d then W[i][j] (row-major), compiled as one family of fields."""
-    return CompiledField.stack(list(fields) + [w for row in taylor_correction_fields(fields) for w in row])
-
-
 def rde_solve(
-    fields: list[PolyVectorField],
+    fields: list[PolyVectorField] | FieldFamily,
     a: np.ndarray,
     driver: RoughDriver,
     grid: TimeGrid | None = None,
@@ -286,10 +258,10 @@ def rde_solve(
     by default the driver grid itself is used.  Returns the solution path
     and its controlled-path lift with zeta_t = [V_1(y_t) ... V_d(y_t)].
     """
-    d = len(fields)
+    family = FieldFamily.of(fields)
+    d, m = family.d, family.m
     if d != driver.d:
         raise DomainError(f"{d} fields for a {driver.d}-dimensional driver")
-    m = fields[0].m
     a = np.asarray(a, dtype=float)
     if a.shape != (m,):
         raise DomainError(f"initial condition must be shape ({m},)")
@@ -301,7 +273,7 @@ def rde_solve(
         stride = int(round(ratio))
         if abs(ratio - stride) > 1e-9 or abs(grid.horizon - driver.grid.horizon) > 1e-12:
             raise DomainError("solve grid must subsample the driver grid")
-    stack = _davie_stack(fields)
+    stack = family.davie_stack
     n = grid.n_points
     y = np.empty((n, m))
     y[0] = a
@@ -311,7 +283,7 @@ def rde_solve(
         y[k + 1] = y[k] + stack.weighted(weights)(y[k])
         if not np.all(np.isfinite(y[k + 1])):
             raise BlowUpError("RDE state became non-finite", when=grid.times[k + 1])
-    zeta = np.stack([f(y) for f in fields], axis=-1)
+    zeta = np.stack([f(y) for f in family.fields], axis=-1)
     solution = SamplePath(grid=grid, values=y, hurst=None)
     sub_driver = (
         driver
@@ -322,7 +294,7 @@ def rde_solve(
 
 
 def rde_solve_batch(
-    fields: list[PolyVectorField],
+    fields: list[PolyVectorField] | FieldFamily,
     a: np.ndarray,
     values: np.ndarray,
 ) -> np.ndarray:
@@ -332,11 +304,12 @@ def rde_solve_batch(
     the per-step Levy area of the linear interpolant is dv (x) dv / 2.
     Returns (n_paths, n_points, m).
     """
+    family = FieldFamily.of(fields)
     n_paths, n_points, d = values.shape
-    if d != len(fields):
-        raise DomainError(f"{len(fields)} fields for a {d}-dimensional driver")
-    m = fields[0].m
-    stack = _davie_stack(fields)
+    if d != family.d:
+        raise DomainError(f"{family.d} fields for a {d}-dimensional driver")
+    m = family.m
+    stack = family.davie_stack
     y = np.empty((n_paths, n_points, m))
     y[:, 0] = np.asarray(a, dtype=float)
     for k in range(n_points - 1):

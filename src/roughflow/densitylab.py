@@ -32,14 +32,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .fbm import HurstParam, SamplePath, TimeGrid, sample_fbm_array
-from .liefields import (
-    PolyVectorField,
-    Polynomial,
-    constant_brackets,
-    hormander_rank,
-    is_nilpotent,
-    parse_polynomial,
-)
+from .liefields import FieldFamily, PolyVectorField, Polynomial, hormander_rank, parse_polynomial
 from .signature import batch_levy_prefix, batch_signature_levels, levy_area
 from .strichartz import build_Z_batch, exp_flow_batch, fields_hash
 
@@ -184,6 +177,8 @@ def _skewness(x: np.ndarray) -> float:
 
 def smoothness_proxies(est: DensityEstimate) -> dict:
     """Max absolute first and second finite differences of the estimate."""
+    if est.xs.size < 3:
+        raise DomainError(f"smoothness proxies need at least 3 grid points, got {est.xs.size}")
     dx = est.xs[1] - est.xs[0]
     d1 = np.diff(est.values) / dx
     d2 = np.diff(est.values, n=2) / dx**2
@@ -206,19 +201,18 @@ def register_explicit(fields: list[PolyVectorField], sampler) -> None:
 
 
 def check_hypotheses(
-    fields: list[PolyVectorField], n: int, points: np.ndarray
+    fields: list[PolyVectorField] | FieldFamily, n: int, points: np.ndarray
 ) -> dict:
     """The three density hypotheses: nilpotency, constant brackets, spanning."""
-    m = fields[0].m
-    nil, witness = is_nilpotent(fields, n)
-    const = constant_brackets(fields, n)
-    ranks = [hormander_rank(fields, x, n - 1) for x in np.atleast_2d(points)]
+    family = FieldFamily.of(fields)
+    nil, witness = family.nilpotent(n)
+    ranks = [hormander_rank(family.fields, x, n - 1) for x in np.atleast_2d(points)]
     return {
         "nilpotent": nil,
         "nilpotency_witness": list(witness) if witness else None,
-        "constant_brackets": const,
+        "constant_brackets": family.constant_brackets(n),
         "hormander_ranks": ranks,
-        "hormander_full": all(r == m for r in ranks),
+        "hormander_full": all(r == family.m for r in ranks),
         "order": n,
     }
 

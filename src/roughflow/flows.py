@@ -39,9 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controlled import RoughDriver, rde_solve
-from .errors import DomainError, PreconditionError
+from .errors import DomainError
 from .fbm import SamplePath, TimeGrid
-from .liefields import CompiledField, PolyVectorField, Polynomial, bracket, constant_brackets
+from .liefields import CompiledField, FieldFamily, PolyVectorField, augmented_jacobian_fields, bracket
 from .signature import IteratedIntegrals, Word, chen_concat, path_signature, segment_signature
 from .strichartz import (
     DEFAULT_FLOW_STEPS,
@@ -111,31 +111,8 @@ def _flow_with_jacobians(
     return phi.T, J, Jb
 
 
-def jacobian_flow_strichartz(
-    fields: list[PolyVectorField],
-    p: SamplePath,
-    a: np.ndarray,
-    t: float,
-    n: int,
-    steps: int = DEFAULT_FLOW_STEPS,
-    check_hypotheses: bool = True,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(J_{0,t}, J_{0,t}^{-1}) by the variational flow along exp(Z_t)."""
-    if check_hypotheses and not constant_brackets(fields, n):
-        raise PreconditionError(
-            "brackets of order >= 2 are not constant", name="constant brackets"
-        )
-    if t == 0.0:
-        m = fields[0].m
-        return np.eye(m), np.eye(m)
-    sig = path_signature(p, 0.0, t, n - 1)
-    z = build_Z(fields, sig, n, check_nilpotency=check_hypotheses)
-    _, J, Jb = _flow_with_jacobians(z.compiled, a, steps)
-    return J, Jb
-
-
 def jacobian_path_strichartz(
-    fields: list[PolyVectorField],
+    fields: list[PolyVectorField] | FieldFamily,
     p: SamplePath,
     a: np.ndarray,
     n: int,
@@ -143,23 +120,20 @@ def jacobian_path_strichartz(
     check_hypotheses: bool = True,
 ) -> tuple[SamplePath, JacobianPath]:
     """(y, J, J^{-1}) at every grid time via batched frozen-field flows."""
-    from .strichartz import bracket_table
-
-    if check_hypotheses and not constant_brackets(fields, n):
-        raise PreconditionError(
-            "brackets of order >= 2 are not constant", name="constant brackets"
-        )
-    m = fields[0].m
+    family = FieldFamily.of(fields)
+    if check_hypotheses:
+        family.require_constant_brackets(n)
+        family.require_nilpotent(n)
+    m = family.m
     grid = p.grid
     k_max = grid.n_points - 1
     prefixes = _prefix_signatures(p, k_max, n - 1)
-    table = bracket_table(fields, n)
-    words = list(table)
+    words = list(family.brackets(n))
     psi_mat = np.zeros((k_max, len(words)))
     for k in range(1, k_max + 1):
         for q, w in enumerate(words):
             psi_mat[k - 1, q] = psi(prefixes[k], w)
-    z = CompiledField.stack(list(table.values())).weighted(psi_mat.T)
+    z = family.bracket_stack(n).weighted(psi_mat.T)
     phi, J, Jb = _flow_with_jacobians(z, a, steps)
     y = np.vstack([np.asarray(a, dtype=float)[None], phi])
     eye = np.eye(m)[None]
@@ -174,56 +148,18 @@ def jacobian_path_strichartz(
 # ---------------------------------------------------------------------------
 
 
-def augmented_jacobian_fields(fields: list[PolyVectorField]) -> list[PolyVectorField]:
-    """Driving fields of the joint (y, J, J^{-1}) system on R^{m + 2 m^2}.
-
-    Variable layout: y occupies the first m slots, J the next m^2
-    (row-major), J^{-1} the last m^2.  All components stay polynomial, so
-    the second-order scheme applies unchanged.
-    """
-    m = fields[0].m
-    total = m + 2 * m * m
-
-    def j_var(row: int, col: int) -> Polynomial:
-        return Polynomial.variable(total, m + row * m + col)
-
-    def jinv_var(row: int, col: int) -> Polynomial:
-        return Polynomial.variable(total, m + m * m + row * m + col)
-
-    out = []
-    for v in fields:
-        jac = v.jacobian()  # jac[i][l] = d_l V^i, polynomials in y
-        comps = [c.lift(total) for c in v.components]
-        # dJ_{ab} = sum_l d_l V^a J_{lb}
-        for a_ in range(m):
-            for b_ in range(m):
-                acc = Polynomial.zero(total)
-                for l in range(m):
-                    acc = acc + jac[a_][l].lift(total) * j_var(l, b_)
-                comps.append(acc)
-        # dJinv_{ab} = -(Jinv grad V)_{ab} = -sum_l Jinv_{al} d_b V^l
-        for a_ in range(m):
-            for b_ in range(m):
-                acc = Polynomial.zero(total)
-                for l in range(m):
-                    acc = acc + jinv_var(a_, l) * jac[l][b_].lift(total)
-                comps.append(-acc)
-        out.append(PolyVectorField(tuple(comps)))
-    return out
-
-
 def jacobian_flow_rde(
-    fields: list[PolyVectorField],
+    fields: list[PolyVectorField] | FieldFamily,
     driver: RoughDriver,
     a: np.ndarray,
     grid: TimeGrid | None = None,
 ) -> tuple[SamplePath, JacobianPath]:
     """One second-order pass over the augmented (y, J, J^{-1}) system."""
-    m = fields[0].m
-    aug = augmented_jacobian_fields(fields)
+    family = FieldFamily.of(fields)
+    m = family.m
     eye = np.eye(m).ravel()
     state0 = np.concatenate([np.asarray(a, dtype=float), eye, eye])
-    sol, _ = rde_solve(aug, state0, driver, grid=grid)
+    sol, _ = rde_solve(family.augmented, state0, driver, grid=grid)
     n = sol.grid.n_points
     y = sol.values[:, :m]
     J = sol.values[:, m : m + m * m].reshape(n, m, m)
@@ -296,7 +232,7 @@ def d_psi(
 
 
 def malliavin_derivative(
-    fields: list[PolyVectorField],
+    fields: list[PolyVectorField] | FieldFamily,
     p: SamplePath,
     a: np.ndarray,
     t: float,
@@ -309,12 +245,10 @@ def malliavin_derivative(
     Requires constant brackets of order >= 2 (the hypothesis that removes
     the gradient terms of the higher brackets from the equation).
     """
-    if check_hypotheses and not constant_brackets(fields, n):
-        raise PreconditionError(
-            "brackets of order >= 2 are not constant", name="constant brackets"
-        )
-    m = fields[0].m
-    d = len(fields)
+    family = FieldFamily.of(fields)
+    if check_hypotheses:
+        family.require_constant_brackets(n)
+    m, d = family.m, family.d
     grid = p.grid
     k_t = grid.index_of(t)
     values = np.zeros((grid.n_points, m, d))
@@ -322,7 +256,7 @@ def malliavin_derivative(
         return MalliavinSlice(grid=grid, t=t, values=values)
 
     sig = path_signature(p, 0.0, t, n - 1)
-    z = build_Z(fields, sig, n, check_nilpotency=check_hypotheses)
+    z = build_Z(family, sig, n, check_nilpotency=check_hypotheses)
     prefixes = _prefix_signatures(p, k_t, n - 1)
     suffixes = _suffix_signatures(p, k_t, n - 1)
 
@@ -337,7 +271,7 @@ def malliavin_derivative(
         for q, (w, _) in enumerate(higher_terms):
             for j in range(1, d + 1):
                 weights[d + q, k, j - 1] = d_psi(prefixes[k], suffixes[k], w, j)
-    forcing = CompiledField.stack(list(fields) + [f for _, f in higher_terms]).weighted(weights)
+    forcing = CompiledField.stack(list(family.fields) + [f for _, f in higher_terms]).weighted(weights)
     zc = z.compiled
 
     # Joint RK4 in s: phi (m,) and D (n_u, m, d).
@@ -351,7 +285,7 @@ def malliavin_derivative(
 
 
 def malliavin_via_jacobian(
-    fields: list[PolyVectorField],
+    fields: list[PolyVectorField] | FieldFamily,
     p: SamplePath,
     a: np.ndarray,
     t: float,
@@ -359,14 +293,14 @@ def malliavin_via_jacobian(
     steps: int = DEFAULT_FLOW_STEPS,
 ) -> MalliavinSlice:
     """D_u y_t = J_{0,t} J_{0,u}^{-1} V_j(y_u) 1_{u < t}: the flow-route oracle."""
-    m = fields[0].m
-    d = len(fields)
+    family = FieldFamily.of(fields)
+    m, d = family.m, family.d
     grid = p.grid
     k_t = grid.index_of(t)
     values = np.zeros((grid.n_points, m, d))
-    ypath, jac = jacobian_path_strichartz(fields, p, a, n, steps)
+    ypath, jac = jacobian_path_strichartz(family, p, a, n, steps)
     carry = jac.J[k_t] @ jac.J_inv[:k_t]
-    v = CompiledField.stack(fields)(ypath.values[:k_t].T[..., None])  # (m, k_t, d)
+    v = CompiledField.stack(family.fields)(ypath.values[:k_t].T[..., None])  # (m, k_t, d)
     values[:k_t] = np.einsum("kab,bkj->kaj", carry, v)
     return MalliavinSlice(grid=grid, t=t, values=values)
 

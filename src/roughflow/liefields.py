@@ -12,15 +12,19 @@ and iterated brackets are left-nested: [U_1 ... U_k] = [[U_1 ... U_{k-1}], U_k].
 
 from __future__ import annotations
 
+import hashlib
 import re
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as iter_product
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, PreconditionError
 
 Exponent = tuple[int, ...]
 
@@ -243,20 +247,23 @@ class PolyVectorField:
 class CompiledField:
     """Float form of polynomial vector fields, compiled once for evaluation.
 
-    ``exponents`` is the (n, m) monomial table, closed under first partials.
+    ``exponents`` is the (n, m) monomial table, closed under first partials,
+    and ``plan`` lists each table row's (variable, power) factors.
     Row k of ``coef`` is the coefficient of component i on monomial q for
     ``pairs[k] = (i, q)``; ``jac_coef`` does the same for d_l V^i and
-    ``jac_pairs = (i, l, q)``.  Only pairs nonzero somewhere are kept.  The
+    ``jac_pairs[k] = ((i, l), q)``.  Only pairs nonzero somewhere are kept.  The
     axes of a row after the first index a family of fields on one table (one
     frozen field per path, say); they broadcast against the batch axes of the
-    component-major points x (m, *batch) that ``__call__`` takes.
+    component-major points x (m, *batch) that ``__call__`` takes.  The tables
+    of ``stack`` are read-only; ``weighted`` shares them.
     """
 
     exponents: np.ndarray
-    pairs: list[tuple[int, int]]
+    pairs: tuple[tuple[int, int], ...]
     coef: np.ndarray
-    jac_pairs: list[tuple[int, int, int]]
+    jac_pairs: tuple[tuple[tuple[int, int], int], ...]
     jac_coef: np.ndarray
+    plan: tuple[tuple[tuple[int, int], ...], ...]
 
     @staticmethod
     def stack(fields: Sequence[PolyVectorField]) -> "CompiledField":
@@ -281,12 +288,15 @@ class CompiledField:
             for k, key in enumerate(keys):
                 for f, c in entries[key].items():
                     coef[k, f] = c
-            return [key[:-1] + (index[key[-1]],) for key in keys], coef
+            coef.flags.writeable = False
+            return tuple((key[0] if len(key) == 2 else key[:2], index[key[-1]]) for key in keys), coef
 
         pairs, coef = pack(values)
         jac_pairs, jac_coef = pack(partials)
         exponents = np.array(table, dtype=int).reshape(len(table), m)
-        return CompiledField(exponents, pairs, coef, jac_pairs, jac_coef)
+        exponents.flags.writeable = False
+        plan = tuple(tuple((k, p) for k, p in enumerate(e) if p) for e in table)
+        return CompiledField(exponents, pairs, coef, jac_pairs, jac_coef, plan)
 
     def weighted(self, w) -> "CompiledField":
         """The field sum_f w[f] V_f of a stack; w is (n_fields, *family)."""
@@ -296,27 +306,30 @@ class CompiledField:
             return (c @ w.reshape(w.shape[0], -1)).reshape(c.shape[:1] + w.shape[1:])
 
         return CompiledField(
-            self.exponents, self.pairs, contract(self.coef), self.jac_pairs, contract(self.jac_coef)
+            self.exponents, self.pairs, contract(self.coef), self.jac_pairs, contract(self.jac_coef), self.plan
         )
 
     def monomials(self, x: np.ndarray) -> list:
-        """Each table monomial at component-major points x (m, *batch)."""
+        """Each table monomial at component-major points x (m, *batch), or None
+        for the constant one, whose coefficient is then added as it is."""
         out = []
-        for e in self.exponents.tolist():
-            val = 1.0
-            for k, p in enumerate(e):
-                if p:
-                    val = val * x[k] ** p
+        for factors in self.plan:
+            val = None
+            for k, p in factors:
+                term = x[k] if p == 1 else x[k] ** p
+                val = term if val is None else val * term
             out.append(val)
         return out
 
     def _sum(self, x, pairs, coef, rank: int) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         mono = self.monomials(x)
-        m = self.exponents.shape[1]
-        out = np.zeros((m,) * rank + np.broadcast_shapes(coef.shape[1:], x.shape[1:]))
-        for (*idx, q), c in zip(pairs, coef):
-            out[tuple(idx)] += c * mono[q]
+        batch = coef.shape[1:]
+        if x.shape[1:] != batch:
+            batch = np.broadcast_shapes(batch, x.shape[1:])
+        out = np.zeros((self.exponents.shape[1],) * rank + batch)
+        for (idx, q), c in zip(pairs, coef):
+            out[idx] += c if mono[q] is None else c * mono[q]
         return out
 
     def __call__(self, x) -> np.ndarray:
@@ -574,3 +587,179 @@ def format_field_file(fields: Sequence[PolyVectorField]) -> str:
     for f in fields:
         lines.extend(str(c) for c in f.components)
     return "\n".join(lines) + "\n"
+
+
+def fields_hash(fields: Sequence[PolyVectorField]) -> str:
+    return hashlib.sha256(format_field_file(fields).encode()).hexdigest()[:16]
+
+
+# ---------------------------------------------------------------------------
+# Derived families and the cached FieldFamily
+# ---------------------------------------------------------------------------
+
+
+def bracket_table(fields: Sequence[PolyVectorField], n: int) -> dict[tuple[int, ...], PolyVectorField]:
+    """Left-nested brackets V_w for all words up to length n-1.
+
+    Zero brackets are pruned as the table is built level by level, so
+    nilpotent families stay cheap.
+    """
+    d = len(fields)
+    table: dict[tuple[int, ...], PolyVectorField] = {}
+    for i in range(1, d + 1):
+        fld = fields[i - 1]
+        if not fld.is_zero:
+            table[(i,)] = fld
+    for k in range(2, n):
+        for w in list(table):
+            if len(w) != k - 1:
+                continue
+            for i in range(1, d + 1):
+                b = bracket(table[w], fields[i - 1])
+                if not b.is_zero:
+                    table[w + (i,)] = b
+    return table
+
+
+def taylor_correction_fields(fields: Sequence[PolyVectorField]) -> list[list[PolyVectorField]]:
+    """Second-order scheme fields W[i][j] = grad V_j . V_i, exact."""
+    m = fields[0].m
+    out = []
+    for vi in fields:
+        row = []
+        for vj in fields:
+            jac = vj.jacobian()
+            comps = []
+            for a in range(m):
+                acc = Polynomial.zero(m)
+                for l in range(m):
+                    acc = acc + jac[a][l] * vi.components[l]
+                comps.append(acc)
+            row.append(PolyVectorField(tuple(comps)))
+        out.append(row)
+    return out
+
+
+def augmented_jacobian_fields(fields: Sequence[PolyVectorField]) -> list[PolyVectorField]:
+    """Driving fields of the joint (y, J, J^{-1}) system on R^{m + 2 m^2}.
+
+    Variable layout: y occupies the first m slots, J the next m^2
+    (row-major), J^{-1} the last m^2.  All components stay polynomial, so
+    the second-order scheme applies unchanged.
+    """
+    m = fields[0].m
+    total = m + 2 * m * m
+
+    def j_var(row: int, col: int) -> Polynomial:
+        return Polynomial.variable(total, m + row * m + col)
+
+    def jinv_var(row: int, col: int) -> Polynomial:
+        return Polynomial.variable(total, m + m * m + row * m + col)
+
+    out = []
+    for v in fields:
+        jac = v.jacobian()  # jac[i][l] = d_l V^i, polynomials in y
+        comps = [c.lift(total) for c in v.components]
+        # dJ_{ab} = sum_l d_l V^a J_{lb}
+        for a_ in range(m):
+            for b_ in range(m):
+                acc = Polynomial.zero(total)
+                for l in range(m):
+                    acc = acc + jac[a_][l].lift(total) * j_var(l, b_)
+                comps.append(acc)
+        # dJinv_{ab} = -(Jinv grad V)_{ab} = -sum_l Jinv_{al} d_b V^l
+        for a_ in range(m):
+            for b_ in range(m):
+                acc = Polynomial.zero(total)
+                for l in range(m):
+                    acc = acc + jinv_var(a_, l) * jac[l][b_].lift(total)
+                comps.append(-acc)
+        out.append(PolyVectorField(tuple(comps)))
+    return out
+
+
+#: Field families ``FieldFamily.of`` keeps; the least recently used goes first.
+FAMILY_CACHE_SIZE = 16
+
+_FAMILIES: dict[str, "FieldFamily"] = {}
+_FAMILIES_LOCK = threading.Lock()
+
+
+@dataclass(frozen=True, eq=False)
+class FieldFamily:
+    """Driving fields V_1..V_d with their exact checks and compiled tables.
+
+    Each member is built on first use and kept, so the exact work behind
+    it (brackets, nilpotency, constancy, Taylor corrections) runs once per
+    family, however many paths reuse it.  Members are read-only: tuples,
+    mapping proxies and read-only compiled tables.  ``FieldFamily.of``
+    keeps one family per content (``fields_hash``).
+    """
+
+    fields: tuple[PolyVectorField, ...]
+    key: str
+    _kept: dict = field(default_factory=dict, repr=False)
+
+    @staticmethod
+    def of(fields: "Sequence[PolyVectorField] | FieldFamily") -> "FieldFamily":
+        """The kept family with these fields' content; a family passes through."""
+        if isinstance(fields, FieldFamily):
+            return fields
+        fields = tuple(fields)
+        key = fields_hash(fields)
+        with _FAMILIES_LOCK:
+            family = _FAMILIES.pop(key, None) or FieldFamily(fields, key)
+            _FAMILIES[key] = family
+            if len(_FAMILIES) > FAMILY_CACHE_SIZE:
+                del _FAMILIES[next(iter(_FAMILIES))]
+        return family
+
+    def _member(self, name, build):
+        return self._kept[name] if name in self._kept else self._kept.setdefault(name, build())
+
+    @property
+    def m(self) -> int:
+        return self.fields[0].m
+
+    @property
+    def d(self) -> int:
+        return len(self.fields)
+
+    def nilpotent(self, n: int) -> tuple[bool, tuple[int, ...] | None]:
+        """``is_nilpotent(fields, n)``: (ok, violating word or None)."""
+        return self._member(("nilpotent", n), lambda: is_nilpotent(self.fields, n))
+
+    def constant_brackets(self, n: int) -> bool:
+        """``constant_brackets(fields, n)``."""
+        return self._member(("constant", n), lambda: constant_brackets(self.fields, n))
+
+    def require_nilpotent(self, n: int) -> None:
+        """Raise PreconditionError ``nilpotency`` unless the family is n-nilpotent."""
+        ok, witness = self.nilpotent(n)
+        if not ok:
+            message = f"fields are not {n}-nilpotent: bracket along {witness} is nonzero"
+            raise PreconditionError(message, name="nilpotency")
+
+    def require_constant_brackets(self, n: int) -> None:
+        """Raise PreconditionError ``constant brackets`` unless brackets of order 2..n are constant."""
+        if not self.constant_brackets(n):
+            raise PreconditionError("brackets of order >= 2 are not constant", name="constant brackets")
+
+    def brackets(self, n: int) -> Mapping[tuple[int, ...], PolyVectorField]:
+        """``bracket_table(fields, n)``, read-only."""
+        return self._member(("brackets", n), lambda: MappingProxyType(bracket_table(self.fields, n)))
+
+    def bracket_stack(self, n: int) -> CompiledField:
+        """The brackets of ``brackets(n)``, in its order, compiled as one stack."""
+        return self._member(("bracket_stack", n), lambda: CompiledField.stack(list(self.brackets(n).values())))
+
+    @cached_property
+    def davie_stack(self) -> CompiledField:
+        """V_1..V_d then W[i][j] = grad V_j . V_i (row-major), compiled as one stack."""
+        corrections = taylor_correction_fields(self.fields)
+        return CompiledField.stack(list(self.fields) + [w for row in corrections for w in row])
+
+    @cached_property
+    def augmented(self) -> "FieldFamily":
+        """The family of the joint (y, J, J^{-1}) fields of ``augmented_jacobian_fields``."""
+        return FieldFamily.of(augmented_jacobian_fields(self.fields))

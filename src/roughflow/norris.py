@@ -36,9 +36,8 @@ import numpy as np
 
 from .errors import DomainError
 from .fbm import HurstParam, SamplePath, TimeGrid, sample_fbm_array
-from .flows import augmented_jacobian_fields
 from .increments import Increment1
-from .liefields import PolyVectorField, bracket
+from .liefields import FieldFamily, PolyVectorField, bracket
 from .controlled import rde_solve_batch
 
 # ---------------------------------------------------------------------------
@@ -346,7 +345,7 @@ def _path_norms(paths: np.ndarray, times: np.ndarray, exponent: float) -> np.nda
 
 
 def norris_dichotomy_mc(
-    fields: list[PolyVectorField],
+    fields: list[PolyVectorField] | FieldFamily,
     u_field: PolyVectorField,
     eta: np.ndarray,
     hurst: HurstParam,
@@ -375,17 +374,17 @@ def norris_dichotomy_mc(
     eps_arr = np.asarray(sorted(eps_list, reverse=True), dtype=float)
     if np.any(eps_arr <= 0):
         raise DomainError("eps values must be positive")
-    m = fields[0].m
+    family = FieldFamily.of(fields)
+    m = family.m
     a = np.zeros(m) if a is None else np.asarray(a, dtype=float)
     eta = np.asarray(eta, dtype=float)
     eta = eta / np.linalg.norm(eta)
 
     grid = TimeGrid(horizon, grid_points)
-    drivers = sample_fbm_array(hurst, grid, len(fields), n_paths, seed)
-    aug = augmented_jacobian_fields(fields)
+    drivers = sample_fbm_array(hurst, grid, family.d, n_paths, seed)
     eye = np.eye(m).ravel()
     state0 = np.concatenate([a, eye, eye])
-    states = rde_solve_batch(aug, state0, drivers)
+    states = rde_solve_batch(family.augmented, state0, drivers)
     y_sol = states[:, :, :m]
     j_inv = states[:, :, m + m * m :].reshape(n_paths, grid_points, m, m)
 
@@ -395,7 +394,7 @@ def norris_dichotomy_mc(
 
     z_u = pairing(u_field)
     y_paths = z_u - z_u[:, :1]
-    z_paths = np.stack([pairing(bracket(vj, u_field)) for vj in fields], axis=2)
+    z_paths = np.stack([pairing(bracket(vj, u_field)) for vj in family.fields], axis=2)
 
     y_norms = _path_norms(y_paths, grid.times, gamma_y)
     z_norms = _path_norms(z_paths, grid.times, alpha_z)

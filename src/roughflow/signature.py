@@ -129,17 +129,6 @@ def levy_area(p: SamplePath, s: float, t: float) -> np.ndarray:
     return path_signature(p, s, t, 2).levels[1]
 
 
-def signature_scaling_check(sig_base: IteratedIntegrals, sig_scaled: IteratedIntegrals, c: float) -> float:
-    """Max defect of level-k entries scaling like c^k under path dilation."""
-    worst = 0.0
-    for k in range(1, sig_base.level + 1):
-        worst = max(
-            worst,
-            float(np.max(np.abs(sig_scaled.levels[k - 1] - (c**k) * sig_base.levels[k - 1]))),
-        )
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # Batch level-2 machinery for Monte-Carlo engines
 # ---------------------------------------------------------------------------

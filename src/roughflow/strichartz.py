@@ -20,24 +20,17 @@ exponential flow integrates dPsi/ds = Z(Psi) on [0, 1] with fixed-step RK4.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import permutations, product as iter_product
+from itertools import permutations
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BlowUpError, DomainError, PreconditionError
+from .errors import BlowUpError, DomainError
 from .fbm import SamplePath
-from .liefields import (
-    CompiledField,
-    PolyVectorField,
-    bracket as lie_bracket,
-    format_field_file,
-    is_nilpotent,
-)
+from .liefields import CompiledField, FieldFamily, PolyVectorField, bracket_table, fields_hash
 from .signature import IteratedIntegrals, Word, path_signature
 
 DEFAULT_FLOW_STEPS = 256
@@ -63,11 +56,6 @@ def _psi_terms(k: int) -> tuple[tuple[tuple[int, ...], float], ...]:
     return tuple(out)
 
 
-def coefficient_abs_sum(k: int) -> float:
-    """sum_{sigma in S_k} |coefficient(sigma)|; bounded by 1 for every k."""
-    return sum(abs(c) for _, c in _psi_terms(k))
-
-
 def psi(sig: IteratedIntegrals, word: Word) -> float:
     """Permutation functional psi^w built from the signature over [0, t]."""
     w = tuple(int(i) for i in word)
@@ -79,56 +67,6 @@ def psi(sig: IteratedIntegrals, word: Word) -> float:
         permuted = tuple(w[tau[a] - 1] for a in range(k))
         total += coeff * sig.value(permuted)
     return total
-
-
-@dataclass(frozen=True)
-class PsiTable:
-    """All psi functionals up to a level, for one time t."""
-
-    t: float
-    d: int
-    level: int
-    table: dict[Word, float] = field(repr=False)
-
-    def __getitem__(self, word: Word) -> float:
-        return self.table[tuple(word)]
-
-
-def psi_table(sig: IteratedIntegrals, level: int) -> PsiTable:
-    table = {}
-    for k in range(1, level + 1):
-        for w in iter_product(range(1, sig.d + 1), repeat=k):
-            table[w] = psi(sig, w)
-    return PsiTable(t=sig.t, d=sig.d, level=level, table=table)
-
-
-def fields_hash(fields: Sequence[PolyVectorField]) -> str:
-    return hashlib.sha256(format_field_file(fields).encode()).hexdigest()[:16]
-
-
-def bracket_table(
-    fields: Sequence[PolyVectorField], n: int
-) -> dict[Word, PolyVectorField]:
-    """Left-nested brackets V_w for all words up to length n-1.
-
-    Zero brackets are pruned as the table is built level by level, so
-    nilpotent families stay cheap.
-    """
-    d = len(fields)
-    table: dict[Word, PolyVectorField] = {}
-    for i in range(1, d + 1):
-        fld = fields[i - 1]
-        if not fld.is_zero:
-            table[(i,)] = fld
-    for k in range(2, n):
-        for w in list(table):
-            if len(w) != k - 1:
-                continue
-            for i in range(1, d + 1):
-                b = lie_bracket(table[w], fields[i - 1])
-                if not b.is_zero:
-                    table[w + (i,)] = b
-    return table
 
 
 @dataclass(frozen=True)
@@ -166,7 +104,7 @@ class FlowField:
 
 
 def build_Z(
-    fields: Sequence[PolyVectorField],
+    fields: Sequence[PolyVectorField] | FieldFamily,
     sig: IteratedIntegrals,
     n: int,
     check_nilpotency: bool = True,
@@ -176,31 +114,25 @@ def build_Z(
     Verifies n-nilpotency of the fields first (override only when the
     caller has already certified it).
     """
+    family = FieldFamily.of(fields)
     if n < 2:
         raise DomainError(f"nilpotency order must be >= 2, got {n}")
     if sig.level < n - 1:
         raise DomainError(f"need signature level >= {n - 1}, have {sig.level}")
-    if len(fields) != sig.d:
-        raise DomainError(f"{len(fields)} fields for alphabet size {sig.d}")
+    if family.d != sig.d:
+        raise DomainError(f"{family.d} fields for alphabet size {sig.d}")
     if check_nilpotency:
-        ok, witness = is_nilpotent(fields, n)
-        if not ok:
-            raise PreconditionError(
-                f"fields are not {n}-nilpotent: bracket along {witness} is nonzero",
-                name="nilpotency",
-            )
-    m = fields[0].m
-    brackets = bracket_table(fields, n)
+        family.require_nilpotent(n)
     terms = []
-    for w, fld in brackets.items():
+    for w, fld in family.brackets(n).items():
         scalar = psi(sig, w)
         if scalar != 0.0:
             terms.append((w, fld, scalar))
     return FlowField(
         t=sig.t,
-        m=m,
+        m=family.m,
         terms=tuple(terms),
-        provenance={"t": sig.t, "fields_hash": fields_hash(fields)},
+        provenance={"t": sig.t, "fields_hash": family.key},
     )
 
 
@@ -241,7 +173,7 @@ def exp_flow(
 
 
 def strichartz_solve(
-    fields: Sequence[PolyVectorField],
+    fields: Sequence[PolyVectorField] | FieldFamily,
     p: SamplePath,
     a: np.ndarray,
     t: float,
@@ -277,21 +209,16 @@ def psi_batch(levels: list[np.ndarray], word: Word) -> np.ndarray:
 
 
 def build_Z_batch(
-    fields: Sequence[PolyVectorField],
+    fields: Sequence[PolyVectorField] | FieldFamily,
     levels: list[np.ndarray],
     n: int,
     check_nilpotency: bool = True,
 ) -> list[tuple[PolyVectorField, np.ndarray]]:
     """Bracket fields with per-path psi weights; input to exp_flow_batch."""
+    family = FieldFamily.of(fields)
     if check_nilpotency:
-        ok, witness = is_nilpotent(fields, n)
-        if not ok:
-            raise PreconditionError(
-                f"fields are not {n}-nilpotent: bracket along {witness} is nonzero",
-                name="nilpotency",
-            )
-    brackets = bracket_table(fields, n)
-    return [(fld, psi_batch(levels, w)) for w, fld in brackets.items()]
+        family.require_nilpotent(n)
+    return [(fld, psi_batch(levels, w)) for w, fld in family.brackets(n).items()]
 
 
 def exp_flow_batch(

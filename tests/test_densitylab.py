@@ -202,3 +202,10 @@ class TestSmoothnessProxies:
         prox = smoothness_proxies(est)
         assert prox["max_abs_d1"] > 0
         assert np.isfinite(prox["max_abs_d2"])
+
+    def test_short_grid_refused(self, rng):
+        # kde keeps its >= 2 contract, but a second difference needs 3 points.
+        est = kde(rng.standard_normal(500), grid_points=2)
+        with pytest.raises(DomainError):
+            smoothness_proxies(est)
+        assert np.isfinite(smoothness_proxies(kde(rng.standard_normal(500), grid_points=3))["max_abs_d2"])

@@ -10,7 +10,6 @@ from roughflow.flows import (
     d_psi,
     d_signature_entry,
     jacobian_flow_rde,
-    jacobian_flow_strichartz,
     jacobian_path_strichartz,
     malliavin_derivative,
     malliavin_via_jacobian,
@@ -23,6 +22,8 @@ from roughflow.flows import (
 from roughflow.liefields import PolyVectorField, bracket, parse_polynomial
 from roughflow.strichartz import psi, strichartz_solve
 from roughflow.signature import path_signature
+
+from helpers import jacobian_flow_strichartz
 
 A_INIT = np.array([0.4, -0.2, 0.7])
 
@@ -104,6 +105,22 @@ class TestJacobianFlows:
             jacobian_flow_strichartz(
                 [grow, e1, PolyVectorField.zero(3)], fbm_path_d3, A_INIT, 1.0, 3
             )
+
+    def test_nilpotency_checked_on_every_jacobian_route(self, fbm_path_d2):
+        # [V1, V2] = d2 is constant but nonzero: the pair is not 2-nilpotent.
+        v1 = PolyVectorField((parse_polynomial("1", 2), parse_polynomial("0", 2)))
+        v2 = PolyVectorField((parse_polynomial("0", 2), parse_polynomial("x1", 2)))
+        a, fields = np.zeros(2), [v1, v2]
+        routes = (
+            lambda: jacobian_flow_strichartz(fields, fbm_path_d2, a, 1.0, 2),
+            lambda: jacobian_path_strichartz(fields, fbm_path_d2, a, 2),
+            lambda: malliavin_via_jacobian(fields, fbm_path_d2, a, 1.0, 2),
+            lambda: z_process(fields, RoughDriver.from_path(fbm_path_d2), v1, np.ones(2), a, method="strichartz", n=2),
+        )
+        for route in routes:
+            with pytest.raises(PreconditionError) as err:
+                route()
+            assert err.value.name == "nilpotency"
 
     def test_augmented_fields_shapes(self, yamato):
         aug = augmented_jacobian_fields(yamato)

@@ -6,13 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roughflow import liefields
 from roughflow.densitylab import yamato_fields
-from roughflow.errors import DomainError
+from roughflow.errors import DomainError, PreconditionError
 from roughflow.liefields import (
+    FAMILY_CACHE_SIZE,
     CompiledField,
+    FieldFamily,
     Polynomial,
     PolyVectorField,
+    augmented_jacobian_fields,
     bracket,
+    bracket_table,
     constant_brackets,
     format_field_file,
     hormander_rank,
@@ -20,6 +25,7 @@ from roughflow.liefields import (
     iterated_bracket,
     parse_field_file,
     parse_polynomial,
+    taylor_correction_fields,
 )
 
 
@@ -144,6 +150,181 @@ class TestCompiledField:
         z = PolyVectorField.zero(2)
         assert np.array_equal(z(np.ones((5, 2))), np.zeros((5, 2)))
         assert np.array_equal(z.jacobian_at(np.ones(2)), np.zeros((2, 2)))
+
+
+def interpreted_monomials(z, x):
+    """The evaluator's monomials before the plan (its oracle): 1.0 times x_k ** p per factor."""
+    out = []
+    for e in z.exponents.tolist():
+        val = 1.0
+        for k, p in enumerate(e):
+            if p:
+                val = val * x[k] ** p
+        out.append(val)
+    return out
+
+
+def interpreted_sum(z, x, pairs, coef, rank):
+    """The evaluator's sum before the plan: every pair multiplies its monomial."""
+    x = np.asarray(x, dtype=float)
+    mono = interpreted_monomials(z, x)
+    m = z.exponents.shape[1]
+    out = np.zeros((m,) * rank + np.broadcast_shapes(coef.shape[1:], x.shape[1:]))
+    for (idx, q), c in zip(pairs, coef):
+        out[idx] += c * mono[q]
+    return out
+
+
+#: Signed zeros, infinities, NaN and a tiny value, mixed into the test points.
+SPECIAL_VALUES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300])
+
+
+def special_points(rng, shape):
+    """Normal draws, a third of them replaced by special values."""
+    x = rng.standard_normal(shape)
+    return np.where(rng.random(shape) < 1 / 3, rng.choice(SPECIAL_VALUES, size=shape), x)
+
+
+def planned_table_fields(rng, n_fields):
+    """Fields on R^3 whose table has the constant monomial, degree-1
+    monomials, pure powers >= 2 and mixed monomials."""
+    forced = [(0, 0, 0), (1, 0, 0), (0, 0, 1), (0, 3, 0), (2, 0, 0), (1, 1, 0), (2, 0, 1), (1, 2, 1)]
+    fields = []
+    for _ in range(n_fields):
+        comps = []
+        for _ in range(3):
+            terms = {e: Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4))) for e in forced if rng.random() < 0.7}
+            comps.append(Polynomial(3, terms))
+        fields.append(PolyVectorField(tuple(comps)))
+    return fields
+
+
+def assert_bitwise_equal(got, expect):
+    assert got.shape == expect.shape
+    assert np.array_equal(got, expect, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(expect))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestMonomialPlan:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_single_fields_bitwise_equal_to_interpreted_sum(self, seed):
+        rng = np.random.default_rng(seed)
+        fields = planned_table_fields(rng, 2)
+        table = {tuple(e) for e in CompiledField.stack(fields).exponents.tolist()}
+        assert {(0, 0, 0), (1, 0, 0), (0, 2, 0), (1, 1, 0)} <= table
+        for fld in fields:
+            z = fld.compiled  # coef rows without family axes
+            for x in (special_points(rng, 3), special_points(rng, (3, 40))):
+                assert_bitwise_equal(z(x), interpreted_sum(z, x, z.pairs, z.coef, 1))
+                assert_bitwise_equal(z.jacobian(x), interpreted_sum(z, x, z.jac_pairs, z.jac_coef, 2))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_weighted_families_bitwise_equal_to_interpreted_sum(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        fields = planned_table_fields(rng, 4)
+        w = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -3.5], size=(4, 40))
+        x = special_points(rng, (3, 40))
+        stack = CompiledField.stack(fields)
+        # The raw stack evaluates every field at every point: (m, 40, 4).
+        for z, pts in ((stack, x[..., None]), (stack.weighted(w), x), (stack.weighted(w[:, 0]), x)):
+            assert_bitwise_equal(z(pts), interpreted_sum(z, pts, z.pairs, z.coef, 1))
+            assert_bitwise_equal(z.jacobian(pts), interpreted_sum(z, pts, z.jac_pairs, z.jac_coef, 2))
+        assert stack.weighted(w).plan is stack.plan
+
+
+#: The three families the FieldFamily oracle tests run on.
+def dilation_family():
+    grow = PolyVectorField((parse_polynomial("x1", 3), parse_polynomial("x2", 3), parse_polynomial("x3", 3)))
+    e1 = PolyVectorField((parse_polynomial("1", 3), parse_polynomial("0", 3), parse_polynomial("0", 3)))
+    return [grow, e1, PolyVectorField.zero(3)]
+
+
+def nonconstant_pair():
+    w1 = PolyVectorField((parse_polynomial("x1^2", 2), parse_polynomial("0", 2)))
+    e1 = PolyVectorField((parse_polynomial("1", 2), parse_polynomial("0", 2)))
+    return [w1, e1]
+
+
+ORACLE_FAMILIES = {"yamato": yamato_fields, "dilation": dilation_family, "nonconstant": nonconstant_pair}
+
+
+def assert_same_compiled(got, expect):
+    assert got.pairs == expect.pairs and got.jac_pairs == expect.jac_pairs and got.plan == expect.plan
+    for a, b in ((got.exponents, expect.exponents), (got.coef, expect.coef), (got.jac_coef, expect.jac_coef)):
+        assert np.array_equal(a, b)
+
+
+class TestFieldFamily:
+    @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
+    def test_members_match_per_call_exact_functions(self, name):
+        fields = ORACLE_FAMILIES[name]()
+        family = FieldFamily.of(fields)
+        for n in (2, 3):
+            assert family.nilpotent(n) == is_nilpotent(fields, n)
+            assert family.constant_brackets(n) == constant_brackets(fields, n)
+            assert dict(family.brackets(n)) == bracket_table(fields, n)
+            assert list(family.brackets(n)) == list(bracket_table(fields, n))
+            assert_same_compiled(family.bracket_stack(n), CompiledField.stack(list(bracket_table(fields, n).values())))
+        corrections = [w for row in taylor_correction_fields(fields) for w in row]
+        assert_same_compiled(family.davie_stack, CompiledField.stack(fields + corrections))
+        aug = augmented_jacobian_fields(fields)
+        assert family.augmented.fields == tuple(aug)
+        aug_corrections = [w for row in taylor_correction_fields(aug) for w in row]
+        assert_same_compiled(family.augmented.davie_stack, CompiledField.stack(aug + aug_corrections))
+
+    def test_members_are_kept_and_read_only(self, yamato):
+        family = FieldFamily.of(yamato)
+        assert family.brackets(3) is family.brackets(3)
+        assert family.davie_stack is family.davie_stack
+        assert family.augmented is family.augmented
+        assert isinstance(family.fields, tuple)
+        with pytest.raises(TypeError):
+            family.brackets(3)[(9,)] = yamato[0]
+        for arr in (family.davie_stack.coef, family.davie_stack.jac_coef, family.bracket_stack(3).exponents):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_equal_content_shares_one_family(self):
+        first, second = yamato_fields(), yamato_fields()
+        assert first is not second
+        family = FieldFamily.of(first)
+        assert FieldFamily.of(second) is family
+        assert FieldFamily.of(family) is family
+        changed = yamato_fields()
+        v3 = changed[2].components
+        changed[2] = PolyVectorField((v3[0], v3[1], v3[2] * 3))
+        other = FieldFamily.of(changed)
+        assert other is not family and other.key != family.key
+
+    @pytest.mark.parametrize("name", ["dilation", "nonconstant"])
+    def test_failed_check_raises_on_every_call(self, name):
+        family = FieldFamily.of(ORACLE_FAMILIES[name]())
+        check, label = {
+            "dilation": (family.require_nilpotent, "nilpotency"),
+            "nonconstant": (family.require_constant_brackets, "constant brackets"),
+        }[name]
+        messages = []
+        for _ in range(2):
+            with pytest.raises(PreconditionError) as err:
+                check(3)
+            assert err.value.name == label
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    def test_cache_keeps_the_most_recent_families(self):
+        def constant(k):
+            return [PolyVectorField.from_arrays(2, [k, 1000 + k])]
+
+        kept = [FieldFamily.of(constant(k)) for k in range(FAMILY_CACHE_SIZE)]
+        assert FieldFamily.of(constant(0)) is kept[0]  # now the most recent
+        FieldFamily.of(constant(FAMILY_CACHE_SIZE))  # drops the least recent, k = 1
+        assert len(liefields._FAMILIES) <= FAMILY_CACHE_SIZE
+        assert FieldFamily.of(constant(0)) is kept[0]
+        assert FieldFamily.of(constant(1)) is not kept[1]
+        for k in range(FAMILY_CACHE_SIZE + 5, 2 * FAMILY_CACHE_SIZE + 5):
+            FieldFamily.of(constant(k))
+        assert len(liefields._FAMILIES) == FAMILY_CACHE_SIZE
 
 
 class TestBracket:

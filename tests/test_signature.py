@@ -14,8 +14,9 @@ from roughflow.signature import (
     levy_area,
     path_signature,
     segment_signature,
-    signature_scaling_check,
 )
+
+from helpers import signature_scaling_check
 
 
 def simplex_oracle_level3(v, word, n_nodes=4001):

@@ -15,16 +15,16 @@ from roughflow.strichartz import (
     bracket_table,
     build_Z,
     build_Z_batch,
-    coefficient_abs_sum,
     descent_count,
     exp_flow,
     exp_flow_batch,
     psi,
     psi_batch,
-    psi_table,
     rk4,
     strichartz_solve,
 )
+
+from helpers import coefficient_abs_sum, psi_table
 
 
 def interpreted_exp_flow_batch(terms, a, steps):
