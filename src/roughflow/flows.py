@@ -41,7 +41,7 @@ import numpy as np
 from .controlled import RoughDriver, rde_solve
 from .errors import DomainError
 from .fbm import SamplePath, TimeGrid
-from .liefields import CompiledField, FieldFamily, PolyVectorField, augmented_jacobian_fields, bracket
+from .liefields import CompiledField, FieldFamily, PolyVectorField, augmented_jacobian_fields
 from .signature import IteratedIntegrals, Word, chen_concat, path_signature, segment_signature
 from .strichartz import (
     DEFAULT_FLOW_STEPS,
@@ -298,7 +298,10 @@ def malliavin_via_jacobian(
     grid = p.grid
     k_t = grid.index_of(t)
     values = np.zeros((grid.n_points, m, d))
-    ypath, jac = jacobian_path_strichartz(family, p, a, n, steps)
+    # Only [0, t] is read, so the Jacobian flow runs on that prefix (a grid needs 2 points).
+    k = max(k_t, 1)
+    head = TimeGrid(grid.times[k], k + 1, times=grid.times[: k + 1])
+    ypath, jac = jacobian_path_strichartz(family, SamplePath(head, p.values[: k + 1]), a, n, steps)
     carry = jac.J[k_t] @ jac.J_inv[:k_t]
     v = CompiledField.stack(family.fields)(ypath.values[:k_t].T[..., None])  # (m, k_t, d)
     values[:k_t] = np.einsum("kab,bkj->kaj", carry, v)
@@ -362,21 +365,3 @@ def z_family(
         u_vals = u_field(ypath.values)
         cols.append(np.einsum("tab,tb,a->t", jac.J_inv, u_vals, eta))
     return np.stack(cols, axis=1)
-
-
-def z_dynamics_pair(
-    fields: list[PolyVectorField],
-    driver: RoughDriver,
-    u_field: PolyVectorField,
-    eta: np.ndarray,
-    a: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The Norris pair: y_t = Z^U_t - Z^U_0 and its integrand vector z.
-
-    z collects the d paths Z^{[V_j, U]} (driving field first), so that
-    delta y = sum_j int z^j dx^j along the expansion of Z^U.
-    """
-    brackets = [bracket(vj, u_field) for vj in fields]
-    zs = z_family(fields, driver, [u_field] + brackets, eta, a)
-    y = zs[:, 0] - zs[0, 0]
-    return y, zs[:, 1:]

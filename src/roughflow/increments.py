@@ -243,18 +243,6 @@ def sewing(h: Increment3, mu: float, depth: int = 12, tol: float = 1e-10) -> Inc
     return Increment2(h.grid, lam)
 
 
-def compensated_sum(g: Increment2, s_idx: int, t_idx: int) -> Array:
-    """(id - Lambda delta) g over [t_s, t_t]: the finest-grid Riemann sum.
-
-    This is the canonical numerical route to the indefinite integral of a
-    small 2-increment.
-    """
-    if not 0 <= s_idx < t_idx < g.grid.n_points:
-        raise DomainError("need grid indices s < t")
-    diag = g.values[np.arange(s_idx, t_idx), np.arange(s_idx + 1, t_idx + 1), ...]
-    return np.sum(diag, axis=0)
-
-
 def product_rule_defect(g: Increment2, h: Increment1) -> float:
     """Max defect of the Leibniz rule for delta on a C2 x C1 product.
 

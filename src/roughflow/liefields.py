@@ -566,8 +566,8 @@ def parse_field_file(text: str) -> list[PolyVectorField]:
     if not lines:
         raise DomainError("empty field file")
     header = lines[0].split()
-    if len(header) != 2:
-        raise DomainError(f"header must be 'm d', got {lines[0]!r}")
+    if len(header) != 2 or not all(h.isdecimal() and int(h) > 0 for h in header):
+        raise DomainError(f"header must be two positive integers 'm d', got {lines[0]!r}")
     m, d = int(header[0]), int(header[1])
     body = lines[1:]
     if len(body) != m * d:

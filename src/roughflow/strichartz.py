@@ -78,13 +78,6 @@ class FlowField:
     terms: tuple[tuple[Word, PolyVectorField, float], ...]
     provenance: dict = field(default_factory=dict, repr=False)
 
-    @property
-    def assembled(self) -> PolyVectorField:
-        z = PolyVectorField.zero(self.m)
-        for _, fld, scalar in self.terms:
-            z = z + fld * scalar
-        return z
-
     @cached_property
     def compiled(self) -> CompiledField:
         """sum_w psi^w V_w compiled to one float field (built on first use)."""

@@ -11,10 +11,13 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from roughflow.flows import _flow_with_jacobians
-from roughflow.liefields import FieldFamily
-from roughflow.signature import IteratedIntegrals, Word, path_signature
-from roughflow.strichartz import DEFAULT_FLOW_STEPS, _psi_terms, build_Z, psi
+from roughflow.errors import DomainError
+from roughflow.fbm import TimeGrid, sample_fbm_array
+from roughflow.flows import _flow_with_jacobians, z_family
+from roughflow.increments import Increment2
+from roughflow.liefields import FieldFamily, bracket
+from roughflow.signature import IteratedIntegrals, Word, batch_signature_levels, path_signature
+from roughflow.strichartz import DEFAULT_FLOW_STEPS, _psi_terms, build_Z, build_Z_batch, exp_flow_batch, psi
 
 
 def jacobian_flow_strichartz(fields, p, a, t, n, steps=DEFAULT_FLOW_STEPS):
@@ -68,3 +71,38 @@ def signature_scaling_check(sig_base: IteratedIntegrals, sig_scaled: IteratedInt
             float(np.max(np.abs(sig_scaled.levels[k - 1] - (c**k) * sig_base.levels[k - 1]))),
         )
     return worst
+
+
+def z_dynamics_pair(fields, driver, u_field, eta, a):
+    """The Norris pair: y_t = Z^U_t - Z^U_0 and its integrand vector z.
+
+    z collects the d paths Z^{[V_j, U]} (driving field first), so that
+    delta y = sum_j int z^j dx^j along the expansion of Z^U.
+    """
+    brackets = [bracket(vj, u_field) for vj in fields]
+    zs = z_family(fields, driver, [u_field] + brackets, eta, a)
+    y = zs[:, 0] - zs[0, 0]
+    return y, zs[:, 1:]
+
+
+def compensated_sum(g: Increment2, s_idx: int, t_idx: int) -> np.ndarray:
+    """(id - Lambda delta) g over [t_s, t_t]: the finest-grid Riemann sum.
+
+    This is the canonical numerical route to the indefinite integral of a
+    small 2-increment.
+    """
+    if not 0 <= s_idx < t_idx < g.grid.n_points:
+        raise DomainError("need grid indices s < t")
+    diag = g.values[np.arange(s_idx, t_idx), np.arange(s_idx + 1, t_idx + 1), ...]
+    return np.sum(diag, axis=0)
+
+
+def flow_endpoint_samples_whole(fields, hurst, t, n_paths, seed, n, initial, grid_points=33, steps=128):
+    """Endpoint samples with every stage over the whole driver batch at once.
+
+    The oracle of the path-blocked ``densitylab.flow_endpoint_samples``.
+    """
+    drivers = sample_fbm_array(hurst, TimeGrid(t, grid_points), len(fields), n_paths, seed)
+    levels = batch_signature_levels(drivers, n - 1)
+    terms = build_Z_batch(fields, levels, n)
+    return exp_flow_batch(terms, np.asarray(initial, dtype=float), steps)

@@ -69,6 +69,17 @@ def test_malformed_fields_file_exits_two(tmp_path, capsys):
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("header", ["3 0", "3 x", "-1 0"])
+def test_field_file_header_must_be_positive_integers(header, tmp_path, capsys):
+    bad = tmp_path / "header.vf"
+    bad.write_text(header + "\n")
+    rc = main(["check-fields", "--fields", str(bad), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("point", ["0", "0,0", "0,0,0,0"])
 def test_hormander_point_length_exits_two(point, tmp_path, capsys):
     rc = main(["check-fields", "yamato", "--hormander", point, "--out", str(tmp_path)])

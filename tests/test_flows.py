@@ -13,7 +13,6 @@ from roughflow.flows import (
     jacobian_path_strichartz,
     malliavin_derivative,
     malliavin_via_jacobian,
-    z_dynamics_pair,
     z_family,
     z_process,
     _prefix_signatures,
@@ -23,7 +22,7 @@ from roughflow.liefields import PolyVectorField, bracket, parse_polynomial
 from roughflow.strichartz import psi, strichartz_solve
 from roughflow.signature import path_signature
 
-from helpers import jacobian_flow_strichartz
+from helpers import jacobian_flow_strichartz, z_dynamics_pair
 
 A_INIT = np.array([0.4, -0.2, 0.7])
 
@@ -181,6 +180,20 @@ class TestMalliavinDerivative:
         p = sample_fbm(rough_hurst, TimeGrid(1.0, 17), d=2, n_paths=1, seed=4)[0]
         ms = malliavin_derivative([e1, e2], p, np.zeros(2), 1.0, 2, steps=64)
         assert np.max(np.abs(ms.values[:16] - np.eye(2)[None])) < 1e-12
+
+    @pytest.mark.parametrize("n_points", [33, 65, 129, 257])
+    def test_prefix_jacobian_equals_whole_grid_rows(self, yamato, rough_hurst, n_points):
+        # malliavin_via_jacobian runs the Jacobian flow on [0, t] only.
+        grid = TimeGrid(1.0, n_points)
+        p = sample_fbm(rough_hurst, grid, d=3, n_paths=1, seed=n_points)[0]
+        y, jac = jacobian_path_strichartz(yamato, p, A_INIT, 3)
+        for t in (0.25, 0.5, 0.75):
+            k = grid.index_of(t)
+            head = SamplePath(TimeGrid(grid.times[k], k + 1, times=grid.times[: k + 1]), p.values[: k + 1])
+            y_head, jac_head = jacobian_path_strichartz(yamato, head, A_INIT, 3)
+            assert np.array_equal(y_head.values, y.values[: k + 1])
+            assert np.array_equal(jac_head.J, jac.J[: k + 1])
+            assert np.array_equal(jac_head.J_inv, jac.J_inv[: k + 1])
 
     def test_two_routes_agree(self, yamato, fbm_path_d3):
         ode = malliavin_derivative(yamato, fbm_path_d3, A_INIT, 1.0, 3, steps=128)

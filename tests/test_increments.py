@@ -10,7 +10,6 @@ from roughflow.increments import (
     Increment2,
     Increment3,
     _triple_indices,
-    compensated_sum,
     delta1,
     delta2,
     holder_norm,
@@ -22,6 +21,8 @@ from roughflow.increments import (
     sewing,
     sup_norm,
 )
+
+from helpers import compensated_sum
 
 
 def random_increment2(grid, rng, shape=()):
