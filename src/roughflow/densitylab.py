@@ -33,7 +33,7 @@ import numpy as np
 from .errors import DomainError, PreconditionError
 from .fbm import HurstParam, SamplePath, TimeGrid, sample_fbm_array
 from .liefields import FieldFamily, PolyVectorField, Polynomial, hormander_rank, parse_polynomial
-from .signature import batch_levy_prefix, batch_signature_levels, levy_area
+from .signature import batch_signature_levels, levy_area
 from .strichartz import build_Z_batch, exp_flow_batch, fields_hash
 
 
@@ -82,7 +82,13 @@ def yamato_explicit_batch(values: np.ndarray, initial) -> np.ndarray:
     if values.shape[2] != 3:
         raise DomainError("batch drivers must have 3 components")
     y1, y2, y3 = (float(v) for v in np.asarray(initial, dtype=float))
-    area = batch_levy_prefix(values)[:, -1]
+    # B^2_{0t} as a running sum, term for term the last slice of batch_levy_prefix.
+    area = np.zeros((values.shape[0], 3, 3))
+    b1 = np.zeros((values.shape[0], 3))
+    for k in range(values.shape[1] - 1):
+        dv = values[:, k + 1] - values[:, k]
+        area = area + np.einsum("pi,pj->pij", b1, dv) + 0.5 * np.einsum("pi,pj->pij", dv, dv)
+        b1 = b1 + dv
     b = values[:, -1] - values[:, 0]
     out = np.empty((values.shape[0], 3))
     out[:, 0] = y1 + b[:, 1]
@@ -218,10 +224,14 @@ def check_hypotheses(
 
 
 #: Paths per block of ``flow_endpoint_samples``.  Swept at 100k paths on 33 points
-#: (2-vCPU Xeon, 2 MiB L2 per core), best of 3: the whole batch 1.68 s; blocks of
-#: 2^12 ... 2^17 paths 1.38, 1.32, 1.24, 1.37, 1.48, 1.77 s.  In the mc_density
-#: benchmark 2^13, 2^14 and 2^15 tie on wall time at peaks of 133, 136 and 147 MB.
-FLOW_BLOCK = 2**14
+#: with the Yamato family's polynomial flow (2-vCPU Xeon, 2 MiB L2 per core, one
+#: BLAS thread), best of 5 in a fresh process each: blocks of 2^10 ... 2^17 paths
+#: 0.324, 0.303, 0.297, 0.307, 0.318, 0.325, 0.333, 0.331 s at peaks of 118, 118,
+#: 118, 121, 127, 138, 151, 170 MB.  The signature's per-segment loop sets the
+#: time now that the flow takes a few ms per block.
+FLOW_BLOCK = 2**12
+#: RK4 steps of the endpoint flow, used only for families without a flow certificate.
+FLOW_STEPS = 128
 
 
 def flow_endpoint_samples(
@@ -233,7 +243,7 @@ def flow_endpoint_samples(
     n: int,
     initial,
     grid_points: int = 33,
-    steps: int = 128,
+    steps: int = FLOW_STEPS,
     check_nilpotency: bool = True,
 ) -> np.ndarray:
     """Monte-Carlo endpoint samples y_t via the batched nilpotent flow.
@@ -300,6 +310,11 @@ def density_report(
     endpoints = flow_endpoint_samples(
         fields, hurst, t, n_paths, seed, n, initial, grid_points
     )
+    certificate = FieldFamily.of(fields).flow_certificate(n)
+    if certificate is None:
+        flow = {"route": "rk4", "steps": FLOW_STEPS}
+    else:
+        flow = {"route": "polynomial", "degree": certificate[0], "depth": certificate[1]}
     samples = endpoints @ weights
     full = kde(samples, bandwidth=bandwidth, grid_points=kde_points)
     half = kde(samples[: n_paths // 2], bandwidth=bandwidth, grid_points=kde_points)
@@ -323,6 +338,7 @@ def density_report(
         "seed": seed,
         "initial": initial.tolist(),
         "hypotheses": checks,
+        "flow": flow,
         "kde": full,
         "mass": full.mass,
         "proxies": proxies_full,

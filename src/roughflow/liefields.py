@@ -408,6 +408,32 @@ def constant_brackets(fields: Sequence[PolyVectorField], up_to: int) -> bool:
     return True
 
 
+def flow_certificate(fields: Sequence[PolyVectorField]) -> tuple[int, int] | None:
+    """Degree bound and Picard depth of the flow of every weighted sum of ``fields``.
+
+    Component i depends on component j when x_j occurs in a monomial of the
+    i-th component of some field.  When that graph is acyclic the flow
+    s -> exp(sZ)(a) is a polynomial in s whatever the weights: component i
+    has degree at most D_i = 1 + max over its monomials e of sum_j e_j D_j
+    (0 when it has none), and L Picard sweeps make it exact, L the number of
+    components on the longest dependency chain.  Returns (max(1, max D_i), L),
+    or None when the graph has a cycle.
+    """
+    m = fields[0].m if fields else 0
+    monomials = [{e for fld in fields for e in fld.components[i].terms} for i in range(m)]
+    needs = [{j for e in monomials[i] for j, p in enumerate(e) if p} for i in range(m)]
+    degree: dict[int, int] = {}
+    depth: dict[int, int] = {}
+    while len(degree) < m:
+        ready = [i for i in range(m) if i not in degree and needs[i] <= degree.keys()]
+        if not ready:
+            return None
+        for i in ready:
+            degree[i] = max((1 + sum(p * degree[j] for j, p in enumerate(e) if p) for e in monomials[i]), default=0)
+            depth[i] = 1 + max((depth[j] for j in needs[i]), default=0)
+    return max([1, *degree.values()]), max([1, *depth.values()])
+
+
 def hormander_rank(fields: Sequence[PolyVectorField], x, up_to: int) -> int:
     """Rank of the span of all brackets of length <= up_to evaluated at x.
 
@@ -748,6 +774,13 @@ class FieldFamily:
     def brackets(self, n: int) -> Mapping[tuple[int, ...], PolyVectorField]:
         """``bracket_table(fields, n)``, read-only."""
         return self._member(("brackets", n), lambda: MappingProxyType(bracket_table(self.fields, n)))
+
+    def flow_certificate(self, n: int) -> tuple[int, int] | None:
+        """``flow_certificate`` of ``brackets(n)``: it covers Z_t for every psi weighting.
+
+        At n = 2 the brackets are the fields themselves, so it covers their weighted sums.
+        """
+        return self._member(("flow", n), lambda: flow_certificate(list(self.brackets(n).values())))
 
     def bracket_stack(self, n: int) -> CompiledField:
         """The brackets of ``brackets(n)``, in its order, compiled as one stack."""

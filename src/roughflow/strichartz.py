@@ -14,8 +14,14 @@ scalar functionals combine signature entries over all permutations,
                        * B^{k, i_{tau(1)}, ..., i_{tau(k)}}_{0t},
 
 with tau the inverse permutation and e(sigma) the descent count.  The
-permutation sum is enumerated literally (k <= 5 keeps it tiny); the
-exponential flow integrates dPsi/ds = Z(Psi) on [0, 1] with fixed-step RK4.
+permutation sum is enumerated literally (k <= 5 keeps it tiny).  The
+exponential flow integrates dPsi/ds = Z(Psi) on [0, 1].  The per-path
+``exp_flow`` uses fixed-step RK4.  The batched ``exp_flow_batch`` first asks
+the exact bracket fields for a flow certificate: when their dependency
+graph is acyclic (triangular fields, Yamato's family among them) the flow
+is a polynomial in s of known degree D, and L Picard steps on D
+Gauss-Legendre nodes (the last one at s = 1 only) give it exactly up to
+rounding; other families keep RK4.
 """
 
 from __future__ import annotations
@@ -214,6 +220,61 @@ def build_Z_batch(
     return [(fld, psi_batch(levels, w)) for w, fld in family.brackets(n).items()]
 
 
+@lru_cache(maxsize=32)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights w and integration matrix W of the n Gauss-Legendre nodes s_k on [0, 1].
+
+    W[l, k] is the integral over [0, s_l] of the k-th Lagrange basis polynomial
+    on the nodes, so W f(s) integrates any f of degree < n exactly, and w f(s)
+    does so over [0, 1].  The nodes come from Golub-Welsch; W is built in the
+    Legendre basis, with the integral of P_j from -1 to x equal to
+    (P_{j+1}(x) - P_{j-1}(x)) / (2j + 1), since a Vandermonde inverse on the
+    nodes loses six digits near n = 15.
+    """
+    k = np.arange(1.0, n)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    x, vectors = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+    w = vectors[0] ** 2
+    legendre = np.ones((n + 1, n))
+    legendre[1] = x
+    for j in range(1, n):
+        legendre[j + 1] = ((2 * j + 1) * x * legendre[j] - j * legendre[j - 1]) / (j + 1)
+    # Lagrange basis k = w_k sum_j (2j + 1) P_j(x_k) P_j on [-1, 1]; s = (x + 1) / 2.
+    antiderivatives = np.vstack([x + 1.0, legendre[2:] - legendre[:-2]])
+    integrals = 0.5 * (antiderivatives.T @ legendre[:n]) * w
+    w.flags.writeable = integrals.flags.writeable = False
+    return w, integrals
+
+
+def polynomial_flow(z: CompiledField, y0: np.ndarray, degree: int, depth: int) -> np.ndarray:
+    """Time-1 flow of z from y0 (m, n_paths) when it is a polynomial of degree <= ``degree`` in s.
+
+    With ``degree`` and ``depth`` from ``liefields.flow_certificate``, Picard step
+    k is exact on every component whose dependency chain has at most k
+    components.  The first depth - 1 steps run on the Gauss-Legendre nodes,
+    y(s_l) <- y0 + sum_k W[l, k] z(y(s_k)), with the node axis as one more batch
+    axis; the last is needed at s = 1 only: y(1) = y0 + sum_l w_l z(y(s_l)).
+    """
+    w, integrals = _gauss_legendre(degree)
+
+    def quadrature(matrix: np.ndarray, zs: np.ndarray) -> np.ndarray:
+        # sum_k matrix[:, k] zs[:, k] elementwise, not through BLAS, so that
+        # each path's value does not depend on the batch it is in.
+        total = matrix[:, 0, None] * zs[:, None, 0]
+        for k in range(1, degree):
+            total += matrix[:, k, None] * zs[:, None, k]
+        return total
+
+    start = y0[:, None]
+    ys = np.broadcast_to(start, (y0.shape[0], degree) + y0.shape[1:])
+    for _ in range(depth - 1):
+        ys = start + quadrature(integrals, z(ys))
+    y1 = y0 + quadrature(w[None], z(ys))[:, 0]
+    if not np.all(np.isfinite(y1)):
+        raise BlowUpError("polynomial flow state became non-finite", when=1.0)
+    return y1
+
+
 def exp_flow_batch(
     terms: list[tuple[PolyVectorField, np.ndarray]],
     a: np.ndarray,
@@ -222,13 +283,19 @@ def exp_flow_batch(
     """Batched [exp(Z)](a) across paths; a is (m,) or (n_paths, m).
 
     The bracket table is summed once into per-path coefficients
-    C[pair, path] = sum_w psi^w[path] coef_w[pair], and the RK4 state is
-    component-major (m, n_paths).
+    C[pair, path] = sum_w psi^w[path] coef_w[pair], and the state is
+    component-major (m, n_paths).  When the terms' fields carry a flow
+    certificate (``FieldFamily.flow_certificate``), the flow is a polynomial
+    in s for every weighting and ``polynomial_flow`` gives it exactly up to
+    rounding; otherwise RK4 runs ``steps`` steps, the only use of ``steps``.
     """
     if not terms:
         raise DomainError("empty flow decomposition")
-    n_paths = terms[0][1].shape[0]
-    m = terms[0][0].m
-    z = CompiledField.stack([fld for fld, _ in terms]).weighted(np.stack([w for _, w in terms]))
+    fields = [fld for fld, _ in terms]
+    n_paths, m = terms[0][1].shape[0], fields[0].m
+    z = CompiledField.stack(fields).weighted(np.stack([w for _, w in terms]))
     y0 = np.broadcast_to(np.asarray(a, dtype=float), (n_paths, m)).T
-    return rk4(z, y0, steps).T
+    certificate = FieldFamily.of(fields).flow_certificate(2)
+    if certificate is None:
+        return rk4(z, y0, steps).T
+    return polynomial_flow(z, y0, *certificate).T

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from roughflow.controlled import RoughDriver, rde_solve
 from roughflow.densitylab import (
     FLOW_BLOCK,
+    FLOW_STEPS,
     KDE_BLOCK,
     KDE_CHUNK,
     check_hypotheses,
@@ -21,6 +22,7 @@ from roughflow.densitylab import (
 from roughflow.errors import DomainError, PreconditionError
 from roughflow.fbm import SamplePath, TimeGrid, sample_fbm_array
 from roughflow.liefields import PolyVectorField, constant_brackets, hormander_rank, is_nilpotent, parse_polynomial
+from roughflow.signature import batch_levy_prefix
 from roughflow.strichartz import strichartz_solve
 
 from helpers import flow_endpoint_samples_whole
@@ -71,6 +73,35 @@ class TestExplicitSolution:
         for i in range(5):
             p = SamplePath(grid, drivers[i], hurst=rough_hurst)
             assert np.max(np.abs(batch[i] - yamato_explicit(p, a, 1.0))) < 1e-13
+
+    def test_batch_equals_prefix_area_oracle(self, rough_hurst):
+        # The oracle reads the last slice of every prefix Levy area, as batch_levy_prefix builds it.
+        drivers = sample_fbm_array(rough_hurst, TimeGrid(1.0, 33), 3, 20_000, seed=8)
+        a = np.array([0.5, 0.1, -0.2])
+        area = batch_levy_prefix(drivers)[:, -1]
+        b = drivers[:, -1] - drivers[:, 0]
+        want = np.stack(
+            [
+                a[0] + b[:, 1],
+                a[1] + b[:, 2],
+                a[2] + 2.0 * a[1] * b[:, 1] - 2.0 * a[0] * b[:, 2] + 2.0 * (area[:, 2, 1] - area[:, 1, 2]),
+            ],
+            axis=1,
+        )
+        got = yamato_explicit_batch(drivers, a)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_batch_memory_is_flat_in_grid_length(self, rough_hurst):
+        # 20k paths on 33 points: every prefix Levy area takes 45 MiB, the running sum peaks near 5 MiB.
+        drivers = sample_fbm_array(rough_hurst, TimeGrid(1.0, 33), 3, 20_000, seed=8)
+        tracemalloc.start()
+        try:
+            yamato_explicit_batch(drivers, np.zeros(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestKde:
@@ -226,6 +257,31 @@ class TestDensityReport:
     def test_component_out_of_range(self, yamato, rough_hurst):
         with pytest.raises(DomainError):
             density_report(yamato, rough_hurst, 1.0, 1000, functional=4)
+
+
+def sheared_yamato() -> list[PolyVectorField]:
+    """Yamato's fields in u = (x1 - x3, x2, x3): still 3-nilpotent with constant
+    brackets, but u1's component depends on u1, so there is no flow certificate."""
+
+    def field(*components):
+        return PolyVectorField(tuple(parse_polynomial(c, 3) for c in components))
+
+    return [PolyVectorField.zero(3), field("1 - 2*x2", "0", "2*x2"), field("2*x1 + 2*x3", "1", "-2*x1 - 2*x3")]
+
+
+class TestFlowRoute:
+    def test_summary_records_polynomial_route(self, yamato, rough_hurst):
+        rep = density_report(yamato, rough_hurst, 1.0, 1000, functional=3, seed=2, grid_points=9)
+        assert rep["flow"] == {"route": "polynomial", "degree": 2, "depth": 2}
+
+    def test_uncertified_family_takes_rk4_route(self, rough_hurst):
+        sheared = sheared_yamato()
+        rep = density_report(sheared, rough_hurst, 1.0, 1000, functional=3, seed=2, grid_points=9)
+        assert rep["flow"] == {"route": "rk4", "steps": FLOW_STEPS}
+        a = np.array([0.3, -0.5, 0.8])
+        got = flow_endpoint_samples(sheared, rough_hurst, 1.0, 500, 4, 3, [a[0] - a[2], a[1], a[2]], grid_points=17)
+        y = yamato_explicit_batch(sample_fbm_array(rough_hurst, TimeGrid(1.0, 17), 3, 500, 4), a)
+        assert np.max(np.abs(got - np.stack([y[:, 0] - y[:, 2], y[:, 1], y[:, 2]], axis=1))) <= 1e-10
 
 
 class TestSmoothnessProxies:

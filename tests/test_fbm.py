@@ -1,8 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import beta as beta_fn
 
@@ -78,15 +79,22 @@ class TestCovariance:
         c=st.floats(0.1, 2.0),
         h=st.floats(0.05, 0.95),
     )
+    @example(s=3.0, t=2.9999999999999996, c=0.75, h=0.125)
     @settings(max_examples=200, deadline=None)
     def test_symmetry_and_scaling(self, s, t, c, h):
         hp = HurstParam(h)
         assert covariance(s, t, hp) == pytest.approx(covariance(t, s, hp))
-        # The cancellation in (s^{2H} + t^{2H} - |t-s|^{2H})/2 limits the
-        # attainable relative accuracy of the identity to ~1e-8.
-        assert covariance(c * s, c * t, hp) == pytest.approx(
-            c ** (2 * h) * covariance(s, t, hp), rel=1e-7, abs=1e-9
-        )
+        # c*s and c*t are rounded, and their float difference need not be c*(t - s):
+        # at s = 3, t = 3 - 4.4e-16, c = 0.75 it is 4.4e-16, not 3.3e-16, which moves
+        # |t-s|^{2H} by 7 % at H = 1/8.  So the identity R(u, v) = c^{2H} R(u/c, v/c)
+        # is evaluated exactly at the rounded inputs u, v.  The cancellation in
+        # (s^{2H} + t^{2H} - |t-s|^{2H})/2 limits the attainable accuracy to ~1e-8.
+        u, v = c * s, c * t
+        with mpmath.workdps(60):
+            two_h, scale = 2 * mpmath.mpf(h), mpmath.mpf(c)
+            a, b = mpmath.mpf(u) / scale, mpmath.mpf(v) / scale
+            scaled = scale**two_h * (a**two_h + b**two_h - abs(b - a) ** two_h) / 2
+        assert covariance(u, v, hp) == pytest.approx(float(scaled), rel=1e-7, abs=1e-9)
 
     @pytest.mark.parametrize("h", [0.35, 0.4, 0.45])
     def test_matrix_factorizes_with_tiny_jitter(self, h):

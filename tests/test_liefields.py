@@ -19,6 +19,7 @@ from roughflow.liefields import (
     bracket,
     bracket_table,
     constant_brackets,
+    flow_certificate,
     format_field_file,
     hormander_rank,
     is_nilpotent,
@@ -325,6 +326,40 @@ class TestFieldFamily:
         for k in range(FAMILY_CACHE_SIZE + 5, 2 * FAMILY_CACHE_SIZE + 5):
             FieldFamily.of(constant(k))
         assert len(liefields._FAMILIES) == FAMILY_CACHE_SIZE
+
+
+
+def _field(*components: str) -> PolyVectorField:
+    return PolyVectorField(tuple(parse_polynomial(c, len(components)) for c in components))
+
+
+class TestFlowCertificate:
+    def test_yamato_degree_two_depth_two(self, yamato):
+        family = FieldFamily.of(yamato)
+        assert family.flow_certificate(3) == (2, 2)
+        assert family.flow_certificate(3) is family.flow_certificate(3)
+        # The route exp_flow_batch takes: the family of the Z terms at n = 2.
+        assert FieldFamily.of(list(family.brackets(3).values())).flow_certificate(2) == (2, 2)
+
+    def test_quadratic_shear_at_order_four(self):
+        # Brackets: d/dx1, x1^2 d/dx2, 2 x1 d/dx2, -2 d/dx2; y2 is cubic in s.
+        fields = [_field("1", "0"), _field("0", "x1^2")]
+        assert FieldFamily.of(fields).flow_certificate(4) == (3, 2)
+
+    def test_chain_degrees_compose(self):
+        # y1 linear, y2 = O(s^3) from x1^2, y3 = O(s^4) from x1 x2: a chain of three.
+        assert flow_certificate([_field("1", "x1^2", "x1*x2")]) == (5, 3)
+        assert flow_certificate([_field("0", "0", "0")]) == (1, 1)
+        assert flow_certificate([]) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [[_field("x1")], [_field("x2", "-x1")], [_field("1", "0", "x1"), _field("x3", "0", "0")]],
+        ids=["dilation", "rotation", "cycle-across-fields"],
+    )
+    def test_cycles_are_not_certified(self, fields):
+        assert flow_certificate(fields) is None
+        assert FieldFamily.of(fields).flow_certificate(2) is None
 
 
 class TestBracket:

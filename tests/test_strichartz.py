@@ -1,15 +1,16 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from roughflow.controlled import RoughDriver, rde_solve
-from roughflow.densitylab import yamato_explicit
+from roughflow.densitylab import yamato_explicit, yamato_explicit_batch
 from roughflow.errors import BlowUpError, DomainError, PreconditionError
 from roughflow.fbm import HurstParam, SamplePath, TimeGrid, sample_fbm, sample_fbm_array
-from roughflow.liefields import PolyVectorField, parse_polynomial
+from roughflow.liefields import CompiledField, FieldFamily, Polynomial, PolyVectorField, parse_polynomial
 from roughflow.signature import batch_signature_levels, chen_concat, path_signature
 from roughflow.strichartz import (
     bracket_table,
@@ -274,3 +275,65 @@ class TestBatchEngine:
                 p = SamplePath(grid, drivers[i], hurst=rough_hurst)
                 sig = path_signature(p, 0.0, 1.0, 2)
                 assert batch[i] == pytest.approx(psi(sig, word), abs=1e-14)
+
+
+@st.composite
+def triangular_families(draw):
+    """Polynomial fields on R^m, m <= 4, whose components depend only on earlier
+    components of a random order, with monomials of total degree <= 2; the flow
+    degree bound reaches 1, 3, 7, 15 along a chain of four."""
+    m = draw(st.integers(1, 4))
+    order = draw(st.permutations(range(m)))
+    fields = []
+    for _ in range(draw(st.integers(1, 3))):
+        components = [{} for _ in range(m)]
+        for rank, i in enumerate(order):
+            for _ in range(draw(st.integers(0, 3))):
+                exponent = [0] * m
+                if rank:
+                    for _ in range(draw(st.integers(0, 2))):
+                        exponent[draw(st.sampled_from(order[:rank]))] += 1
+                coeff = Fraction(draw(st.integers(-2, 2)), draw(st.integers(1, 4)))
+                components[i][tuple(exponent)] = coeff
+        fields.append(PolyVectorField(tuple(Polynomial(m, c) for c in components)))
+    return fields
+
+
+class TestPolynomialFlow:
+    @given(fields=triangular_families(), seed=st.integers(0, 2**32 - 1))
+    @example(fields=[PolyVectorField(tuple(parse_polynomial(c, 4) for c in ("1", "x1^2", "x2^2", "x3^2")))], seed=0)
+    @settings(max_examples=25, deadline=None)
+    def test_triangular_families_match_fine_rk4(self, fields, seed):
+        assert FieldFamily.of(fields).flow_certificate(2) is not None
+        rng = np.random.default_rng(seed)
+        n_paths, m = 5, fields[0].m
+        weights = rng.uniform(-1.0, 1.0, (len(fields), n_paths))
+        a = rng.uniform(-1.0, 1.0, (n_paths, m))
+        got = exp_flow_batch(list(zip(fields, weights)), a)
+        want = rk4(CompiledField.stack(fields).weighted(weights), a.T, 4096).T
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-10
+
+    def test_yamato_matches_explicit_solution(self, yamato, rough_hurst):
+        drivers = sample_fbm_array(rough_hurst, TimeGrid(1.0, 33), 3, 2000, seed=12)
+        a = np.array([0.7, -1.3, 0.4])
+        terms = build_Z_batch(yamato, batch_signature_levels(drivers, 2), 3)
+        assert np.max(np.abs(exp_flow_batch(terms, a) - yamato_explicit_batch(drivers, a))) <= 1e-13
+
+    def test_uncertified_dilation_keeps_fourth_order_rk4(self):
+        weights = np.array([0.5, -1.0, 1.5])
+        terms = [(PolyVectorField((parse_polynomial("x1", 1),)), weights)]
+        assert FieldFamily.of([terms[0][0]]).flow_certificate(2) is None
+        a = np.array([[1.0], [2.0], [-0.5]])
+        exact = a[:, 0] * np.exp(weights)
+        errors = [np.max(np.abs(exp_flow_batch(terms, a, steps)[:, 0] - exact)) for steps in (8, 16, 32)]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 2**3.7 <= coarse / fine <= 2**4.3
+
+    def test_overflow_raises_blow_up(self):
+        shear = [
+            (PolyVectorField((parse_polynomial("1", 2), parse_polynomial("0", 2))), np.ones(2)),
+            (PolyVectorField((parse_polynomial("0", 2), parse_polynomial("x1^2", 2))), np.ones(2)),
+        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BlowUpError):
+                exp_flow_batch(shear, np.array([[1e200, 0.0], [0.0, 0.0]]))
