@@ -82,7 +82,7 @@ def yamato_explicit_batch(values: np.ndarray, initial) -> np.ndarray:
     if values.shape[2] != 3:
         raise DomainError("batch drivers must have 3 components")
     y1, y2, y3 = (float(v) for v in np.asarray(initial, dtype=float))
-    # B^2_{0t} as a running sum, term for term the last slice of batch_levy_prefix.
+    # B^2_{0t} as a running sum of per-segment Chen updates, independent of batch_levy_prefix.
     area = np.zeros((values.shape[0], 3, 3))
     b1 = np.zeros((values.shape[0], 3))
     for k in range(values.shape[1] - 1):
@@ -224,12 +224,12 @@ def check_hypotheses(
 
 
 #: Paths per block of ``flow_endpoint_samples``.  Swept at 100k paths on 33 points
-#: with the Yamato family's polynomial flow (2-vCPU Xeon, 2 MiB L2 per core, one
-#: BLAS thread), best of 5 in a fresh process each: blocks of 2^10 ... 2^17 paths
-#: 0.324, 0.303, 0.297, 0.307, 0.318, 0.325, 0.333, 0.331 s at peaks of 118, 118,
-#: 118, 121, 127, 138, 151, 170 MB.  The signature's per-segment loop sets the
-#: time now that the flow takes a few ms per block.
-FLOW_BLOCK = 2**12
+#: with the polynomial flow and time-major signature (2-vCPU Xeon, one BLAS thread),
+#: best of 5 per fresh process: blocks of 2^10 ... 2^15 paths 0.31-0.39, 0.32-0.39,
+#: 0.36-0.39, 0.38-0.39, 0.41-0.48, 0.45-0.46 s at peaks of 117-120, 120-121, 126-127,
+#: 140, 165, 215 MB.  Alternating runs: 2^11 beat 2^12 on time (median of 8, 0.305
+#: against 0.317 s) and peak; 2^10 peaked 3 MB lower but ran slower than 2^11.
+FLOW_BLOCK = 2**11
 #: RK4 steps of the endpoint flow, used only for families without a flow certificate.
 FLOW_STEPS = 128
 

@@ -139,8 +139,15 @@ def batch_signature_levels(values: np.ndarray, n: int, upto_idx: int | None = No
 
     ``values`` has shape (n_paths, n_points, d); returns per-level arrays of
     shape (n_paths, d, ..., d) for the signature over the first ``upto_idx``
-    grid intervals (default: the whole path).  Chen-folds segment tensor
-    exponentials, so the result is exact.
+    grid intervals (default: the whole path).  Level k sums the Horner form
+    of Chen's update (Kidger & Lyons, ICLR 2021) over the segments m:
+
+        G_m (x) D_m,  G_m = X^{k-1}_m + (... (X^1_m + D_m / k) (x) D_m / (k-1) ...) (x) D_m / 2,
+
+    with D_m the increment of segment m and X^i_m the signature over [t_0, t_m].
+    On the time-major (n_points, n_paths, d) view, G is elementwise, the sum one
+    batched matmul and the prefixes one cumulative sum, so no loop runs over
+    segments and each path's result does not depend on the batch around it.
     """
     n_paths, n_points, d = values.shape
     stop = n_points - 1 if upto_idx is None else upto_idx
@@ -148,50 +155,41 @@ def batch_signature_levels(values: np.ndarray, n: int, upto_idx: int | None = No
         raise DomainError(f"invalid segment count {stop}")
     if n < 1:
         raise DomainError(f"truncation level must be >= 1, got {n}")
+    x = values.transpose(1, 0, 2)[: stop + 1]
+    b = x[-1] - x[0]
+    if d == 1:
+        # A scalar path's signature is the exponential of its increment; matmul would
+        # take numpy's vector-dot route here, whose sum order depends on the batch.
+        return [(b**k / math.factorial(k)).reshape((n_paths,) + (1,) * k) for k in range(1, n + 1)]
+    delta = np.diff(x, axis=0)
+    prefix, levels = [x[:-1] - x[0]], [b]
+    for k in range(2, n + 1):
+        g = delta / k
+        g += prefix[0]
+        for i in range(2, k):
+            g = prefix[i - 1] + _outer(g, delta) / (k - i + 1)
+        levels.append(np.matmul(g.transpose(1, 2, 0), delta.transpose(1, 0, 2)).reshape((n_paths,) + (d,) * k))
+        if k < n:
+            prefix.append(np.zeros((stop, n_paths, d**k)))
+            np.cumsum(_outer(g, delta)[:-1], axis=0, out=prefix[-1][1:])
+    return levels
 
-    def seg_levels(v: np.ndarray) -> list[np.ndarray]:
-        out = []
-        current = v.copy()
-        for k in range(1, n + 1):
-            out.append(current / math.factorial(k))
-            if k < n:
-                current = np.einsum("p...,pj->p...j", current, v)
-        return out
 
-    def outer(x: np.ndarray, y: np.ndarray, kx: int, ky: int) -> np.ndarray:
-        flat = np.einsum(
-            "pa,pb->pab", x.reshape(n_paths, d**kx), y.reshape(n_paths, d**ky)
-        )
-        return flat.reshape((n_paths,) + (d,) * (kx + ky))
-
-    acc = seg_levels(values[:, 1] - values[:, 0])
-    for seg in range(1, stop):
-        b = seg_levels(values[:, seg + 1] - values[:, seg])
-        new = []
-        for k in range(1, n + 1):
-            total = acc[k - 1] + b[k - 1]
-            for j in range(1, k):
-                total = total + outer(acc[j - 1], b[k - j - 1], j, k - j)
-            new.append(total)
-        acc = new
-    return acc
+def _outer(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a (x) v per (time, path) row, flattened: (N, P, d^i) by (N, P, d) to (N, P, d^(i+1))."""
+    return (a[..., None] * v[:, :, None, :]).reshape(a.shape[:2] + (-1,))
 
 
 def batch_levy_prefix(values: np.ndarray) -> np.ndarray:
     """Level-2 signatures over [t_0, t_k] for every k, batched over paths.
 
     Returns an array of shape (n_paths, n_points, d, d) whose slice [:, k]
-    is B^2_{t_0 t_k} (zero at k=0).  Runs one Chen update per grid segment.
+    is B^2_{t_0 t_k} (zero at k=0): one cumulative sum over the time axis of
+    the level-2 Chen increments (x_m - x_0 + D_m / 2) (x) D_m.
     """
     n_paths, n_points, d = values.shape
-    out = np.zeros((n_paths, n_points, d, d))
-    b1 = np.zeros((n_paths, d))
-    for k in range(n_points - 1):
-        dv = values[:, k + 1] - values[:, k]
-        out[:, k + 1] = (
-            out[:, k]
-            + np.einsum("pi,pj->pij", b1, dv)
-            + 0.5 * np.einsum("pi,pj->pij", dv, dv)
-        )
-        b1 = b1 + dv
-    return out
+    x = values.transpose(1, 0, 2)
+    delta = np.diff(x, axis=0)
+    out = np.zeros((n_points, n_paths, d * d))
+    np.cumsum(_outer(x[:-1] - x[0] + delta / 2, delta), axis=0, out=out[1:])
+    return out.reshape(n_points, n_paths, d, d).transpose(1, 0, 2, 3)

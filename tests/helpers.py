@@ -6,6 +6,7 @@ another way, kept here as that route's oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import product as iter_product
 
@@ -106,3 +107,53 @@ def flow_endpoint_samples_whole(fields, hurst, t, n_paths, seed, n, initial, gri
     levels = batch_signature_levels(drivers, n - 1)
     terms = build_Z_batch(fields, levels, n)
     return exp_flow_batch(terms, np.asarray(initial, dtype=float), steps)
+
+
+def batch_signature_levels_fold(values, n, upto_idx=None):
+    """Signatures over [t_0, t_k] by Chen-folding segment tensor exponentials.
+
+    The per-segment oracle of ``signature.batch_signature_levels``.
+    """
+    n_paths, n_points, d = values.shape
+    stop = n_points - 1 if upto_idx is None else upto_idx
+
+    def seg_levels(v):
+        out = []
+        current = v.copy()
+        for k in range(1, n + 1):
+            out.append(current / math.factorial(k))
+            if k < n:
+                current = np.einsum("p...,pj->p...j", current, v)
+        return out
+
+    def outer(x, y, kx, ky):
+        flat = np.einsum("pa,pb->pab", x.reshape(n_paths, d**kx), y.reshape(n_paths, d**ky))
+        return flat.reshape((n_paths,) + (d,) * (kx + ky))
+
+    acc = seg_levels(values[:, 1] - values[:, 0])
+    for seg in range(1, stop):
+        b = seg_levels(values[:, seg + 1] - values[:, seg])
+        new = []
+        for k in range(1, n + 1):
+            total = acc[k - 1] + b[k - 1]
+            for j in range(1, k):
+                total = total + outer(acc[j - 1], b[k - j - 1], j, k - j)
+            new.append(total)
+        acc = new
+    return acc
+
+
+def batch_levy_prefix_loop(values):
+    """Every prefix level-2 signature by one Chen update per grid segment.
+
+    The per-segment oracle of ``signature.batch_levy_prefix``; its last slice
+    is term for term the running sum of ``densitylab.yamato_explicit_batch``.
+    """
+    n_paths, n_points, d = values.shape
+    out = np.zeros((n_paths, n_points, d, d))
+    b1 = np.zeros((n_paths, d))
+    for k in range(n_points - 1):
+        dv = values[:, k + 1] - values[:, k]
+        out[:, k + 1] = out[:, k] + np.einsum("pi,pj->pij", b1, dv) + 0.5 * np.einsum("pi,pj->pij", dv, dv)
+        b1 = b1 + dv
+    return out

@@ -22,10 +22,9 @@ from roughflow.densitylab import (
 from roughflow.errors import DomainError, PreconditionError
 from roughflow.fbm import SamplePath, TimeGrid, sample_fbm_array
 from roughflow.liefields import PolyVectorField, constant_brackets, hormander_rank, is_nilpotent, parse_polynomial
-from roughflow.signature import batch_levy_prefix
 from roughflow.strichartz import strichartz_solve
 
-from helpers import flow_endpoint_samples_whole
+from helpers import batch_levy_prefix_loop, flow_endpoint_samples_whole
 
 
 class TestYamatoFields:
@@ -75,10 +74,10 @@ class TestExplicitSolution:
             assert np.max(np.abs(batch[i] - yamato_explicit(p, a, 1.0))) < 1e-13
 
     def test_batch_equals_prefix_area_oracle(self, rough_hurst):
-        # The oracle reads the last slice of every prefix Levy area, as batch_levy_prefix builds it.
+        # The oracle reads the last slice of every prefix Levy area, as the per-segment Chen loop builds it.
         drivers = sample_fbm_array(rough_hurst, TimeGrid(1.0, 33), 3, 20_000, seed=8)
         a = np.array([0.5, 0.1, -0.2])
-        area = batch_levy_prefix(drivers)[:, -1]
+        area = batch_levy_prefix_loop(drivers)[:, -1]
         b = drivers[:, -1] - drivers[:, 0]
         want = np.stack(
             [

@@ -2,11 +2,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from roughflow.errors import DomainError
-from roughflow.fbm import SamplePath, TimeGrid, sample_fbm
+from roughflow.fbm import SamplePath, TimeGrid, sample_fbm, sample_fbm_array
 from roughflow.signature import (
     batch_levy_prefix,
     batch_signature_levels,
@@ -16,7 +16,7 @@ from roughflow.signature import (
     segment_signature,
 )
 
-from helpers import signature_scaling_check
+from helpers import batch_levy_prefix_loop, batch_signature_levels_fold, signature_scaling_check
 
 
 def simplex_oracle_level3(v, word, n_nodes=4001):
@@ -80,6 +80,7 @@ class TestChen:
                 assert c.levels[1][i, j] == pytest.approx(expect)
 
     @given(seed=st.integers(0, 10**9))
+    @example(seed=11237)
     @settings(max_examples=25, deadline=None)
     def test_associativity_level_three(self, seed):
         rng = np.random.default_rng(seed)
@@ -89,7 +90,9 @@ class TestChen:
         left = chen_concat(chen_concat(a, b), c)
         right = chen_concat(a, chen_concat(b, c))
         for k in range(3):
-            assert np.max(np.abs(left.levels[k] - right.levels[k])) < 1e-14
+            # Level-3 entries reach about 37, where 1e-14 absolute is under 2 ulp.
+            scale = max(1.0, float(np.max(np.abs(left.levels[k]))))
+            assert np.max(np.abs(left.levels[k] - right.levels[k])) < 1e-14 * scale
 
     def test_interval_mismatch_rejected(self, rng):
         a = segment_signature(rng.standard_normal(2), 2, 0.0, 0.4)
@@ -187,6 +190,57 @@ class TestBatchEngines:
             sig = path_signature(p, 0.0, 1.0, 3)
             for k in range(3):
                 assert np.max(np.abs(levels[k][i] - sig.levels[k])) < 1e-13
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 4),
+        d=st.integers(1, 3),
+        n_points=st.sampled_from([2, 3, 17, 33]),
+        n_paths=st.sampled_from([1, 4]),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_levels_match_chen_fold(self, seed, n, d, n_points, n_paths, data):
+        stop = data.draw(st.one_of(st.none(), st.integers(1, n_points - 1)), label="upto_idx")
+        steps = np.random.default_rng(seed).standard_normal((n_paths, n_points - 1, d))
+        vals = np.concatenate([np.zeros((n_paths, 1, d)), np.cumsum(steps, axis=1)], axis=1)
+        got = batch_signature_levels(vals, n, stop)
+        want = batch_signature_levels_fold(vals, n, stop)
+        for k in range(n):
+            assert got[k].shape == (n_paths,) + (d,) * (k + 1)
+            scale = max(1.0, float(np.max(np.abs(want[k]))))
+            assert np.max(np.abs(got[k] - want[k])) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_levels_do_not_depend_on_the_batch(self, rough_hurst, d):
+        # 2^12 + 100 paths: blocks of 7 and of 2^12 both leave a ragged last block.
+        n_paths = 2**12 + 100
+        drivers = sample_fbm_array(rough_hurst, TimeGrid(1.0, 33), d, n_paths, seed=17)
+        whole = batch_signature_levels(drivers, 3)
+        for block in (1, 7, 2**12):
+            for s in range(0, n_paths, block):
+                part = batch_signature_levels(drivers[s : s + block], 3)
+                for k in range(3):
+                    assert np.array_equal(part[k], whole[k][s : s + block])
+
+    def test_invalid_arguments_rejected(self):
+        vals = np.zeros((2, 5, 2))
+        with pytest.raises(DomainError):
+            batch_signature_levels(vals, 0)
+        with pytest.raises(DomainError):
+            batch_signature_levels(vals, 2, upto_idx=0)
+        with pytest.raises(DomainError):
+            batch_signature_levels(vals, 2, upto_idx=5)
+
+    def test_levy_prefix_matches_segment_loop(self, rough_hurst):
+        drivers = sample_fbm_array(rough_hurst, TimeGrid(1.0, 65), 3, 50, seed=9)
+        got = batch_levy_prefix(drivers)
+        want = batch_levy_prefix_loop(drivers)
+        assert got.shape == want.shape == (50, 65, 3, 3)
+        assert np.all(got[:, 0] == 0.0)
+        for k in range(65):
+            scale = max(1.0, float(np.max(np.abs(want[:, k]))))
+            assert np.max(np.abs(got[:, k] - want[:, k])) <= 1e-13 * scale
 
     def test_levy_prefix_matches_signature(self, fbm_path_d2):
         prefix = batch_levy_prefix(fbm_path_d2.values[None])[0]
