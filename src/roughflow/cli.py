@@ -30,7 +30,7 @@ from .liefields import FieldFamily, PolyVectorField, hormander_rank, parse_field
 from .norris import TwoScale, block_stats_mc, concentration_table, hermite_moments, norris_dichotomy_mc, s_k
 from .reporting import parallel_map, svg_line_plot, write_csv, write_json, write_manifest
 from .signature import path_signature
-from .strichartz import fields_hash, strichartz_solve
+from .strichartz import fields_hash, flow_route, strichartz_solve
 from .increments import _triple_indices
 
 # ---------------------------------------------------------------------------
@@ -429,6 +429,7 @@ def run_jacobian(config: dict, outdir: Path) -> None:
             "fields_hash": fields_hash(fields),
             "inverse_residual": jac.inverse_residual(),
             "fd_residual": float(np.max(np.abs(fd - jac.J[-1]))),
+            "flow": flow_route(FieldFamily.of(fields).augmented, config["level"], config["steps"]),
         },
     )
 
@@ -455,6 +456,10 @@ def run_malliavin(config: dict, outdir: Path) -> None:
             "route_residual": float(
                 np.max(np.abs(slice_ode.values[:k_t] - slice_jac.values[:k_t]))
             ),
+            "flow": {
+                "forced": {"route": "rk4", "steps": config["steps"]},
+                "jacobian": flow_route(FieldFamily.of(fields).augmented, config["level"], config["steps"]),
+            },
         },
     )
 

@@ -68,19 +68,16 @@ class RoughDriver:
     def d(self) -> int:
         return self.values.shape[1]
 
-    def b1(self, i: int, j: int) -> np.ndarray:
-        """x^1_{t_i t_j} = x_{t_j} - x_{t_i}."""
+    def b1(self, i, j) -> np.ndarray:
+        """x^1_{t_i t_j} = x_{t_j} - x_{t_i}; i and j may be index arrays."""
         return self.values[j] - self.values[i]
 
-    def b2(self, i: int, j: int) -> np.ndarray:
-        """x^2_{t_i t_j} via the Chen relation on prefix areas."""
-        if i > j:
+    def b2(self, i, j) -> np.ndarray:
+        """x^2_{t_i t_j} via the Chen relation on prefix areas; i and j may be index arrays."""
+        if np.any(np.asarray(i) > np.asarray(j)):
             raise DomainError("need i <= j for the Levy area")
-        return (
-            self.b2_prefix[j]
-            - self.b2_prefix[i]
-            - np.outer(self.values[i] - self.values[0], self.values[j] - self.values[i])
-        )
+        start = self.values[i] - self.values[0]
+        return self.b2_prefix[j] - self.b2_prefix[i] - start[..., :, None] * self.b1(i, j)[..., None, :]
 
     def restrict(self, i: int, j: int) -> "RoughDriver":
         """Driver on the subinterval [t_i, t_j], time shifted to start at 0."""
@@ -275,12 +272,13 @@ def rde_solve(
             raise DomainError("solve grid must subsample the driver grid")
     stack = family.davie_stack
     n = grid.n_points
+    # Step k's weights on the stack: x^1 then x^2 (row-major) over [t_k, t_{k+1}].
+    lo, hi = np.arange(n - 1) * stride, np.arange(1, n) * stride
+    weights = np.concatenate([driver.b1(lo, hi), driver.b2(lo, hi).reshape(n - 1, d * d)], axis=1)
     y = np.empty((n, m))
     y[0] = a
     for k in range(n - 1):
-        lo, hi = k * stride, (k + 1) * stride
-        weights = np.concatenate([driver.b1(lo, hi), driver.b2(lo, hi).ravel()])
-        y[k + 1] = y[k] + stack.weighted(weights)(y[k])
+        y[k + 1] = y[k] + stack(y[k]) @ weights[k]
         if not np.all(np.isfinite(y[k + 1])):
             raise BlowUpError("RDE state became non-finite", when=grid.times[k + 1])
     zeta = np.stack([f(y) for f in family.fields], axis=-1)

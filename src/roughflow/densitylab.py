@@ -34,7 +34,7 @@ from .errors import DomainError, PreconditionError
 from .fbm import HurstParam, SamplePath, TimeGrid, sample_fbm_array
 from .liefields import FieldFamily, PolyVectorField, Polynomial, hormander_rank, parse_polynomial
 from .signature import batch_signature_levels, levy_area
-from .strichartz import build_Z_batch, exp_flow_batch, fields_hash
+from .strichartz import build_Z_batch, exp_flow_batch, fields_hash, flow_route
 
 
 def yamato_fields() -> list[PolyVectorField]:
@@ -310,11 +310,7 @@ def density_report(
     endpoints = flow_endpoint_samples(
         fields, hurst, t, n_paths, seed, n, initial, grid_points
     )
-    certificate = FieldFamily.of(fields).flow_certificate(n)
-    if certificate is None:
-        flow = {"route": "rk4", "steps": FLOW_STEPS}
-    else:
-        flow = {"route": "polynomial", "degree": certificate[0], "depth": certificate[1]}
+    flow = flow_route(FieldFamily.of(fields), n, FLOW_STEPS)
     samples = endpoints @ weights
     full = kde(samples, bandwidth=bandwidth, grid_points=kde_points)
     half = kde(samples[: n_paths // 2], bandwidth=bandwidth, grid_points=kde_points)

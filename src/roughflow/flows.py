@@ -3,15 +3,18 @@
 The Jacobian J_{0,t} of the solution map a -> y_t(a) solves the linear
 equation dJ = grad V_i(y) J dx^i with J_{0,0} = I, and its inverse solves
 dJ^{-1} = -J^{-1} grad V_i(y) dx^i (right multiplication; the product rule
-forces this order).  Under the nilpotent hypotheses both are realized two
-ways here:
+forces this order).  Jointly with y they solve one polynomial RDE on
+R^{m + 2 m^2}, driven by the fields of ``augmented_jacobian_fields``, and
+that system is realized two ways here:
 
-* the flow route: along the frozen-field trajectory phi_s of the
-  time-t representation, Jtilde' = grad Z(phi) Jtilde and
-  Jbar' = -Jbar grad Z(phi) on s in [0, 1], which is exact in the driver;
-* the linear-RDE route: one pass of the second-order scheme on the
-  (y, J, J^{-1}) system, used as an independent cross-check and as the
-  fast engine for whole-path quantities.
+* the flow route: when the augmented family is n-nilpotent (checked exactly,
+  like the base family), (y, J, J^{-1})_{t_k} = exp(Z~_{t_k})(a, I, I) with
+  Z~ built from the augmented brackets.  The prefix signatures S_{0,t_k} of
+  every grid time are one batch of ``batch_signature_levels`` and the flows
+  one batch of ``exp_flow_batch``: exact in the driver, up to rounding, when
+  the augmented family has a flow certificate (Yamato's does), RK4 otherwise;
+* the linear-RDE route: one pass of the second-order scheme on the same
+  system, used as an independent cross-check.
 
 The Malliavin derivative D_u y_t solves, in the flow parameter s,
 
@@ -19,13 +22,16 @@ The Malliavin derivative D_u y_t solves, in the flow parameter s,
                      + V_j(phi_s) 1_{[0,t)}(u) e_j^T
                      + sum_{k>=2, words w} D_u psi_t^w V_w(phi_s),
 
-where the derivative of a signature entry splits at u:
+integrated by RK4, where the derivative of a signature entry splits at u:
 
     D^j_u B^{k, i_1..i_k}_{0t}
         = sum_{l: i_l = j} B^{l-1, i_1..i_{l-1}}_{0u} B^{k-l, i_{l+1}..i_k}_{ut}.
 
-The identity D^j_u y_t = J_{0,t} J_{0,u}^{-1} V_j(y_u) provides the second,
-independent route; their agreement is the correctness criterion.
+The prefixes B_{0u} come from the same batch engine and the suffixes from
+Chen's identity solved for the right factor, so every D_u psi_t is array
+math over the grid.  The identity D^j_u y_t = J_{0,t} J_{0,u}^{-1} V_j(y_u)
+provides the second, independent route; their agreement is the
+correctness criterion.
 
 Finally Z^U_t = <J_{0,t}^{-1} U(y_t), eta> satisfies the expansion
 dZ^U = Z^{[V_j, U]} dx^j (driving field first in the bracket), the chain
@@ -42,14 +48,8 @@ from .controlled import RoughDriver, rde_solve
 from .errors import DomainError
 from .fbm import SamplePath, TimeGrid
 from .liefields import CompiledField, FieldFamily, PolyVectorField, augmented_jacobian_fields
-from .signature import IteratedIntegrals, Word, chen_concat, path_signature, segment_signature
-from .strichartz import (
-    DEFAULT_FLOW_STEPS,
-    build_Z,
-    psi,
-    rk4,
-    _psi_terms,
-)
+from .signature import batch_signature_levels
+from .strichartz import DEFAULT_FLOW_STEPS, build_Z_batch, exp_flow_batch, psi_batch, rk4
 
 
 @dataclass(frozen=True)
@@ -86,29 +86,16 @@ class MalliavinSlice:
 
 
 # ---------------------------------------------------------------------------
-# Flow-route Jacobians
+# Jacobians of the augmented (y, J, J^{-1}) system
 # ---------------------------------------------------------------------------
 
 
-def _flow_with_jacobians(
-    z: CompiledField, a: np.ndarray, steps: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """RK4 of (phi, Jtilde, Jbar) along compiled frozen fields on s in [0, 1].
-
-    The family axes K of ``z`` (none, or one per frozen field) batch the
-    flows, with phi component-major inside.  Returns (phi, J, Jbar) shaped
-    (*K, m), (*K, m, m), (*K, m, m).
-    """
-    K, m = z.coef.shape[1:], z.exponents.shape[1]
-
-    def rhs(state):
-        p_, j_, jb_ = state
-        gz = z.jacobian(p_)
-        return (z(p_), np.einsum("ab...,...bc->...ac", gz, j_), -np.einsum("...ab,bc...->...ac", jb_, gz))
-
-    eye = np.broadcast_to(np.eye(m), K + (m, m))
-    phi, J, Jb = rk4(rhs, (np.broadcast_to(np.asarray(a, dtype=float), K + (m,)).T, eye, eye), steps)
-    return phi.T, J, Jb
+def _split_augmented(grid: TimeGrid, states: np.ndarray, m: int) -> tuple[SamplePath, JacobianPath]:
+    """Rows (y, J row-major, J^{-1} row-major) of the augmented system, one per grid time."""
+    n = grid.n_points
+    J = states[:, m : m + m * m].reshape(n, m, m)
+    Jb = states[:, m + m * m :].reshape(n, m, m)
+    return SamplePath(grid=grid, values=states[:, :m], hurst=None), JacobianPath(grid=grid, J=J, J_inv=Jb)
 
 
 def jacobian_path_strichartz(
@@ -119,33 +106,20 @@ def jacobian_path_strichartz(
     steps: int = DEFAULT_FLOW_STEPS,
     check_hypotheses: bool = True,
 ) -> tuple[SamplePath, JacobianPath]:
-    """(y, J, J^{-1}) at every grid time via batched frozen-field flows."""
+    """(y, J, J^{-1}) at every grid time: the augmented flows at every prefix signature, as one batch.
+
+    ``steps`` is used only when the augmented family has no flow certificate (RK4).
+    """
     family = FieldFamily.of(fields)
     if check_hypotheses:
         family.require_constant_brackets(n)
         family.require_nilpotent(n)
     m = family.m
-    grid = p.grid
-    k_max = grid.n_points - 1
-    prefixes = _prefix_signatures(p, k_max, n - 1)
-    words = list(family.brackets(n))
-    psi_mat = np.zeros((k_max, len(words)))
-    for k in range(1, k_max + 1):
-        for q, w in enumerate(words):
-            psi_mat[k - 1, q] = psi(prefixes[k], w)
-    z = family.bracket_stack(n).weighted(psi_mat.T)
-    phi, J, Jb = _flow_with_jacobians(z, a, steps)
-    y = np.vstack([np.asarray(a, dtype=float)[None], phi])
-    eye = np.eye(m)[None]
-    return (
-        SamplePath(grid=grid, values=y, hurst=None),
-        JacobianPath(grid=grid, J=np.vstack([eye, J]), J_inv=np.vstack([eye, Jb])),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Linear-RDE route: augmented polynomial systems
-# ---------------------------------------------------------------------------
+    levels = [lvl[1:, 0] for lvl in batch_signature_levels(p.values[None], n - 1, prefixes=True)]
+    terms = build_Z_batch(family.augmented, levels, n, check_nilpotency=check_hypotheses)
+    eye = np.eye(m).ravel()
+    start = np.concatenate([np.asarray(a, dtype=float), eye, eye])
+    return _split_augmented(p.grid, np.vstack([start, exp_flow_batch(terms, start, steps)]), m)
 
 
 def jacobian_flow_rde(
@@ -156,18 +130,10 @@ def jacobian_flow_rde(
 ) -> tuple[SamplePath, JacobianPath]:
     """One second-order pass over the augmented (y, J, J^{-1}) system."""
     family = FieldFamily.of(fields)
-    m = family.m
-    eye = np.eye(m).ravel()
+    eye = np.eye(family.m).ravel()
     state0 = np.concatenate([np.asarray(a, dtype=float), eye, eye])
     sol, _ = rde_solve(family.augmented, state0, driver, grid=grid)
-    n = sol.grid.n_points
-    y = sol.values[:, :m]
-    J = sol.values[:, m : m + m * m].reshape(n, m, m)
-    Jb = sol.values[:, m + m * m :].reshape(n, m, m)
-    return (
-        SamplePath(grid=sol.grid, values=y, hurst=None),
-        JacobianPath(grid=sol.grid, J=J, J_inv=Jb),
-    )
+    return _split_augmented(sol.grid, sol.values, family.m)
 
 
 # ---------------------------------------------------------------------------
@@ -175,60 +141,49 @@ def jacobian_flow_rde(
 # ---------------------------------------------------------------------------
 
 
-def _prefix_signatures(p: SamplePath, k_max: int, level: int) -> list[IteratedIntegrals | None]:
-    """Signatures over [0, t_k] for k = 0..k_max (None at k = 0)."""
-    times = p.grid.times
-    out: list[IteratedIntegrals | None] = [None]
-    sig = None
-    for k in range(k_max):
-        seg = segment_signature(p.values[k + 1] - p.values[k], level, times[k], times[k + 1])
-        sig = seg if sig is None else chen_concat(sig, seg)
-        out.append(sig)
-    return out
+def split_signatures(p: SamplePath, k_t: int, level: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Signatures over [0, u] and over [u, t] for every grid u <= t = t_{k_t}, to ``level``.
+
+    Level k of each is (k_t + 1, d, ..., d), row i for u = t_i.  The prefixes come
+    from ``batch_signature_levels``; the suffixes from Chen's identity
+    S_{0t} = S_{0u} (x) S_{ut} solved level by level for the right factor,
+
+        S^k_{ut} = S^k_{0t} - S^k_{0u} - sum_{i=1}^{k-1} S^i_{0u} (x) S^{k-i}_{ut},
+
+    which at level 2 is B^2_{ut} = B^2_{0t} - B^2_{0u} - B^1_{0u} (x) B^1_{ut}, and
+    exactly zero at u = t.
+    """
+    prefixes = [lvl[:, 0] for lvl in batch_signature_levels(p.values[None], level, upto_idx=k_t, prefixes=True)]
+    rows = k_t + 1
+    pre = [lvl.reshape(rows, -1) for lvl in prefixes]
+    suf: list[np.ndarray] = []
+    for k in range(1, level + 1):
+        total = pre[k - 1][-1] - pre[k - 1]
+        for i in range(1, k):
+            total -= (pre[i - 1][:, :, None] * suf[k - i - 1][:, None, :]).reshape(rows, -1)
+        suf.append(total)
+    return prefixes, [s.reshape(lvl.shape) for s, lvl in zip(suf, prefixes)]
 
 
-def _suffix_signatures(p: SamplePath, k_max: int, level: int) -> list[IteratedIntegrals | None]:
-    """Signatures over [t_k, t_{k_max}] for k = 0..k_max (None at k_max)."""
-    times = p.grid.times
-    out: list[IteratedIntegrals | None] = [None] * (k_max + 1)
-    sig = None
-    for k in range(k_max - 1, -1, -1):
-        seg = segment_signature(p.values[k + 1] - p.values[k], level, times[k], times[k + 1])
-        sig = seg if sig is None else chen_concat(seg, sig)
-        out[k] = sig
-    return out
+def d_psi(prefixes: list[np.ndarray], suffixes: list[np.ndarray], words: list) -> np.ndarray:
+    """D^j_u psi_t^w for each word at every tabulated u: (len(words), n_u, d).
 
-
-def _sig_entry(sig: IteratedIntegrals | None, word: Word) -> float:
-    """Signature entry with the empty-word and empty-interval conventions."""
-    if len(word) == 0:
-        return 1.0
-    if sig is None:
-        return 0.0
-    return sig.value(word)
-
-
-def d_signature_entry(
-    prefix: IteratedIntegrals | None, suffix: IteratedIntegrals | None, word: Word, j: int
-) -> float:
-    """D^j_u B^{k,word}_{0t} via the prefix/suffix splitting at u."""
-    total = 0.0
-    for l, letter in enumerate(word):
-        if letter == j:
-            total += _sig_entry(prefix, word[:l]) * _sig_entry(suffix, word[l + 1 :])
-    return total
-
-
-def d_psi(
-    prefix: IteratedIntegrals | None, suffix: IteratedIntegrals | None, word: Word, j: int
-) -> float:
-    """D^j_u psi_t^word, by differentiating each permuted signature entry."""
-    k = len(word)
-    total = 0.0
-    for tau, coeff in _psi_terms(k):
-        permuted = tuple(word[tau[a] - 1] for a in range(k))
-        total += coeff * d_signature_entry(prefix, suffix, permuted, j)
-    return total
+    The tables are those of ``split_signatures``.  Level k of D^j_u B^k_{0t} is
+    the sum over l of B^{l-1}_{0u} (x) e_j (x) B^{k-l}_{ut} (the empty word
+    counting 1), with the letter axes then j; ``psi_batch`` carries j along.
+    """
+    n_u, d = prefixes[0].shape
+    eye = np.eye(d)[None, None, :, None, :]
+    pre = [np.ones((n_u, 1))] + [lvl.reshape(n_u, -1) for lvl in prefixes]
+    suf = [np.ones((n_u, 1))] + [lvl.reshape(n_u, -1) for lvl in suffixes]
+    levels = []
+    for k in range(1, len(prefixes) + 1):
+        total = sum(
+            (pre[l - 1][:, :, None, None, None] * eye * suf[k - l][:, None, None, :, None]).reshape(n_u, -1)
+            for l in range(1, k + 1)
+        )
+        levels.append(total.reshape((n_u,) + (d,) * (k + 1)))
+    return np.stack([psi_batch(levels, w) for w in words])
 
 
 def malliavin_derivative(
@@ -240,7 +195,7 @@ def malliavin_derivative(
     steps: int = DEFAULT_FLOW_STEPS,
     check_hypotheses: bool = True,
 ) -> MalliavinSlice:
-    """D_u y_t for every grid u, by the forced variational flow.
+    """D_u y_t for every grid u, by the forced variational flow (RK4, ``steps`` steps).
 
     Requires constant brackets of order >= 2 (the hypothesis that removes
     the gradient terms of the higher brackets from the equation).
@@ -248,6 +203,7 @@ def malliavin_derivative(
     family = FieldFamily.of(fields)
     if check_hypotheses:
         family.require_constant_brackets(n)
+        family.require_nilpotent(n)
     m, d = family.m, family.d
     grid = p.grid
     k_t = grid.index_of(t)
@@ -255,24 +211,15 @@ def malliavin_derivative(
     if k_t == 0:
         return MalliavinSlice(grid=grid, t=t, values=values)
 
-    sig = path_signature(p, 0.0, t, n - 1)
-    z = build_Z(family, sig, n, check_nilpotency=check_hypotheses)
-    prefixes = _prefix_signatures(p, k_t, n - 1)
-    suffixes = _suffix_signatures(p, k_t, n - 1)
-
-    higher_terms = [(w, fld) for w, fld, _ in z.terms if len(w) >= 2]
-    # Forcing weights per (u_k, j) on the fields V_1..V_d, then the higher
-    # brackets: 1_{[0,t)}(u_k) 1_{i=j} for V_i and D^j_{u_k} psi^w for V_w.
-    n_u = k_t + 1
-    weights = np.zeros((d + len(higher_terms), n_u, d))
-    for j in range(d):
-        weights[j, :k_t, j] = 1.0
-    for k in range(n_u):
-        for q, (w, _) in enumerate(higher_terms):
-            for j in range(1, d + 1):
-                weights[d + q, k, j - 1] = d_psi(prefixes[k], suffixes[k], w, j)
-    forcing = CompiledField.stack(list(family.fields) + [f for _, f in higher_terms]).weighted(weights)
-    zc = z.compiled
+    prefixes, suffixes = split_signatures(p, k_t, n - 1)
+    words = list(family.brackets(n))
+    stack = family.bracket_stack(n)
+    zc = stack.weighted([psi_batch([lvl[k_t:] for lvl in prefixes], w)[0] for w in words])
+    # Forcing weights per (word, u_k, j) on the brackets V_w: D^j_{u_k} psi^w.  On
+    # V_i that is 1_{[0,t)}(u_k) 1_{i=j}; the splitting gives 1_{i=j} on all of [0, t].
+    weights = d_psi(prefixes, suffixes, words)
+    weights[[len(w) == 1 for w in words], k_t] = 0.0
+    forcing = stack.weighted(weights)
 
     # Joint RK4 in s: phi (m,) and D (n_u, m, d).
     def rhs(state):
@@ -280,7 +227,7 @@ def malliavin_derivative(
         dD = np.einsum("ab,ubj->uaj", zc.jacobian(phi_s), D_s)
         return zc(phi_s), dD + forcing(phi_s).transpose(1, 0, 2)
 
-    _, values[:n_u] = rk4(rhs, (np.asarray(a, dtype=float), np.zeros((n_u, m, d))), steps)
+    _, values[: k_t + 1] = rk4(rhs, (np.asarray(a, dtype=float), np.zeros((k_t + 1, m, d))), steps)
     return MalliavinSlice(grid=grid, t=t, values=values)
 
 
@@ -348,20 +295,3 @@ def z_process(
         raise DomainError(f"unknown z_process method {method!r}")
     u_vals = u_field(ypath.values)  # (n, m)
     return np.einsum("tab,tb,a->t", jac.J_inv, u_vals, eta)
-
-
-def z_family(
-    fields: list[PolyVectorField],
-    driver: RoughDriver,
-    u_fields: list[PolyVectorField],
-    eta: np.ndarray,
-    a: np.ndarray,
-) -> np.ndarray:
-    """Z^{U} paths for several U from a single augmented solve: (n, len(U))."""
-    eta = np.asarray(eta, dtype=float)
-    ypath, jac = jacobian_flow_rde(fields, driver, a)
-    cols = []
-    for u_field in u_fields:
-        u_vals = u_field(ypath.values)
-        cols.append(np.einsum("tab,tb,a->t", jac.J_inv, u_vals, eta))
-    return np.stack(cols, axis=1)

@@ -134,6 +134,11 @@ class Polynomial:
     def is_constant(self) -> bool:
         return self.degree <= 0
 
+    @cached_property
+    def variables(self) -> frozenset[int]:
+        """Indices of the variables that occur in some term."""
+        return frozenset(k for e in self.terms for k, p in enumerate(e) if p)
+
     # -- evaluation ----------------------------------------------------------
     def __call__(self, x) -> float | np.ndarray:
         """Evaluate at a point (m,) or a batch of points (..., m)."""
@@ -352,17 +357,26 @@ class CompiledField:
 
 
 def bracket(v: PolyVectorField, w: PolyVectorField) -> PolyVectorField:
-    """Exact Lie bracket [V, W]^i = V^l d_l W^i - W^l d_l V^i."""
+    """Exact Lie bracket [V, W]^i = V^l d_l W^i - W^l d_l V^i.
+
+    Only the l with V^l (resp. W^l) nonzero and x_l in W^i (resp. V^i) contribute,
+    and the terms are summed in one exact table per component.
+    """
     if v.m != w.m:
         raise DomainError(f"bracket needs equal dimensions, got {v.m} and {w.m}")
     m = v.m
     comps = []
     for i in range(m):
-        acc = Polynomial.zero(m)
-        for l in range(m):
-            acc = acc + v.components[l] * w.components[i].diff(l)
-            acc = acc - w.components[l] * v.components[i].diff(l)
-        comps.append(acc)
+        acc: dict[Exponent, Fraction] = {}
+        for sign, a, b in ((1, v, w), (-1, w, v)):
+            target = b.components[i]
+            for l in target.variables:
+                partial = [(e2, sign * e2[l] * c2) for e2, c2 in target.terms.items() if e2[l]]
+                for e1, c1 in a.components[l].terms.items():
+                    for e2, c2 in partial:
+                        e = tuple(p + q - (k == l) for k, (p, q) in enumerate(zip(e1, e2)))
+                        acc[e] = acc.get(e, 0) + c1 * c2
+        comps.append(Polynomial(m, acc))
     return PolyVectorField(tuple(comps))
 
 
@@ -384,28 +398,33 @@ def _words(d: int, k: int):
     return iter_product(range(1, d + 1), repeat=k)
 
 
-def is_nilpotent(fields: Sequence[PolyVectorField], n: int) -> tuple[bool, tuple[int, ...] | None]:
+def is_nilpotent(
+    fields: Sequence[PolyVectorField], n: int, table: Mapping[tuple[int, ...], PolyVectorField] | None = None
+) -> tuple[bool, tuple[int, ...] | None]:
     """True iff every order-n left-nested bracket vanishes identically.
 
-    On failure returns a violating word as witness.
+    On failure returns the first violating word (lexicographic) as witness.
+    ``table`` is ``bracket_table(fields, n + 1)`` when the caller has it: it
+    holds exactly the nonzero brackets of order <= n, in lexicographic order.
     """
     if n < 2:
         raise DomainError(f"nilpotency order must be >= 2, got {n}")
-    for word in _words(len(fields), n):
-        if not iterated_bracket(fields, word).is_zero:
-            return False, word
-    return True, None
+    table = bracket_table(fields, n + 1) if table is None else table
+    witness = next((w for w in table if len(w) == n), None)
+    return witness is None, witness
 
 
-def constant_brackets(fields: Sequence[PolyVectorField], up_to: int) -> bool:
-    """True iff all brackets of order 2..up_to are constant vector fields."""
+def constant_brackets(
+    fields: Sequence[PolyVectorField], up_to: int, table: Mapping[tuple[int, ...], PolyVectorField] | None = None
+) -> bool:
+    """True iff all brackets of order 2..up_to are constant vector fields.
+
+    ``table`` is ``bracket_table(fields, up_to + 1)`` when the caller has it.
+    """
     if up_to < 2:
         raise DomainError(f"up_to must be >= 2, got {up_to}")
-    for k in range(2, up_to + 1):
-        for word in _words(len(fields), k):
-            if not iterated_bracket(fields, word).is_constant:
-                return False
-    return True
+    table = bracket_table(fields, up_to + 1) if table is None else table
+    return all(b.is_constant for w, b in table.items() if len(w) >= 2)
 
 
 def flow_certificate(fields: Sequence[PolyVectorField]) -> tuple[int, int] | None:
@@ -625,7 +644,7 @@ def fields_hash(fields: Sequence[PolyVectorField]) -> str:
 
 
 def bracket_table(fields: Sequence[PolyVectorField], n: int) -> dict[tuple[int, ...], PolyVectorField]:
-    """Left-nested brackets V_w for all words up to length n-1.
+    """Left-nested brackets V_w for all words up to length n-1, in lexicographic order.
 
     Zero brackets are pruned as the table is built level by level, so
     nilpotent families stay cheap.
@@ -752,12 +771,12 @@ class FieldFamily:
         return len(self.fields)
 
     def nilpotent(self, n: int) -> tuple[bool, tuple[int, ...] | None]:
-        """``is_nilpotent(fields, n)``: (ok, violating word or None)."""
-        return self._member(("nilpotent", n), lambda: is_nilpotent(self.fields, n))
+        """``is_nilpotent(fields, n)``, read off ``brackets(n + 1)``: (ok, violating word or None)."""
+        return self._member(("nilpotent", n), lambda: is_nilpotent(self.fields, n, self.brackets(n + 1)))
 
     def constant_brackets(self, n: int) -> bool:
-        """``constant_brackets(fields, n)``."""
-        return self._member(("constant", n), lambda: constant_brackets(self.fields, n))
+        """``constant_brackets(fields, n)``, read off ``brackets(n + 1)``."""
+        return self._member(("constant", n), lambda: constant_brackets(self.fields, n, self.brackets(n + 1)))
 
     def require_nilpotent(self, n: int) -> None:
         """Raise PreconditionError ``nilpotency`` unless the family is n-nilpotent."""

@@ -134,13 +134,17 @@ def levy_area(p: SamplePath, s: float, t: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def batch_signature_levels(values: np.ndarray, n: int, upto_idx: int | None = None) -> list[np.ndarray]:
+def batch_signature_levels(
+    values: np.ndarray, n: int, upto_idx: int | None = None, prefixes: bool = False
+) -> list[np.ndarray]:
     """Signatures over [t_0, t_k] for a batch of piecewise-linear paths.
 
     ``values`` has shape (n_paths, n_points, d); returns per-level arrays of
     shape (n_paths, d, ..., d) for the signature over the first ``upto_idx``
-    grid intervals (default: the whole path).  Level k sums the Horner form
-    of Chen's update (Kidger & Lyons, ICLR 2021) over the segments m:
+    grid intervals (default: the whole path).  With ``prefixes`` each level is
+    instead (upto_idx + 1, n_paths, d, ..., d), time-major: the signature over
+    [t_0, t_j] for every j <= upto_idx, zero at j = 0.  Level k sums the Horner
+    form of Chen's update (Kidger & Lyons, ICLR 2021) over the segments m:
 
         G_m (x) D_m,  G_m = X^{k-1}_m + (... (X^1_m + D_m / k) (x) D_m / (k-1) ...) (x) D_m / 2,
 
@@ -156,11 +160,11 @@ def batch_signature_levels(values: np.ndarray, n: int, upto_idx: int | None = No
     if n < 1:
         raise DomainError(f"truncation level must be >= 1, got {n}")
     x = values.transpose(1, 0, 2)[: stop + 1]
-    b = x[-1] - x[0]
+    b = x - x[0] if prefixes else x[-1] - x[0]
     if d == 1:
         # A scalar path's signature is the exponential of its increment; matmul would
         # take numpy's vector-dot route here, whose sum order depends on the batch.
-        return [(b**k / math.factorial(k)).reshape((n_paths,) + (1,) * k) for k in range(1, n + 1)]
+        return [(b**k / math.factorial(k)).reshape(b.shape[:-1] + (1,) * k) for k in range(1, n + 1)]
     delta = np.diff(x, axis=0)
     prefix, levels = [x[:-1] - x[0]], [b]
     for k in range(2, n + 1):
@@ -168,10 +172,17 @@ def batch_signature_levels(values: np.ndarray, n: int, upto_idx: int | None = No
         g += prefix[0]
         for i in range(2, k):
             g = prefix[i - 1] + _outer(g, delta) / (k - i + 1)
-        levels.append(np.matmul(g.transpose(1, 2, 0), delta.transpose(1, 0, 2)).reshape((n_paths,) + (d,) * k))
-        if k < n:
-            prefix.append(np.zeros((stop, n_paths, d**k)))
-            np.cumsum(_outer(g, delta)[:-1], axis=0, out=prefix[-1][1:])
+        if prefixes:
+            running = np.zeros((stop + 1, n_paths, d**k))
+            np.cumsum(_outer(g, delta), axis=0, out=running[1:])
+            levels.append(running.reshape((stop + 1, n_paths) + (d,) * k))
+        else:
+            levels.append(np.matmul(g.transpose(1, 2, 0), delta.transpose(1, 0, 2)).reshape((n_paths,) + (d,) * k))
+            if k == n:
+                break
+            running = np.zeros((stop, n_paths, d**k))
+            np.cumsum(_outer(g, delta)[:-1], axis=0, out=running[1:])
+        prefix.append(running[:stop])
     return levels
 
 

@@ -19,9 +19,9 @@ exponential flow integrates dPsi/ds = Z(Psi) on [0, 1].  The per-path
 ``exp_flow`` uses fixed-step RK4.  The batched ``exp_flow_batch`` first asks
 the exact bracket fields for a flow certificate: when their dependency
 graph is acyclic (triangular fields, Yamato's family among them) the flow
-is a polynomial in s of known degree D, and L Picard steps on D
-Gauss-Legendre nodes (the last one at s = 1 only) give it exactly up to
-rounding; other families keep RK4.
+is a polynomial in s of known degree D, and L Picard steps on
+max(1, ceil(D / 2)) Gauss-Legendre nodes (the last one at s = 1 only) give
+it exactly up to rounding; other families keep RK4.
 """
 
 from __future__ import annotations
@@ -196,10 +196,14 @@ def strichartz_solve(
 
 
 def psi_batch(levels: list[np.ndarray], word: Word) -> np.ndarray:
-    """psi^w for a batch of signatures (levels[k-1]: (n_paths, d, ..., d))."""
+    """psi^w for a batch of signatures (levels[k-1]: (n_paths, d, ..., d, *trailing)).
+
+    Axes after the k letter axes of level k ride along, so a table of
+    signature derivatives gives the derivatives of psi^w.
+    """
     w = tuple(int(i) for i in word)
     k = len(w)
-    out = np.zeros(levels[0].shape[0])
+    out = 0.0
     lvl = levels[k - 1]
     for tau, coeff in _psi_terms(k):
         idx = tuple(w[tau[a] - 1] - 1 for a in range(k))
@@ -246,27 +250,42 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return w, integrals
 
 
+def gauss_nodes(degree: int) -> int:
+    """Gauss-Legendre nodes that make ``polynomial_flow`` exact for flows of degree ``degree``."""
+    return max(1, -(-degree // 2))
+
+
 def polynomial_flow(z: CompiledField, y0: np.ndarray, degree: int, depth: int) -> np.ndarray:
     """Time-1 flow of z from y0 (m, n_paths) when it is a polynomial of degree <= ``degree`` in s.
 
     With ``degree`` and ``depth`` from ``liefields.flow_certificate``, Picard step
     k is exact on every component whose dependency chain has at most k
-    components.  The first depth - 1 steps run on the Gauss-Legendre nodes,
-    y(s_l) <- y0 + sum_k W[l, k] z(y(s_k)), with the node axis as one more batch
-    axis; the last is needed at s = 1 only: y(1) = y0 + sum_l w_l z(y(s_l)).
+    components.  The first depth - 1 steps run on the n = ``gauss_nodes(degree)``
+    Gauss-Legendre nodes, y(s_l) <- y0 + sum_k W[l, k] z(y(s_k)), with the node
+    axis as one more batch axis; the last is needed at s = 1 only:
+    y(1) = y0 + sum_l w_l z(y(s_l)).
+
+    n = ceil(D / 2) nodes suffice although a component that z reads may have
+    degree above n: every such component has a shorter chain, so after depth - 1
+    steps the node values solve the n-node Gauss collocation equations, and y(1)
+    is the Gauss-Legendre Runge-Kutta step, of order 2n.  Its B-series matches the
+    flow's on every tree of order <= 2n, and for these fields every elementary
+    differential of order above D vanishes (a tree rooted at component i is
+    nonzero only if its order is at most D_i), so the step is exact.
     """
-    w, integrals = _gauss_legendre(degree)
+    nodes = gauss_nodes(degree)
+    w, integrals = _gauss_legendre(nodes)
 
     def quadrature(matrix: np.ndarray, zs: np.ndarray) -> np.ndarray:
         # sum_k matrix[:, k] zs[:, k] elementwise, not through BLAS, so that
         # each path's value does not depend on the batch it is in.
         total = matrix[:, 0, None] * zs[:, None, 0]
-        for k in range(1, degree):
+        for k in range(1, nodes):
             total += matrix[:, k, None] * zs[:, None, k]
         return total
 
     start = y0[:, None]
-    ys = np.broadcast_to(start, (y0.shape[0], degree) + y0.shape[1:])
+    ys = np.broadcast_to(start, (y0.shape[0], nodes) + y0.shape[1:])
     for _ in range(depth - 1):
         ys = start + quadrature(integrals, z(ys))
     y1 = y0 + quadrature(w[None], z(ys))[:, 0]
@@ -299,3 +318,12 @@ def exp_flow_batch(
     if certificate is None:
         return rk4(z, y0, steps).T
     return polynomial_flow(z, y0, *certificate).T
+
+
+def flow_route(family: FieldFamily, n: int, steps: int) -> dict:
+    """The route ``exp_flow_batch`` takes for the Z_t of ``family`` at order n, as a run record."""
+    certificate = family.flow_certificate(n)
+    if certificate is None:
+        return {"route": "rk4", "steps": steps}
+    degree, depth = certificate
+    return {"route": "polynomial", "degree": degree, "depth": depth, "nodes": gauss_nodes(degree)}

@@ -13,12 +13,66 @@ from itertools import product as iter_product
 import numpy as np
 
 from roughflow.errors import DomainError
-from roughflow.fbm import TimeGrid, sample_fbm_array
-from roughflow.flows import _flow_with_jacobians, z_family
+from roughflow.fbm import SamplePath, TimeGrid, sample_fbm_array
+from roughflow.flows import jacobian_flow_rde
 from roughflow.increments import Increment2
-from roughflow.liefields import FieldFamily, bracket
-from roughflow.signature import IteratedIntegrals, Word, batch_signature_levels, path_signature
-from roughflow.strichartz import DEFAULT_FLOW_STEPS, _psi_terms, build_Z, build_Z_batch, exp_flow_batch, psi
+from roughflow.liefields import CompiledField, FieldFamily, Polynomial, PolyVectorField, bracket, parse_polynomial
+from roughflow.signature import (
+    IteratedIntegrals,
+    Word,
+    batch_signature_levels,
+    chen_concat,
+    path_signature,
+    segment_signature,
+)
+from roughflow.strichartz import DEFAULT_FLOW_STEPS, _psi_terms, build_Z, build_Z_batch, exp_flow_batch, psi, rk4
+
+
+def flow_with_jacobians(z: CompiledField, a: np.ndarray, steps: int):
+    """RK4 of (phi, Jtilde, Jbar) along compiled frozen fields on s in [0, 1].
+
+    Jtilde' = grad Z(phi) Jtilde and Jbar' = -Jbar grad Z(phi): the per-field
+    variational flow, the RK4 oracle of ``flows.jacobian_path_strichartz``.
+    The family axes K of ``z`` (none, or one per frozen field) batch the
+    flows, with phi component-major inside.  Returns (phi, J, Jbar) shaped
+    (*K, m), (*K, m, m), (*K, m, m).
+    """
+    K, m = z.coef.shape[1:], z.exponents.shape[1]
+
+    def rhs(state):
+        p_, j_, jb_ = state
+        gz = z.jacobian(p_)
+        return (z(p_), np.einsum("ab...,...bc->...ac", gz, j_), -np.einsum("...ab,bc...->...ac", jb_, gz))
+
+    eye = np.broadcast_to(np.eye(m), K + (m, m))
+    phi, J, Jb = rk4(rhs, (np.broadcast_to(np.asarray(a, dtype=float), K + (m,)).T, eye, eye), steps)
+    return phi.T, J, Jb
+
+
+def jacobian_path_rk4(fields, p, a, n, steps=DEFAULT_FLOW_STEPS):
+    """(y, J, J^{-1}) at every grid time by per-prefix frozen fields and ``flow_with_jacobians``.
+
+    The RK4 route ``flows.jacobian_path_strichartz`` took before it flowed the
+    augmented family; rows are grid times, row 0 the start.
+    """
+    family = FieldFamily.of(fields)
+    m, k_max = family.m, p.grid.n_points - 1
+    prefixes = prefix_signatures(p, k_max, n - 1)
+    words = list(family.brackets(n))
+    psi_mat = np.array([[psi(prefixes[k], w) for w in words] for k in range(1, k_max + 1)])
+    phi, J, Jb = flow_with_jacobians(family.bracket_stack(n).weighted(psi_mat.T), a, steps)
+    eye = np.eye(m)[None]
+    return np.vstack([np.asarray(a, dtype=float)[None], phi]), np.vstack([eye, J]), np.vstack([eye, Jb])
+
+
+def sheared_yamato() -> list[PolyVectorField]:
+    """Yamato's fields in u = (x1 - x3, x2, x3): still 3-nilpotent with constant
+    brackets, but u1's component depends on u1, so there is no flow certificate."""
+
+    def field(*components):
+        return PolyVectorField(tuple(parse_polynomial(c, 3) for c in components))
+
+    return [PolyVectorField.zero(3), field("1 - 2*x2", "0", "2*x2"), field("2*x1 + 2*x3", "1", "-2*x1 - 2*x3")]
 
 
 def jacobian_flow_strichartz(fields, p, a, t, n, steps=DEFAULT_FLOW_STEPS):
@@ -33,7 +87,7 @@ def jacobian_flow_strichartz(fields, p, a, t, n, steps=DEFAULT_FLOW_STEPS):
         return np.eye(family.m), np.eye(family.m)
     sig = path_signature(p, 0.0, t, n - 1)
     z = build_Z(family, sig, n)
-    _, J, Jb = _flow_with_jacobians(z.compiled, a, steps)
+    _, J, Jb = flow_with_jacobians(z.compiled, a, steps)
     return J, Jb
 
 
@@ -157,3 +211,113 @@ def batch_levy_prefix_loop(values):
         out[:, k + 1] = out[:, k] + np.einsum("pi,pj->pij", b1, dv) + 0.5 * np.einsum("pi,pj->pij", dv, dv)
         b1 = b1 + dv
     return out
+
+
+def prefix_signatures(p: SamplePath, k_max: int, level: int) -> list[IteratedIntegrals | None]:
+    """Signatures over [0, t_k] for k = 0..k_max (None at k = 0), one Chen fold per segment.
+
+    With ``suffix_signatures``, the per-segment oracle of ``flows.split_signatures``.
+    """
+    times = p.grid.times
+    out: list[IteratedIntegrals | None] = [None]
+    sig = None
+    for k in range(k_max):
+        seg = segment_signature(p.values[k + 1] - p.values[k], level, times[k], times[k + 1])
+        sig = seg if sig is None else chen_concat(sig, seg)
+        out.append(sig)
+    return out
+
+
+def suffix_signatures(p: SamplePath, k_max: int, level: int) -> list[IteratedIntegrals | None]:
+    """Signatures over [t_k, t_{k_max}] for k = 0..k_max (None at k_max)."""
+    times = p.grid.times
+    out: list[IteratedIntegrals | None] = [None] * (k_max + 1)
+    sig = None
+    for k in range(k_max - 1, -1, -1):
+        seg = segment_signature(p.values[k + 1] - p.values[k], level, times[k], times[k + 1])
+        sig = seg if sig is None else chen_concat(seg, sig)
+        out[k] = sig
+    return out
+
+
+def sig_entry(sig: IteratedIntegrals | None, word: Word) -> float:
+    """Signature entry with the empty-word and empty-interval conventions."""
+    if len(word) == 0:
+        return 1.0
+    if sig is None:
+        return 0.0
+    return sig.value(word)
+
+
+def d_signature_entry(prefix, suffix, word: Word, j: int) -> float:
+    """D^j_u B^{k,word}_{0t} via the prefix/suffix splitting at u, one entry."""
+    total = 0.0
+    for l, letter in enumerate(word):
+        if letter == j:
+            total += sig_entry(prefix, word[:l]) * sig_entry(suffix, word[l + 1 :])
+    return total
+
+
+def d_psi(prefix, suffix, word: Word, j: int) -> float:
+    """D^j_u psi_t^word, by differentiating each permuted signature entry.
+
+    The scalar oracle of ``flows.d_psi``.
+    """
+    k = len(word)
+    total = 0.0
+    for tau, coeff in _psi_terms(k):
+        permuted = tuple(word[tau[a] - 1] for a in range(k))
+        total += coeff * d_signature_entry(prefix, suffix, permuted, j)
+    return total
+
+
+def z_family(fields, driver, u_fields, eta, a):
+    """Z^{U} paths for several U from a single augmented solve: (n, len(U))."""
+    eta = np.asarray(eta, dtype=float)
+    ypath, jac = jacobian_flow_rde(fields, driver, a)
+    cols = []
+    for u_field in u_fields:
+        u_vals = u_field(ypath.values)
+        cols.append(np.einsum("tab,tb,a->t", jac.J_inv, u_vals, eta))
+    return np.stack(cols, axis=1)
+
+
+def bracket_loop(v: PolyVectorField, w: PolyVectorField) -> PolyVectorField:
+    """[V, W]^i = V^l d_l W^i - W^l d_l V^i over every (i, l), by polynomial arithmetic.
+
+    The oracle of ``liefields.bracket``, which skips zero and absent terms.
+    """
+    m = v.m
+    comps = []
+    for i in range(m):
+        acc = Polynomial.zero(m)
+        for l in range(m):
+            acc = acc + v.components[l] * w.components[i].diff(l)
+            acc = acc - w.components[l] * v.components[i].diff(l)
+        comps.append(acc)
+    return PolyVectorField(tuple(comps))
+
+
+def iterated_bracket_loop(fields, word) -> PolyVectorField:
+    """Left-nested bracket along ``word``, rebuilt from scratch with ``bracket_loop``."""
+    acc = fields[word[0] - 1]
+    for i in word[1:]:
+        acc = bracket_loop(acc, fields[i - 1])
+    return acc
+
+
+def is_nilpotent_loop(fields, n):
+    """Every order-n word's bracket from scratch: the oracle of ``liefields.is_nilpotent``."""
+    for word in iter_product(range(1, len(fields) + 1), repeat=n):
+        if not iterated_bracket_loop(fields, word).is_zero:
+            return False, word
+    return True, None
+
+
+def constant_brackets_loop(fields, up_to):
+    """The oracle of ``liefields.constant_brackets``."""
+    return all(
+        iterated_bracket_loop(fields, word).is_constant
+        for k in range(2, up_to + 1)
+        for word in iter_product(range(1, len(fields) + 1), repeat=k)
+    )

@@ -39,6 +39,15 @@ def test_subcommand_runs_and_manifests(command, tmp_path, capsys):
         assert len(entry["sha256"]) == 64
 
 
+@pytest.mark.parametrize("command", ["jacobian", "malliavin"])
+def test_flow_summaries_record_the_route(command, tmp_path):
+    assert main([command, *SMALL_RUNS[command], "--seed", "1", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / f"{command}-seed1" / "summary.json").read_text())
+    exact = {"route": "polynomial", "degree": 2, "depth": 2, "nodes": 1}
+    expect = exact if command == "jacobian" else {"forced": {"route": "rk4", "steps": 32}, "jacobian": exact}
+    assert summary["flow"] == expect
+
+
 @pytest.mark.parametrize("command", ["sample-fbm", "sewing-test", "density", "norris-mc"])
 def test_rerun_is_byte_identical(command, tmp_path):
     blobs = []

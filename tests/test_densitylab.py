@@ -24,7 +24,7 @@ from roughflow.fbm import SamplePath, TimeGrid, sample_fbm_array
 from roughflow.liefields import PolyVectorField, constant_brackets, hormander_rank, is_nilpotent, parse_polynomial
 from roughflow.strichartz import strichartz_solve
 
-from helpers import batch_levy_prefix_loop, flow_endpoint_samples_whole
+from helpers import batch_levy_prefix_loop, flow_endpoint_samples_whole, sheared_yamato
 
 
 class TestYamatoFields:
@@ -258,20 +258,10 @@ class TestDensityReport:
             density_report(yamato, rough_hurst, 1.0, 1000, functional=4)
 
 
-def sheared_yamato() -> list[PolyVectorField]:
-    """Yamato's fields in u = (x1 - x3, x2, x3): still 3-nilpotent with constant
-    brackets, but u1's component depends on u1, so there is no flow certificate."""
-
-    def field(*components):
-        return PolyVectorField(tuple(parse_polynomial(c, 3) for c in components))
-
-    return [PolyVectorField.zero(3), field("1 - 2*x2", "0", "2*x2"), field("2*x1 + 2*x3", "1", "-2*x1 - 2*x3")]
-
-
 class TestFlowRoute:
     def test_summary_records_polynomial_route(self, yamato, rough_hurst):
         rep = density_report(yamato, rough_hurst, 1.0, 1000, functional=3, seed=2, grid_points=9)
-        assert rep["flow"] == {"route": "polynomial", "degree": 2, "depth": 2}
+        assert rep["flow"] == {"route": "polynomial", "degree": 2, "depth": 2, "nodes": 1}
 
     def test_uncertified_family_takes_rk4_route(self, rough_hurst):
         sheared = sheared_yamato()

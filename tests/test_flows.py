@@ -5,26 +5,47 @@ from roughflow.controlled import ControlledPath, RoughDriver, pair_integral
 from roughflow.densitylab import yamato_explicit
 from roughflow.errors import PreconditionError
 from roughflow.fbm import SamplePath, TimeGrid, sample_fbm, sample_fbm_array
+from roughflow import flows
 from roughflow.flows import (
     augmented_jacobian_fields,
-    d_psi,
-    d_signature_entry,
     jacobian_flow_rde,
     jacobian_path_strichartz,
     malliavin_derivative,
     malliavin_via_jacobian,
-    z_family,
+    split_signatures,
     z_process,
-    _prefix_signatures,
-    _suffix_signatures,
 )
-from roughflow.liefields import PolyVectorField, bracket, parse_polynomial
+from roughflow.liefields import FieldFamily, PolyVectorField, bracket, parse_polynomial
 from roughflow.strichartz import psi, strichartz_solve
 from roughflow.signature import path_signature
 
-from helpers import jacobian_flow_strichartz, z_dynamics_pair
+from helpers import (
+    d_psi,
+    d_signature_entry,
+    jacobian_flow_strichartz,
+    jacobian_path_rk4,
+    prefix_signatures,
+    sheared_yamato,
+    suffix_signatures,
+    z_dynamics_pair,
+    z_family,
+)
 
 A_INIT = np.array([0.4, -0.2, 0.7])
+
+
+def chain_family():
+    """V1 = d1, V2 = x1 d2 + x2 d3: [V1, V2] = d2, [[V1, V2], V2] = d3 and every
+    order-4 bracket vanishes, so it is 4-nilpotent with constant brackets and its
+    flows read the level-3 signature."""
+    return [
+        PolyVectorField(tuple(parse_polynomial(c, 3) for c in ("1", "0", "0"))),
+        PolyVectorField(tuple(parse_polynomial(c, 3) for c in ("0", "x1", "x2"))),
+    ]
+
+
+def max_gap(pairs):
+    return max(float(np.max(np.abs(got - want))) for got, want in pairs)
 
 
 def yamato_jacobian_closed_form(p, t_idx):
@@ -104,6 +125,10 @@ class TestJacobianFlows:
             jacobian_flow_strichartz(
                 [grow, e1, PolyVectorField.zero(3)], fbm_path_d3, A_INIT, 1.0, 3
             )
+        # The base family's checks fire before the augmented family is built or checked.
+        with pytest.raises(PreconditionError) as err:
+            jacobian_path_strichartz([grow, e1, PolyVectorField.zero(3)], fbm_path_d3, A_INIT, 3)
+        assert err.value.name == "constant brackets"
 
     def test_nilpotency_checked_on_every_jacobian_route(self, fbm_path_d2):
         # [V1, V2] = d2 is constant but nonzero: the pair is not 2-nilpotent.
@@ -121,6 +146,29 @@ class TestJacobianFlows:
                 route()
             assert err.value.name == "nilpotency"
 
+    def test_exact_path_matches_rk4_oracle(self, yamato, fbm_path_d3):
+        ypath, jac = jacobian_path_strichartz(yamato, fbm_path_d3, A_INIT, 3)
+        y, J, Jb = jacobian_path_rk4(yamato, fbm_path_d3, A_INIT, 3)
+        assert max_gap([(ypath.values, y), (jac.J, J), (jac.J_inv, Jb)]) <= 1e-12
+        # The certified route is the polynomial flow: it never reads ``steps``.
+        _, coarse = jacobian_path_strichartz(yamato, fbm_path_d3, A_INIT, 3, steps=1)
+        assert np.array_equal(coarse.J, jac.J) and np.array_equal(coarse.J_inv, jac.J_inv)
+
+    def test_uncertified_family_takes_rk4_fallback(self, fbm_path_d3):
+        sheared = sheared_yamato()
+        assert FieldFamily.of(sheared).augmented.flow_certificate(3) is None
+        a = np.array([0.1, -0.5, 0.8])
+        ypath, jac = jacobian_path_strichartz(sheared, fbm_path_d3, a, 3, steps=64)
+        y, J, Jb = jacobian_path_rk4(sheared, fbm_path_d3, a, 3, steps=64)
+        assert max_gap([(ypath.values, y), (jac.J, J), (jac.J_inv, Jb)]) <= 1e-12
+
+    def test_four_nilpotent_family_matches_rk4_oracle(self, fbm_path_d2):
+        fields, a = chain_family(), np.array([0.3, -0.4, 0.2])
+        assert FieldFamily.of(fields).augmented.flow_certificate(4) is not None
+        ypath, jac = jacobian_path_strichartz(fields, fbm_path_d2, a, 4)
+        y, J, Jb = jacobian_path_rk4(fields, fbm_path_d2, a, 4)
+        assert max_gap([(ypath.values, y), (jac.J, J), (jac.J_inv, Jb)]) <= 1e-12
+
     def test_augmented_fields_shapes(self, yamato):
         aug = augmented_jacobian_fields(yamato)
         assert len(aug) == 3
@@ -132,8 +180,8 @@ class TestSignatureDerivatives:
         # D^j_u B^{2,(i,k)} = 1_{i=j} B^k_{ut} + 1_{k=j} B^i_{0u}
         p = fbm_path_d3
         k_t = 64
-        prefixes = _prefix_signatures(p, k_t, 2)
-        suffixes = _suffix_signatures(p, k_t, 2)
+        prefixes = prefix_signatures(p, k_t, 2)
+        suffixes = suffix_signatures(p, k_t, 2)
         k_u = 24
         vals = p.values
         for i, k in ((2, 3), (3, 2), (1, 2)):
@@ -146,6 +194,32 @@ class TestSignatureDerivatives:
                     expect += vals[k_u, i - 1] - vals[0, i - 1]
                 assert got == pytest.approx(expect, abs=1e-14)
 
+    @pytest.mark.parametrize("k_t", [1, 24, 64])
+    def test_split_tables_match_segment_folds(self, fbm_path_d3, k_t):
+        prefixes, suffixes = split_signatures(fbm_path_d3, k_t, 3)
+        folds = (prefix_signatures(fbm_path_d3, k_t, 3), suffix_signatures(fbm_path_d3, k_t, 3))
+        for table, fold in zip((prefixes, suffixes), folds):
+            for k, level in enumerate(table):
+                assert level.shape == (k_t + 1,) + (3,) * (k + 1)
+                for u, sig in enumerate(fold):
+                    want = np.zeros_like(level[u]) if sig is None else sig.levels[k]
+                    assert np.max(np.abs(level[u] - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+        # The empty intervals are exactly zero, as the folds' None convention says.
+        assert all(np.all(lvl[0] == 0.0) for lvl in prefixes)
+        assert all(np.all(lvl[k_t] == 0.0) for lvl in suffixes)
+
+    def test_array_d_psi_matches_scalar(self, fbm_path_d3):
+        k_t = 40
+        prefixes, suffixes = split_signatures(fbm_path_d3, k_t, 3)
+        pre, suf = prefix_signatures(fbm_path_d3, k_t, 3), suffix_signatures(fbm_path_d3, k_t, 3)
+        words = [(2,), (1, 3), (3, 3), (1, 2, 3), (2, 2, 1)]
+        table = flows.d_psi(prefixes, suffixes, words)
+        assert table.shape == (len(words), k_t + 1, 3)
+        for q, w in enumerate(words):
+            for u in (0, 1, 17, k_t - 1, k_t):
+                for j in (1, 2, 3):
+                    assert table[q, u, j - 1] == pytest.approx(d_psi(pre[u], suf[u], w, j), abs=1e-13)
+
     def test_cameron_martin_kick_oracle(self, yamato, rough_hurst):
         # Kick component j upward by eps after grid index k_u; the exact
         # derivative of psi is the segment average of the splitting values,
@@ -153,8 +227,8 @@ class TestSignatureDerivatives:
         grid = TimeGrid(1.0, 257)
         p = sample_fbm(rough_hurst, grid, d=3, n_paths=1, seed=17)[0]
         k_t, k_u, j, eps = 256, 100, 3, 1e-6
-        prefixes = _prefix_signatures(p, k_t, 2)
-        suffixes = _suffix_signatures(p, k_t, 2)
+        prefixes = prefix_signatures(p, k_t, 2)
+        suffixes = suffix_signatures(p, k_t, 2)
         word = (2, 3)
         split_vals = [
             d_psi(prefixes[k], suffixes[k], word, j) for k in (k_u, k_u + 1)
@@ -199,6 +273,14 @@ class TestMalliavinDerivative:
         ode = malliavin_derivative(yamato, fbm_path_d3, A_INIT, 1.0, 3, steps=128)
         jac = malliavin_via_jacobian(yamato, fbm_path_d3, A_INIT, 1.0, 3, steps=128)
         assert np.max(np.abs(ode.values[:64] - jac.values[:64])) < 1e-6
+
+    def test_two_routes_agree_on_four_nilpotent_family(self, fbm_path_d2):
+        fields, a = chain_family(), np.array([0.3, -0.4, 0.2])
+        for t in (0.5, 1.0):
+            k_t = fbm_path_d2.grid.index_of(t)
+            ode = malliavin_derivative(fields, fbm_path_d2, a, t, 4, steps=128)
+            jac = malliavin_via_jacobian(fields, fbm_path_d2, a, t, 4)
+            assert np.max(np.abs(ode.values[:k_t] - jac.values[:k_t])) < 1e-9
 
     def test_closed_form_on_explicit_system(self, yamato, fbm_path_d3):
         # D^2_u y^3_t = 2 a_2 + 2 (2 B^3_u - B^3_t) from the explicit solution.

@@ -29,6 +29,8 @@ from roughflow.liefields import (
     taylor_correction_fields,
 )
 
+from helpers import bracket_loop, constant_brackets_loop, is_nilpotent_loop
+
 
 def random_field(m, deg, rng, density=0.4):
     comps = []
@@ -331,6 +333,38 @@ class TestFieldFamily:
 
 def _field(*components: str) -> PolyVectorField:
     return PolyVectorField(tuple(parse_polynomial(c, len(components)) for c in components))
+
+
+class TestBracketOracle:
+    """``bracket`` skips zero and absent terms, and the checks read the bracket
+    table; the full (i, l) loop and the per-word rebuild are their oracles."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bracket_matches_full_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        m = 1 + seed % 3
+        fields = [random_field(m, 2, rng, density) for density in (0.0, 0.2, 0.5)]
+        for v in fields:
+            for w in fields:
+                got, want = bracket(v, w), bracket_loop(v, w)
+                assert got == want
+                assert format_field_file([got]) == format_field_file([want])
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
+    def test_checks_match_per_word_loops(self, name):
+        fields = ORACLE_FAMILIES[name]()
+        for n in (2, 3, 4):
+            assert is_nilpotent(fields, n) == is_nilpotent_loop(fields, n)
+            assert constant_brackets(fields, n) == constant_brackets_loop(fields, n)
+            assert FieldFamily.of(fields).nilpotent(n) == is_nilpotent_loop(fields, n)
+
+    def test_augmented_yamato_is_certified_exactly(self):
+        aug = augmented_jacobian_fields(yamato_fields())
+        for v in aug:
+            assert bracket(aug[0], v) == bracket_loop(aug[0], v)
+        assert is_nilpotent(aug, 3) == is_nilpotent_loop(aug, 3) == (True, None)
+        assert is_nilpotent(aug, 2) == is_nilpotent_loop(aug, 2)
+        assert not is_nilpotent(aug, 2)[0]
 
 
 class TestFlowCertificate:

@@ -211,6 +211,31 @@ class TestBatchEngines:
             scale = max(1.0, float(np.max(np.abs(want[k]))))
             assert np.max(np.abs(got[k] - want[k])) <= 1e-13 * scale
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 4),
+        d=st.integers(1, 3),
+        n_points=st.sampled_from([2, 3, 17]),
+        n_paths=st.sampled_from([1, 4]),
+        data=st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_prefix_levels_match_chen_fold_at_every_time(self, seed, n, d, n_points, n_paths, data):
+        stop = data.draw(st.one_of(st.none(), st.integers(1, n_points - 1)), label="upto_idx")
+        steps = np.random.default_rng(seed).standard_normal((n_paths, n_points - 1, d))
+        vals = np.concatenate([np.zeros((n_paths, 1, d)), np.cumsum(steps, axis=1)], axis=1)
+        got = batch_signature_levels(vals, n, stop, prefixes=True)
+        rows = (n_points if stop is None else stop + 1)
+        for j in range(rows):
+            want = batch_signature_levels_fold(vals, n, j) if j else None
+            for k in range(n):
+                assert got[k].shape == (rows, n_paths) + (d,) * (k + 1)
+                if want is None:
+                    assert np.all(got[k][0] == 0.0)
+                    continue
+                scale = max(1.0, float(np.max(np.abs(want[k]))))
+                assert np.max(np.abs(got[k][j] - want[k])) <= 1e-13 * scale
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_levels_do_not_depend_on_the_batch(self, rough_hurst, d):
         # 2^12 + 100 paths: blocks of 7 and of 2^12 both leave a ragged last block.

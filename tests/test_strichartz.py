@@ -12,6 +12,7 @@ from roughflow.errors import BlowUpError, DomainError, PreconditionError
 from roughflow.fbm import HurstParam, SamplePath, TimeGrid, sample_fbm, sample_fbm_array
 from roughflow.liefields import CompiledField, FieldFamily, Polynomial, PolyVectorField, parse_polynomial
 from roughflow.signature import batch_signature_levels, chen_concat, path_signature
+from roughflow import strichartz
 from roughflow.strichartz import (
     bracket_table,
     build_Z,
@@ -299,6 +300,24 @@ def triangular_families(draw):
     return fields
 
 
+def triangular_flow_closed_form(components, weights, a):
+    """Time-1 flow of sum_i weights[i] c_i(x) d_i, where c_i reads only x_1 .. x_{i-1},
+    one component after another by exact polynomial integration in s."""
+    out = np.empty_like(a)
+    for p in range(a.shape[0]):
+        y = []
+        for i, comp in enumerate(components):
+            rhs = np.polynomial.Polynomial([0.0])
+            for expo, c in parse_polynomial(comp, len(components)).terms.items():
+                term = np.polynomial.Polynomial([float(c)])
+                for k, e in enumerate(expo[:i]):
+                    term = term * y[k] ** e
+                rhs = rhs + term
+            y.append(a[p, i] + weights[i, p] * rhs.integ())
+        out[p] = [yi(1.0) for yi in y]
+    return out
+
+
 class TestPolynomialFlow:
     @given(fields=triangular_families(), seed=st.integers(0, 2**32 - 1))
     @example(fields=[PolyVectorField(tuple(parse_polynomial(c, 4) for c in ("1", "x1^2", "x2^2", "x3^2")))], seed=0)
@@ -318,6 +337,31 @@ class TestPolynomialFlow:
         a = np.array([0.7, -1.3, 0.4])
         terms = build_Z_batch(yamato, batch_signature_levels(drivers, 2), 3)
         assert np.max(np.abs(exp_flow_batch(terms, a) - yamato_explicit_batch(drivers, a))) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "components, certificate, nodes",
+        [
+            # x3 reads x2, of degree 3, yet 2 nodes suffice: the 2-node Gauss step has order 4.
+            (("1", "x1^2", "x2"), (4, 3), 2),
+            (("1", "x1^3", "0"), (4, 2), 2),
+            (("1", "x1", "x2^2"), (5, 3), 3),
+        ],
+        ids=["linear-read", "cubic", "quadratic-read"],
+    )
+    def test_node_count_is_exact_and_one_fewer_is_not(self, monkeypatch, components, certificate, nodes):
+        fields = [
+            PolyVectorField(tuple(parse_polynomial(c if k == i else "0", 3) for k in range(3)))
+            for i, c in enumerate(components)
+        ]
+        assert FieldFamily.of(fields).flow_certificate(2) == certificate
+        assert strichartz.gauss_nodes(certificate[0]) == nodes
+        rng = np.random.default_rng(8)
+        weights, a = rng.uniform(-1.5, 1.5, (3, 6)), rng.uniform(-1.0, 1.0, (6, 3))
+        terms = list(zip(fields, weights))
+        exact = triangular_flow_closed_form(components, weights, a)
+        assert np.max(np.abs(exp_flow_batch(terms, a) - exact)) <= 1e-13 * max(1.0, np.max(np.abs(exact)))
+        monkeypatch.setattr(strichartz, "gauss_nodes", lambda degree: nodes - 1)
+        assert np.max(np.abs(exp_flow_batch(terms, a) - exact)) > 1e-6
 
     def test_uncertified_dilation_keeps_fourth_order_rk4(self):
         weights = np.array([0.5, -1.0, 1.5])
