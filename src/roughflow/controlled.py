@@ -34,7 +34,7 @@ from .errors import BlowUpError, ConvergenceError, DomainError
 from .fbm import SamplePath, TimeGrid
 from .increments import Increment2, holder_norm
 from .liefields import FieldFamily, PolyVectorField, taylor_correction_fields
-from .signature import batch_levy_prefix
+from .signature import batch_signature_levels
 
 #: Relative stabilization demanded between the last two refinement levels.
 REFINEMENT_RTOL = 1e-6
@@ -58,7 +58,7 @@ class RoughDriver:
             raise DomainError("driver values must be (n_points, d)")
         object.__setattr__(self, "values", v)
         if self.b2_prefix is None:
-            object.__setattr__(self, "b2_prefix", batch_levy_prefix(v[None])[0])
+            object.__setattr__(self, "b2_prefix", batch_signature_levels(v[None], 2, prefixes=True)[1][:, 0])
 
     @staticmethod
     def from_path(p: SamplePath) -> "RoughDriver":

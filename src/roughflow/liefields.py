@@ -330,7 +330,7 @@ class CompiledField:
         x = np.asarray(x, dtype=float)
         mono = self.monomials(x)
         batch = coef.shape[1:]
-        if x.shape[1:] != batch:
+        if x.ndim > 1 and x.shape[1:] != batch:
             batch = np.broadcast_shapes(batch, x.shape[1:])
         out = np.zeros((self.exponents.shape[1],) * rank + batch)
         for (idx, q), c in zip(pairs, coef):
@@ -398,33 +398,23 @@ def _words(d: int, k: int):
     return iter_product(range(1, d + 1), repeat=k)
 
 
-def is_nilpotent(
-    fields: Sequence[PolyVectorField], n: int, table: Mapping[tuple[int, ...], PolyVectorField] | None = None
-) -> tuple[bool, tuple[int, ...] | None]:
+def is_nilpotent(fields: Sequence[PolyVectorField], n: int) -> tuple[bool, tuple[int, ...] | None]:
     """True iff every order-n left-nested bracket vanishes identically.
 
-    On failure returns the first violating word (lexicographic) as witness.
-    ``table`` is ``bracket_table(fields, n + 1)`` when the caller has it: it
-    holds exactly the nonzero brackets of order <= n, in lexicographic order.
+    On failure returns the first violating word (lexicographic) as witness:
+    ``bracket_table(fields, n + 1)`` holds exactly the nonzero brackets of order <= n.
     """
     if n < 2:
         raise DomainError(f"nilpotency order must be >= 2, got {n}")
-    table = bracket_table(fields, n + 1) if table is None else table
-    witness = next((w for w in table if len(w) == n), None)
+    witness = next((w for w in bracket_table(fields, n + 1) if len(w) == n), None)
     return witness is None, witness
 
 
-def constant_brackets(
-    fields: Sequence[PolyVectorField], up_to: int, table: Mapping[tuple[int, ...], PolyVectorField] | None = None
-) -> bool:
-    """True iff all brackets of order 2..up_to are constant vector fields.
-
-    ``table`` is ``bracket_table(fields, up_to + 1)`` when the caller has it.
-    """
+def constant_brackets(fields: Sequence[PolyVectorField], up_to: int) -> bool:
+    """True iff all brackets of order 2..up_to are constant vector fields."""
     if up_to < 2:
         raise DomainError(f"up_to must be >= 2, got {up_to}")
-    table = bracket_table(fields, up_to + 1) if table is None else table
-    return all(b.is_constant for w, b in table.items() if len(w) >= 2)
+    return all(b.is_constant for w, b in bracket_table(fields, up_to + 1).items() if len(w) >= 2)
 
 
 def flow_certificate(fields: Sequence[PolyVectorField]) -> tuple[int, int] | None:
@@ -644,7 +634,7 @@ def fields_hash(fields: Sequence[PolyVectorField]) -> str:
 
 
 def bracket_table(fields: Sequence[PolyVectorField], n: int) -> dict[tuple[int, ...], PolyVectorField]:
-    """Left-nested brackets V_w for all words up to length n-1, in lexicographic order.
+    """Left-nested brackets V_w for all words up to length n-1, by length, then lexicographic.
 
     Zero brackets are pruned as the table is built level by level, so
     nilpotent families stay cheap.
@@ -771,12 +761,12 @@ class FieldFamily:
         return len(self.fields)
 
     def nilpotent(self, n: int) -> tuple[bool, tuple[int, ...] | None]:
-        """``is_nilpotent(fields, n)``, read off ``brackets(n + 1)``: (ok, violating word or None)."""
-        return self._member(("nilpotent", n), lambda: is_nilpotent(self.fields, n, self.brackets(n + 1)))
+        """``is_nilpotent(fields, n)``: (ok, violating word or None)."""
+        return self._member(("nilpotent", n), lambda: is_nilpotent(self.fields, n))
 
     def constant_brackets(self, n: int) -> bool:
-        """``constant_brackets(fields, n)``, read off ``brackets(n + 1)``."""
-        return self._member(("constant", n), lambda: constant_brackets(self.fields, n, self.brackets(n + 1)))
+        """``constant_brackets(fields, n)``."""
+        return self._member(("constant", n), lambda: constant_brackets(self.fields, n))
 
     def require_nilpotent(self, n: int) -> None:
         """Raise PreconditionError ``nilpotency`` unless the family is n-nilpotent."""

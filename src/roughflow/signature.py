@@ -189,18 +189,3 @@ def batch_signature_levels(
 def _outer(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """a (x) v per (time, path) row, flattened: (N, P, d^i) by (N, P, d) to (N, P, d^(i+1))."""
     return (a[..., None] * v[:, :, None, :]).reshape(a.shape[:2] + (-1,))
-
-
-def batch_levy_prefix(values: np.ndarray) -> np.ndarray:
-    """Level-2 signatures over [t_0, t_k] for every k, batched over paths.
-
-    Returns an array of shape (n_paths, n_points, d, d) whose slice [:, k]
-    is B^2_{t_0 t_k} (zero at k=0): one cumulative sum over the time axis of
-    the level-2 Chen increments (x_m - x_0 + D_m / 2) (x) D_m.
-    """
-    n_paths, n_points, d = values.shape
-    x = values.transpose(1, 0, 2)
-    delta = np.diff(x, axis=0)
-    out = np.zeros((n_points, n_paths, d * d))
-    np.cumsum(_outer(x[:-1] - x[0] + delta / 2, delta), axis=0, out=out[1:])
-    return out.reshape(n_points, n_paths, d, d).transpose(1, 0, 2, 3)

@@ -200,7 +200,8 @@ def batch_signature_levels_fold(values, n, upto_idx=None):
 def batch_levy_prefix_loop(values):
     """Every prefix level-2 signature by one Chen update per grid segment.
 
-    The per-segment oracle of ``signature.batch_levy_prefix``; its last slice
+    The per-segment oracle of ``batch_signature_levels(values, 2, prefixes=True)``
+    (path-major here) and so of ``RoughDriver.b2_prefix``; its last slice
     is term for term the running sum of ``densitylab.yamato_explicit_batch``.
     """
     n_paths, n_points, d = values.shape

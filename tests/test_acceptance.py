@@ -46,7 +46,7 @@ from roughflow.norris import (
     s_k,
     sample_fourth_variation,
 )
-from roughflow.signature import batch_levy_prefix, batch_signature_levels
+from roughflow.signature import batch_signature_levels
 from roughflow.strichartz import build_Z_batch, exp_flow_batch, strichartz_solve
 
 
@@ -89,7 +89,7 @@ def test_criterion_02_chen_identity():
     worst = 0.0
     for k in range(drivers.shape[0]):
         vals = drivers[k]
-        prefix = batch_levy_prefix(vals[None])[0]
+        prefix = batch_signature_levels(vals[None], 2, prefixes=True)[1][:, 0]
         rel = vals - vals[0]
 
         def b2(a, b):
@@ -143,7 +143,7 @@ def test_criterion_04_levy_area_moment_exponent():
     means = []
     for k, t in enumerate(ts):
         vals = sample_fbm_array(h, TimeGrid(t, 33), 2, 10_000, seed=200 + k)
-        area = batch_levy_prefix(vals)[:, -1]
+        area = batch_signature_levels(vals, 2)[1]
         means.append(np.mean(np.linalg.norm(area, axis=(1, 2))))
     slope = np.polyfit(np.log(ts), np.log(means), 1)[0]
     assert abs(slope - 2 * h.value) <= 0.1

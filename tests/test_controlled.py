@@ -12,9 +12,11 @@ from roughflow.controlled import (
     taylor_correction_fields,
 )
 from roughflow.errors import BlowUpError, ConvergenceError, DomainError
-from roughflow.fbm import SamplePath, TimeGrid, sample_fbm
+from roughflow.fbm import HurstParam, SamplePath, TimeGrid, sample_fbm
 from roughflow.liefields import PolyVectorField, parse_polynomial
 from roughflow.signature import path_signature
+
+from helpers import batch_levy_prefix_loop
 
 
 def smooth_driver(n=2049):
@@ -42,6 +44,19 @@ class TestRoughDriver:
         drv = RoughDriver.from_path(fbm_path_d2)
         sig = path_signature(fbm_path_d2, 0.25, 0.75, 2)
         assert np.max(np.abs(drv.b2(16, 48) - sig.levels[1])) < 1e-13
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_b2_prefix_matches_segment_loop(self, d):
+        grid = TimeGrid(1.0, 65)
+        p = sample_fbm(HurstParam(0.4), grid, d, seed=5)[0]
+        drv = RoughDriver.from_path(p)
+        want = batch_levy_prefix_loop(p.values[None])[0]
+        assert drv.b2_prefix.shape == (65, d, d)
+        assert np.all(drv.b2_prefix[0] == 0.0)
+        assert np.max(np.abs(drv.b2_prefix - want)) <= 1e-13 * max(1.0, float(np.max(np.abs(want))))
+        if d == 1:
+            b = p.values[:, 0] - p.values[0, 0]
+            assert np.array_equal(drv.b2_prefix[:, 0, 0], b**2 / 2)
 
     def test_restrict_shifts_origin(self, fbm_path_d2):
         sub = RoughDriver.from_path(fbm_path_d2).restrict(16, 48)

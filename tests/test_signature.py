@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from roughflow.errors import DomainError
 from roughflow.fbm import SamplePath, TimeGrid, sample_fbm, sample_fbm_array
 from roughflow.signature import (
-    batch_levy_prefix,
     batch_signature_levels,
     chen_concat,
     levy_area,
@@ -131,7 +130,7 @@ class TestPathSignature:
 
     def test_chen_defect_vanishes_on_grid_triples(self, fbm_path_d2):
         vals = fbm_path_d2.values
-        prefix = batch_levy_prefix(vals[None])[0]
+        prefix = batch_signature_levels(vals[None], 2, prefixes=True)[1][:, 0]
 
         def b2(i, j):
             return prefix[j] - prefix[i] - np.outer(vals[i] - vals[0], vals[j] - vals[i])
@@ -259,7 +258,7 @@ class TestBatchEngines:
 
     def test_levy_prefix_matches_segment_loop(self, rough_hurst):
         drivers = sample_fbm_array(rough_hurst, TimeGrid(1.0, 65), 3, 50, seed=9)
-        got = batch_levy_prefix(drivers)
+        got = batch_signature_levels(drivers, 2, prefixes=True)[1].transpose(1, 0, 2, 3)
         want = batch_levy_prefix_loop(drivers)
         assert got.shape == want.shape == (50, 65, 3, 3)
         assert np.all(got[:, 0] == 0.0)
@@ -268,7 +267,7 @@ class TestBatchEngines:
             assert np.max(np.abs(got[:, k] - want[:, k])) <= 1e-13 * scale
 
     def test_levy_prefix_matches_signature(self, fbm_path_d2):
-        prefix = batch_levy_prefix(fbm_path_d2.values[None])[0]
+        prefix = batch_signature_levels(fbm_path_d2.values[None], 2, prefixes=True)[1][:, 0]
         sig = path_signature(fbm_path_d2, 0.0, 0.5, 2)
         assert np.max(np.abs(prefix[32] - sig.levels[1])) < 1e-13
 

@@ -1,16 +1,17 @@
 """Record the benchmark of one change as ``BENCH_<pr>.json``.
 
-    python3 tools/bench_record.py --pr 11 --seeds 901 902 903 [--seconds 15] [--layers]
+    python3 tools/bench_record.py --pr 11 --seeds 901 902 903 [--layers]
 
 Run from the root of a checkout.  For every workload in ``BENCHMARK.json``
 and every seed, the benchmark's own command (``python3 bench/run.py``) runs
-once in a fresh process with ``--trace 0``; with ``--layers`` each workload
-also runs once with ``--trace 1`` on the first seed, for the per-layer
-metrics.  The record holds, per workload and metric, the median and the
-quartiles over the seeds (and every value), the seeds, whether every run
-was correct and how many operations failed, and the Python, numpy and scipy
-versions and CPU count of the machine.  The benchmark itself is not edited
-or imported: this script only reads the JSON line each run prints last.
+once in a fresh process for the file's ``run_seconds`` with ``--trace 0``;
+with ``--layers`` each workload also runs once with ``--trace 1`` on the
+first seed, for the per-layer metrics.  The record holds, per workload and
+metric, the median and the quartiles over the seeds (and every value), the
+seeds, whether every run was correct and how many operations failed, and
+the Python, numpy and scipy versions and CPU count of the machine.  The
+benchmark itself is not edited or imported: this script only reads the JSON
+line each run prints last.
 """
 
 from __future__ import annotations
@@ -72,15 +73,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True, help="number in the output name BENCH_<pr>.json")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--seconds", type=float, default=None, help="default: run_seconds of BENCHMARK.json")
-    parser.add_argument("--workloads", nargs="+", default=None, help="default: every workload of BENCHMARK.json")
     parser.add_argument("--layers", action="store_true", help="also record one traced run per workload")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     command = [sys.executable if part in ("python3", "python") else part for part in spec["command"]]
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     record = {
         "pr": args.pr,
@@ -95,7 +93,9 @@ def main(argv: list[str] | None = None) -> int:
             "cpu_count": os.cpu_count(),
             "machine": platform.machine(),
         },
-        "workloads": {name: record_workload(command, name, args.seeds, seconds, args.layers) for name in workloads},
+        "workloads": {
+            w["name"]: record_workload(command, w["name"], args.seeds, seconds, args.layers) for w in spec["workloads"]
+        },
     }
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
