@@ -215,21 +215,19 @@ def malliavin_derivative(
     words = list(family.brackets(n))
     stack = family.bracket_stack(n)
     psi = np.array([psi_batch([lvl[k_t:] for lvl in prefixes], w)[0] for w in words])
-    # Forcing weights per (word, u_k, j) on the brackets V_w: D^j_{u_k} psi^w.  On
-    # V_i that is 1_{[0,t)}(u_k) 1_{i=j}; the splitting gives 1_{i=j} on all of [0, t].
-    weights = d_psi(prefixes, suffixes, words)
-    weights[[len(w) == 1 for w in words], k_t] = 0.0
-    weights = weights.reshape(len(words), -1)
+    # Forcing weights per (word, u_k, j) on the brackets V_w: D^j_{u_k} psi^w, for
+    # u_k < t only; D_u y_t = 0 for u >= t (adaptedness).
+    weights = d_psi(prefixes, suffixes, words)[:, :k_t].reshape(len(words), -1)
 
     # Joint RK4 in s: phi (m,) and D (n_u, m, d).  Each stage evaluates the
     # brackets V_w(phi) once; Z_t and the forcing are their psi and D psi sums.
     def rhs(state):
         phi_s, D_s = state
         v = stack(phi_s)  # (m, n_words)
-        forcing = (v @ weights).reshape(m, k_t + 1, d).transpose(1, 0, 2)
+        forcing = (v @ weights).reshape(m, k_t, d).transpose(1, 0, 2)
         return v @ psi, np.matmul(stack.jacobian(phi_s) @ psi, D_s) + forcing
 
-    _, values[: k_t + 1] = rk4(rhs, (np.asarray(a, dtype=float), np.zeros((k_t + 1, m, d))), steps)
+    _, values[:k_t] = rk4(rhs, (np.asarray(a, dtype=float), np.zeros((k_t, m, d))), steps)
     return MalliavinSlice(grid=grid, t=t, values=values)
 
 

@@ -19,6 +19,7 @@ one-sided approximations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -76,19 +77,73 @@ class Increment2:
             raise DomainError("2-increments must vanish on the diagonal")
 
 
+class TripleTable:
+    """Every strict triple i < u < j of an n-point grid, with flat pair indices.
+
+    ``ij``, ``iu`` and ``uj`` (i n + j, ...) index the pair axis of a
+    2-increment's values flattened to (n n, ...), so delta2 on the whole
+    table is three gathers.  Split weights are kept per (gamma, rho).  One
+    table per grid, through :func:`triples`.
+    """
+
+    def __init__(self, times: Array):
+        n = len(times)
+        i, j = np.triu_indices(n, k=2)
+        counts = j - i - 1
+        self.i = np.repeat(i, counts)
+        self.j = np.repeat(j, counts)
+        starts = np.cumsum(counts) - counts
+        self.u = np.arange(len(self.i)) - np.repeat(starts, counts) + self.i + 1
+        self.ij, self.iu, self.uj = self.i * n + self.j, self.i * n + self.u, self.u * n + self.j
+        self._times = times
+        self._weights: dict[tuple[float, float], Array] = {}
+
+    def split_weights(self, gamma: float, rho: float) -> Array:
+        """(t_u - t_i)^gamma (t_j - t_u)^rho on every triple, built once."""
+        w = self._weights.get((gamma, rho))
+        if w is None:
+            t = self._times
+            w = self._weights[gamma, rho] = (t[self.u] - t[self.i]) ** gamma * (t[self.j] - t[self.u]) ** rho
+        return w
+
+
+def triples(grid: TimeGrid) -> TripleTable:
+    """The triple table of ``grid``: built on first use and kept on the grid, so it dies with it."""
+    tab = grid.__dict__.get("_triples")
+    if tab is None:
+        tab = grid.__dict__["_triples"] = TripleTable(grid.times)
+    return tab
+
+
+def _flat_pairs(values: Array) -> Array:
+    """(n, n, ...) values as (n n, ...), indexed by the flat pair a n + b."""
+    return values.reshape((-1,) + values.shape[2:])
+
+
 @dataclass(frozen=True)
 class Increment3:
-    """Lazily evaluated grid function (s, u, t) -> h_{sut}.
+    """Grid function (s, u, t) -> h_{sut}, evaluated on demand.
 
     ``eval_idx`` maps integer index arrays (i, u, j) to values; storing the
-    full cube would be O(n^3) for nothing.
+    full cube would be O(n^3) for nothing.  ``values`` is h on the grid's
+    triple table, evaluated on first use and kept: the closedness check,
+    ``holder_norm_c3`` and residuals all read that one array.  When h is
+    ``delta2(source)``, it is three flat gathers from the source.
     """
 
     grid: TimeGrid
     eval_idx: Callable[[Array, Array, Array], Array] = field(repr=False)
+    source: Increment2 | None = field(default=None, repr=False)
 
     def __call__(self, i, u, j) -> Array:
         return self.eval_idx(np.asarray(i), np.asarray(u), np.asarray(j))
+
+    @cached_property
+    def values(self) -> Array:
+        tab = triples(self.grid)
+        if self.source is None:
+            return np.asarray(self(tab.i, tab.u, tab.j), dtype=float)
+        return _delta2_flat(self.source.values, tab.ij, tab.iu, tab.uj)
 
 
 def delta1(g: Increment1) -> Increment2:
@@ -97,14 +152,19 @@ def delta1(g: Increment1) -> Increment2:
     return Increment2(g.grid, v[None, :, ...] - v[:, None, ...])
 
 
+def _delta2_flat(v: Array, ij: Array, iu: Array, uj: Array) -> Array:
+    f = _flat_pairs(v)
+    return f[ij] - f[iu] - f[uj]
+
+
 def delta2(h: Increment2) -> Increment3:
-    """(delta h)_{sut} = h_{st} - h_{su} - h_{ut}, evaluated lazily."""
-    v = h.values
+    """(delta h)_{sut} = h_{st} - h_{su} - h_{ut}, by flat gathers from h."""
+    v, n = h.values, h.grid.n_points
 
     def ev(i, u, j):
-        return v[i, j, ...] - v[i, u, ...] - v[u, j, ...]
+        return _delta2_flat(v, i * n + j, i * n + u, u * n + j)
 
-    return Increment3(h.grid, ev)
+    return Increment3(h.grid, ev, source=h)
 
 
 def _pair_indices(n: int) -> tuple[Array, Array]:
@@ -143,44 +203,32 @@ def path_holder_sup_norm(g: Increment1, mu: float) -> float:
     return path_holder_norm(g, mu) + g.sup_norm()
 
 
-def _triple_indices(n: int, max_triples: int | None = None, seed: int = 0):
-    """All strict triples i < u < j, or a deterministic subsample."""
-    i, j = np.triu_indices(n, k=2)
-    counts = j - i - 1
-    total = int(np.sum(counts))
-    if max_triples is not None and total > max_triples:
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        ii = rng.integers(0, n - 2, size=max_triples)
-        jj = rng.integers(ii + 2, n, size=max_triples)
-        uu = rng.integers(ii + 1, jj, size=max_triples)
-        return ii, uu, jj
-    ii = np.repeat(i, counts)
-    jj = np.repeat(j, counts)
-    starts = np.cumsum(counts) - counts
-    uu = np.arange(len(ii)) - np.repeat(starts, counts) + ii + 1
-    return ii, uu, jj
+def _sampled_triples(n: int, size: int, seed: int = 0) -> tuple[Array, Array, Array]:
+    """A deterministic sample of ``size`` strict triples i < u < j."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    i = rng.integers(0, n - 2, size=size)
+    j = rng.integers(i + 2, n, size=size)
+    u = rng.integers(i + 1, j, size=size)
+    return i, u, j
 
 
 def holder_norm_c3(h: Increment3, gamma: float, rho: float) -> float:
     """Single-split norm sup |h_{sut}| / (|u-s|^gamma |t-u|^rho)."""
     if gamma <= 0 or rho <= 0:
         raise DomainError("split exponents must be positive")
-    n = h.grid.n_points
-    i, u, j = _triple_indices(n)
-    t = h.grid.times
-    mags = _mag(np.asarray(h(i, u, j), dtype=float), 1)
-    return float(np.max(mags / ((t[u] - t[i]) ** gamma * (t[j] - t[u]) ** rho)))
+    return float(np.max(_mag(h.values, 1) / triples(h.grid).split_weights(gamma, rho)))
 
 
 def _check_closed(h: Increment3, tol: float) -> Array:
-    """Return h on the full index table after verifying delta h = 0.
+    """Return h_{0ab} on all pairs after verifying delta h = 0.
 
     Closedness is equivalent to h_{sut} = h_{0ut} - h_{0st} + h_{0su} for
-    all triples, which is O(n^2) data plus an O(n^3) (sampled) comparison.
+    all triples, which is O(n^2) data plus an O(n^3) comparison: on the
+    grid's triple table, or on a deterministic sample of 200,000 triples
+    when the table would be larger.
     """
     n = h.grid.n_points
     idx = np.arange(n)
-    zeros = np.zeros(n, dtype=int)
     h0 = np.asarray(
         h(
             np.zeros((n, n), dtype=int),
@@ -189,9 +237,15 @@ def _check_closed(h: Increment3, tol: float) -> Array:
         ),
         dtype=float,
     )  # h0[a, b] = h_{0, a, b}
-    i, u, j = _triple_indices(n, max_triples=200_000)
-    direct = np.asarray(h(i, u, j), dtype=float)
-    recon = h0[u, j] - h0[i, j] + h0[i, u]
+    if n * (n - 1) * (n - 2) // 6 > 200_000:
+        i, u, j = _sampled_triples(n, 200_000)
+        direct = np.asarray(h(i, u, j), dtype=float)
+        ij, iu, uj = i * n + j, i * n + u, u * n + j
+    else:
+        tab = triples(h.grid)
+        direct, ij, iu, uj = h.values, tab.ij, tab.iu, tab.uj
+    f = _flat_pairs(h0)
+    recon = f[uj] - f[ij] + f[iu]
     scale = max(1.0, float(np.max(_mag(direct, 1))))
     worst = float(np.max(_mag(direct - recon, 1)))
     if worst > tol * scale:
@@ -241,40 +295,6 @@ def sewing(h: Increment3, mu: float, depth: int = 12, tol: float = 1e-10) -> Inc
     ii, jj = np.tril_indices(n, k=-1)
     lam[ii, jj, ...] = 0.0
     return Increment2(h.grid, lam)
-
-
-def product_rule_defect(g: Increment2, h: Increment1) -> float:
-    """Max defect of the Leibniz rule for delta on a C2 x C1 product.
-
-    With the product convention (gh)_{st} = g_{st} h_t and the sign
-    conventions of :func:`delta1`/:func:`delta2`, the exact identity is
-
-        delta(gh)_{sut} = (delta g)_{sut} h_t + g_{su} (delta h)_{ut},
-
-    so the returned maximum over grid triples is zero up to rounding.
-    """
-    gv, hv = g.values, h.values
-    if gv.ndim >= 3 and hv.ndim >= 2:
-        if gv.shape[-1] != hv.shape[1]:
-            raise DomainError(
-                f"inner dimensions differ: g has {gv.shape[-1]}, h has {hv.shape[1]}"
-            )
-        prod = np.einsum("st...d,td->st...", gv, hv)
-    elif gv.ndim == 2 and hv.ndim == 1:
-        prod = gv * hv[None, :]
-    else:
-        raise DomainError("unsupported shapes for the product convention")
-    n = g.grid.n_points
-    i, u, j = _triple_indices(n)
-    lhs = prod[i, j, ...] - prod[i, u, ...] - prod[u, j, ...]
-    if gv.ndim >= 3:
-        rhs = (
-            np.einsum("k...d,kd->k...", gv[i, j] - gv[i, u] - gv[u, j], hv[j])
-            + np.einsum("k...d,kd->k...", gv[i, u], hv[j] - hv[u])
-        )
-    else:
-        rhs = (gv[i, j] - gv[i, u] - gv[u, j]) * hv[j] + gv[i, u] * (hv[j] - hv[u])
-    return float(np.max(_mag(lhs - rhs, 1)))
 
 
 def interpolation_constant(alpha: float, rho: float) -> float:

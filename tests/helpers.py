@@ -15,7 +15,7 @@ import numpy as np
 from roughflow.errors import DomainError
 from roughflow.fbm import SamplePath, TimeGrid, sample_fbm_array
 from roughflow.flows import jacobian_flow_rde
-from roughflow.increments import Increment2
+from roughflow.increments import Increment1, Increment2, Increment3, _mag, holder_norm, sewing
 from roughflow.liefields import CompiledField, FieldFamily, Polynomial, PolyVectorField, bracket, parse_polynomial
 from roughflow.signature import (
     IteratedIntegrals,
@@ -150,6 +150,91 @@ def compensated_sum(g: Increment2, s_idx: int, t_idx: int) -> np.ndarray:
         raise DomainError("need grid indices s < t")
     diag = g.values[np.arange(s_idx, t_idx), np.arange(s_idx + 1, t_idx + 1), ...]
     return np.sum(diag, axis=0)
+
+
+def triple_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All strict triples i < u < j, rebuilt on every call.
+
+    The per-call table that ``increments.triples`` replaced with one table
+    per grid; same order.
+    """
+    i, j = np.triu_indices(n, k=2)
+    counts = j - i - 1
+    ii = np.repeat(i, counts)
+    jj = np.repeat(j, counts)
+    starts = np.cumsum(counts) - counts
+    uu = np.arange(len(ii)) - np.repeat(starts, counts) + ii + 1
+    return ii, uu, jj
+
+
+def delta2_fancy(h: Increment2) -> Increment3:
+    """delta h by 2-D fancy indexing on every call: the oracle of the flat gathers of ``delta2``."""
+    v = h.values
+
+    def ev(i, u, j):
+        return v[i, j, ...] - v[i, u, ...] - v[u, j, ...]
+
+    return Increment3(h.grid, ev)
+
+
+def holder_norm_c3_per_call(h: Increment3, gamma: float, rho: float) -> float:
+    """``holder_norm_c3`` with the triples and split weights rebuilt and h evaluated per call."""
+    i, u, j = triple_indices(h.grid.n_points)
+    t = h.grid.times
+    mags = _mag(np.asarray(h(i, u, j), dtype=float), 1)
+    return float(np.max(mags / ((t[u] - t[i]) ** gamma * (t[j] - t[u]) ** rho)))
+
+
+def product_rule_defect(g: Increment2, h: Increment1) -> float:
+    """Max defect of the Leibniz rule for delta on a C2 x C1 product.
+
+    With the product convention (gh)_{st} = g_{st} h_t and the sign
+    conventions of ``increments.delta1``/``delta2``, the exact identity is
+
+        delta(gh)_{sut} = (delta g)_{sut} h_t + g_{su} (delta h)_{ut},
+
+    so the returned maximum over grid triples is zero up to rounding.
+    """
+    gv, hv = g.values, h.values
+    if gv.ndim >= 3 and hv.ndim >= 2:
+        if gv.shape[-1] != hv.shape[1]:
+            raise DomainError(
+                f"inner dimensions differ: g has {gv.shape[-1]}, h has {hv.shape[1]}"
+            )
+        prod = np.einsum("st...d,td->st...", gv, hv)
+    elif gv.ndim == 2 and hv.ndim == 1:
+        prod = gv * hv[None, :]
+    else:
+        raise DomainError("unsupported shapes for the product convention")
+    i, u, j = triple_indices(g.grid.n_points)
+    lhs = prod[i, j, ...] - prod[i, u, ...] - prod[u, j, ...]
+    if gv.ndim >= 3:
+        rhs = (
+            np.einsum("k...d,kd->k...", gv[i, j] - gv[i, u] - gv[u, j], hv[j])
+            + np.einsum("k...d,kd->k...", gv[i, u], hv[j] - hv[u])
+        )
+    else:
+        rhs = (gv[i, j] - gv[i, u] - gv[u, j]) * hv[j] + gv[i, u] * (hv[j] - hv[u])
+    return float(np.max(_mag(lhs - rhs, 1)))
+
+
+def sewing_trials_per_call(grid_points: int, trials: int, seed: int, mu: float = 1.2, depth: int = 12) -> list[tuple]:
+    """The (trial, norm_ratio, delta_residual) rows of ``sewing-test``, every triple evaluated per call."""
+    grid = TimeGrid(1.0, grid_points)
+    times = grid.times
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    i, u, j = triple_indices(grid_points)
+    rows = []
+    for trial in range(trials):
+        c = rng.standard_normal(6)
+        f = c[0] * np.sin(np.pi * times) + c[1] * times**2 + c[2]
+        x = c[3] * np.cos(2 * np.pi * times) + c[4] * times + c[5] * times**3
+        h = delta2_fancy(Increment2(grid, f[:, None] * (x[None, :] - x[:, None])))
+        lam = sewing(h, mu, depth=depth)
+        ratio = holder_norm(lam, mu) / holder_norm_c3_per_call(h, mu / 2, mu / 2)
+        residual = float(np.max(np.abs(delta2_fancy(lam)(i, u, j) - h(i, u, j))))
+        rows.append((trial, ratio, residual))
+    return rows
 
 
 def flow_endpoint_samples_whole(fields, hurst, t, n_paths, seed, n, initial, grid_points=33, steps=128):

@@ -3,8 +3,9 @@ import subprocess
 import sys
 
 import pytest
+from jsonschema.validators import validator_for
 
-from roughflow.cli import main
+from roughflow.cli import SCHEMAS, main
 from roughflow.densitylab import yamato_fields
 from roughflow.liefields import format_field_file
 
@@ -63,6 +64,25 @@ def test_rerun_is_byte_identical(command, tmp_path):
 def test_schema_violation_exits_two(tmp_path, capsys):
     rc = main(["sample-fbm", "--hurst", "2.0", "--out", str(tmp_path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("command", sorted(SCHEMAS))
+def test_schema_is_valid_against_its_metaschema(command):
+    # resolve_config validates without re-checking the schema on every call.
+    schema = SCHEMAS[command]
+    validator_for(schema).check_schema(schema)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sample-fbm", "--hurst", "2.0"], "config violates schema: 2.0 is greater than or equal to the maximum of 1.0"),
+        (["sewing-test", "--grid-points", "2"], "config violates schema: 2 is less than the minimum of 3"),
+    ],
+)
+def test_schema_violation_message(argv, message, tmp_path, capsys):
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.strip() == f"config error: {message}"
 
 
 def test_missing_fields_file_exits_two(tmp_path):

@@ -246,7 +246,7 @@ class TestSignatureDerivatives:
 class TestMalliavinDerivative:
     def test_adaptedness(self, yamato, fbm_path_d3):
         ms = malliavin_derivative(yamato, fbm_path_d3, A_INIT, 0.5, 3, steps=64)
-        assert np.max(np.abs(ms.values[33:])) == 0.0
+        assert np.max(np.abs(ms.values[32:])) == 0.0  # u >= t = t_32, row u = t included
 
     def test_commuting_constant_fields(self, rough_hurst):
         e1 = PolyVectorField((parse_polynomial("1", 2), parse_polynomial("0", 2)))

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +12,7 @@ from roughflow.increments import (
     Increment1,
     Increment2,
     Increment3,
-    _triple_indices,
+    _check_closed,
     delta1,
     delta2,
     holder_norm,
@@ -17,12 +20,20 @@ from roughflow.increments import (
     holder_sup_norm,
     interpolation_chain_check,
     interpolation_constant,
-    product_rule_defect,
     sewing,
     sup_norm,
+    triples,
 )
+from roughflow.reporting import write_csv
 
-from helpers import compensated_sum
+from helpers import (
+    compensated_sum,
+    delta2_fancy,
+    holder_norm_c3_per_call,
+    product_rule_defect,
+    sewing_trials_per_call,
+    triple_indices,
+)
 
 
 def random_increment2(grid, rng, shape=()):
@@ -66,12 +77,81 @@ class TestDelta:
         rng = np.random.default_rng(seed)
         g = Increment1(grid, rng.standard_normal((17, 2)))
         dd = delta2(delta1(g))
-        i, u, j = _triple_indices(17)
+        i, u, j = triple_indices(17)
         assert np.max(np.abs(dd(i, u, j))) < 1e-14
 
     def test_diagonal_must_vanish(self, grid65):
         with pytest.raises(DomainError):
             Increment2(grid65, np.ones((65, 65)))
+
+
+class TestTripleTable:
+    """The shared table and flat gathers against the per-call routes in ``helpers``."""
+
+    @pytest.mark.parametrize("n", [3, 4, 17, 65])
+    @pytest.mark.parametrize("shape", [(), (2,)])
+    def test_delta2_on_table_equals_fancy_indexing(self, n, shape):
+        rng = np.random.default_rng(n)
+        germ = random_increment2(TimeGrid(1.0, n), rng, shape)
+        tab = triples(germ.grid)
+        i, u, j = triple_indices(n)
+        assert np.array_equal(tab.i, i) and np.array_equal(tab.u, u) and np.array_equal(tab.j, j)
+        expect = delta2_fancy(germ)(i, u, j)
+        assert expect.shape == (len(i),) + shape
+        assert np.array_equal(delta2(germ).values, expect)
+        assert np.array_equal(delta2(germ)(i, u, j), expect)
+
+    @pytest.mark.parametrize("n", [3, 4, 17, 65])
+    @pytest.mark.parametrize("shape", [(), (2,)])
+    def test_holder_norm_c3_equals_per_call_route(self, n, shape):
+        rng = np.random.default_rng(n + 1)
+        germ = random_increment2(TimeGrid(1.0, n), rng, shape)
+        for gamma, rho in ((0.6, 0.6), (0.3, 0.9)):
+            assert holder_norm_c3(delta2(germ), gamma, rho) == holder_norm_c3_per_call(delta2_fancy(germ), gamma, rho)
+
+    def test_one_table_per_grid_dies_with_the_grid(self):
+        grid = TimeGrid(1.0, 9)
+        tab = triples(grid)
+        assert triples(grid) is tab
+        assert tab.split_weights(0.6, 0.6) is tab.split_weights(0.6, 0.6)
+        assert triples(TimeGrid(1.0, 9)) is not tab
+        ref = weakref.ref(tab)
+        del grid, tab
+        gc.collect()
+        assert ref() is None
+
+    def test_values_are_evaluated_once(self, grid65, rng):
+        h = delta2(random_increment2(grid65, rng))
+        assert h.values is h.values
+
+    def test_subsampled_closedness_check_rejects_non_closed(self, rng):
+        grid = TimeGrid(1.0, 129)  # 349,504 triples: above the 200,000 sample
+        v = rng.standard_normal((129, 129, 129))
+
+        def ev(i, u, j):
+            return v[i, u, j]
+
+        with pytest.raises(ValidationError):
+            _check_closed(Increment3(grid, ev), 1e-10)
+        assert "_triples" not in grid.__dict__
+
+    def test_subsampled_closedness_check_accepts_closed(self, rng):
+        grid = TimeGrid(1.0, 129)
+        _, h = smooth_closed_c3(grid, rng.standard_normal(6))
+        assert _check_closed(h, 1e-10).shape == (129, 129)
+        assert "_triples" not in grid.__dict__
+
+    @pytest.mark.parametrize("argv, points, trials, seed", [([], 65, 100, 0), (["--grid-points", "33", "--seed", "7"], 33, 100, 7)])
+    def test_sewing_test_trials_equal_per_call_route(self, argv, points, trials, seed, tmp_path):
+        from roughflow.cli import main
+
+        assert main(["sewing-test", *argv, "--out", str(tmp_path)]) == 0
+        expect = write_csv(
+            tmp_path / "expect.csv",
+            ["trial", "norm_ratio", "delta_residual"],
+            sewing_trials_per_call(points, trials, seed),
+        )
+        assert (tmp_path / f"sewing-test-seed{seed}" / "trials.csv").read_bytes() == expect.read_bytes()
 
 
 class TestHolderNorms:
@@ -112,7 +192,7 @@ class TestSewing:
         _, h = smooth_closed_c3(grid65, rng.standard_normal(6))
         lam = sewing(h, 1.2)
         dl = delta2(lam)
-        i, u, j = _triple_indices(65)
+        i, u, j = triple_indices(65)
         assert np.max(np.abs(dl(i, u, j) - h(i, u, j))) < 1e-12
 
     def test_norm_bound_with_slack(self, grid65, rng):
