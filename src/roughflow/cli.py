@@ -85,7 +85,8 @@ SCHEMAS = {
         {
             "mu": {"type": "number", "exclusiveMinimum": 1.0, "maximum": 2.0},
             "depth": {"type": "integer", "minimum": 1, "maximum": 24},
-            "grid_points": {**_GRID, "minimum": 3},  # a triple needs three points
+            # A triple needs three points; the triple table grows as n^3 (278 MB peak at 257).
+            "grid_points": {**_GRID, "minimum": 3, "maximum": 257},
             "trials": _PATHS,
             "seed": _SEED,
         },
@@ -391,6 +392,7 @@ def run_strichartz(config: dict, outdir: Path) -> None:
             "endpoint_rde": y_rde.values[-1].tolist(),
             "max_abs_difference": float(np.max(np.abs(y_flow - y_rde.values[-1]))),
             "initial": initial.tolist(),
+            "flow": flow_route(FieldFamily.of(fields), config["level"], config["steps"]),
         },
     )
 

@@ -244,7 +244,6 @@ def flow_endpoint_samples(
     initial,
     grid_points: int = 33,
     steps: int = FLOW_STEPS,
-    check_nilpotency: bool = True,
 ) -> np.ndarray:
     """Monte-Carlo endpoint samples y_t via the batched nilpotent flow.
 
@@ -258,7 +257,7 @@ def flow_endpoint_samples(
     for s in range(0, n_paths, FLOW_BLOCK):
         block = slice(s, s + FLOW_BLOCK)
         levels = batch_signature_levels(drivers[block], n - 1)
-        terms = build_Z_batch(family, levels, n, check_nilpotency=check_nilpotency)
+        terms = build_Z_batch(family, levels, n)
         out[block] = exp_flow_batch(terms, starts[block], steps)
     return out
 

@@ -104,19 +104,17 @@ def jacobian_path_strichartz(
     a: np.ndarray,
     n: int,
     steps: int = DEFAULT_FLOW_STEPS,
-    check_hypotheses: bool = True,
 ) -> tuple[SamplePath, JacobianPath]:
     """(y, J, J^{-1}) at every grid time: the augmented flows at every prefix signature, as one batch.
 
     ``steps`` is used only when the augmented family has no flow certificate (RK4).
     """
     family = FieldFamily.of(fields)
-    if check_hypotheses:
-        family.require_constant_brackets(n)
-        family.require_nilpotent(n)
+    family.require_constant_brackets(n)
+    family.require_nilpotent(n)
     m = family.m
     levels = [lvl[1:, 0] for lvl in batch_signature_levels(p.values[None], n - 1, prefixes=True)]
-    terms = build_Z_batch(family.augmented, levels, n, check_nilpotency=check_hypotheses)
+    terms = build_Z_batch(family.augmented, levels, n)
     eye = np.eye(m).ravel()
     start = np.concatenate([np.asarray(a, dtype=float), eye, eye])
     return _split_augmented(p.grid, np.vstack([start, exp_flow_batch(terms, start, steps)]), m)
@@ -193,7 +191,6 @@ def malliavin_derivative(
     t: float,
     n: int,
     steps: int = DEFAULT_FLOW_STEPS,
-    check_hypotheses: bool = True,
 ) -> MalliavinSlice:
     """D_u y_t for every grid u, by the forced variational flow (RK4, ``steps`` steps).
 
@@ -201,9 +198,8 @@ def malliavin_derivative(
     the gradient terms of the higher brackets from the equation).
     """
     family = FieldFamily.of(fields)
-    if check_hypotheses:
-        family.require_constant_brackets(n)
-        family.require_nilpotent(n)
+    family.require_constant_brackets(n)
+    family.require_nilpotent(n)
     m, d = family.m, family.d
     grid = p.grid
     k_t = grid.index_of(t)

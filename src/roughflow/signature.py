@@ -11,10 +11,11 @@ Chen's identity
 
     (a * b)_w = sum over splittings w = w1 w2 of a_{w1} b_{w2},
 
-so the signature of a piecewise-linear interpolant is computed exactly by
-folding segment signatures.  Level 2 carries the Levy area; its defect
-under delta is exactly B^1 (x) B^1, which is the algebraic hypothesis the
-whole rough-integration layer rests on.
+so the signature of a piecewise-linear interpolant is exact.
+``batch_signature_levels`` sums Chen's update over every segment of a batch
+of paths at once; ``path_signature`` is its batch of one.  Level 2 carries
+the Levy area; its defect under delta is exactly B^1 (x) B^1, which is the
+algebraic hypothesis the whole rough-integration layer rests on.
 """
 
 from __future__ import annotations
@@ -112,16 +113,12 @@ def chen_concat(a: IteratedIntegrals, b: IteratedIntegrals) -> IteratedIntegrals
 
 
 def path_signature(p: SamplePath, s: float, t: float, n: int) -> IteratedIntegrals:
-    """Exact signature of the piecewise-linear interpolant of ``p`` on [s, t]."""
+    """Exact signature of the piecewise-linear interpolant of ``p`` on [s, t]: a batch of one."""
     i, j = p.grid.index_of(s), p.grid.index_of(t)
     if i >= j:
         raise DomainError(f"need s < t on the grid, got indices ({i}, {j})")
-    times = p.grid.times
-    sig = segment_signature(p.values[i + 1] - p.values[i], n, times[i], times[i + 1])
-    for k in range(i + 1, j):
-        seg = segment_signature(p.values[k + 1] - p.values[k], n, times[k], times[k + 1])
-        sig = chen_concat(sig, seg)
-    return sig
+    levels = [lvl[0] for lvl in batch_signature_levels(p.values[None, i : j + 1], n)]
+    return IteratedIntegrals(s=p.grid.times[i], t=p.grid.times[j], d=p.values.shape[1], level=n, levels=levels)
 
 
 def levy_area(p: SamplePath, s: float, t: float) -> np.ndarray:

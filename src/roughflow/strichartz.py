@@ -15,20 +15,19 @@ scalar functionals combine signature entries over all permutations,
 
 with tau the inverse permutation and e(sigma) the descent count.  The
 permutation sum is enumerated literally (k <= 5 keeps it tiny).  The
-exponential flow integrates dPsi/ds = Z(Psi) on [0, 1].  The per-path
-``exp_flow`` uses fixed-step RK4.  The batched ``exp_flow_batch`` first asks
-the exact bracket fields for a flow certificate: when their dependency
-graph is acyclic (triangular fields, Yamato's family among them) the flow
-is a polynomial in s of known degree D, and L Picard steps on
+exponential flow integrates dPsi/ds = Z(Psi) on [0, 1] for a batch of
+paths at once; ``strichartz_solve`` is its batch of one.  ``exp_flow_batch``
+first asks the exact bracket fields for a flow certificate: when their
+dependency graph is acyclic (triangular fields, Yamato's family among them)
+the flow is a polynomial in s of known degree D, and L Picard steps on
 max(1, ceil(D / 2)) Gauss-Legendre nodes (the last one at s = 1 only) give
-it exactly up to rounding; other families keep RK4.
+it exactly up to rounding; other families run fixed-step RK4.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import permutations
 from typing import Callable, Sequence
 
@@ -37,7 +36,7 @@ import numpy as np
 from .errors import BlowUpError, DomainError
 from .fbm import SamplePath
 from .liefields import CompiledField, FieldFamily, PolyVectorField, bracket_table, fields_hash
-from .signature import IteratedIntegrals, Word, path_signature
+from .signature import Word, batch_signature_levels
 
 DEFAULT_FLOW_STEPS = 256
 
@@ -60,79 +59,6 @@ def _psi_terms(k: int) -> tuple[tuple[tuple[int, ...], float], ...]:
         tau = tuple(sigma.index(a) + 1 for a in range(1, k + 1))
         out.append((tau, coeff))
     return tuple(out)
-
-
-def psi(sig: IteratedIntegrals, word: Word) -> float:
-    """Permutation functional psi^w built from the signature over [0, t]."""
-    w = tuple(int(i) for i in word)
-    k = len(w)
-    if k > sig.level:
-        raise DomainError(f"word {word} needs signature level {k}, have {sig.level}")
-    total = 0.0
-    for tau, coeff in _psi_terms(k):
-        permuted = tuple(w[tau[a] - 1] for a in range(k))
-        total += coeff * sig.value(permuted)
-    return total
-
-
-@dataclass(frozen=True)
-class FlowField:
-    """Time-frozen vector field Z_t with its bracket/psi decomposition."""
-
-    t: float
-    m: int
-    terms: tuple[tuple[Word, PolyVectorField, float], ...]
-    provenance: dict = field(default_factory=dict, repr=False)
-
-    @cached_property
-    def compiled(self) -> CompiledField:
-        """sum_w psi^w V_w compiled to one float field (built on first use)."""
-        # The leading zero field keeps the table defined when no term survives.
-        fields = [PolyVectorField.zero(self.m)] + [fld for _, fld, _ in self.terms]
-        return CompiledField.stack(fields).weighted([0.0] + [s for _, _, s in self.terms])
-
-    def __call__(self, x) -> np.ndarray:
-        return self.compiled.at(x)
-
-    def jacobian_at(self, x) -> np.ndarray:
-        return self.compiled.jacobian_at(x)
-
-    @property
-    def degree(self) -> int:
-        return max((fld.degree for _, fld, _ in self.terms), default=-1)
-
-
-def build_Z(
-    fields: Sequence[PolyVectorField] | FieldFamily,
-    sig: IteratedIntegrals,
-    n: int,
-    check_nilpotency: bool = True,
-) -> FlowField:
-    """Assemble Z_t = sum_w V_w psi^w from brackets and signature data.
-
-    Verifies n-nilpotency of the fields first (override only when the
-    caller has already certified it).
-    """
-    family = FieldFamily.of(fields)
-    if n < 2:
-        raise DomainError(f"nilpotency order must be >= 2, got {n}")
-    if sig.level < n - 1:
-        raise DomainError(f"need signature level >= {n - 1}, have {sig.level}")
-    if family.d != sig.d:
-        raise DomainError(f"{family.d} fields for alphabet size {sig.d}")
-    if check_nilpotency:
-        family.require_nilpotent(n)
-    terms = []
-    for w, fld in family.brackets(n).items():
-        scalar = psi(sig, w)
-        if scalar != 0.0:
-            terms.append((w, fld, scalar))
-    return FlowField(
-        t=sig.t,
-        m=family.m,
-        terms=tuple(terms),
-        provenance={"t": sig.t, "fields_hash": family.key},
-    )
 
 
 def rk4(rhs: Callable, y0, steps: int):
@@ -164,37 +90,6 @@ def rk4(rhs: Callable, y0, steps: int):
     return y if joint else y[0]
 
 
-def exp_flow(
-    z: FlowField | PolyVectorField, a: np.ndarray, steps: int = DEFAULT_FLOW_STEPS
-) -> np.ndarray:
-    """[exp(Z)](a): integrate dPsi/ds = Z(Psi) from a over s in [0, 1]."""
-    return rk4(z.compiled, np.asarray(a, dtype=float), steps)
-
-
-def strichartz_solve(
-    fields: Sequence[PolyVectorField] | FieldFamily,
-    p: SamplePath,
-    a: np.ndarray,
-    t: float,
-    n: int,
-    steps: int = DEFAULT_FLOW_STEPS,
-    check_nilpotency: bool = True,
-) -> np.ndarray:
-    """Solution at time t via the nilpotent flow representation.
-
-    Exact in the piecewise-linear driver up to the RK4 error of the time-1
-    flow (the signature and bracket data carry no discretization error).
-    """
-    sig = path_signature(p, 0.0, t, n - 1)
-    z = build_Z(fields, sig, n, check_nilpotency=check_nilpotency)
-    return exp_flow(z, a, steps)
-
-
-# ---------------------------------------------------------------------------
-# Batched engine for Monte-Carlo sampling of nilpotent flows
-# ---------------------------------------------------------------------------
-
-
 def psi_batch(levels: list[np.ndarray], word: Word) -> np.ndarray:
     """psi^w for a batch of signatures (levels[k-1]: (n_paths, d, ..., d, *trailing)).
 
@@ -215,13 +110,22 @@ def build_Z_batch(
     fields: Sequence[PolyVectorField] | FieldFamily,
     levels: list[np.ndarray],
     n: int,
-    check_nilpotency: bool = True,
 ) -> list[tuple[PolyVectorField, np.ndarray]]:
-    """Bracket fields with per-path psi weights; input to exp_flow_batch."""
+    """Bracket fields with per-path psi weights; input to exp_flow_batch.
+
+    ``levels`` (as from ``batch_signature_levels``) reach level n - 1 over the fields' alphabet.
+    """
     family = FieldFamily.of(fields)
-    if check_nilpotency:
-        family.require_nilpotent(n)
-    return [(fld, psi_batch(levels, w)) for w, fld in family.brackets(n).items()]
+    if n < 2:
+        raise DomainError(f"nilpotency order must be >= 2, got {n}")
+    if len(levels) < n - 1:
+        raise DomainError(f"need signature level >= {n - 1}, have {len(levels)}")
+    if levels[0].shape[1] != family.d:
+        raise DomainError(f"{family.d} fields for alphabet size {levels[0].shape[1]}")
+    family.require_nilpotent(n)
+    terms = [(fld, psi_batch(levels, w)) for w, fld in family.brackets(n).items()]
+    # Zero fields have no bracket: Z_t = 0, and the flow is the identity.
+    return terms or [(PolyVectorField.zero(family.m), np.zeros(levels[0].shape[:1]))]
 
 
 @lru_cache(maxsize=32)
@@ -318,6 +222,23 @@ def exp_flow_batch(
     if certificate is None:
         return rk4(z, y0, steps).T
     return polynomial_flow(z, y0, *certificate).T
+
+
+def strichartz_solve(
+    fields: Sequence[PolyVectorField] | FieldFamily,
+    p: SamplePath,
+    a: np.ndarray,
+    t: float,
+    n: int,
+    steps: int = DEFAULT_FLOW_STEPS,
+) -> np.ndarray:
+    """Solution at time t via the nilpotent flow representation: ``exp_flow_batch`` on a batch of one.
+
+    Exact in the piecewise-linear driver up to rounding when the brackets carry
+    a flow certificate; otherwise up to the RK4 error of ``steps`` steps.
+    """
+    levels = batch_signature_levels(p.values[None, : p.grid.index_of(t) + 1], n - 1)
+    return exp_flow_batch(build_Z_batch(fields, levels, n), a, steps)[0]
 
 
 def flow_route(family: FieldFamily, n: int, steps: int) -> dict:

@@ -7,7 +7,6 @@ another way, kept here as that route's oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import product as iter_product
 
 import numpy as np
@@ -25,7 +24,34 @@ from roughflow.signature import (
     path_signature,
     segment_signature,
 )
-from roughflow.strichartz import DEFAULT_FLOW_STEPS, _psi_terms, build_Z, build_Z_batch, exp_flow_batch, psi, rk4
+from roughflow.strichartz import DEFAULT_FLOW_STEPS, _psi_terms, build_Z_batch, exp_flow_batch, rk4
+
+
+def psi(sig: IteratedIntegrals, word: Word) -> float:
+    """Permutation functional psi^w of one signature over [0, t], entry by entry.
+
+    The per-path oracle of ``strichartz.psi_batch``.
+    """
+    w = tuple(int(i) for i in word)
+    k = len(w)
+    if k > sig.level:
+        raise DomainError(f"word {word} needs signature level {k}, have {sig.level}")
+    total = 0.0
+    for tau, coeff in _psi_terms(k):
+        permuted = tuple(w[tau[a] - 1] for a in range(k))
+        total += coeff * sig.value(permuted)
+    return total
+
+
+def frozen_field(fields, sig: IteratedIntegrals, n: int) -> CompiledField:
+    """Z_t = sum_w psi^w V_w of one signature, weighted by the oracle ``psi``.
+
+    A leading zero field keeps the table defined when the family has no bracket.
+    """
+    family = FieldFamily.of(fields)
+    brackets = family.brackets(n)
+    stack = CompiledField.stack([PolyVectorField.zero(family.m), *brackets.values()])
+    return stack.weighted([0.0] + [psi(sig, w) for w in brackets])
 
 
 def flow_with_jacobians(z: CompiledField, a: np.ndarray, steps: int):
@@ -85,31 +111,8 @@ def jacobian_flow_strichartz(fields, p, a, t, n, steps=DEFAULT_FLOW_STEPS):
     family.require_nilpotent(n)
     if t == 0.0:
         return np.eye(family.m), np.eye(family.m)
-    sig = path_signature(p, 0.0, t, n - 1)
-    z = build_Z(family, sig, n)
-    _, J, Jb = flow_with_jacobians(z.compiled, a, steps)
+    _, J, Jb = flow_with_jacobians(frozen_field(family, path_signature(p, 0.0, t, n - 1), n), a, steps)
     return J, Jb
-
-
-@dataclass(frozen=True)
-class PsiTable:
-    """All psi functionals up to a level, for one time t."""
-
-    t: float
-    d: int
-    level: int
-    table: dict[Word, float] = field(repr=False)
-
-    def __getitem__(self, word: Word) -> float:
-        return self.table[tuple(word)]
-
-
-def psi_table(sig: IteratedIntegrals, level: int) -> PsiTable:
-    table = {}
-    for k in range(1, level + 1):
-        for w in iter_product(range(1, sig.d + 1), repeat=k):
-            table[w] = psi(sig, w)
-    return PsiTable(t=sig.t, d=sig.d, level=level, table=table)
 
 
 def coefficient_abs_sum(k: int) -> float:
@@ -297,6 +300,15 @@ def batch_levy_prefix_loop(values):
         out[:, k + 1] = out[:, k] + np.einsum("pi,pj->pij", b1, dv) + 0.5 * np.einsum("pi,pj->pij", dv, dv)
         b1 = b1 + dv
     return out
+
+
+def chen_fold(p: SamplePath, i: int, j: int, level: int) -> IteratedIntegrals:
+    """Signature over [t_i, t_j] by one Chen concatenation per segment: the oracle of ``signature.path_signature``."""
+    times = p.grid.times
+    sig = segment_signature(p.values[i + 1] - p.values[i], level, times[i], times[i + 1])
+    for k in range(i + 1, j):
+        sig = chen_concat(sig, segment_signature(p.values[k + 1] - p.values[k], level, times[k], times[k + 1]))
+    return sig
 
 
 def prefix_signatures(p: SamplePath, k_max: int, level: int) -> list[IteratedIntegrals | None]:

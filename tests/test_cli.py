@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from jsonschema.validators import validator_for
@@ -40,12 +41,13 @@ def test_subcommand_runs_and_manifests(command, tmp_path, capsys):
         assert len(entry["sha256"]) == 64
 
 
-@pytest.mark.parametrize("command", ["jacobian", "malliavin"])
+@pytest.mark.parametrize("command", ["jacobian", "malliavin", "strichartz"])
 def test_flow_summaries_record_the_route(command, tmp_path):
     assert main([command, *SMALL_RUNS[command], "--seed", "1", "--out", str(tmp_path)]) == 0
-    summary = json.loads((tmp_path / f"{command}-seed1" / "summary.json").read_text())
+    name = "result.json" if command == "strichartz" else "summary.json"
+    summary = json.loads((tmp_path / f"{command}-seed1" / name).read_text())
     exact = {"route": "polynomial", "degree": 2, "depth": 2, "nodes": 1}
-    expect = exact if command == "jacobian" else {"forced": {"route": "rk4", "steps": 32}, "jacobian": exact}
+    expect = {"forced": {"route": "rk4", "steps": 32}, "jacobian": exact} if command == "malliavin" else exact
     assert summary["flow"] == expect
 
 
@@ -83,6 +85,21 @@ def test_schema_is_valid_against_its_metaschema(command):
 def test_schema_violation_message(argv, message, tmp_path, capsys):
     assert main([*argv, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.strip() == f"config error: {message}"
+
+
+def test_sewing_test_grid_cap_exits_two_before_allocating(tmp_path, capsys):
+    # The triple table grows as n^3: 257 points peak near 278 MB, 258 would build ~180 MB of it.
+    tracemalloc.start()
+    try:
+        rc = main(["sewing-test", "--grid-points", "258", "--out", str(tmp_path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["config error: config violates schema: 258 is greater than the maximum of 257"]
+    assert peak < 2**20
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_fields_file_exits_two(tmp_path):

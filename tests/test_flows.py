@@ -16,7 +16,7 @@ from roughflow.flows import (
     z_process,
 )
 from roughflow.liefields import FieldFamily, PolyVectorField, bracket, parse_polynomial
-from roughflow.strichartz import psi, strichartz_solve
+from roughflow.strichartz import strichartz_solve
 from roughflow.signature import path_signature
 
 from helpers import (
@@ -25,6 +25,7 @@ from helpers import (
     jacobian_flow_strichartz,
     jacobian_path_rk4,
     prefix_signatures,
+    psi,
     sheared_yamato,
     suffix_signatures,
     z_dynamics_pair,
@@ -62,6 +63,11 @@ class TestJacobianFlows:
         p = sample_fbm(rough_hurst, TimeGrid(1.0, 9), d=2, n_paths=1, seed=1)[0]
         J, Jb = jacobian_flow_strichartz(fields, p, np.zeros(2), 1.0, 2)
         assert np.allclose(J, np.eye(2)) and np.allclose(Jb, np.eye(2))
+        a = np.array([0.5, -1.0])
+        y, jac = jacobian_path_strichartz(fields, p, a, 2)
+        assert np.array_equal(y.values, np.broadcast_to(a, (9, 2)))
+        assert np.array_equal(jac.J, np.broadcast_to(np.eye(2), (9, 2, 2)))
+        assert np.array_equal(strichartz_solve(fields, p, a, 1.0, 2), a)
 
     def test_matches_explicit_solution_gradient(self, yamato, fbm_path_d3):
         J, Jb = jacobian_flow_strichartz(yamato, fbm_path_d3, A_INIT, 1.0, 3)

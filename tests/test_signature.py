@@ -15,7 +15,7 @@ from roughflow.signature import (
     segment_signature,
 )
 
-from helpers import batch_levy_prefix_loop, batch_signature_levels_fold, signature_scaling_check
+from helpers import batch_levy_prefix_loop, batch_signature_levels_fold, chen_fold, signature_scaling_check
 
 
 def simplex_oracle_level3(v, word, n_nodes=4001):
@@ -143,6 +143,29 @@ class TestPathSignature:
                     cross = np.outer(vals[u] - vals[i], vals[j] - vals[u])
                     worst = max(worst, float(np.max(np.abs(defect - cross))))
         assert worst < 1e-13
+
+    def test_matches_chen_fold_on_random_intervals(self, rough_hurst, fbm_path_d2):
+        # The per-segment fold keeps levy_area, and so yamato_explicit, on an independent route.
+        p3 = sample_fbm(rough_hurst, TimeGrid(1.0, 65), d=3, n_paths=1, seed=5)[0]
+        rng = np.random.default_rng(13)
+        for p in (fbm_path_d2, p3):
+            times = p.grid.times
+            for _ in range(12):
+                i, j = sorted(rng.choice(65, size=2, replace=False))
+                got = path_signature(p, times[i], times[j], 4)
+                want = chen_fold(p, i, j, 4)
+                assert (got.s, got.t, got.d, got.level) == (want.s, want.t, want.d, want.level)
+                for k in range(4):
+                    assert np.max(np.abs(got.levels[k] - want.levels[k])) <= 1e-14
+            whole = path_signature(p, 0.0, 1.0, 4)
+            for k in range(4):
+                assert np.max(np.abs(whole.levels[k] - chen_fold(p, 0, 64, 4).levels[k])) <= 1e-14
+
+    def test_empty_interval_rejected(self, fbm_path_d2):
+        with pytest.raises(DomainError):
+            path_signature(fbm_path_d2, 0.5, 0.5, 2)
+        with pytest.raises(DomainError):
+            path_signature(fbm_path_d2, 0.75, 0.25, 2)
 
     def test_off_grid_times_rejected(self, fbm_path_d2):
         with pytest.raises(DomainError):

@@ -15,18 +15,30 @@ from roughflow.signature import batch_signature_levels, chen_concat, path_signat
 from roughflow import strichartz
 from roughflow.strichartz import (
     bracket_table,
-    build_Z,
     build_Z_batch,
     descent_count,
-    exp_flow,
     exp_flow_batch,
-    psi,
     psi_batch,
     rk4,
     strichartz_solve,
 )
 
-from helpers import coefficient_abs_sum, psi_table
+from helpers import coefficient_abs_sum, frozen_field, prefix_signatures, psi, sheared_yamato
+
+
+def signature_levels(p, level):
+    """Signature tables of one path over its whole grid, as a batch of one."""
+    return batch_signature_levels(p.values[None], level)
+
+
+def frozen(terms):
+    """Z_t of ``build_Z_batch`` terms as one compiled field per path, as ``exp_flow_batch`` sums it."""
+    return CompiledField.stack([fld for fld, _ in terms]).weighted(np.stack([w for _, w in terms]))
+
+
+def flow_once(z, a, steps=256):
+    """[exp(z)](a) for one field ``z``: ``exp_flow_batch`` on a batch of one."""
+    return exp_flow_batch([(z, np.ones(1))], a, steps)[0]
 
 
 def interpreted_exp_flow_batch(terms, a, steps):
@@ -67,28 +79,31 @@ class TestDescents:
 
 class TestPsi:
     def test_level_one_is_increment(self, fbm_path_d3):
-        sig = path_signature(fbm_path_d3, 0.0, 1.0, 2)
+        levels = signature_levels(fbm_path_d3, 2)
         for i in (1, 2, 3):
-            assert psi(sig, (i,)) == sig.value((i,))
+            assert psi_batch(levels, (i,))[0] == levels[0][0, i - 1]
 
     def test_level_two_quarter_difference(self, fbm_path_d3):
-        sig = path_signature(fbm_path_d3, 0.0, 1.0, 2)
+        levels = signature_levels(fbm_path_d3, 2)
+        b2 = levels[1][0]
         for i, j in ((1, 2), (2, 3), (3, 1)):
-            expect = 0.25 * (sig.value((i, j)) - sig.value((j, i)))
-            assert psi(sig, (i, j)) == pytest.approx(expect, abs=1e-15)
+            expect = 0.25 * (b2[i - 1, j - 1] - b2[j - 1, i - 1])
+            assert psi_batch(levels, (i, j))[0] == pytest.approx(expect, abs=1e-15)
 
     def test_level_two_antisymmetry(self, fbm_path_d3):
-        sig = path_signature(fbm_path_d3, 0.0, 1.0, 2)
-        tab = psi_table(sig, 2)
+        levels = signature_levels(fbm_path_d3, 2)
         for i in (1, 2, 3):
-            assert tab[(i, i)] == 0.0
+            assert psi_batch(levels, (i, i))[0] == 0.0
             for j in range(1, 4):
-                assert tab[(i, j)] == pytest.approx(-tab[(j, i)], abs=1e-15)
+                assert psi_batch(levels, (i, j))[0] == pytest.approx(-psi_batch(levels, (j, i))[0], abs=1e-15)
 
-    def test_word_longer_than_signature(self, fbm_path_d3):
+    def test_word_longer_than_signature(self, yamato, fbm_path_d3):
         sig = path_signature(fbm_path_d3, 0.0, 1.0, 2)
         with pytest.raises(DomainError):
             psi(sig, (1, 2, 3))
+        # Order 4 reads level-3 words, which a level-2 table does not hold.
+        with pytest.raises(DomainError):
+            build_Z_batch(yamato, signature_levels(fbm_path_d3, 2), 4)
 
     def test_coefficient_sums_by_enumeration(self):
         # Eulerian-count closed form: sum over descents e of A(k,e)/(k^2 C(k-1,e)).
@@ -109,35 +124,33 @@ class TestBuildZ:
         e1 = PolyVectorField((parse_polynomial("1", 2), parse_polynomial("0", 2)))
         e2 = PolyVectorField((parse_polynomial("0", 2), parse_polynomial("1", 2)))
         p = sample_fbm(rough_hurst, TimeGrid(1.0, 9), d=2, n_paths=1, seed=3)[0]
-        sig = path_signature(p, 0.0, 1.0, 1)
-        z = build_Z([e1, e2], sig, 2)
-        words = sorted(w for w, _, _ in z.terms)
-        assert words == [(1,), (2,)]
+        terms = build_Z_batch([e1, e2], signature_levels(p, 1), 2)
+        assert list(FieldFamily.of([e1, e2]).brackets(2)) == [(1,), (2,)]
         b1 = p.values[-1] - p.values[0]
-        assert np.allclose(z(np.zeros(2)), b1)
+        assert np.allclose(frozen(terms)(np.zeros((2, 1)))[:, 0], b1)
 
     def test_yamato_assembly(self, yamato, fbm_path_d3):
-        sig = path_signature(fbm_path_d3, 0.0, 1.0, 2)
-        z = build_Z(yamato, sig, 3)
-        assert z.degree == 1
-        words = sorted((w for w, _, _ in z.terms), key=lambda w: (len(w), w))
+        terms = build_Z_batch(yamato, signature_levels(fbm_path_d3, 2), 3)
+        assert max(fld.degree for fld, _ in terms) == 1
+        words = sorted(FieldFamily.of(yamato).brackets(3), key=lambda w: (len(w), w))
         assert words == [(2,), (3,), (2, 3), (3, 2)]
-        # Z(y) = (psi^2, psi^3, 2 y2 psi^2 - 2 y1 psi^3 - 4 (psi^23 - psi^32))
+        # Z(y) = (psi^2, psi^3, 2 y2 psi^2 - 2 y1 psi^3 - 4 (psi^23 - psi^32)), psi by the oracle.
+        sig = prefix_signatures(fbm_path_d3, 64, 2)[64]
         p2, p3 = psi(sig, (2,)), psi(sig, (3,))
         p23, p32 = psi(sig, (2, 3)), psi(sig, (3, 2))
         y = np.array([0.3, -0.4, 0.9])
         expect = np.array(
             [p2, p3, 2 * y[1] * p2 - 2 * y[0] * p3 - 4 * (p23 - p32)]
         )
-        assert np.max(np.abs(z(y) - expect)) < 1e-14
+        assert np.max(np.abs(frozen(terms)(y[:, None])[:, 0] - expect)) < 1e-14
 
     def test_zero_path_gives_empty_flow(self, yamato):
         grid = TimeGrid(1.0, 5)
         p = SamplePath(grid, np.zeros((5, 3)), hurst=None)
-        sig = path_signature(p, 0.0, 1.0, 2)
-        z = build_Z(yamato, sig, 3)
-        assert z.terms == ()
-        assert np.allclose(exp_flow(z, np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
+        terms = build_Z_batch(yamato, signature_levels(p, 2), 3)
+        assert all(np.all(w == 0.0) for _, w in terms)
+        a = np.array([1.0, 2.0, 3.0])
+        assert np.array_equal(strichartz_solve(yamato, p, a, 1.0, 3), a)
 
     def test_nilpotency_enforced(self, fbm_path_d3):
         # dilation-like fields are not nilpotent at any order
@@ -147,12 +160,22 @@ class TestBuildZ:
         e1 = PolyVectorField(
             (parse_polynomial("1", 3), parse_polynomial("0", 3), parse_polynomial("0", 3))
         )
-        sig = path_signature(fbm_path_d3, 0.0, 1.0, 2)
+        fields = [grow, e1, PolyVectorField.zero(3)]
         with pytest.raises(PreconditionError) as err:
-            build_Z([grow, e1, PolyVectorField.zero(3)], sig, 3)
+            build_Z_batch(fields, signature_levels(fbm_path_d3, 2), 3)
         assert err.value.name == "nilpotency"
-        # the override flag exists for callers who certified it themselves
-        build_Z([grow, e1, PolyVectorField.zero(3)], sig, 3, check_nilpotency=False)
+        with pytest.raises(PreconditionError) as err:
+            strichartz_solve(fields, fbm_path_d3, np.zeros(3), 1.0, 3)
+        assert err.value.name == "nilpotency"
+
+    def test_bad_inputs_raise_domain_error(self, yamato, fbm_path_d3, fbm_path_d2):
+        levels = signature_levels(fbm_path_d3, 2)
+        with pytest.raises(DomainError, match="order must be >= 2"):
+            build_Z_batch(yamato, levels, 1)
+        with pytest.raises(DomainError, match="need signature level >= 2"):
+            build_Z_batch(yamato, levels[:1], 3)
+        with pytest.raises(DomainError, match="3 fields for alphabet size 2"):
+            build_Z_batch(yamato, signature_levels(fbm_path_d2, 2), 3)
 
     def test_bracket_table_prunes_zeros(self, yamato):
         table = bracket_table(yamato, 3)
@@ -164,20 +187,21 @@ class TestExpFlow:
     def test_zero_field(self):
         z = PolyVectorField.zero(3)
         a = np.array([1.0, -2.0, 0.5])
-        assert np.allclose(exp_flow(z, a), a)
+        assert np.allclose(flow_once(z, a), a)
 
     def test_constant_field_translates(self):
         z = PolyVectorField(
             (parse_polynomial("2", 2), parse_polynomial("-1", 2))
         )
-        assert np.allclose(exp_flow(z, np.zeros(2)), [2.0, -1.0])
+        assert np.allclose(flow_once(z, np.zeros(2)), [2.0, -1.0])
 
     def test_linear_field_exponential(self):
+        # x1 d1 reads itself: no flow certificate, so the flow runs RK4.
         z = PolyVectorField((parse_polynomial("x1", 1),))
-        val = exp_flow(z, np.array([1.0]), steps=256)
+        val = flow_once(z, np.array([1.0]), steps=256)
         assert abs(val[0] - math.e) < 1e-10
         # fourth-order convergence in the step count
-        coarse = exp_flow(z, np.array([1.0]), steps=32)
+        coarse = flow_once(z, np.array([1.0]), steps=32)
         ratio = abs(coarse[0] - math.e) / abs(val[0] - math.e)
         assert ratio > 1000  # (256/32)^4 = 4096 up to rounding
 
@@ -185,7 +209,7 @@ class TestExpFlow:
         z = PolyVectorField((parse_polynomial("x1^3", 1),))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(BlowUpError):
-                exp_flow(z, np.array([100.0]), steps=64)
+                flow_once(z, np.array([100.0]), steps=64)
 
 
 class TestStrichartzSolve:
@@ -217,11 +241,27 @@ class TestStrichartzSolve:
             path_signature(fbm_path_d3, 0.0, 0.5, 2),
             path_signature(fbm_path_d3, 0.5, 1.0, 2),
         )
-        za = build_Z(yamato, sig_full, 3)
-        zb = build_Z(yamato, sig_glued, 3)
-        assert np.max(
-            np.abs(exp_flow(za, a) - exp_flow(zb, a))
-        ) < 1e-13
+        ya, yb = (exp_flow_batch(build_Z_batch(yamato, [lvl[None] for lvl in sig.levels], 3), a)[0] for sig in (sig_full, sig_glued))
+        assert np.max(np.abs(ya - yb)) < 1e-13
+        assert np.array_equal(ya, strichartz_solve(yamato, fbm_path_d3, a, 1.0, 3))
+
+    def test_matches_explicit_solution_at_every_grid_time(self, yamato, fbm_path_d3):
+        a = np.array([0.3, -0.5, 0.9])
+        for t in fbm_path_d3.grid.times[1:]:
+            ours = strichartz_solve(yamato, fbm_path_d3, a, t, 3)
+            assert np.max(np.abs(ours - yamato_explicit(fbm_path_d3, a, t))) <= 1e-13
+
+    def test_uncertified_family_matches_rk4_oracle(self, fbm_path_d3):
+        sheared = sheared_yamato()
+        assert FieldFamily.of(sheared).flow_certificate(3) is None
+        a = np.array([0.3, -0.5, 0.9])
+        sig = prefix_signatures(fbm_path_d3, 64, 2)[64]
+        want = rk4(frozen_field(sheared, sig, 3), a, 64)
+        assert np.max(np.abs(strichartz_solve(sheared, fbm_path_d3, a, 1.0, 3, steps=64) - want)) <= 1e-13
+
+    def test_start_time_rejected(self, yamato, fbm_path_d3):
+        with pytest.raises(DomainError):
+            strichartz_solve(yamato, fbm_path_d3, np.zeros(3), 0.0, 3)
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=10, deadline=None)
@@ -274,7 +314,7 @@ class TestBatchEngine:
             batch = psi_batch(levels, word)
             for i in range(4):
                 p = SamplePath(grid, drivers[i], hurst=rough_hurst)
-                sig = path_signature(p, 0.0, 1.0, 2)
+                sig = prefix_signatures(p, 16, 2)[16]
                 assert batch[i] == pytest.approx(psi(sig, word), abs=1e-14)
 
 
