@@ -29,7 +29,7 @@ from .flows import jacobian_path_strichartz, malliavin_derivative, malliavin_via
 from .increments import Increment2, delta2, holder_norm, holder_norm_c3, sewing
 from .liefields import FieldFamily, PolyVectorField, hormander_rank, parse_field_file
 from .norris import TwoScale, block_stats_mc, concentration_table, hermite_moments, norris_dichotomy_mc, s_k
-from .reporting import parallel_map, svg_line_plot, write_csv, write_json, write_manifest
+from .reporting import svg_line_plot, write_csv, write_json, write_manifest
 from .signature import path_signature
 from .strichartz import fields_hash, flow_route, strichartz_solve
 
@@ -53,7 +53,6 @@ _SEED = {"type": "integer", "minimum": 0}
 _PATHS = {"type": "integer", "minimum": 1}
 _POSNUM = {"type": "number", "exclusiveMinimum": 0.0}
 _FIELDS = {"type": "string", "minLength": 1}
-_THREADS = {"type": "integer", "minimum": 1}
 
 SCHEMAS = {
     "sample-fbm": _schema(
@@ -64,7 +63,6 @@ SCHEMAS = {
             "dim": {"type": "integer", "minimum": 1, "maximum": 16},
             "paths": _PATHS,
             "seed": _SEED,
-            "threads": _THREADS,
         },
         ["hurst", "horizon", "grid_points", "dim", "paths", "seed"],
     ),
@@ -192,7 +190,7 @@ SCHEMAS = {
 }
 
 DEFAULTS = {
-    "sample-fbm": {"hurst": 0.4, "horizon": 1.0, "grid_points": 257, "dim": 1, "paths": 10, "seed": 0, "threads": 1},
+    "sample-fbm": {"hurst": 0.4, "horizon": 1.0, "grid_points": 257, "dim": 1, "paths": 10, "seed": 0},
     "signature": {"hurst": 0.4, "horizon": 1.0, "grid_points": 65, "dim": 2, "level": 4, "seed": 0},
     "sewing-test": {"mu": 1.2, "depth": 12, "grid_points": 65, "trials": 100, "seed": 0},
     "solve": {"fields": "yamato", "hurst": 0.4, "horizon": 1.0, "mesh_exp": 8, "seed": 0},
@@ -261,13 +259,8 @@ def run_sample_fbm(config: dict, outdir: Path) -> None:
         HurstParam(config["hurst"]), grid, config["dim"], config["paths"], config["seed"]
     )
     header = ["t"] + [f"comp_{j + 1}" for j in range(config["dim"])]
-
-    def dump(item):
-        idx, p = item
-        rows = [(t, *vals) for t, vals in zip(grid.times, p.values)]
-        write_csv(outdir / f"path_{idx:03d}.csv", header, rows)
-
-    parallel_map(dump, list(enumerate(paths)), config.get("threads", 1))
+    for idx, p in enumerate(paths):
+        write_csv(outdir / f"path_{idx:03d}.csv", header, [(t, *vals) for t, vals in zip(grid.times, p.values)])
     write_json(
         outdir / "metadata.json",
         {
@@ -606,7 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-points", dest="grid_points", type=int)
     p.add_argument("--dim", type=int)
     p.add_argument("--paths", type=int)
-    p.add_argument("--threads", type=int)
 
     p = add("signature", "truncated signature of one sampled path")
     p.add_argument("--hurst", type=float)

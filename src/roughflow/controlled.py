@@ -247,75 +247,51 @@ def rde_solve(
     fields: list[PolyVectorField] | FieldFamily,
     a: np.ndarray,
     driver: RoughDriver,
-    grid: TimeGrid | None = None,
 ) -> tuple[SamplePath, ControlledPath]:
-    """Solve dy = V_i(y) dx^i by the explicit second-order Taylor scheme.
+    """Solve dy = V_i(y) dx^i on the driver grid: ``rde_solve_batch`` on one path.
 
-    ``grid`` may be a coarser grid whose points all lie on the driver grid;
-    by default the driver grid itself is used.  Returns the solution path
-    and its controlled-path lift with zeta_t = [V_1(y_t) ... V_d(y_t)].
+    Returns the solution path and its controlled-path lift with
+    zeta_t = [V_1(y_t) ... V_d(y_t)].
     """
     family = FieldFamily.of(fields)
-    d, m = family.d, family.m
-    if d != driver.d:
-        raise DomainError(f"{d} fields for a {driver.d}-dimensional driver")
-    a = np.asarray(a, dtype=float)
-    if a.shape != (m,):
-        raise DomainError(f"initial condition must be shape ({m},)")
-    if grid is None:
-        grid = driver.grid
-        stride = 1
-    else:
-        ratio = (driver.grid.n_points - 1) / (grid.n_points - 1)
-        stride = int(round(ratio))
-        if abs(ratio - stride) > 1e-9 or abs(grid.horizon - driver.grid.horizon) > 1e-12:
-            raise DomainError("solve grid must subsample the driver grid")
-    stack = family.davie_stack
-    n = grid.n_points
-    # Step k's weights on the stack: x^1 then x^2 (row-major) over [t_k, t_{k+1}].
-    lo, hi = np.arange(n - 1) * stride, np.arange(1, n) * stride
-    weights = np.concatenate([driver.b1(lo, hi), driver.b2(lo, hi).reshape(n - 1, d * d)], axis=1)
-    y = np.empty((n, m))
-    y[0] = a
-    for k in range(n - 1):
-        y[k + 1] = y[k] + stack(y[k]) @ weights[k]
-        if not np.all(np.isfinite(y[k + 1])):
-            raise BlowUpError("RDE state became non-finite", when=grid.times[k + 1])
+    y = rde_solve_batch(family, a, driver.grid, driver.values)
     zeta = np.stack([f(y) for f in family.fields], axis=-1)
-    solution = SamplePath(grid=grid, values=y, hurst=None)
-    sub_driver = (
-        driver
-        if stride == 1
-        else RoughDriver(grid=grid, values=driver.values[::stride])
-    )
-    return solution, ControlledPath(grid=grid, z=y, zeta=zeta, driver=sub_driver)
+    return SamplePath(grid=driver.grid, values=y, hurst=None), ControlledPath(driver.grid, y, zeta, driver)
 
 
 def rde_solve_batch(
     fields: list[PolyVectorField] | FieldFamily,
     a: np.ndarray,
+    grid: TimeGrid,
     values: np.ndarray,
 ) -> np.ndarray:
-    """Batched Davie scheme along piecewise-linear drivers.
+    """The Davie scheme along piecewise-linear drivers on ``grid``.
 
-    ``values`` is (n_paths, n_points, d); solves on the driver grid, where
-    the per-step Levy area of the linear interpolant is dv (x) dv / 2.
-    Returns (n_paths, n_points, m).
+    ``values`` is (..., n_points, d): (n_paths, n_points, d) or one
+    (n_points, d) path.  The level-2 increment of a linear step is
+    dv (x) dv / 2, so each step contracts the stack's coefficients with
+    [dv, dv (x) dv / 2] and evaluates it once.  Returns (..., n_points, m);
+    a non-finite state raises BlowUpError at its grid time.
     """
     family = FieldFamily.of(fields)
-    n_paths, n_points, d = values.shape
-    if d != family.d:
-        raise DomainError(f"{family.d} fields for a {d}-dimensional driver")
-    m = family.m
+    d, m = family.d, family.m
+    values = np.asarray(values, dtype=float)
+    if values.ndim < 2 or values.shape[-2] != grid.n_points:
+        raise DomainError(f"driver values must be (..., {grid.n_points}, d), got {values.shape}")
+    if values.shape[-1] != d:
+        raise DomainError(f"{d} fields for a {values.shape[-1]}-dimensional driver")
+    a = np.asarray(a, dtype=float)
+    if a.shape != (m,):
+        raise DomainError(f"initial condition must be shape ({m},)")
     stack = family.davie_stack
-    y = np.empty((n_paths, n_points, m))
-    y[:, 0] = np.asarray(a, dtype=float)
-    for k in range(n_points - 1):
-        dv = (values[:, k + 1] - values[:, k]).T
-        area = 0.5 * dv[:, None, :] * dv[None, :, :]
-        weights = np.concatenate([dv, area.reshape(d * d, n_paths)])
-        y[:, k + 1] = y[:, k] + stack.weighted(weights)(y[:, k].T).T
-        if not np.all(np.isfinite(y[:, k + 1])):
-            raise BlowUpError("batched RDE state became non-finite", when=k + 1)
+    y = np.empty(values.shape[:-1] + (m,))
+    y[..., 0, :] = a
+    for k in range(grid.n_points - 1):
+        # Component-major rows: .T reverses the batch axes of dv and y alike.
+        dv = (values[..., k + 1, :] - values[..., k, :]).T
+        area = 0.5 * dv[:, None] * dv[None, :]
+        weights = np.concatenate([dv, area.reshape((d * d,) + dv.shape[1:])])
+        y[..., k + 1, :] = y[..., k, :] + stack.combine(y[..., k, :].T, weights).T
+        if not np.isfinite(y[..., k + 1, :]).all():
+            raise BlowUpError("RDE state became non-finite", when=grid.times[k + 1])
     return y
-

@@ -195,12 +195,6 @@ def _transport(grid: TimeGrid, hurst: HurstParam) -> tuple[int, Callable]:
     return 2 * n, apply
 
 
-def _component_normals(seed: int, path_idx: int, comp_idx: int, n: int) -> np.ndarray:
-    """Standard normals from a counter-based stream keyed by (seed, path, comp)."""
-    bitgen = np.random.Philox(np.random.SeedSequence(seed, spawn_key=(path_idx, comp_idx)))
-    return np.random.Generator(bitgen).standard_normal(n)
-
-
 def sample_fbm(
     hurst: HurstParam,
     grid: TimeGrid,
@@ -208,26 +202,8 @@ def sample_fbm(
     n_paths: int = 1,
     seed: int = 0,
 ) -> list[SamplePath]:
-    """Draw exact fBm sample paths by a linear transport of white noise.
-
-    Each (path, component) pair consumes its own counter-based stream, so
-    results are reproducible independently of batching or parallelism.
-    """
-    if d < 1:
-        raise DomainError(f"dimension must be >= 1, got {d}")
-    k, apply = _transport(grid, hurst)
-    # One transport for the whole batch; columns are (path, component) streams.
-    z = np.empty((k, n_paths * d))
-    for p in range(n_paths):
-        for c in range(d):
-            z[:, p * d + c] = _component_normals(seed, p, c, k)
-    g = apply(z)
-    paths = []
-    for p in range(n_paths):
-        values = np.zeros((grid.n_points, d))
-        values[1:] = g[:, p * d : (p + 1) * d]
-        paths.append(SamplePath(grid=grid, values=values, hurst=hurst, seed=seed))
-    return paths
+    """Exact fBm sample paths: ``sample_fbm_array`` wrapped path by path."""
+    return [SamplePath(grid, v, hurst, seed) for v in sample_fbm_array(hurst, grid, d, n_paths, seed)]
 
 
 def sample_fbm_array(
@@ -237,14 +213,13 @@ def sample_fbm_array(
     n_paths: int,
     seed: int = 0,
 ) -> np.ndarray:
-    """Batch fBm sampler returning an array of shape (n_paths, n_points, d).
+    """Exact fBm sample paths by a linear transport of white noise: (n_paths, n_points, d).
 
-    Uses a single counter-based stream keyed by ``seed`` with a fixed
-    (normal, path, component) draw layout; meant for Monte-Carlo engines
-    where per-path streams would dominate the runtime.  Deterministic for
-    fixed (seed, n_paths, d, grid).  The result is a time-major view: the
-    normals are drawn into one (k + 1, n_paths * d) buffer and transported
-    in place, so no second copy of the batch is made.
+    One counter-based stream keyed by ``seed`` feeds a fixed (normal, path,
+    component) draw layout, so a draw is deterministic for fixed (seed,
+    n_paths, d, grid) and depends on the batch size.  The result is a
+    time-major view: the normals are drawn into one (k + 1, n_paths * d)
+    buffer and transported in place, so no second copy of the batch is made.
     """
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")

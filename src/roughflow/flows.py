@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controlled import RoughDriver, rde_solve
+from .controlled import RoughDriver, rde_solve_batch
 from .errors import DomainError
 from .fbm import SamplePath, TimeGrid
 from .liefields import CompiledField, FieldFamily, PolyVectorField, augmented_jacobian_fields
@@ -124,14 +124,13 @@ def jacobian_flow_rde(
     fields: list[PolyVectorField] | FieldFamily,
     driver: RoughDriver,
     a: np.ndarray,
-    grid: TimeGrid | None = None,
 ) -> tuple[SamplePath, JacobianPath]:
     """One second-order pass over the augmented (y, J, J^{-1}) system."""
     family = FieldFamily.of(fields)
     eye = np.eye(family.m).ravel()
     state0 = np.concatenate([np.asarray(a, dtype=float), eye, eye])
-    sol, _ = rde_solve(family.augmented, state0, driver, grid=grid)
-    return _split_augmented(sol.grid, sol.values, family.m)
+    states = rde_solve_batch(family.augmented, state0, driver.grid, driver.values)
+    return _split_augmented(driver.grid, states, family.m)
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +203,12 @@ def malliavin_derivative(
     grid = p.grid
     k_t = grid.index_of(t)
     values = np.zeros((grid.n_points, m, d))
-    if k_t == 0:
+    words = list(family.brackets(n))
+    # With no nonzero bracket the fields vanish, and so does D_u y_t.
+    if k_t == 0 or not words:
         return MalliavinSlice(grid=grid, t=t, values=values)
 
     prefixes, suffixes = split_signatures(p, k_t, n - 1)
-    words = list(family.brackets(n))
     stack = family.bracket_stack(n)
     psi = np.array([psi_batch([lvl[k_t:] for lvl in prefixes], w)[0] for w in words])
     # Forcing weights per (word, u_k, j) on the brackets V_w: D^j_{u_k} psi^w, for

@@ -314,6 +314,13 @@ class CompiledField:
             self.exponents, self.pairs, contract(self.coef), self.jac_pairs, contract(self.jac_coef), self.plan
         )
 
+    def combine(self, x, w) -> np.ndarray:
+        """Values of sum_f w[f] V_f at component-major points x (m, *batch); w is
+        (n_fields, *batch).  Unlike ``weighted``, contracts only the value table."""
+        w = np.asarray(w, dtype=float)
+        flat = w.reshape(w.shape[0], -1) if w.ndim > 1 else w
+        return self._sum(x, self.pairs, (self.coef @ flat).reshape(self.coef.shape[:1] + w.shape[1:]), 1)
+
     def monomials(self, x: np.ndarray) -> list:
         """Each table monomial at component-major points x (m, *batch), or None
         for the constant one, whose coefficient is then added as it is."""

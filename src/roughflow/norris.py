@@ -384,7 +384,7 @@ def norris_dichotomy_mc(
     drivers = sample_fbm_array(hurst, grid, family.d, n_paths, seed)
     eye = np.eye(m).ravel()
     state0 = np.concatenate([a, eye, eye])
-    states = rde_solve_batch(family.augmented, state0, drivers)
+    states = rde_solve_batch(family.augmented, state0, grid, drivers)
     y_sol = states[:, :, :m]
     j_inv = states[:, :, m + m * m :].reshape(n_paths, grid_points, m, m)
 

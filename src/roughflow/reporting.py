@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -135,11 +134,3 @@ def write_manifest(outdir: Path) -> Path:
         )
     return write_json(outdir / "manifest.json", {"files": entries})
 
-
-def parallel_map(fn, items: Sequence, threads: int = 1) -> list:
-    """Order-preserving map over a thread pool; results are deterministic
-    because every work item owns its random stream."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))

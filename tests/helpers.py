@@ -91,6 +91,25 @@ def jacobian_path_rk4(fields, p, a, n, steps=DEFAULT_FLOW_STEPS):
     return np.vstack([np.asarray(a, dtype=float)[None], phi]), np.vstack([eye, J]), np.vstack([eye, Jb])
 
 
+def davie_chen(fields, a: np.ndarray, driver) -> np.ndarray:
+    """Davie steps on a ``RoughDriver``, one path: (n_points, m).
+
+    The per-path oracle of ``controlled.rde_solve_batch``: each step's area is
+    read from the driver's Chen-prefix table (``RoughDriver.b2``), not formed
+    as dv (x) dv / 2, and the stack is evaluated before it is contracted.
+    """
+    family = FieldFamily.of(fields)
+    d, n = family.d, driver.grid.n_points
+    stack = family.davie_stack
+    lo, hi = np.arange(n - 1), np.arange(1, n)
+    weights = np.concatenate([driver.b1(lo, hi), driver.b2(lo, hi).reshape(n - 1, d * d)], axis=1)
+    y = np.empty((n, family.m))
+    y[0] = a
+    for k in range(n - 1):
+        y[k + 1] = y[k] + stack(y[k]) @ weights[k]
+    return y
+
+
 def sheared_yamato() -> list[PolyVectorField]:
     """Yamato's fields in u = (x1 - x3, x2, x3): still 3-nilpotent with constant
     brackets, but u1's component depends on u1, so there is no flow certificate."""

@@ -164,7 +164,7 @@ def test_criterion_05_strichartz_exactness(yamato):
     flow = exp_flow_batch(terms, initial, steps=256)
     err_flow = float(np.max(np.abs(flow - explicit)))
     assert err_flow <= 1e-10
-    rde = rde_solve_batch(yamato, initial, drivers)[:, -1]
+    rde = rde_solve_batch(yamato, initial, grid, drivers)[:, -1]
     err_rde = max(
         float(np.max(np.abs(rde - explicit))), float(np.max(np.abs(rde - flow)))
     )

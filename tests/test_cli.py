@@ -149,15 +149,24 @@ def test_level_two_experiments_need_rough_regime(argv, code, tmp_path, capsys):
         assert not any(tmp_path.iterdir())
 
 
-def test_sample_fbm_threads_do_not_change_artifacts(tmp_path):
-    base = ["sample-fbm", "--grid-points", "17", "--paths", "3"]
-    assert main([*base, "--out", str(tmp_path / "a")]) == 0
-    assert main([*base, "--threads", "2", "--out", str(tmp_path / "b")]) == 0
-    a, b = tmp_path / "a" / "sample-fbm-seed0", tmp_path / "b" / "sample-fbm-seed0"
-    assert json.loads((a / "config.json").read_text())["config"]["threads"] == 1
-    for i in range(3):
-        name = f"path_{i:03d}.csv"
-        assert (a / name).read_bytes() == (b / name).read_bytes()
+def test_sample_fbm_config_with_threads_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threads": 2}))
+    out = tmp_path / "out"
+    assert main(["sample-fbm", "--config", str(cfg), "--out", str(out)]) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_malliavin_on_zero_fields_exits_zero(tmp_path):
+    zero = tmp_path / "zero.vf"
+    zero.write_text("3 2\n" + "0\n" * 6)
+    argv = ["malliavin", "--fields", str(zero), *SMALL_RUNS["malliavin"], "--out", str(tmp_path)]
+    assert main(argv) == 0
+    outdir = tmp_path / "malliavin-seed0"
+    assert json.loads((outdir / "summary.json").read_text())["route_residual"] == 0.0
+    _, *rows = (outdir / "malliavin.csv").read_text().strip().splitlines()
+    assert all(float(v) == 0.0 for row in rows for v in row.split(",")[1:])
 
 
 def test_cli_import_leaves_out_heavy_scipy_modules():

@@ -16,7 +16,7 @@ from roughflow.fbm import HurstParam, SamplePath, TimeGrid, sample_fbm
 from roughflow.liefields import PolyVectorField, parse_polynomial
 from roughflow.signature import path_signature
 
-from helpers import batch_levy_prefix_loop
+from helpers import batch_levy_prefix_loop, davie_chen
 
 
 def smooth_driver(n=2049):
@@ -178,10 +178,10 @@ class TestRdeSolve:
         fields = [PolyVectorField((parse_polynomial("x1", 1),))]
         grid = TimeGrid(1.0, 1025)
         p = sample_fbm(rough_hurst, grid, 1, 1, seed=5)[0]
-        drv = RoughDriver.from_path(p)
         ends = []
         for n in (65, 257, 1025):
-            y, _ = rde_solve(fields, np.array([1.0]), drv, grid=TimeGrid(1.0, n))
+            drv = RoughDriver(grid=TimeGrid(1.0, n), values=p.values[:: (1025 - 1) // (n - 1)])
+            y, _ = rde_solve(fields, np.array([1.0]), drv)
             ends.append(y.values[-1, 0])
         gap_coarse = abs(ends[1] - ends[0])
         gap_fine = abs(ends[2] - ends[1])
@@ -208,31 +208,45 @@ class TestRdeSolve:
         grid = TimeGrid(1.0, 7)
         ramp = 1e3 * np.arange(7.0)[:, None]
         p = SamplePath(grid, ramp, hurst=None)
+        flat = 1e3 * np.ones((7, 1))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(BlowUpError) as err:
                 rde_solve(fields, np.array([1.0]), RoughDriver.from_path(p))
+            with pytest.raises(BlowUpError) as batch_err:
+                rde_solve_batch(fields, np.array([1.0]), grid, np.stack([flat, ramp, flat]))
         assert 0.0 < err.value.when <= 1.0
+        # The batch route reports the same grid time, not a step index.
+        assert batch_err.value.when == err.value.when
+        assert batch_err.value.when in grid.times
 
-    def test_batch_matches_single(self, rough_hurst):
-        fields = [PolyVectorField((parse_polynomial("x1", 1),))]
+    def test_batch_matches_single(self, yamato, rough_hurst):
         grid = TimeGrid(1.0, 129)
-        paths = sample_fbm(rough_hurst, grid, 1, 3, seed=8)
-        batch = rde_solve_batch(
-            fields, np.array([1.0]), np.stack([p.values for p in paths])
-        )
-        for i, p in enumerate(paths):
-            y, _ = rde_solve(fields, np.array([1.0]), RoughDriver.from_path(p))
-            assert np.max(np.abs(batch[i] - y.values)) < 1e-12
+        for fields in (yamato, [PolyVectorField((parse_polynomial("x1", 1),))]):
+            d, m = len(fields), fields[0].m
+            a = np.linspace(1.0, 0.5, m)
+            paths = sample_fbm(rough_hurst, grid, d, 3, seed=8)
+            batch = rde_solve_batch(fields, a, grid, np.stack([p.values for p in paths]))
+            assert batch.shape == (3, 129, m)
+            for i, p in enumerate(paths):
+                want = davie_chen(fields, a, RoughDriver.from_path(p))
+                assert np.max(np.abs(batch[i] - want)) < 1e-12
 
-    def test_solve_grid_must_subsample_driver(self, fbm_path_d2):
-        fields = [PolyVectorField.zero(2), PolyVectorField.zero(2)]
+    def test_single_path_is_a_batch_of_one(self, yamato, rough_hurst):
+        grid = TimeGrid(1.0, 129)
+        a = np.array([0.3, -0.2, 0.1])
+        values = sample_fbm(rough_hurst, grid, 3, 2, seed=6)[1].values
+        y, _ = rde_solve(yamato, a, RoughDriver(grid=grid, values=values))
+        assert np.array_equal(y.values, rde_solve_batch(yamato, a, grid, values))
+        assert np.array_equal(y.values, rde_solve_batch(yamato, a, grid, np.stack([values, -values]))[0])
+
+    def test_batch_checks_its_inputs(self, yamato, fbm_path_d3):
+        grid, values = fbm_path_d3.grid, fbm_path_d3.values
         with pytest.raises(DomainError):
-            rde_solve(
-                fields,
-                np.zeros(2),
-                RoughDriver.from_path(fbm_path_d2),
-                grid=TimeGrid(1.0, 60),
-            )
+            rde_solve_batch(yamato, np.zeros(3), TimeGrid(1.0, 60), values)
+        with pytest.raises(DomainError):
+            rde_solve_batch(yamato, np.zeros(2), grid, values)
+        with pytest.raises(DomainError):
+            rde_solve_batch(yamato, np.zeros(3), grid, values[:, :2])
 
 
 class TestControlledNorm:

@@ -112,9 +112,17 @@ class TestSampling:
             b = sample_fbm(rough_hurst, g, d=2, n_paths=3, seed=9)
             for pa, pb in zip(a, b):
                 assert np.array_equal(pa.values, pb.values)
-            # Per-(path, component) streams: a batch of one draws the same path.
-            alone = sample_fbm(rough_hurst, g, d=2, n_paths=1, seed=9)[0]
-            assert np.allclose(alone.values, a[0].values, rtol=0.0, atol=1e-12)
+
+    def test_paths_are_the_batch_sampler_path_by_path(self, rough_hurst):
+        for n_points in (33, DH_MIN_POINTS):
+            g = TimeGrid(1.0, n_points)
+            paths = sample_fbm(rough_hurst, g, d=2, n_paths=3, seed=9)
+            batch = sample_fbm_array(rough_hurst, g, 2, 3, seed=9)
+            assert len(paths) == 3
+            for p, values in zip(paths, batch):
+                assert np.array_equal(p.values, values)
+                assert p.seed == 9 and p.hurst == rough_hurst and p.grid is g
+                assert np.all(p.values[0] == 0.0)
 
     def test_paths_vanish_at_origin(self, rough_hurst):
         p = sample_fbm(rough_hurst, TimeGrid(1.0, 17), d=3, n_paths=1, seed=0)[0]

@@ -68,6 +68,8 @@ class TestJacobianFlows:
         assert np.array_equal(y.values, np.broadcast_to(a, (9, 2)))
         assert np.array_equal(jac.J, np.broadcast_to(np.eye(2), (9, 2, 2)))
         assert np.array_equal(strichartz_solve(fields, p, a, 1.0, 2), a)
+        # No nonzero bracket: D_u y_t vanishes for every u.
+        assert np.array_equal(malliavin_derivative(fields, p, a, 1.0, 2).values, np.zeros((9, 2, 2)))
 
     def test_matches_explicit_solution_gradient(self, yamato, fbm_path_d3):
         J, Jb = jacobian_flow_strichartz(yamato, fbm_path_d3, A_INIT, 1.0, 3)
