@@ -2,7 +2,7 @@
 
 Modules
 -------
-fbm         exact fBm sampling, covariance, Volterra kernel
+fbm         exact fBm sampling and covariance
 increments  k-increments, the delta operator, Hoelder norms, sewing map
 signature   exact piecewise-linear signatures, Chen identity, Levy area
 controlled  controlled paths, rough integrals, second-order RDE scheme
@@ -22,11 +22,10 @@ from .errors import (
     DomainError,
     FactorizationError,
     PreconditionError,
-    QuadratureError,
     RoughflowError,
     ValidationError,
 )
-from .fbm import HurstParam, SamplePath, TimeGrid, covariance, kernel_K, sample_fbm
+from .fbm import HurstParam, SamplePath, TimeGrid, covariance, sample_fbm
 
 __all__ = [
     "__version__",
@@ -35,13 +34,11 @@ __all__ = [
     "DomainError",
     "FactorizationError",
     "PreconditionError",
-    "QuadratureError",
     "RoughflowError",
     "ValidationError",
     "HurstParam",
     "SamplePath",
     "TimeGrid",
     "covariance",
-    "kernel_K",
     "sample_fbm",
 ]

@@ -27,11 +27,11 @@ from .errors import RoughflowError
 from .fbm import HurstParam, TimeGrid, sample_fbm
 from .flows import jacobian_path_strichartz, malliavin_derivative, malliavin_via_jacobian
 from .increments import Increment2, delta2, holder_norm, holder_norm_c3, sewing
-from .liefields import FieldFamily, PolyVectorField, hormander_rank, parse_field_file
+from .liefields import FieldFamily, PolyVectorField, fields_hash, hormander_rank, parse_field_file
 from .norris import TwoScale, block_stats_mc, concentration_table, hermite_moments, norris_dichotomy_mc, s_k
 from .reporting import svg_line_plot, write_csv, write_json, write_manifest
 from .signature import path_signature
-from .strichartz import fields_hash, flow_route, strichartz_solve
+from .strichartz import flow_route, strichartz_solve
 
 # ---------------------------------------------------------------------------
 # Config plumbing

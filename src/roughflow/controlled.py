@@ -26,13 +26,14 @@ with the index convention x^{2,ij}_{st} = int_s^t x^{1,i}_{su} dx^j_u
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import BlowUpError, ConvergenceError, DomainError
 from .fbm import SamplePath, TimeGrid
-from .increments import Increment2, holder_norm
+from .increments import Increment2
 from .liefields import FieldFamily, PolyVectorField, taylor_correction_fields
 from .signature import batch_signature_levels
 
@@ -44,21 +45,23 @@ REFINEMENT_RTOL = 1e-6
 class RoughDriver:
     """Level-2 rough path on a grid: increments x^1 and Levy area x^2.
 
-    ``b2_prefix[k]`` stores x^2_{t_0 t_k}; Chen's identity then yields the
-    area over any grid pair in O(1).
+    ``b2_prefix[k]`` stores x^2_{t_0 t_k}, built on first use; Chen's identity
+    then yields the area over any grid pair in O(1).
     """
 
     grid: TimeGrid
     values: np.ndarray
-    b2_prefix: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2 or v.shape[0] != self.grid.n_points:
             raise DomainError("driver values must be (n_points, d)")
         object.__setattr__(self, "values", v)
-        if self.b2_prefix is None:
-            object.__setattr__(self, "b2_prefix", batch_signature_levels(v[None], 2, prefixes=True)[1][:, 0])
+
+    @cached_property
+    def b2_prefix(self) -> np.ndarray:
+        """x^2_{t_0 t_k} for every grid k: (n_points, d, d)."""
+        return batch_signature_levels(self.values[None], 2, prefixes=True)[1][:, 0]
 
     @staticmethod
     def from_path(p: SamplePath) -> "RoughDriver":
@@ -123,35 +126,6 @@ class ControlledPath:
         dx = self.driver.values[None, :, :] - self.driver.values[:, None, :]
         lin = np.einsum("smd,std->stm", self.zeta, dx)
         return Increment2(self.grid, dz - lin)
-
-
-@dataclass(frozen=True)
-class ControlledNorm:
-    """Three-part semi-norm of a controlled path at exponent kappa."""
-
-    kappa: float
-    path_part: float
-    gubinelli_part: float
-    remainder_part: float
-
-    @property
-    def value(self) -> float:
-        return self.path_part + self.gubinelli_part + self.remainder_part
-
-
-def controlled_norm(z: ControlledPath, kappa: float) -> ControlledNorm:
-    """Discrete N[z] = N[z; C1^k] + sum_j N[zeta^j; C1^{k,0}] + N[r; C2^{2k}]."""
-    if not 1.0 / 3.0 < kappa < 1.0:
-        raise DomainError(f"kappa must lie in (1/3, 1), got {kappa}")
-    dz = Increment2(z.grid, z.z[None, :, :] - z.z[:, None, :])
-    path_part = holder_norm(dz, kappa)
-    gub = 0.0
-    for j in range(z.driver.d):
-        col = z.zeta[:, :, j]
-        dcol = Increment2(z.grid, col[None, :, :] - col[:, None, :])
-        gub += holder_norm(dcol, kappa) + float(np.max(np.linalg.norm(col, axis=1)))
-    rem = holder_norm(z.remainder(), 2.0 * kappa)
-    return ControlledNorm(kappa, path_part, gub, rem)
 
 
 def _refinement_partitions(i: int, j: int) -> list[list[int]]:

@@ -32,9 +32,9 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .fbm import HurstParam, SamplePath, TimeGrid, sample_fbm_array
-from .liefields import FieldFamily, PolyVectorField, Polynomial, hormander_rank, parse_polynomial
+from .liefields import FieldFamily, PolyVectorField, Polynomial, fields_hash, hormander_rank, parse_polynomial
 from .signature import batch_signature_levels, levy_area
-from .strichartz import build_Z_batch, exp_flow_batch, fields_hash, flow_route
+from .strichartz import build_Z_batch, exp_flow_batch, flow_route
 
 
 def yamato_fields() -> list[PolyVectorField]:
@@ -257,8 +257,7 @@ def flow_endpoint_samples(
     for s in range(0, n_paths, FLOW_BLOCK):
         block = slice(s, s + FLOW_BLOCK)
         levels = batch_signature_levels(drivers[block], n - 1)
-        terms = build_Z_batch(family, levels, n)
-        out[block] = exp_flow_batch(terms, starts[block], steps)
+        out[block] = exp_flow_batch(family, n, build_Z_batch(family, levels, n), starts[block], steps)
     return out
 
 

@@ -18,10 +18,6 @@ class FactorizationError(RoughflowError):
     """A covariance matrix could not be factorized even after jitter."""
 
 
-class QuadratureError(RoughflowError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-
 class ValidationError(RoughflowError):
     """A structural precondition (e.g. closedness of an increment) failed."""
 

@@ -8,12 +8,7 @@ Gaussian components with covariance
 Sampling is exact in law on a uniform grid: a dense Cholesky factor of the
 covariance on short grids, Davies-Harte circulant embedding of the
 fractional Gaussian noise on long ones (Davies & Harte 1987; Dietrich &
-Newsam 1997), O(n log n) per path.  The module also evaluates the Volterra
-kernel K_H(t, u) whose square integrates to the covariance,
-
-    R_H(t, s) = int_0^{s ^ t} K_H(t, r) K_H(s, r) dr,
-
-with the kernel normalization constant calibrated numerically per H.
+Newsam 1997), O(n log n) per path.
 """
 
 from __future__ import annotations
@@ -21,11 +16,10 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, FactorizationError, QuadratureError
+from .errors import DomainError, FactorizationError
 
 #: Largest grid accepted by the samplers.
 CHOLESKY_CAP = 4097
@@ -238,99 +232,3 @@ def sample_fbm_array(
         stop = c + step if c + 2 * step <= cols else cols
         buf[1 : n + 1, c:stop] = apply(buf[1:, c:stop])
     return buf[: n + 1].reshape(grid.n_points, n_paths, d).transpose(1, 0, 2)
-
-
-# ---------------------------------------------------------------------------
-# Volterra kernel
-# ---------------------------------------------------------------------------
-
-_QUAD_RTOL = 1e-8
-
-
-def _kernel_inner_integral(t: float, u: float, H: float) -> float:
-    """int_u^t v^{H-3/2} (v-u)^{H-1/2} dv with the endpoint singularity at v=u.
-
-    The algebraic weight (v-u)^{H-1/2} is handled by the QAWS rule, which
-    is exact for that factor.
-    """
-    from scipy.integrate import quad
-    val, err = quad(
-        lambda v: v ** (H - 1.5),
-        u,
-        t,
-        weight="alg",
-        wvar=(H - 0.5, 0.0),
-        epsrel=_QUAD_RTOL,
-        epsabs=0.0,
-        limit=200,
-    )
-    if not math.isfinite(val) or (abs(val) > 0 and err > 1e-6 * abs(val) + 1e-12):
-        raise QuadratureError(
-            f"inner kernel integral did not converge at (t={t}, u={u}, H={H}): "
-            f"value={val}, err={err}"
-        )
-    return val
-
-
-def kernel_K(t: float, u: float, hurst: HurstParam | float, c_h: float | None = None) -> float:
-    """Two-term Volterra kernel K_H(t, u), zero outside 0 < u < t.
-
-    ``c_h`` defaults to the calibrated normalization for this H (see
-    :func:`calibrate_c`).
-    """
-    H = hurst.value if isinstance(hurst, HurstParam) else float(hurst)
-    if t < 0 or u < 0:
-        raise DomainError(f"kernel needs nonnegative times, got (t={t}, u={u})")
-    if not 0.0 < u < t:
-        return 0.0
-    if c_h is None:
-        c_h = calibrate_c(H)
-    head = (u / t) ** (0.5 - H) * (t - u) ** (H - 0.5)
-    tail = (0.5 - H) * u ** (0.5 - H) * _kernel_inner_integral(t, u, H)
-    return c_h * (head + tail)
-
-
-@lru_cache(maxsize=None)
-def calibrate_c(H: float) -> float:
-    """Kernel constant fixed by the convention int_0^1 K_H(1,r)^2 dr = 1.
-
-    The normalization of K_H is a free convention here; this calibration
-    pins it so the kernel reproduces R_H exactly on the diagonal at t=1
-    (and hence everywhere, by scaling).  The value is cached per H.
-    """
-    from scipy.integrate import quad
-    raw, err = quad(
-        lambda r: kernel_K(1.0, r, H, c_h=1.0) ** 2,
-        0.0,
-        1.0,
-        epsrel=_QUAD_RTOL,
-        epsabs=0.0,
-        limit=400,
-        points=[0.0, 1.0],
-    )
-    if not math.isfinite(raw) or raw <= 0 or err > 1e-5 * raw:
-        raise QuadratureError(
-            f"kernel calibration integral did not converge for H={H}: value={raw}, err={err}"
-        )
-    return 1.0 / math.sqrt(raw)
-
-
-def kernel_covariance(s: float, t: float, hurst: HurstParam | float) -> float:
-    """int_0^{s^t} K(t,r) K(s,r) dr, the kernel route to the covariance."""
-    H = hurst.value if isinstance(hurst, HurstParam) else float(hurst)
-    lo, hi = sorted((s, t))
-    if lo <= 0:
-        return 0.0
-    from scipy.integrate import quad
-    val, err = quad(
-        lambda r: kernel_K(t, r, H) * kernel_K(s, r, H),
-        0.0,
-        lo,
-        epsrel=1e-6,
-        epsabs=0.0,
-        limit=400,
-        points=[0.0, lo],
-    )
-    if not math.isfinite(val):
-        raise QuadratureError(f"kernel covariance quadrature failed at (s={s}, t={t})")
-    return val

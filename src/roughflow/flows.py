@@ -47,7 +47,7 @@ import numpy as np
 from .controlled import RoughDriver, rde_solve_batch
 from .errors import DomainError
 from .fbm import SamplePath, TimeGrid
-from .liefields import CompiledField, FieldFamily, PolyVectorField, augmented_jacobian_fields
+from .liefields import FieldFamily, PolyVectorField
 from .signature import batch_signature_levels
 from .strichartz import DEFAULT_FLOW_STEPS, build_Z_batch, exp_flow_batch, psi_batch, rk4
 
@@ -114,10 +114,10 @@ def jacobian_path_strichartz(
     family.require_nilpotent(n)
     m = family.m
     levels = [lvl[1:, 0] for lvl in batch_signature_levels(p.values[None], n - 1, prefixes=True)]
-    terms = build_Z_batch(family.augmented, levels, n)
+    psi = build_Z_batch(family.augmented, levels, n)
     eye = np.eye(m).ravel()
     start = np.concatenate([np.asarray(a, dtype=float), eye, eye])
-    return _split_augmented(p.grid, np.vstack([start, exp_flow_batch(terms, start, steps)]), m)
+    return _split_augmented(p.grid, np.vstack([start, exp_flow_batch(family.augmented, n, psi, start, steps)]), m)
 
 
 def jacobian_flow_rde(
@@ -246,8 +246,8 @@ def malliavin_via_jacobian(
     head = TimeGrid(grid.times[k], k + 1, times=grid.times[: k + 1])
     ypath, jac = jacobian_path_strichartz(family, SamplePath(head, p.values[: k + 1]), a, n, steps)
     carry = jac.J[k_t] @ jac.J_inv[:k_t]
-    v = CompiledField.stack(family.fields)(ypath.values[:k_t].T[..., None])  # (m, k_t, d)
-    values[:k_t] = np.einsum("kab,bkj->kaj", carry, v)
+    v = np.stack([f(ypath.values[:k_t]) for f in family.fields], -1)  # (k_t, m, d)
+    values[:k_t] = np.einsum("kab,kbj->kaj", carry, v)
     return MalliavinSlice(grid=grid, t=t, values=values)
 
 

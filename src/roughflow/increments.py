@@ -188,21 +188,6 @@ def sup_norm(x: Increment2) -> float:
     return float(np.max(_mag(x.values[i, j, ...], 1)))
 
 
-def holder_sup_norm(x: Increment2, mu: float) -> float:
-    """||x||_{mu,infty} = ||x||_mu + ||x||_infty."""
-    return holder_norm(x, mu) + sup_norm(x)
-
-
-def path_holder_norm(g: Increment1, mu: float) -> float:
-    """mu-Hoelder norm of a path, i.e. of its first-order increments."""
-    return holder_norm(delta1(g), mu)
-
-
-def path_holder_sup_norm(g: Increment1, mu: float) -> float:
-    """||g||_{mu,infty} = ||delta g||_mu + sup_t |g_t| for a path g."""
-    return path_holder_norm(g, mu) + g.sup_norm()
-
-
 def _sampled_triples(n: int, size: int, seed: int = 0) -> tuple[Array, Array, Array]:
     """A deterministic sample of ``size`` strict triples i < u < j."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
@@ -295,36 +280,3 @@ def sewing(h: Increment3, mu: float, depth: int = 12, tol: float = 1e-10) -> Inc
     ii, jj = np.tril_indices(n, k=-1)
     lam[ii, jj, ...] = 0.0
     return Increment2(h.grid, lam)
-
-
-def interpolation_constant(alpha: float, rho: float) -> float:
-    """Explicit constant 2^{1 - alpha/rho} of the norm-interpolation bound."""
-    if not 0 < alpha < rho:
-        raise DomainError("need 0 < alpha < rho")
-    return 2.0 ** (1.0 - alpha / rho)
-
-
-def interpolation_chain_check(b: Increment1, alpha: float, rho: float) -> dict:
-    """Evaluate both sides of ||b||_a <= 2^{1-a/r} ||b||_inf^{1-a/r} ||b||_r^{a/r}.
-
-    Returns the discrete norms, both sides and the slack; the bound is an
-    algebraic identity on suprema so the slack is never negative beyond
-    rounding.
-    """
-    if not 0 < alpha < rho < 1:
-        raise DomainError("need 0 < alpha < rho < 1")
-    db = delta1(b)
-    lhs = holder_norm(db, alpha)
-    n_inf = b.sup_norm()
-    n_rho = holder_norm(db, rho)
-    rhs = interpolation_constant(alpha, rho) * n_inf ** (1 - alpha / rho) * n_rho ** (alpha / rho)
-    return {
-        "alpha": alpha,
-        "rho": rho,
-        "holder_alpha": lhs,
-        "sup": n_inf,
-        "holder_rho": n_rho,
-        "rhs": rhs,
-        "slack": rhs - lhs,
-        "holds": bool(lhs <= rhs * (1 + 1e-12) + 1e-15),
-    }

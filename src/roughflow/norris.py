@@ -35,8 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .fbm import HurstParam, SamplePath, TimeGrid, sample_fbm_array
-from .increments import Increment1
+from .fbm import HurstParam, TimeGrid, sample_fbm_array
 from .liefields import FieldFamily, PolyVectorField, bracket
 from .controlled import rde_solve_batch
 
@@ -166,49 +165,6 @@ class TwoScale:
         return int(round(self.Delta / self.delta))
 
 
-@dataclass(frozen=True)
-class BlockStats:
-    """Per-block fourth variations of one path and their global summaries."""
-
-    scales: TwoScale
-    x_blocks: np.ndarray
-    y_blocks: np.ndarray
-    x_total: float
-    mean: float
-    variance: float
-
-
-def block_stats(p: SamplePath, scales: TwoScale) -> BlockStats:
-    """Fourth-variation blocks X_N and their quartic roots Y_N.
-
-    The fine scale must align with the path grid (delta an integer multiple
-    of the mesh).
-    """
-    mesh = p.grid.mesh
-    stride_f = scales.delta / mesh
-    if abs(stride_f - round(stride_f)) > 1e-9 or round(stride_f) < 1:
-        raise DomainError(
-            f"delta = {scales.delta} is not an integer multiple of the mesh {mesh}"
-        )
-    stride = int(round(stride_f))
-    fine = p.values[::stride]
-    incr = np.diff(fine, axis=0)
-    fourth = np.sum(incr * incr, axis=1) ** 2  # |increment|^4
-    r = scales.r
-    n_blocks = fourth.shape[0] // r
-    if n_blocks < 1:
-        raise DomainError("horizon too short for one coarse block")
-    x = fourth[: n_blocks * r].reshape(n_blocks, r).sum(axis=1)
-    return BlockStats(
-        scales=scales,
-        x_blocks=x,
-        y_blocks=x**0.25,
-        x_total=float(np.sum(fourth)),
-        mean=float(np.mean(x)),
-        variance=float(np.var(x)),
-    )
-
-
 def block_stats_mc(
     hurst: HurstParam,
     scales: TwoScale,
@@ -275,51 +231,6 @@ def concentration_table(
         "scale": scale,
         "loglog_shape_slope": slope,
     }
-
-
-# ---------------------------------------------------------------------------
-# Interpolation inequality report
-# ---------------------------------------------------------------------------
-
-
-def l1_norm(b: Increment1) -> float:
-    """Trapezoid integral of |b| over the grid."""
-    mags = np.linalg.norm(np.atleast_2d(b.values.T), axis=0)
-    return float(np.trapezoid(mags, b.grid.times))
-
-
-def interpolation_check(
-    b: Increment1, alpha_: float, rho: float, eta_grid: np.ndarray | None = None
-) -> dict:
-    """Check the explicit-constant interpolation bound and report eta form.
-
-    The inner inequality ||b||_a <= 2^{1-a/r} ||b||_inf^{1-a/r} ||b||_r^{a/r}
-    is evaluated on discrete norms; for each eta the implied constant of
-    the two-term form ||b||_{a,inf} <= C [eta ||b||_{r,inf} +
-    eta^{-1/(r-a)} ||b||_{L1}] is reported.
-    """
-    from .increments import interpolation_chain_check, path_holder_sup_norm
-
-    report = interpolation_chain_check(b, alpha_, rho)
-    lhs_full = path_holder_sup_norm(b, alpha_)
-    rho_full = path_holder_sup_norm(b, rho)
-    l1 = l1_norm(b)
-    if eta_grid is None:
-        eta_grid = np.logspace(-3, 0, 13)
-    implied = []
-    for eta in eta_grid:
-        denom = eta * rho_full + eta ** (-1.0 / (rho - alpha_)) * l1
-        implied.append(lhs_full / denom if denom > 0 else float("inf"))
-    report.update(
-        {
-            "l1": l1,
-            "lhs_full": lhs_full,
-            "rho_full": rho_full,
-            "eta": np.asarray(eta_grid, dtype=float),
-            "implied_C": np.asarray(implied),
-        }
-    )
-    return report
 
 
 # ---------------------------------------------------------------------------

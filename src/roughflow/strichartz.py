@@ -16,12 +16,13 @@ scalar functionals combine signature entries over all permutations,
 with tau the inverse permutation and e(sigma) the descent count.  The
 permutation sum is enumerated literally (k <= 5 keeps it tiny).  The
 exponential flow integrates dPsi/ds = Z(Psi) on [0, 1] for a batch of
-paths at once; ``strichartz_solve`` is its batch of one.  ``exp_flow_batch``
-first asks the exact bracket fields for a flow certificate: when their
-dependency graph is acyclic (triangular fields, Yamato's family among them)
-the flow is a polynomial in s of known degree D, and L Picard steps on
-max(1, ceil(D / 2)) Gauss-Legendre nodes (the last one at s = 1 only) give
-it exactly up to rounding; other families run fixed-step RK4.
+paths at once, on the bracket stack and flow certificate that the family
+keeps; ``strichartz_solve`` is its batch of one.  ``exp_flow_batch`` reads
+the family's certificate at order n: when the brackets' dependency graph is
+acyclic (triangular fields, Yamato's family among them) the flow is a
+polynomial in s of known degree D, and L Picard steps on max(1, ceil(D / 2))
+Gauss-Legendre nodes (the last one at s = 1 only) give it exactly up to
+rounding; other families run fixed-step RK4.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import BlowUpError, DomainError
 from .fbm import SamplePath
-from .liefields import CompiledField, FieldFamily, PolyVectorField, bracket_table, fields_hash
+from .liefields import CompiledField, FieldFamily, PolyVectorField
 from .signature import Word, batch_signature_levels
 
 DEFAULT_FLOW_STEPS = 256
@@ -110,10 +111,13 @@ def build_Z_batch(
     fields: Sequence[PolyVectorField] | FieldFamily,
     levels: list[np.ndarray],
     n: int,
-) -> list[tuple[PolyVectorField, np.ndarray]]:
-    """Bracket fields with per-path psi weights; input to exp_flow_batch.
+) -> np.ndarray:
+    """psi^w per path for each bracket of ``FieldFamily.brackets(n)``, in its order.
 
-    ``levels`` (as from ``batch_signature_levels``) reach level n - 1 over the fields' alphabet.
+    ``levels`` (as from ``batch_signature_levels``) reach level n - 1 over the
+    fields' alphabet.  Returns (n_brackets, n_paths), the weights that
+    ``exp_flow_batch`` puts on the family's bracket stack; a family with no
+    nonzero bracket gives no rows.
     """
     family = FieldFamily.of(fields)
     if n < 2:
@@ -123,9 +127,8 @@ def build_Z_batch(
     if levels[0].shape[1] != family.d:
         raise DomainError(f"{family.d} fields for alphabet size {levels[0].shape[1]}")
     family.require_nilpotent(n)
-    terms = [(fld, psi_batch(levels, w)) for w, fld in family.brackets(n).items()]
-    # Zero fields have no bracket: Z_t = 0, and the flow is the identity.
-    return terms or [(PolyVectorField.zero(family.m), np.zeros(levels[0].shape[:1]))]
+    words = family.brackets(n)
+    return np.array([psi_batch(levels, w) for w in words]).reshape(len(words), levels[0].shape[0])
 
 
 @lru_cache(maxsize=32)
@@ -199,26 +202,32 @@ def polynomial_flow(z: CompiledField, y0: np.ndarray, degree: int, depth: int) -
 
 
 def exp_flow_batch(
-    terms: list[tuple[PolyVectorField, np.ndarray]],
+    fields: Sequence[PolyVectorField] | FieldFamily,
+    n: int,
+    psi: np.ndarray,
     a: np.ndarray,
     steps: int = DEFAULT_FLOW_STEPS,
 ) -> np.ndarray:
-    """Batched [exp(Z)](a) across paths; a is (m,) or (n_paths, m).
+    """Batched [exp(Z)](a) with Z = sum_w psi^w V_w over ``brackets(n)``; a is (m,) or (n_paths, m).
 
-    The bracket table is summed once into per-path coefficients
+    ``psi`` is (n_brackets, n_paths), as from ``build_Z_batch``.  The family's
+    kept bracket stack is summed once into per-path coefficients
     C[pair, path] = sum_w psi^w[path] coef_w[pair], and the state is
-    component-major (m, n_paths).  When the terms' fields carry a flow
-    certificate (``FieldFamily.flow_certificate``), the flow is a polynomial
-    in s for every weighting and ``polynomial_flow`` gives it exactly up to
-    rounding; otherwise RK4 runs ``steps`` steps, the only use of ``steps``.
+    component-major (m, n_paths).  When the family has a flow certificate at
+    order n (the one ``flow_route`` records), the flow is a polynomial in s for
+    every weighting and ``polynomial_flow`` gives it exactly up to rounding;
+    otherwise RK4 runs ``steps`` steps, the only use of ``steps``.
     """
-    if not terms:
-        raise DomainError("empty flow decomposition")
-    fields = [fld for fld, _ in terms]
-    n_paths, m = terms[0][1].shape[0], fields[0].m
-    z = CompiledField.stack(fields).weighted(np.stack([w for _, w in terms]))
-    y0 = np.broadcast_to(np.asarray(a, dtype=float), (n_paths, m)).T
-    certificate = FieldFamily.of(fields).flow_certificate(2)
+    family = FieldFamily.of(fields)
+    psi = np.asarray(psi, dtype=float)
+    if psi.ndim != 2 or psi.shape[0] != len(family.brackets(n)):
+        raise DomainError(f"psi must be ({len(family.brackets(n))}, n_paths), got {psi.shape}")
+    y0 = np.broadcast_to(np.asarray(a, dtype=float), (psi.shape[1], family.m)).T
+    if not psi.shape[0]:
+        # No bracket: Z_t = 0, and the flow is the identity.
+        return y0.T.copy()
+    z = family.bracket_stack(n).weighted(psi)
+    certificate = family.flow_certificate(n)
     if certificate is None:
         return rk4(z, y0, steps).T
     return polynomial_flow(z, y0, *certificate).T
@@ -237,8 +246,9 @@ def strichartz_solve(
     Exact in the piecewise-linear driver up to rounding when the brackets carry
     a flow certificate; otherwise up to the RK4 error of ``steps`` steps.
     """
+    family = FieldFamily.of(fields)
     levels = batch_signature_levels(p.values[None, : p.grid.index_of(t) + 1], n - 1)
-    return exp_flow_batch(build_Z_batch(fields, levels, n), a, steps)[0]
+    return exp_flow_batch(family, n, build_Z_batch(family, levels, n), a, steps)[0]
 
 
 def flow_route(family: FieldFamily, n: int, steps: int) -> dict:

@@ -160,8 +160,7 @@ def test_criterion_05_strichartz_exactness(yamato):
     initial = rng.standard_normal(3)
     explicit = yamato_explicit_batch(drivers, initial)
     levels = batch_signature_levels(drivers, 2)
-    terms = build_Z_batch(yamato, levels, 3)
-    flow = exp_flow_batch(terms, initial, steps=256)
+    flow = exp_flow_batch(yamato, 3, build_Z_batch(yamato, levels, 3), initial, steps=256)
     err_flow = float(np.max(np.abs(flow - explicit)))
     assert err_flow <= 1e-10
     rde = rde_solve_batch(yamato, initial, grid, drivers)[:, -1]

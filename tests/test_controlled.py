@@ -4,7 +4,6 @@ import pytest
 from roughflow.controlled import (
     ControlledPath,
     RoughDriver,
-    controlled_norm,
     pair_integral,
     rde_solve,
     rde_solve_batch,
@@ -16,7 +15,7 @@ from roughflow.fbm import HurstParam, SamplePath, TimeGrid, sample_fbm
 from roughflow.liefields import PolyVectorField, parse_polynomial
 from roughflow.signature import path_signature
 
-from helpers import batch_levy_prefix_loop, davie_chen
+from helpers import batch_levy_prefix_loop, controlled_norm, davie_chen
 
 
 def smooth_driver(n=2049):
@@ -57,6 +56,14 @@ class TestRoughDriver:
         if d == 1:
             b = p.values[:, 0] - p.values[0, 0]
             assert np.array_equal(drv.b2_prefix[:, 0, 0], b**2 / 2)
+
+    def test_b2_prefix_is_built_on_first_use(self, yamato, fbm_path_d3):
+        drv = RoughDriver.from_path(fbm_path_d3)
+        rde_solve(yamato, np.zeros(3), drv)
+        assert "b2_prefix" not in drv.__dict__
+        area = drv.b2(0, 64)
+        assert drv.__dict__["b2_prefix"] is drv.b2_prefix
+        assert np.array_equal(area, drv.b2_prefix[64])
 
     def test_restrict_shifts_origin(self, fbm_path_d2):
         sub = RoughDriver.from_path(fbm_path_d2).restrict(16, 48)

@@ -15,17 +15,16 @@ from roughflow.fbm import (
     HurstParam,
     SamplePath,
     TimeGrid,
-    calibrate_c,
     covariance,
     covariance_matrix,
-    kernel_K,
-    kernel_covariance,
     sample_fbm,
     sample_fbm_array,
     _cholesky_with_jitter,
     _embedding_eigenvalues,
     _transport,
 )
+
+from helpers import calibrate_c, kernel_K, kernel_covariance
 
 
 class TestHurstParam:

@@ -7,7 +7,6 @@ from roughflow.errors import PreconditionError
 from roughflow.fbm import SamplePath, TimeGrid, sample_fbm, sample_fbm_array
 from roughflow import flows
 from roughflow.flows import (
-    augmented_jacobian_fields,
     jacobian_flow_rde,
     jacobian_path_strichartz,
     malliavin_derivative,
@@ -15,7 +14,7 @@ from roughflow.flows import (
     split_signatures,
     z_process,
 )
-from roughflow.liefields import FieldFamily, PolyVectorField, bracket, parse_polynomial
+from roughflow.liefields import FieldFamily, PolyVectorField, augmented_jacobian_fields, bracket, parse_polynomial
 from roughflow.strichartz import strichartz_solve
 from roughflow.signature import path_signature
 

@@ -17,9 +17,6 @@ from roughflow.increments import (
     delta2,
     holder_norm,
     holder_norm_c3,
-    holder_sup_norm,
-    interpolation_chain_check,
-    interpolation_constant,
     sewing,
     sup_norm,
     triples,
@@ -30,6 +27,9 @@ from helpers import (
     compensated_sum,
     delta2_fancy,
     holder_norm_c3_per_call,
+    holder_sup_norm,
+    interpolation_chain_check,
+    interpolation_constant,
     product_rule_defect,
     sewing_trials_per_call,
     triple_indices,

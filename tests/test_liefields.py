@@ -372,7 +372,7 @@ class TestFlowCertificate:
         family = FieldFamily.of(yamato)
         assert family.flow_certificate(3) == (2, 2)
         assert family.flow_certificate(3) is family.flow_certificate(3)
-        # The route exp_flow_batch takes: the family of the Z terms at n = 2.
+        # The brackets as a family of their own carry the same certificate at n = 2.
         assert FieldFamily.of(list(family.brackets(3).values())).flow_certificate(2) == (2, 2)
 
     def test_quadratic_shear_at_order_four(self):

@@ -11,17 +11,17 @@ from roughflow.norris import (
     TwoScale,
     alpha,
     alpha_matrix,
-    block_stats,
     block_stats_mc,
     concentration_table,
     hermite,
     hermite_moments,
-    interpolation_check,
     isserlis_fourth_variation_moments,
     norris_dichotomy_mc,
     s_k,
     sample_fourth_variation,
 )
+
+from helpers import block_stats, interpolation_check
 
 
 class TestHermite:

@@ -7,17 +7,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from roughflow.controlled import RoughDriver, rde_solve
-from roughflow.densitylab import yamato_explicit, yamato_explicit_batch
+from roughflow.densitylab import flow_endpoint_samples, yamato_explicit, yamato_explicit_batch
 from roughflow.errors import BlowUpError, DomainError, PreconditionError
 from roughflow.fbm import HurstParam, SamplePath, TimeGrid, sample_fbm, sample_fbm_array
-from roughflow.liefields import CompiledField, FieldFamily, Polynomial, PolyVectorField, parse_polynomial
+from roughflow.flows import jacobian_path_strichartz, malliavin_via_jacobian
+from roughflow.liefields import CompiledField, FieldFamily, Polynomial, PolyVectorField, bracket_table, parse_polynomial
 from roughflow.signature import batch_signature_levels, chen_concat, path_signature
-from roughflow import strichartz
+from roughflow import liefields, strichartz
 from roughflow.strichartz import (
-    bracket_table,
     build_Z_batch,
     descent_count,
     exp_flow_batch,
+    flow_route,
     psi_batch,
     rk4,
     strichartz_solve,
@@ -31,23 +32,31 @@ def signature_levels(p, level):
     return batch_signature_levels(p.values[None], level)
 
 
-def frozen(terms):
-    """Z_t of ``build_Z_batch`` terms as one compiled field per path, as ``exp_flow_batch`` sums it."""
-    return CompiledField.stack([fld for fld, _ in terms]).weighted(np.stack([w for _, w in terms]))
+def frozen(fields, n, weights):
+    """Z_t from ``build_Z_batch``'s psi rows as one compiled field per path, as ``exp_flow_batch`` sums it."""
+    return CompiledField.stack(list(FieldFamily.of(fields).brackets(n).values())).weighted(weights)
+
+
+def weighted_flow(fields, weights, a, steps=256):
+    """[exp(sum_f weights[f] V_f)](a) per path: at n = 2 the brackets are the
+    nonzero fields, so the rows of zero fields drop."""
+    keep = [not fld.is_zero for fld in fields]
+    return exp_flow_batch(fields, 2, np.asarray(weights, dtype=float)[keep], a, steps)
 
 
 def flow_once(z, a, steps=256):
     """[exp(z)](a) for one field ``z``: ``exp_flow_batch`` on a batch of one."""
-    return exp_flow_batch([(z, np.ones(1))], a, steps)[0]
+    return weighted_flow([z], np.ones((1, 1)), a, steps)[0]
 
 
-def interpreted_exp_flow_batch(terms, a, steps):
+def interpreted_exp_flow_batch(fields, n, weights, a, steps):
     """The term-by-term route the compiled batched flow replaced (its oracle).
 
     Every RK4 stage reads each bracket field's exact Fraction polynomials
     through ``Polynomial.__call__`` and weights it by the per-path psi.
     """
-    n_paths, m = terms[0][1].shape[0], terms[0][0].m
+    terms = list(zip(FieldFamily.of(fields).brackets(n).values(), weights))
+    n_paths, m = weights.shape[1], terms[0][0].m
 
     def rhs(y):
         out = np.zeros_like(y)
@@ -124,14 +133,15 @@ class TestBuildZ:
         e1 = PolyVectorField((parse_polynomial("1", 2), parse_polynomial("0", 2)))
         e2 = PolyVectorField((parse_polynomial("0", 2), parse_polynomial("1", 2)))
         p = sample_fbm(rough_hurst, TimeGrid(1.0, 9), d=2, n_paths=1, seed=3)[0]
-        terms = build_Z_batch([e1, e2], signature_levels(p, 1), 2)
+        weights = build_Z_batch([e1, e2], signature_levels(p, 1), 2)
         assert list(FieldFamily.of([e1, e2]).brackets(2)) == [(1,), (2,)]
+        assert weights.shape == (2, 1)
         b1 = p.values[-1] - p.values[0]
-        assert np.allclose(frozen(terms)(np.zeros((2, 1)))[:, 0], b1)
+        assert np.allclose(frozen([e1, e2], 2, weights)(np.zeros((2, 1)))[:, 0], b1)
 
     def test_yamato_assembly(self, yamato, fbm_path_d3):
-        terms = build_Z_batch(yamato, signature_levels(fbm_path_d3, 2), 3)
-        assert max(fld.degree for fld, _ in terms) == 1
+        weights = build_Z_batch(yamato, signature_levels(fbm_path_d3, 2), 3)
+        assert max(fld.degree for fld in FieldFamily.of(yamato).brackets(3).values()) == 1
         words = sorted(FieldFamily.of(yamato).brackets(3), key=lambda w: (len(w), w))
         assert words == [(2,), (3,), (2, 3), (3, 2)]
         # Z(y) = (psi^2, psi^3, 2 y2 psi^2 - 2 y1 psi^3 - 4 (psi^23 - psi^32)), psi by the oracle.
@@ -142,13 +152,13 @@ class TestBuildZ:
         expect = np.array(
             [p2, p3, 2 * y[1] * p2 - 2 * y[0] * p3 - 4 * (p23 - p32)]
         )
-        assert np.max(np.abs(frozen(terms)(y[:, None])[:, 0] - expect)) < 1e-14
+        assert np.max(np.abs(frozen(yamato, 3, weights)(y[:, None])[:, 0] - expect)) < 1e-14
 
     def test_zero_path_gives_empty_flow(self, yamato):
         grid = TimeGrid(1.0, 5)
         p = SamplePath(grid, np.zeros((5, 3)), hurst=None)
-        terms = build_Z_batch(yamato, signature_levels(p, 2), 3)
-        assert all(np.all(w == 0.0) for _, w in terms)
+        weights = build_Z_batch(yamato, signature_levels(p, 2), 3)
+        assert weights.shape == (4, 1) and np.all(weights == 0.0)
         a = np.array([1.0, 2.0, 3.0])
         assert np.array_equal(strichartz_solve(yamato, p, a, 1.0, 3), a)
 
@@ -241,7 +251,10 @@ class TestStrichartzSolve:
             path_signature(fbm_path_d3, 0.0, 0.5, 2),
             path_signature(fbm_path_d3, 0.5, 1.0, 2),
         )
-        ya, yb = (exp_flow_batch(build_Z_batch(yamato, [lvl[None] for lvl in sig.levels], 3), a)[0] for sig in (sig_full, sig_glued))
+        ya, yb = (
+            exp_flow_batch(yamato, 3, build_Z_batch(yamato, [lvl[None] for lvl in sig.levels], 3), a)[0]
+            for sig in (sig_full, sig_glued)
+        )
         assert np.max(np.abs(ya - yb)) < 1e-13
         assert np.array_equal(ya, strichartz_solve(yamato, fbm_path_d3, a, 1.0, 3))
 
@@ -279,9 +292,9 @@ class TestBatchEngine:
         grid = TimeGrid(1.0, 17)
         drivers = sample_fbm_array(rough_hurst, grid, 3, 6, seed=9)
         levels = batch_signature_levels(drivers, 2)
-        terms = build_Z_batch(yamato, levels, 3)
+        weights = build_Z_batch(yamato, levels, 3)
         a = np.array([0.4, -0.2, 0.7])
-        batch = exp_flow_batch(terms, a, steps=256)
+        batch = exp_flow_batch(yamato, 3, weights, a, steps=256)
         for i in range(6):
             p = SamplePath(grid, drivers[i], hurst=rough_hurst)
             single = strichartz_solve(yamato, p, a, 1.0, 3)
@@ -289,10 +302,10 @@ class TestBatchEngine:
 
     def test_compiled_flow_matches_interpreted_oracle(self, yamato, rough_hurst):
         drivers = sample_fbm_array(rough_hurst, TimeGrid(1.0, 17), 3, 300, seed=4)
-        terms = build_Z_batch(yamato, batch_signature_levels(drivers, 2), 3)
+        weights = build_Z_batch(yamato, batch_signature_levels(drivers, 2), 3)
         a = np.array([0.4, -0.2, 0.7])
-        fast = exp_flow_batch(terms, a, steps=64)
-        assert np.max(np.abs(fast - interpreted_exp_flow_batch(terms, a, 64))) < 1e-12
+        fast = exp_flow_batch(yamato, 3, weights, a, steps=64)
+        assert np.max(np.abs(fast - interpreted_exp_flow_batch(yamato, 3, weights, a, 64))) < 1e-12
 
     def test_compiled_flow_oracle_degree_two_family(self, rough_hurst):
         # V1 = d/dx1, V2 = x1^2 d/dx2: [V1, V2] = 2 x1 d/dx2 is not constant,
@@ -300,11 +313,11 @@ class TestBatchEngine:
         v1 = PolyVectorField((parse_polynomial("1", 2), parse_polynomial("0", 2)))
         v2 = PolyVectorField((parse_polynomial("0", 2), parse_polynomial("x1^2", 2)))
         drivers = sample_fbm_array(rough_hurst, TimeGrid(1.0, 17), 2, 200, seed=6)
-        terms = build_Z_batch([v1, v2], batch_signature_levels(drivers, 3), 4)
-        assert max(fld.degree for fld, _ in terms) == 2
+        weights = build_Z_batch([v1, v2], batch_signature_levels(drivers, 3), 4)
+        assert max(fld.degree for fld in FieldFamily.of([v1, v2]).brackets(4).values()) == 2
         a = np.random.default_rng(6).standard_normal((200, 2))  # one start per path
-        fast = exp_flow_batch(terms, a, steps=64)
-        assert np.max(np.abs(fast - interpreted_exp_flow_batch(terms, a, 64))) < 1e-12
+        fast = exp_flow_batch([v1, v2], 4, weights, a, steps=64)
+        assert np.max(np.abs(fast - interpreted_exp_flow_batch([v1, v2], 4, weights, a, 64))) < 1e-12
 
     def test_psi_batch_matches_scalar(self, yamato, rough_hurst):
         grid = TimeGrid(1.0, 17)
@@ -316,6 +329,61 @@ class TestBatchEngine:
                 p = SamplePath(grid, drivers[i], hurst=rough_hurst)
                 sig = prefix_signatures(p, 16, 2)[16]
                 assert batch[i] == pytest.approx(psi(sig, word), abs=1e-14)
+
+
+class TestFamilyFlow:
+    """Z_t is (family, n, psi): the flow reads the family's kept bracket stack and certificate."""
+
+    def test_warm_family_compiles_nothing(self, yamato, fbm_path_d3, rough_hurst, monkeypatch):
+        monkeypatch.setattr(liefields, "_FAMILIES", {})
+        a = np.array([0.3, -0.5, 0.9])
+
+        def run():
+            return (
+                strichartz_solve(yamato, fbm_path_d3, a, 1.0, 3),
+                jacobian_path_strichartz(yamato, fbm_path_d3, a, 3)[1].J,
+                flow_endpoint_samples(yamato, rough_hurst, 1.0, 64, seed=5, n=3, initial=a, grid_points=17),
+                malliavin_via_jacobian(yamato, fbm_path_d3, a, 0.5, 3).values,
+            )
+
+        warm = run()
+        family = FieldFamily.of(yamato)
+        assert set(liefields._FAMILIES) == {family.key, family.augmented.key}
+
+        def refuse(fields):
+            raise AssertionError("a warm family was compiled again")
+
+        monkeypatch.setattr(CompiledField, "stack", staticmethod(refuse))
+        for before, after in zip(warm, run()):
+            assert np.array_equal(before, after)
+        assert set(liefields._FAMILIES) == {family.key, family.augmented.key}
+
+    @pytest.mark.parametrize("case, route", [("yamato", "polynomial"), ("augmented", "polynomial"), ("sheared", "rk4")])
+    def test_route_run_is_the_route_recorded(self, case, route, yamato, rough_hurst, monkeypatch):
+        base = FieldFamily.of(sheared_yamato() if case == "sheared" else yamato)
+        family = base.augmented if case == "augmented" else base
+        drivers = sample_fbm_array(rough_hurst, TimeGrid(1.0, 17), 3, 4, seed=7)
+        weights = build_Z_batch(family, batch_signature_levels(drivers, 2), 3)
+        ran = []
+        for name, label in (("polynomial_flow", "polynomial"), ("rk4", "rk4")):
+            real = getattr(strichartz, name)
+            monkeypatch.setattr(strichartz, name, lambda *args, real=real, label=label: ran.append(label) or real(*args))
+        exp_flow_batch(family, 3, weights, np.zeros(family.m), steps=8)
+        assert ran == [flow_route(family, 3, 8)["route"]] == [route]
+
+    def test_zero_family_is_the_identity(self, rough_hurst):
+        zero = [PolyVectorField.zero(3)] * 2
+        drivers = sample_fbm_array(rough_hurst, TimeGrid(1.0, 9), 2, 5, seed=1)
+        a = np.random.default_rng(2).standard_normal((5, 3))
+        for n in (2, 3):
+            weights = build_Z_batch(zero, batch_signature_levels(drivers, n - 1), n)
+            assert weights.shape == (0, 5)
+            assert np.array_equal(exp_flow_batch(zero, n, weights, a), a)
+            assert np.array_equal(exp_flow_batch(zero, n, weights, a[0]), np.broadcast_to(a[0], (5, 3)))
+
+    def test_psi_rows_must_match_the_brackets(self, yamato):
+        with pytest.raises(DomainError, match=r"psi must be \(4, n_paths\)"):
+            exp_flow_batch(yamato, 3, np.ones((3, 2)), np.zeros(3))
 
 
 @st.composite
@@ -368,15 +436,15 @@ class TestPolynomialFlow:
         n_paths, m = 5, fields[0].m
         weights = rng.uniform(-1.0, 1.0, (len(fields), n_paths))
         a = rng.uniform(-1.0, 1.0, (n_paths, m))
-        got = exp_flow_batch(list(zip(fields, weights)), a)
+        got = weighted_flow(fields, weights, a)
         want = rk4(CompiledField.stack(fields).weighted(weights), a.T, 4096).T
         assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-10
 
     def test_yamato_matches_explicit_solution(self, yamato, rough_hurst):
         drivers = sample_fbm_array(rough_hurst, TimeGrid(1.0, 33), 3, 2000, seed=12)
         a = np.array([0.7, -1.3, 0.4])
-        terms = build_Z_batch(yamato, batch_signature_levels(drivers, 2), 3)
-        assert np.max(np.abs(exp_flow_batch(terms, a) - yamato_explicit_batch(drivers, a))) <= 1e-13
+        weights = build_Z_batch(yamato, batch_signature_levels(drivers, 2), 3)
+        assert np.max(np.abs(exp_flow_batch(yamato, 3, weights, a) - yamato_explicit_batch(drivers, a))) <= 1e-13
 
     @pytest.mark.parametrize(
         "components, certificate, nodes",
@@ -397,27 +465,26 @@ class TestPolynomialFlow:
         assert strichartz.gauss_nodes(certificate[0]) == nodes
         rng = np.random.default_rng(8)
         weights, a = rng.uniform(-1.5, 1.5, (3, 6)), rng.uniform(-1.0, 1.0, (6, 3))
-        terms = list(zip(fields, weights))
         exact = triangular_flow_closed_form(components, weights, a)
-        assert np.max(np.abs(exp_flow_batch(terms, a) - exact)) <= 1e-13 * max(1.0, np.max(np.abs(exact)))
+        assert np.max(np.abs(weighted_flow(fields, weights, a) - exact)) <= 1e-13 * max(1.0, np.max(np.abs(exact)))
         monkeypatch.setattr(strichartz, "gauss_nodes", lambda degree: nodes - 1)
-        assert np.max(np.abs(exp_flow_batch(terms, a) - exact)) > 1e-6
+        assert np.max(np.abs(weighted_flow(fields, weights, a) - exact)) > 1e-6
 
     def test_uncertified_dilation_keeps_fourth_order_rk4(self):
         weights = np.array([0.5, -1.0, 1.5])
-        terms = [(PolyVectorField((parse_polynomial("x1", 1),)), weights)]
-        assert FieldFamily.of([terms[0][0]]).flow_certificate(2) is None
+        dilation = [PolyVectorField((parse_polynomial("x1", 1),))]
+        assert FieldFamily.of(dilation).flow_certificate(2) is None
         a = np.array([[1.0], [2.0], [-0.5]])
         exact = a[:, 0] * np.exp(weights)
-        errors = [np.max(np.abs(exp_flow_batch(terms, a, steps)[:, 0] - exact)) for steps in (8, 16, 32)]
+        errors = [np.max(np.abs(exp_flow_batch(dilation, 2, weights[None], a, steps)[:, 0] - exact)) for steps in (8, 16, 32)]
         for coarse, fine in zip(errors, errors[1:]):
             assert 2**3.7 <= coarse / fine <= 2**4.3
 
     def test_overflow_raises_blow_up(self):
         shear = [
-            (PolyVectorField((parse_polynomial("1", 2), parse_polynomial("0", 2))), np.ones(2)),
-            (PolyVectorField((parse_polynomial("0", 2), parse_polynomial("x1^2", 2))), np.ones(2)),
+            PolyVectorField((parse_polynomial("1", 2), parse_polynomial("0", 2))),
+            PolyVectorField((parse_polynomial("0", 2), parse_polynomial("x1^2", 2))),
         ]
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(BlowUpError):
-                exp_flow_batch(shear, np.array([[1e200, 0.0], [0.0, 0.0]]))
+                exp_flow_batch(shear, 2, np.ones((2, 2)), np.array([[1e200, 0.0], [0.0, 0.0]]))
