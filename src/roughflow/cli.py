@@ -680,9 +680,10 @@ def main(argv: list[str] | None = None) -> int:
         config = resolve_config(command, args)
         if "fields" in config:
             m = load_fields(config["fields"])[0].m  # existence and parse check up front
-            point = config.get("hormander")
-            if point is not None and len(point) != m:
-                raise ConfigError(f"hormander point needs {m} coordinates, got {len(point)}")
+            for key in ("initial", "hormander"):
+                point = config.get(key)
+                if point is not None and len(point) != m:
+                    raise ConfigError(f"{key} point needs {m} coordinates, got {len(point)}")
     except (ConfigError, RoughflowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

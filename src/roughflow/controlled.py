@@ -34,7 +34,7 @@ import numpy as np
 from .errors import BlowUpError, ConvergenceError, DomainError
 from .fbm import SamplePath, TimeGrid
 from .increments import Increment2
-from .liefields import FieldFamily, PolyVectorField, taylor_correction_fields
+from .liefields import FieldFamily, PolyVectorField
 from .signature import batch_signature_levels
 
 #: Relative stabilization demanded between the last two refinement levels.
@@ -254,9 +254,7 @@ def rde_solve_batch(
         raise DomainError(f"driver values must be (..., {grid.n_points}, d), got {values.shape}")
     if values.shape[-1] != d:
         raise DomainError(f"{d} fields for a {values.shape[-1]}-dimensional driver")
-    a = np.asarray(a, dtype=float)
-    if a.shape != (m,):
-        raise DomainError(f"initial condition must be shape ({m},)")
+    a = family.initial(a)
     stack = family.davie_stack
     y = np.empty(values.shape[:-1] + (m,))
     y[..., 0, :] = a

@@ -213,7 +213,9 @@ def sample_fbm_array(
     component) draw layout, so a draw is deterministic for fixed (seed,
     n_paths, d, grid) and depends on the batch size.  The result is a
     time-major view: the normals are drawn into one (k + 1, n_paths * d)
-    buffer and transported in place, so no second copy of the batch is made.
+    buffer and transported in place.  On the Cholesky route (k = n) the result
+    views that buffer; on the Davies-Harte route (k = 2n) its n + 1 path rows
+    are copied out, so a path does not keep the other n normals alive.
     """
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
@@ -231,4 +233,5 @@ def sample_fbm_array(
     for c in range(0, max(cols - step, 0) + 1, step):
         stop = c + step if c + 2 * step <= cols else cols
         buf[1 : n + 1, c:stop] = apply(buf[1:, c:stop])
-    return buf[: n + 1].reshape(grid.n_points, n_paths, d).transpose(1, 0, 2)
+    paths = buf[: n + 1] if k == n else buf[: n + 1].copy()
+    return paths.reshape(grid.n_points, n_paths, d).transpose(1, 0, 2)

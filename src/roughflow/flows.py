@@ -35,7 +35,8 @@ correctness criterion.
 
 Finally Z^U_t = <J_{0,t}^{-1} U(y_t), eta> satisfies the expansion
 dZ^U = Z^{[V_j, U]} dx^j (driving field first in the bracket), the chain
-the dichotomy experiments in :mod:`roughflow.norris` consume.
+the dichotomy experiments in :mod:`roughflow.norris` consume; they solve
+only the cotangent lift (y, eta^T J^{-1}) of ``liefields.cotangent_fields``.
 """
 
 from __future__ import annotations
@@ -200,6 +201,7 @@ def malliavin_derivative(
     family.require_constant_brackets(n)
     family.require_nilpotent(n)
     m, d = family.m, family.d
+    a = family.initial(a)
     grid = p.grid
     k_t = grid.index_of(t)
     values = np.zeros((grid.n_points, m, d))
@@ -223,7 +225,7 @@ def malliavin_derivative(
         forcing = (v @ weights).reshape(m, k_t, d).transpose(1, 0, 2)
         return v @ psi, np.matmul(stack.jacobian(phi_s) @ psi, D_s) + forcing
 
-    _, values[:k_t] = rk4(rhs, (np.asarray(a, dtype=float), np.zeros((k_t, m, d))), steps)
+    _, values[:k_t] = rk4(rhs, (a, np.zeros((k_t, m, d))), steps)
     return MalliavinSlice(grid=grid, t=t, values=values)
 
 

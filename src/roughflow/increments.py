@@ -51,9 +51,6 @@ class Increment1:
         if v.shape[0] != self.grid.n_points:
             raise DomainError("Increment1 values must have one row per grid point")
 
-    def sup_norm(self) -> float:
-        return float(np.max(_mag(self.values, 1)))
-
 
 @dataclass(frozen=True)
 class Increment2:
@@ -180,12 +177,6 @@ def holder_norm(x: Increment2, mu: float) -> float:
     t = x.grid.times
     mags = _mag(x.values[i, j, ...], 1)
     return float(np.max(mags / (t[j] - t[i]) ** mu))
-
-
-def sup_norm(x: Increment2) -> float:
-    """sup_{s<t} |x_{st}|."""
-    i, j = _pair_indices(x.grid.n_points)
-    return float(np.max(_mag(x.values[i, j, ...], 1)))
 
 
 def _sampled_triples(n: int, size: int, seed: int = 0) -> tuple[Array, Array, Array]:

@@ -682,6 +682,18 @@ def taylor_correction_fields(fields: Sequence[PolyVectorField]) -> list[list[Pol
     return out
 
 
+def _covector_rows(jac: list[list[Polynomial]], total: int, first: int) -> list[Polynomial]:
+    """-(w grad V)_b = -sum_l w_l d_b V^l for b = 1..m, where w_l is variable first + l of R^total."""
+    m = len(jac)
+    out = []
+    for b_ in range(m):
+        acc = Polynomial.zero(total)
+        for l in range(m):
+            acc = acc + Polynomial.variable(total, first + l) * jac[l][b_].lift(total)
+        out.append(-acc)
+    return out
+
+
 def augmented_jacobian_fields(fields: Sequence[PolyVectorField]) -> list[PolyVectorField]:
     """Driving fields of the joint (y, J, J^{-1}) system on R^{m + 2 m^2}.
 
@@ -695,9 +707,6 @@ def augmented_jacobian_fields(fields: Sequence[PolyVectorField]) -> list[PolyVec
     def j_var(row: int, col: int) -> Polynomial:
         return Polynomial.variable(total, m + row * m + col)
 
-    def jinv_var(row: int, col: int) -> Polynomial:
-        return Polynomial.variable(total, m + m * m + row * m + col)
-
     out = []
     for v in fields:
         jac = v.jacobian()  # jac[i][l] = d_l V^i, polynomials in y
@@ -709,15 +718,26 @@ def augmented_jacobian_fields(fields: Sequence[PolyVectorField]) -> list[PolyVec
                 for l in range(m):
                     acc = acc + jac[a_][l].lift(total) * j_var(l, b_)
                 comps.append(acc)
-        # dJinv_{ab} = -(Jinv grad V)_{ab} = -sum_l Jinv_{al} d_b V^l
+        # dJinv = -Jinv grad V, one covector row of J^{-1} at a time
         for a_ in range(m):
-            for b_ in range(m):
-                acc = Polynomial.zero(total)
-                for l in range(m):
-                    acc = acc + jinv_var(a_, l) * jac[l][b_].lift(total)
-                comps.append(-acc)
+            comps += _covector_rows(jac, total, m + m * m + a_ * m)
         out.append(PolyVectorField(tuple(comps)))
     return out
+
+
+def cotangent_fields(fields: Sequence[PolyVectorField]) -> list[PolyVectorField]:
+    """Driving fields of the cotangent lift (y, w) on R^{2m}.
+
+    y occupies the first m slots and the row vector w the last m; w solves
+    dw = -w grad V_i(y) dx^i, as each row of the J^{-1} block of
+    ``augmented_jacobian_fields`` does, so w_0 = eta gives
+    w_t = eta^T J_{0,t}^{-1}.  The fields do not depend on eta.
+    """
+    m = fields[0].m
+    return [
+        PolyVectorField(tuple(c.lift(2 * m) for c in v.components) + tuple(_covector_rows(v.jacobian(), 2 * m, m)))
+        for v in fields
+    ]
 
 
 #: Field families ``FieldFamily.of`` keeps; the least recently used goes first.
@@ -767,6 +787,13 @@ class FieldFamily:
     def d(self) -> int:
         return len(self.fields)
 
+    def initial(self, a) -> np.ndarray:
+        """The point ``a`` of R^m as floats; DomainError for any other shape."""
+        a = np.asarray(a, dtype=float)
+        if a.shape != (self.m,):
+            raise DomainError(f"initial condition must be shape ({self.m},), got {a.shape}")
+        return a
+
     def nilpotent(self, n: int) -> tuple[bool, tuple[int, ...] | None]:
         """``is_nilpotent(fields, n)``: (ok, violating word or None)."""
         return self._member(("nilpotent", n), lambda: is_nilpotent(self.fields, n))
@@ -812,3 +839,8 @@ class FieldFamily:
     def augmented(self) -> "FieldFamily":
         """The family of the joint (y, J, J^{-1}) fields of ``augmented_jacobian_fields``."""
         return FieldFamily.of(augmented_jacobian_fields(self.fields))
+
+    @cached_property
+    def cotangent(self) -> "FieldFamily":
+        """The family of the cotangent lift (y, eta^T J^{-1}) of ``cotangent_fields``."""
+        return FieldFamily.of(cotangent_fields(self.fields))

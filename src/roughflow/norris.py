@@ -25,7 +25,10 @@ the Isserlis enumeration oracle in the tests adjudicates in favor of
 The dichotomy probe estimates P(||y|| < eps, ||z|| > eps^q) over a shrinking
 ladder of eps for the integral/integrand pair of a bracket pairing process,
 asserting only monotone decay and a positive fitted exponent; the
-constants of the underlying tail bound are not desk-reproducible.
+constants of the underlying tail bound are not desk-reproducible.  The
+pairings Z^U_t = <J_{0,t}^{-1} U(y_t), eta> = w_t . U(y_t) read J^{-1} only
+through w_t = eta^T J_{0,t}^{-1}, so the probe solves the cotangent lift
+(y, w) on R^{2m} (``FieldFamily.cotangent``) instead of (y, J, J^{-1}).
 """
 
 from __future__ import annotations
@@ -287,21 +290,23 @@ def norris_dichotomy_mc(
         raise DomainError("eps values must be positive")
     family = FieldFamily.of(fields)
     m = family.m
-    a = np.zeros(m) if a is None else np.asarray(a, dtype=float)
+    a = family.initial(np.zeros(m) if a is None else a)
     eta = np.asarray(eta, dtype=float)
-    eta = eta / np.linalg.norm(eta)
+    if eta.shape != (m,):
+        raise DomainError(f"eta must be shape ({m},), got {eta.shape}")
+    norm = np.linalg.norm(eta)
+    if not norm:
+        raise DomainError("eta must be a nonzero direction")
+    eta = eta / norm
 
     grid = TimeGrid(horizon, grid_points)
     drivers = sample_fbm_array(hurst, grid, family.d, n_paths, seed)
-    eye = np.eye(m).ravel()
-    state0 = np.concatenate([a, eye, eye])
-    states = rde_solve_batch(family.augmented, state0, grid, drivers)
-    y_sol = states[:, :, :m]
-    j_inv = states[:, :, m + m * m :].reshape(n_paths, grid_points, m, m)
+    # The cotangent lift carries w_t = eta^T J_{0,t}^{-1} beside y_t.
+    states = rde_solve_batch(family.cotangent, np.concatenate([a, eta]), grid, drivers)
+    y_sol, w = states[..., :m].reshape(-1, m), states[..., m:]
 
     def pairing(field: PolyVectorField) -> np.ndarray:
-        vals = field(y_sol.reshape(-1, m)).reshape(n_paths, grid_points, m)
-        return np.einsum("ptab,ptb,a->pt", j_inv, vals, eta)
+        return np.einsum("ptb,ptb->pt", w, field(y_sol).reshape(w.shape))
 
     z_u = pairing(u_field)
     y_paths = z_u - z_u[:, :1]

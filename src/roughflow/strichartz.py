@@ -222,7 +222,10 @@ def exp_flow_batch(
     psi = np.asarray(psi, dtype=float)
     if psi.ndim != 2 or psi.shape[0] != len(family.brackets(n)):
         raise DomainError(f"psi must be ({len(family.brackets(n))}, n_paths), got {psi.shape}")
-    y0 = np.broadcast_to(np.asarray(a, dtype=float), (psi.shape[1], family.m)).T
+    a = np.asarray(a, dtype=float)
+    if a.shape not in ((family.m,), (psi.shape[1], family.m)):
+        raise DomainError(f"a must be shape ({family.m},) or ({psi.shape[1]}, {family.m}), got {a.shape}")
+    y0 = np.broadcast_to(a, (psi.shape[1], family.m)).T
     if not psi.shape[0]:
         # No bracket: Z_t = 0, and the flow is the identity.
         return y0.T.copy()

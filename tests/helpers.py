@@ -13,12 +13,12 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from roughflow.controlled import ControlledPath
+from roughflow.controlled import ControlledPath, rde_solve_batch
 from roughflow.errors import DomainError
 from roughflow.fbm import HurstParam, SamplePath, TimeGrid, sample_fbm_array
 from roughflow.flows import jacobian_flow_rde
-from roughflow.increments import Increment1, Increment2, Increment3, _mag, delta1, holder_norm, sewing, sup_norm
-from roughflow.norris import TwoScale
+from roughflow.increments import Increment1, Increment2, Increment3, _mag, _pair_indices, delta1, holder_norm, sewing
+from roughflow.norris import TwoScale, _path_norms
 from roughflow.liefields import CompiledField, FieldFamily, Polynomial, PolyVectorField, bracket, parse_polynomial
 from roughflow.signature import (
     IteratedIntegrals,
@@ -402,6 +402,34 @@ def z_family(fields, driver, u_fields, eta, a):
     return np.stack(cols, axis=1)
 
 
+def dichotomy_norms_augmented(fields, u_field, eta, hurst, n_paths, a=None, horizon=0.01, grid_points=65,
+                              gamma_y=0.0, alpha_z=0.0, seed=0):
+    """(y_norms, z_norms) of ``norris_dichotomy_mc`` from the full (y, J, J^{-1}) system.
+
+    The augmented-system oracle of the cotangent lift: J^{-1} is contracted
+    with eta and U(y) for each pairing.
+    """
+    family = FieldFamily.of(fields)
+    m = family.m
+    a = np.zeros(m) if a is None else np.asarray(a, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    eta = eta / np.linalg.norm(eta)
+    grid = TimeGrid(horizon, grid_points)
+    drivers = sample_fbm_array(hurst, grid, family.d, n_paths, seed)
+    eye = np.eye(m).ravel()
+    states = rde_solve_batch(family.augmented, np.concatenate([a, eye, eye]), grid, drivers)
+    y_sol = states[:, :, :m]
+    j_inv = states[:, :, m + m * m :].reshape(n_paths, grid_points, m, m)
+
+    def pairing(field: PolyVectorField) -> np.ndarray:
+        vals = field(y_sol.reshape(-1, m)).reshape(n_paths, grid_points, m)
+        return np.einsum("ptab,ptb,a->pt", j_inv, vals, eta)
+
+    z_u = pairing(u_field)
+    z_paths = np.stack([pairing(bracket(vj, u_field)) for vj in family.fields], axis=2)
+    return _path_norms(z_u - z_u[:, :1], grid.times, gamma_y), _path_norms(z_paths, grid.times, alpha_z)
+
+
 def bracket_loop(v: PolyVectorField, w: PolyVectorField) -> PolyVectorField:
     """[V, W]^i = V^l d_l W^i - W^l d_l V^i over every (i, l), by polynomial arithmetic.
 
@@ -524,6 +552,17 @@ def kernel_covariance(s: float, t: float, hurst: HurstParam | float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def sup_norm(x: Increment2) -> float:
+    """sup_{s<t} |x_{st}|."""
+    i, j = _pair_indices(x.grid.n_points)
+    return float(np.max(_mag(x.values[i, j, ...], 1)))
+
+
+def path_sup_norm(g: Increment1) -> float:
+    """sup_t |g_t| for a path g."""
+    return float(np.max(_mag(g.values, 1)))
+
+
 def holder_sup_norm(x: Increment2, mu: float) -> float:
     """||x||_{mu,infty} = ||x||_mu + ||x||_infty."""
     return holder_norm(x, mu) + sup_norm(x)
@@ -531,7 +570,7 @@ def holder_sup_norm(x: Increment2, mu: float) -> float:
 
 def path_holder_sup_norm(g: Increment1, mu: float) -> float:
     """||g||_{mu,infty} = ||delta g||_mu + sup_t |g_t| for a path g."""
-    return holder_norm(delta1(g), mu) + g.sup_norm()
+    return holder_norm(delta1(g), mu) + path_sup_norm(g)
 
 
 def interpolation_constant(alpha: float, rho: float) -> float:
@@ -552,7 +591,7 @@ def interpolation_chain_check(b: Increment1, alpha: float, rho: float) -> dict:
         raise DomainError("need 0 < alpha < rho < 1")
     db = delta1(b)
     lhs = holder_norm(db, alpha)
-    n_inf = b.sup_norm()
+    n_inf = path_sup_norm(b)
     n_rho = holder_norm(db, rho)
     rhs = interpolation_constant(alpha, rho) * n_inf ** (1 - alpha / rho) * n_rho ** (alpha / rho)
     return {

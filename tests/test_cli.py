@@ -134,6 +134,16 @@ def test_hormander_point_length_exits_two(point, tmp_path, capsys):
     assert not (tmp_path / "check-fields-seed0").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "strichartz", "jacobian", "malliavin"])
+@pytest.mark.parametrize("point", ["0,0", "0,0,0,0"])
+def test_initial_point_length_exits_two(command, point, tmp_path, capsys):
+    rc = main([command, "--initial", point, "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.strip() == f"config error: initial point needs 3 coordinates, got {point.count(',') + 1}"
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [

@@ -8,11 +8,10 @@ from roughflow.controlled import (
     rde_solve,
     rde_solve_batch,
     rough_integral,
-    taylor_correction_fields,
 )
 from roughflow.errors import BlowUpError, ConvergenceError, DomainError
 from roughflow.fbm import HurstParam, SamplePath, TimeGrid, sample_fbm
-from roughflow.liefields import PolyVectorField, parse_polynomial
+from roughflow.liefields import PolyVectorField, parse_polynomial, taylor_correction_fields
 from roughflow.signature import path_signature
 
 from helpers import batch_levy_prefix_loop, controlled_norm, davie_chen

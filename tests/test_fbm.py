@@ -196,6 +196,29 @@ class TestInPlaceSampler:
             assert np.all(a[:, 0] == 0.0)
 
 
+def root_buffer(a: np.ndarray) -> np.ndarray:
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+class TestPathBuffers:
+    def test_davies_harte_path_holds_only_its_own_bytes(self, rough_hurst):
+        g = TimeGrid(1.0, DH_MIN_POINTS)
+        p = sample_fbm(rough_hurst, g, 1, 1, seed=6)[0]
+        assert p.values.nbytes == 8 * DH_MIN_POINTS
+        assert root_buffer(p.values).nbytes == p.values.nbytes
+        assert np.array_equal(p.values, reference_sample_fbm_array(rough_hurst, g, 1, 1, seed=6)[0])
+        batch = sample_fbm_array(rough_hurst, g, 3, 2, seed=6)
+        assert root_buffer(batch).nbytes == batch.nbytes
+        assert np.array_equal(batch, reference_sample_fbm_array(rough_hurst, g, 3, 2, seed=6))
+
+    def test_cholesky_route_holds_only_the_batch(self, rough_hurst):
+        # Its normal buffer has the batch's own n + 1 rows, so it is returned as a view.
+        batch = sample_fbm_array(rough_hurst, TimeGrid(1.0, 257), 2, 3, seed=6)
+        assert root_buffer(batch).nbytes == batch.nbytes
+
+
 class TestTransport:
     """The samplers are linear in their normals: pushing the identity through
     the transport gives its matrix A, whose law is fixed by A A^T."""

@@ -3,7 +3,7 @@ import pytest
 
 from roughflow.controlled import ControlledPath, RoughDriver, pair_integral
 from roughflow.densitylab import yamato_explicit
-from roughflow.errors import PreconditionError
+from roughflow.errors import DomainError, PreconditionError
 from roughflow.fbm import SamplePath, TimeGrid, sample_fbm, sample_fbm_array
 from roughflow import flows
 from roughflow.flows import (
@@ -251,6 +251,11 @@ class TestSignatureDerivatives:
 
 
 class TestMalliavinDerivative:
+    @pytest.mark.parametrize("shape", [(2,), (4,), (1, 3)])
+    def test_wrong_initial_shape_raises(self, yamato, fbm_path_d3, shape):
+        with pytest.raises(DomainError):
+            malliavin_derivative(yamato, fbm_path_d3, np.zeros(shape), 0.5, 3, steps=4)
+
     def test_adaptedness(self, yamato, fbm_path_d3):
         ms = malliavin_derivative(yamato, fbm_path_d3, A_INIT, 0.5, 3, steps=64)
         assert np.max(np.abs(ms.values[32:])) == 0.0  # u >= t = t_32, row u = t included

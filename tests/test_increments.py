@@ -18,7 +18,6 @@ from roughflow.increments import (
     holder_norm,
     holder_norm_c3,
     sewing,
-    sup_norm,
     triples,
 )
 from roughflow.reporting import write_csv
@@ -32,6 +31,7 @@ from helpers import (
     interpolation_constant,
     product_rule_defect,
     sewing_trials_per_call,
+    sup_norm,
     triple_indices,
 )
 

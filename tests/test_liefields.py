@@ -19,6 +19,7 @@ from roughflow.liefields import (
     bracket,
     bracket_table,
     constant_brackets,
+    cotangent_fields,
     flow_certificate,
     format_field_file,
     hormander_rank,
@@ -275,6 +276,27 @@ class TestFieldFamily:
         assert family.augmented.fields == tuple(aug)
         aug_corrections = [w for row in taylor_correction_fields(aug) for w in row]
         assert_same_compiled(family.augmented.davie_stack, CompiledField.stack(aug + aug_corrections))
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
+    def test_cotangent_lift_is_the_y_block_and_one_inverse_row(self, name):
+        fields = ORACLE_FAMILIES[name]()
+        family = FieldFamily.of(fields)
+        m = family.m
+        lift = family.cotangent
+        assert lift is family.cotangent
+        assert lift.fields == tuple(cotangent_fields(fields))
+        assert lift.m == 2 * m and lift.d == family.d
+        aug = family.augmented.fields
+        for v, v_lift, v_aug in zip(fields, lift.fields, aug):
+            assert v_lift.components[:m] == tuple(c.lift(2 * m) for c in v.components)
+            # w_b is row a of the J^{-1} block with J^{-1}_{al} renamed w_l.
+            for a in range(m):
+                start = m + m * m + a * m
+                for b in range(m):
+                    terms = v_aug.components[start + b].terms
+                    assert all(sum(e) == sum(e[:m]) + sum(e[start : start + m]) for e in terms)
+                    moved = {e[:m] + e[start : start + m]: c for e, c in terms.items()}
+                    assert v_lift.components[m + b].terms == moved
 
     def test_members_are_kept_and_read_only(self, yamato):
         family = FieldFamily.of(yamato)

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roughflow import norris
+from roughflow.controlled import rde_solve_batch
 from roughflow.errors import DomainError
 from roughflow.fbm import TimeGrid, SamplePath, sample_fbm
 from roughflow.increments import Increment1
-from roughflow.liefields import PolyVectorField, parse_polynomial
+from roughflow.liefields import FieldFamily, PolyVectorField, parse_polynomial
 from roughflow.norris import (
     TwoScale,
     alpha,
@@ -21,7 +23,7 @@ from roughflow.norris import (
     sample_fourth_variation,
 )
 
-from helpers import block_stats, interpolation_check
+from helpers import block_stats, dichotomy_norms_augmented, interpolation_check, sheared_yamato
 
 
 class TestHermite:
@@ -239,4 +241,62 @@ class TestDichotomyProbe:
             norris_dichotomy_mc(
                 yamato, yamato[1], np.array([0, 0, 1.0]), rough_hurst,
                 [0.4], q=0.0, n_paths=10, horizon=1e-4, seed=0,
+            )
+
+
+class TestCotangentPairing:
+    """The dichotomy pairs w = eta^T J^{-1} of the cotangent lift with U(y); the
+    full (y, J, J^{-1}) system contracted with eta is its oracle."""
+
+    # The norris-mc default run (2,000 paths on 65 points, horizon 1e-4, seed 0), then a longer grid.
+    @pytest.mark.parametrize("grid_points, n_paths", [(65, 2000), (257, 500)])
+    def test_matches_augmented_oracle_bitwise_at_cli_eta(self, yamato, rough_hurst, grid_points, n_paths):
+        eta = np.array([0.0, 0.0, 1.0])
+        rep = norris_dichotomy_mc(
+            yamato, yamato[1], eta, rough_hurst, [0.4, 0.2, 0.1, 0.05], q=0.5, n_paths=n_paths,
+            horizon=1e-4, grid_points=grid_points, seed=0,
+        )
+        y_norms, z_norms = dichotomy_norms_augmented(
+            yamato, yamato[1], eta, rough_hurst, n_paths, horizon=1e-4, grid_points=grid_points, seed=0
+        )
+        assert np.array_equal(rep["y_norms"], y_norms)
+        assert np.array_equal(rep["z_norms"], z_norms)
+
+    def test_solves_the_cotangent_lift_from_a_and_unit_eta(self, yamato, rough_hurst, monkeypatch):
+        seen = []
+
+        def spy(fields, a, grid, values):
+            seen.append((fields, a))
+            return rde_solve_batch(fields, a, grid, values)
+
+        monkeypatch.setattr(norris, "rde_solve_batch", spy)
+        norris_dichotomy_mc(
+            yamato, yamato[1], np.array([0.0, 0.0, 2.0]), rough_hurst, [0.4], q=0.5, n_paths=8,
+            a=[1.0, 2.0, 3.0], horizon=1e-4, seed=0,
+        )
+        [(family, start)] = seen
+        assert family is FieldFamily.of(yamato).cotangent
+        assert np.array_equal(start, [1.0, 2.0, 3.0, 0.0, 0.0, 1.0])
+
+    def test_random_eta_matches_augmented_oracle(self, rough_hurst):
+        fields = sheared_yamato()
+        rng = np.random.default_rng(41)
+        eta = rng.standard_normal(3)
+        eta /= np.linalg.norm(eta)
+        a = rng.standard_normal(3)
+        kwargs = dict(a=a, horizon=0.01, grid_points=65, seed=9)
+        rep = norris_dichotomy_mc(fields, fields[1], eta, rough_hurst, [0.4, 0.2], q=0.5, n_paths=400, **kwargs)
+        y_norms, z_norms = dichotomy_norms_augmented(fields, fields[1], eta, rough_hurst, 400, **kwargs)
+        assert np.max(np.abs(rep["y_norms"] - y_norms) / np.abs(y_norms)) <= 1e-13
+        assert np.max(np.abs(rep["z_norms"] - z_norms) / np.abs(z_norms)) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "a, eta",
+        [([0.0, 0.0], [0.0, 0.0, 1.0]), ([0.0] * 4, [0.0, 0.0, 1.0]), (None, [0.0, 1.0]), (None, [0.0, 0.0, 0.0])],
+        ids=["short-a", "long-a", "short-eta", "zero-eta"],
+    )
+    def test_bad_initial_or_eta_raises(self, yamato, rough_hurst, a, eta):
+        with pytest.raises(DomainError):
+            norris_dichotomy_mc(
+                yamato, yamato[1], np.array(eta), rough_hurst, [0.4], q=0.5, n_paths=4, a=a, horizon=1e-4, seed=0,
             )

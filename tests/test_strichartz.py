@@ -215,6 +215,12 @@ class TestExpFlow:
         ratio = abs(coarse[0] - math.e) / abs(val[0] - math.e)
         assert ratio > 1000  # (256/32)^4 = 4096 up to rounding
 
+    @pytest.mark.parametrize("shape", [(2,), (4,), (3, 3), (5, 2)])
+    def test_wrong_initial_shape_raises(self, yamato, shape):
+        psi = np.zeros((len(FieldFamily.of(yamato).brackets(3)), 5))
+        with pytest.raises(DomainError):
+            exp_flow_batch(yamato, 3, psi, np.zeros(shape))
+
     def test_blow_up(self):
         z = PolyVectorField((parse_polynomial("x1^3", 1),))
         with np.errstate(over="ignore", invalid="ignore"):

@@ -1,17 +1,23 @@
-"""The benchmark tracer's tables name functions that exist in the package.
+"""The benchmark tooling: the tracer's tables and the paired recorder.
 
 ``bench/spans.py`` wraps the (module, attribute) pairs of ``SPANNED`` and
 ``COUNTED`` by looking each one up on ``roughflow``; a name that no longer
-resolves would crash every ``--trace`` run.
+resolves would crash every ``--trace`` run.  ``tools/bench_record.py`` is
+run on a stub benchmark in a throwaway repository.
 """
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SPANS_FILE = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS_FILE = ROOT / "bench" / "spans.py"
 
 
 def load_spans():
@@ -46,3 +52,68 @@ def test_tracer_installs_every_name_and_restores():
         tracer.restore()
     for (m, a), fn in originals.items():
         assert getattr(loaded[m], a) is fn
+
+
+STUB_RUN = '''\
+import argparse, json, os, pathlib
+parser = argparse.ArgumentParser()
+for flag in ("--workload", "--seed", "--seconds", "--trace"):
+    parser.add_argument(flag)
+args = parser.parse_args()
+root = pathlib.Path(__file__).resolve().parent.parent
+wall = float((root / "speed.txt").read_text())
+with open(os.environ["BENCH_STUB_LOG"], "a") as log:
+    log.write(f"{root} {wall} {args.workload} {args.seed} {args.trace}\\n")
+metrics = {"wall_s": {"value": wall * (1 + int(args.seed) / 100), "unit": "s"}, "peak_rss_mb": {"value": 10.0, "unit": "MB"}}
+print("a line before the result")
+print(json.dumps({"correct": True, "failed": 0, "attempted": 1, "metrics": metrics}))
+'''
+
+
+def test_bench_record_baseline_alternates_pairs(tmp_path):
+    """``--baseline`` pairs a run of the committed revision with one of the working tree,
+    swapping which runs first; a stub benchmark stands in for ``bench/run.py``."""
+    repo = tmp_path / "repo"
+    (repo / "tools").mkdir(parents=True)
+    (repo / "bench").mkdir()
+    (repo / "tools" / "bench_record.py").write_text((ROOT / "tools" / "bench_record.py").read_text())
+    (repo / "bench" / "run.py").write_text(STUB_RUN)
+    spec = {
+        "command": ["python3", "bench/run.py"],
+        "paths": ["bench"],
+        "run_seconds": 1,
+        "workloads": [{"name": "w1"}, {"name": "w2"}],
+        "end_to_end": [{"name": "wall_s", "better": "lower"}, {"name": "peak_rss_mb", "better": "lower"}],
+    }
+    (repo / "BENCHMARK.json").write_text(json.dumps(spec))
+    (repo / "speed.txt").write_text("1.0")
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    for argv in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "base"]):
+        subprocess.run([*git, *argv], cwd=repo, check=True, capture_output=True)
+    (repo / "speed.txt").write_text("0.5")  # the uncommitted change runs twice as fast
+    log = tmp_path / "runs.log"
+    proc = subprocess.run(
+        [sys.executable, "tools/bench_record.py", "--pr", "99", "--seeds", "1", "2", "3",
+         "--baseline", "HEAD", "--layers"],
+        cwd=repo, capture_output=True, text=True, env={**os.environ, "BENCH_STUB_LOG": str(log)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads((repo / "BENCH_99.json").read_text())
+    assert list(record["workloads"]) == ["w1", "w2"]
+    for w in record["workloads"].values():
+        assert [p["first"] for p in w["pairs"]] == ["baseline", "change", "baseline"]
+        assert [p["seed"] for p in w["pairs"]] == [1, 2, 3]
+        assert all(p["ratio"] == {"wall_s": 0.5, "peak_rss_mb": 1.0} for p in w["pairs"])
+        assert w["wins"] == {"wall_s": 3, "peak_rss_mb": 0}
+        assert w["baseline"]["metrics"]["wall_s"]["values"] == [1.01, 1.02, 1.03]
+        assert w["change"]["correct"] and w["layers"]["seed"] == 1
+    assert record["change"]["uncommitted"]
+    runs = [line.split() for line in log.read_text().splitlines()]
+    # Baseline runs read the committed speed from a temporary copy, removed afterwards.
+    pairs = [(1.0, "1"), (0.5, "1"), (0.5, "2"), (1.0, "2"), (1.0, "3"), (0.5, "3")]
+    expect = [(*run, workload, "0") for workload in ("w1", "w2") for run in pairs]
+    expect += [(0.5, "1", workload, "1") for workload in ("w1", "w2")]
+    assert [(float(r[1]), r[3], r[2], r[4]) for r in runs] == expect
+    baseline_roots = {r[0] for r in runs if r[1] == "1.0"}
+    assert len(baseline_roots) == 1 and not Path(baseline_roots.pop()).exists()
+    assert {r[0] for r in runs if r[1] == "0.5"} == {str(repo.resolve())}

@@ -1,28 +1,38 @@
 """Record the benchmark of one change as ``BENCH_<pr>.json``.
 
     python3 tools/bench_record.py --pr 11 --seeds 901 902 903 [--layers]
+    python3 tools/bench_record.py --pr 16 --seeds 1601 1602 ... 1610 --baseline HEAD
 
 Run from the root of a checkout.  For every workload in ``BENCHMARK.json``
-and every seed, the benchmark's own command (``python3 bench/run.py``) runs
-once in a fresh process for the file's ``run_seconds`` with ``--trace 0``;
-with ``--layers`` each workload also runs once with ``--trace 1`` on the
-first seed, for the per-layer metrics.  The record holds, per workload and
-metric, the median and the quartiles over the seeds (and every value), the
-seeds, whether every run was correct and how many operations failed, and
-the Python, numpy and scipy versions and CPU count of the machine.  The
-benchmark itself is not edited or imported: this script only reads the JSON
-line each run prints last.
+and every seed, the benchmark's own command (``python3 bench/run.py``) runs once in a fresh process for the
+file's ``run_seconds`` with ``--trace 0``; with ``--layers`` each workload
+also runs once with ``--trace 1`` on the first seed, for the per-layer
+metrics.  The record holds, per workload and metric, the median and the
+quartiles over the seeds (and every value), the seeds, whether every run was
+correct and how many operations failed, and the Python, numpy and scipy
+versions and CPU count of the machine.
+
+With ``--baseline <rev>`` the committed files of ``<rev>`` are extracted
+(``git archive``) into a temporary directory, and each seed becomes a pair:
+one run there and one in this checkout, with the side that runs first
+swapped from pair to pair, so that drift of the machine falls on both sides
+alike.  Per workload the record then holds both sides' summaries, every
+pair's ratio change / baseline of each end-to-end metric, and how many pairs
+the change won on each.  The benchmark itself is not edited or imported:
+this script only reads the JSON line each run prints last.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from importlib import metadata
 from pathlib import Path
@@ -30,13 +40,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_once(command: list[str], workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One benchmark run; its last stdout line is the result JSON."""
+def run_once(command: list[str], cwd: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One benchmark run in checkout ``cwd``; its last stdout line is the result JSON."""
     argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
+    proc = subprocess.run(argv, cwd=cwd, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode not in (0, 1) or not lines:
-        raise SystemExit(f"{' '.join(argv)} exited {proc.returncode}:\n{proc.stderr.strip()}")
+        raise SystemExit(f"{' '.join(argv)} in {cwd} exited {proc.returncode}:\n{proc.stderr.strip()}")
     return json.loads(lines[-1])
 
 
@@ -49,12 +59,8 @@ def summarize(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "values": values}
 
 
-def record_workload(command, workload, seeds, seconds, layers) -> dict:
-    runs = []
-    for seed in seeds:
-        runs.append(run_once(command, workload, seed, seconds, 0))
-        print(f"{workload} seed {seed}: wall_s {runs[-1]['metrics']['wall_s']['value']:.4f}", file=sys.stderr)
-    out = {
+def summarize_runs(runs: list[dict]) -> dict:
+    return {
         "correct": all(r["correct"] for r in runs),
         "failed": max(r["failed"] for r in runs),
         "attempted": runs[0]["attempted"],
@@ -63,10 +69,64 @@ def record_workload(command, workload, seeds, seconds, layers) -> dict:
             for name, metric in runs[0]["metrics"].items()
         },
     }
-    if layers:
-        traced = run_once(command, workload, seeds[0], seconds, 1)
-        out["layers"] = {"seed": seeds[0], "correct": traced["correct"], "metrics": traced["metrics"]}
-    return out
+
+
+def record_workload(command, workload, seeds, seconds) -> dict:
+    runs = []
+    for seed in seeds:
+        runs.append(run_once(command, ROOT, workload, seed, seconds, 0))
+        print(f"{workload} seed {seed}: wall_s {runs[-1]['metrics']['wall_s']['value']:.4f}", file=sys.stderr)
+    return summarize_runs(runs)
+
+
+def record_layers(command, workload, seed, seconds) -> dict:
+    """One traced run in this checkout, for the per-layer metrics."""
+    traced = run_once(command, ROOT, workload, seed, seconds, 1)
+    return {"seed": seed, "correct": traced["correct"], "metrics": traced["metrics"]}
+
+
+def record_pairs(command, baseline: Path, workload, seeds, seconds, better: dict[str, str]) -> dict:
+    """One baseline/change pair per seed; even pairs run the baseline first, odd ones the change."""
+    roots = {"baseline": baseline, "change": ROOT}
+    runs: dict[str, list[dict]] = {"baseline": [], "change": []}
+    pairs = []
+    for i, seed in enumerate(seeds):
+        order = ("baseline", "change") if i % 2 == 0 else ("change", "baseline")
+        result = {side: run_once(command, roots[side], workload, seed, seconds, 0) for side in order}
+        ratio = {}
+        for name in better:
+            base, new = (result[side]["metrics"][name]["value"] for side in ("baseline", "change"))
+            ratio[name] = new / base if base else None
+        for side in order:
+            runs[side].append(result[side])
+        pairs.append({"seed": seed, "first": order[0], "ratio": ratio})
+        walls = " / ".join(f"{result[side]['metrics']['wall_s']['value']:.4f}" for side in ("baseline", "change"))
+        print(f"{workload} seed {seed}: wall_s baseline / change {walls}", file=sys.stderr)
+    wins = {
+        name: sum(
+            r is not None and (r < 1.0 if how == "lower" else r > 1.0) for r in (p["ratio"][name] for p in pairs)
+        )
+        for name, how in better.items()
+    }
+    return {
+        "baseline": summarize_runs(runs["baseline"]),
+        "change": summarize_runs(runs["change"]),
+        "pairs": pairs,
+        "wins": wins,
+    }
+
+
+@contextlib.contextmanager
+def extracted(rev: str):
+    """The committed files of ``rev`` in a temporary directory, removed afterwards."""
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, capture_output=True, check=True)
+    with tempfile.TemporaryDirectory(prefix="bench-baseline-") as tmp:
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
+        yield Path(tmp)
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -74,15 +134,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pr", type=int, required=True, help="number in the output name BENCH_<pr>.json")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--layers", action="store_true", help="also record one traced run per workload")
+    parser.add_argument("--baseline", metavar="REV", help="run alternating pairs against this git revision")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     command = [sys.executable if part in ("python3", "python") else part for part in spec["command"]]
     seconds = spec["run_seconds"]
-    started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    names = [w["name"] for w in spec["workloads"]]
     record = {
         "pr": args.pr,
-        "started_utc": started,
+        "started_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "command": spec["command"],
         "seconds": seconds,
         "seeds": args.seeds,
@@ -93,10 +154,20 @@ def main(argv: list[str] | None = None) -> int:
             "cpu_count": os.cpu_count(),
             "machine": platform.machine(),
         },
-        "workloads": {
-            w["name"]: record_workload(command, w["name"], args.seeds, seconds, args.layers) for w in spec["workloads"]
-        },
     }
+    if args.baseline is None:
+        record["workloads"] = {name: record_workload(command, name, args.seeds, seconds) for name in names}
+    else:
+        better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+        record["baseline"] = {"rev": args.baseline, "commit": git("rev-parse", args.baseline)}
+        record["change"] = {"commit": git("rev-parse", "HEAD"), "uncommitted": bool(git("status", "--porcelain"))}
+        with extracted(args.baseline) as baseline:
+            record["workloads"] = {
+                name: record_pairs(command, baseline, name, args.seeds, seconds, better) for name in names
+            }
+    if args.layers:
+        for name in names:
+            record["workloads"][name]["layers"] = record_layers(command, name, args.seeds[0], seconds)
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(path)
