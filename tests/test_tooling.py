@@ -70,9 +70,10 @@ print(json.dumps({"correct": True, "failed": 0, "attempted": 1, "metrics": metri
 '''
 
 
-def test_bench_record_baseline_alternates_pairs(tmp_path):
-    """``--baseline`` pairs a run of the committed revision with one of the working tree,
-    swapping which runs first; a stub benchmark stands in for ``bench/run.py``."""
+def test_bench_record_alternates_pairs_of_fresh_copies(tmp_path):
+    """Each seed pairs a run of the baseline revision with one of the working tree, swapping
+    which runs first; both run from fresh sibling copies, and a stub benchmark stands in
+    for ``bench/run.py``."""
     repo = tmp_path / "repo"
     (repo / "tools").mkdir(parents=True)
     (repo / "bench").mkdir()
@@ -92,11 +93,11 @@ def test_bench_record_baseline_alternates_pairs(tmp_path):
         subprocess.run([*git, *argv], cwd=repo, check=True, capture_output=True)
     (repo / "speed.txt").write_text("0.5")  # the uncommitted change runs twice as fast
     log = tmp_path / "runs.log"
-    proc = subprocess.run(
-        [sys.executable, "tools/bench_record.py", "--pr", "99", "--seeds", "1", "2", "3",
-         "--baseline", "HEAD", "--layers"],
-        cwd=repo, capture_output=True, text=True, env={**os.environ, "BENCH_STUB_LOG": str(log)},
-    )
+    env = {**os.environ, "BENCH_STUB_LOG": str(log)}
+    record_cmd = [sys.executable, "tools/bench_record.py", "--pr", "99", "--seeds", "1", "2", "3"]
+    unpaired = subprocess.run(record_cmd, cwd=repo, capture_output=True, text=True, env=env)
+    assert unpaired.returncode == 2 and "--baseline" in unpaired.stderr
+    proc = subprocess.run([*record_cmd, "--baseline", "HEAD", "--layers"], cwd=repo, capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     record = json.loads((repo / "BENCH_99.json").read_text())
     assert list(record["workloads"]) == ["w1", "w2"]
@@ -109,11 +110,14 @@ def test_bench_record_baseline_alternates_pairs(tmp_path):
         assert w["change"]["correct"] and w["layers"]["seed"] == 1
     assert record["change"]["uncommitted"]
     runs = [line.split() for line in log.read_text().splitlines()]
-    # Baseline runs read the committed speed from a temporary copy, removed afterwards.
     pairs = [(1.0, "1"), (0.5, "1"), (0.5, "2"), (1.0, "2"), (1.0, "3"), (0.5, "3")]
     expect = [(*run, workload, "0") for workload in ("w1", "w2") for run in pairs]
     expect += [(0.5, "1", workload, "1") for workload in ("w1", "w2")]
     assert [(float(r[1]), r[3], r[2], r[4]) for r in runs] == expect
-    baseline_roots = {r[0] for r in runs if r[1] == "1.0"}
-    assert len(baseline_roots) == 1 and not Path(baseline_roots.pop()).exists()
-    assert {r[0] for r in runs if r[1] == "0.5"} == {str(repo.resolve())}
+    # Baseline runs read the committed speed, change runs the working tree's, each from
+    # one copy; the two copies are siblings, and both are removed afterwards.
+    roots = {speed: {Path(r[0]) for r in runs if r[1] == speed} for speed in ("1.0", "0.5")}
+    assert all(len(side) == 1 for side in roots.values())
+    baseline, change = roots["1.0"].pop(), roots["0.5"].pop()
+    assert baseline.parent == change.parent != repo.resolve()
+    assert not baseline.exists() and not change.exists()

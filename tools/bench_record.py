@@ -1,25 +1,25 @@
-"""Record the benchmark of one change as ``BENCH_<pr>.json``.
+"""Record the benchmark of one change against a baseline as ``BENCH_<pr>.json``.
 
-    python3 tools/bench_record.py --pr 11 --seeds 901 902 903 [--layers]
-    python3 tools/bench_record.py --pr 16 --seeds 1601 1602 ... 1610 --baseline HEAD
+    python3 tools/bench_record.py --pr 16 --seeds 1601 1602 ... 1610 --baseline HEAD~1 [--layers]
 
-Run from the root of a checkout.  For every workload in ``BENCHMARK.json``
-and every seed, the benchmark's own command (``python3 bench/run.py``) runs once in a fresh process for the
-file's ``run_seconds`` with ``--trace 0``; with ``--layers`` each workload
-also runs once with ``--trace 1`` on the first seed, for the per-layer
-metrics.  The record holds, per workload and metric, the median and the
-quartiles over the seeds (and every value), the seeds, whether every run was
-correct and how many operations failed, and the Python, numpy and scipy
-versions and CPU count of the machine.
+Run from the root of a checkout.  Two copies are made side by side in one
+temporary directory: the committed files of ``<rev>`` (``git archive``) as the
+baseline, and the working tree's files (tracked and untracked, not ignored) as
+the change.  Both sides thus run from fresh directories with no bytecode or
+benchmark results left over.  For every workload in ``BENCHMARK.json`` each
+seed becomes a pair: the benchmark's own command (``python3 bench/run.py``)
+runs once on each side in a fresh process for the file's ``run_seconds`` with
+``--trace 0``, with the side that runs first swapped from pair to pair, so
+that drift of the machine falls on both sides alike.  With ``--layers`` each
+workload also runs once on the change with ``--trace 1`` on the first seed,
+for the per-layer metrics.
 
-With ``--baseline <rev>`` the committed files of ``<rev>`` are extracted
-(``git archive``) into a temporary directory, and each seed becomes a pair:
-one run there and one in this checkout, with the side that runs first
-swapped from pair to pair, so that drift of the machine falls on both sides
-alike.  Per workload the record then holds both sides' summaries, every
-pair's ratio change / baseline of each end-to-end metric, and how many pairs
-the change won on each.  The benchmark itself is not edited or imported:
-this script only reads the JSON line each run prints last.
+Per workload the record holds both sides' summaries (median, quartiles and
+every value of each metric, whether every run was correct and how many
+operations failed), every pair's ratio change / baseline of each end-to-end
+metric, and how many pairs the change won on each; and the Python, numpy and
+scipy versions and CPU count of the machine.  The benchmark itself is not
+edited or imported: this script only reads the JSON line each run prints last.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import contextlib
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -71,23 +72,14 @@ def summarize_runs(runs: list[dict]) -> dict:
     }
 
 
-def record_workload(command, workload, seeds, seconds) -> dict:
-    runs = []
-    for seed in seeds:
-        runs.append(run_once(command, ROOT, workload, seed, seconds, 0))
-        print(f"{workload} seed {seed}: wall_s {runs[-1]['metrics']['wall_s']['value']:.4f}", file=sys.stderr)
-    return summarize_runs(runs)
-
-
-def record_layers(command, workload, seed, seconds) -> dict:
-    """One traced run in this checkout, for the per-layer metrics."""
-    traced = run_once(command, ROOT, workload, seed, seconds, 1)
+def record_layers(command, change: Path, workload, seed, seconds) -> dict:
+    """One traced run of the change, for the per-layer metrics."""
+    traced = run_once(command, change, workload, seed, seconds, 1)
     return {"seed": seed, "correct": traced["correct"], "metrics": traced["metrics"]}
 
 
-def record_pairs(command, baseline: Path, workload, seeds, seconds, better: dict[str, str]) -> dict:
+def record_pairs(command, roots: dict[str, Path], workload, seeds, seconds, better: dict[str, str]) -> dict:
     """One baseline/change pair per seed; even pairs run the baseline first, odd ones the change."""
-    roots = {"baseline": baseline, "change": ROOT}
     runs: dict[str, list[dict]] = {"baseline": [], "change": []}
     pairs = []
     for i, seed in enumerate(seeds):
@@ -117,12 +109,21 @@ def record_pairs(command, baseline: Path, workload, seeds, seconds, better: dict
 
 
 @contextlib.contextmanager
-def extracted(rev: str):
-    """The committed files of ``rev`` in a temporary directory, removed afterwards."""
+def copies(rev: str):
+    """Fresh copies of ``rev``'s committed files and of the working tree, removed afterwards."""
     archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, capture_output=True, check=True)
-    with tempfile.TemporaryDirectory(prefix="bench-baseline-") as tmp:
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
-        yield Path(tmp)
+    listed = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        roots = {"baseline": Path(tmp) / "baseline", "change": Path(tmp) / "change"}
+        roots["baseline"].mkdir()
+        subprocess.run(["tar", "-x", "-C", roots["baseline"]], input=archive.stdout, check=True)
+        for name in filter(None, listed.split("\0")):
+            source = ROOT / name
+            if source.is_file():  # a tracked file deleted in the working tree is left out
+                target = roots["change"] / name
+                target.parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy2(source, target)
+        yield roots
 
 
 def git(*args: str) -> str:
@@ -133,8 +134,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True, help="number in the output name BENCH_<pr>.json")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--layers", action="store_true", help="also record one traced run per workload")
-    parser.add_argument("--baseline", metavar="REV", help="run alternating pairs against this git revision")
+    parser.add_argument("--baseline", metavar="REV", required=True, help="git revision the change is paired with")
+    parser.add_argument("--layers", action="store_true", help="also record one traced run of the change per workload")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -147,6 +148,8 @@ def main(argv: list[str] | None = None) -> int:
         "command": spec["command"],
         "seconds": seconds,
         "seeds": args.seeds,
+        "baseline": {"rev": args.baseline, "commit": git("rev-parse", args.baseline)},
+        "change": {"commit": git("rev-parse", "HEAD"), "uncommitted": bool(git("status", "--porcelain"))},
         "environment": {
             "python": platform.python_version(),
             "numpy": metadata.version("numpy"),
@@ -155,19 +158,13 @@ def main(argv: list[str] | None = None) -> int:
             "machine": platform.machine(),
         },
     }
-    if args.baseline is None:
-        record["workloads"] = {name: record_workload(command, name, args.seeds, seconds) for name in names}
-    else:
-        better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-        record["baseline"] = {"rev": args.baseline, "commit": git("rev-parse", args.baseline)}
-        record["change"] = {"commit": git("rev-parse", "HEAD"), "uncommitted": bool(git("status", "--porcelain"))}
-        with extracted(args.baseline) as baseline:
-            record["workloads"] = {
-                name: record_pairs(command, baseline, name, args.seeds, seconds, better) for name in names
-            }
-    if args.layers:
-        for name in names:
-            record["workloads"][name]["layers"] = record_layers(command, name, args.seeds[0], seconds)
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    with copies(args.baseline) as roots:
+        record["workloads"] = {name: record_pairs(command, roots, name, args.seeds, seconds, better) for name in names}
+        if args.layers:
+            for name in names:
+                change = roots["change"]
+                record["workloads"][name]["layers"] = record_layers(command, change, name, args.seeds[0], seconds)
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(path)
