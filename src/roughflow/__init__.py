@@ -8,7 +8,7 @@ signature   exact piecewise-linear signatures, Chen identity, Levy area
 controlled  controlled paths, rough integrals, second-order RDE scheme
 liefields   exact polynomial vector fields, brackets, hypothesis checks
 strichartz  nilpotent flow representation (permutation functionals, exp flow)
-flows       Jacobian flows, Malliavin-derivative flows, bracket pairings
+flows       Jacobian flows, Malliavin-derivative flows
 norris      fourth-variation statistics, Hermite moments, dichotomy probe
 densitylab  worked 3-d example system and Monte-Carlo density probes
 cli         experiment runner with deterministic artifacts

@@ -244,8 +244,11 @@ def rde_solve_batch(
     ``values`` is (..., n_points, d): (n_paths, n_points, d) or one
     (n_points, d) path.  The level-2 increment of a linear step is
     dv (x) dv / 2, so each step contracts the stack's coefficients with
-    [dv, dv (x) dv / 2] and evaluates it once.  Returns (..., n_points, m);
-    a non-finite state raises BlowUpError at its grid time.
+    [dv, dv (x) dv / 2] and evaluates it once.  The state is kept time-major
+    and component-major, (n_points, m, *reversed batch), so step k reads row
+    y[k] and writes row y[k + 1].  Returns the view (..., n_points, m) of it;
+    ``.T`` of that is the component-major (m, n_points, *reversed batch)
+    without a copy.  A non-finite state raises BlowUpError at its grid time.
     """
     family = FieldFamily.of(fields)
     d, m = family.d, family.m
@@ -256,14 +259,15 @@ def rde_solve_batch(
         raise DomainError(f"{d} fields for a {values.shape[-1]}-dimensional driver")
     a = family.initial(a)
     stack = family.davie_stack
-    y = np.empty(values.shape[:-1] + (m,))
-    y[..., 0, :] = a
+    batch = values.shape[:-2][::-1]
+    y = np.empty((grid.n_points, m) + batch)
+    y[0] = a.reshape((m,) + (1,) * len(batch))
     for k in range(grid.n_points - 1):
-        # Component-major rows: .T reverses the batch axes of dv and y alike.
+        # .T reverses the batch axes of dv as they are reversed in y.
         dv = (values[..., k + 1, :] - values[..., k, :]).T
         area = 0.5 * dv[:, None] * dv[None, :]
         weights = np.concatenate([dv, area.reshape((d * d,) + dv.shape[1:])])
-        y[..., k + 1, :] = y[..., k, :] + stack.combine(y[..., k, :].T, weights).T
-        if not np.isfinite(y[..., k + 1, :]).all():
+        y[k + 1] = y[k] + stack.combine(y[k], weights)
+        if not np.isfinite(y[k + 1]).all():
             raise BlowUpError("RDE state became non-finite", when=grid.times[k + 1])
-    return y
+    return np.moveaxis(y.T, -1, -2)

@@ -1,20 +1,18 @@
-"""Jacobian flows, Malliavin-derivative flows and bracket pairings.
+"""Jacobian flows and Malliavin-derivative flows.
 
 The Jacobian J_{0,t} of the solution map a -> y_t(a) solves the linear
 equation dJ = grad V_i(y) J dx^i with J_{0,0} = I, and its inverse solves
 dJ^{-1} = -J^{-1} grad V_i(y) dx^i (right multiplication; the product rule
 forces this order).  Jointly with y they solve one polynomial RDE on
-R^{m + 2 m^2}, driven by the fields of ``augmented_jacobian_fields``, and
-that system is realized two ways here:
-
-* the flow route: when the augmented family is n-nilpotent (checked exactly,
-  like the base family), (y, J, J^{-1})_{t_k} = exp(Z~_{t_k})(a, I, I) with
-  Z~ built from the augmented brackets.  The prefix signatures S_{0,t_k} of
-  every grid time are one batch of ``batch_signature_levels`` and the flows
-  one batch of ``exp_flow_batch``: exact in the driver, up to rounding, when
-  the augmented family has a flow certificate (Yamato's does), RK4 otherwise;
-* the linear-RDE route: one pass of the second-order scheme on the same
-  system, used as an independent cross-check.
+R^{m + 2 m^2}, driven by the fields of ``augmented_jacobian_fields``.  When
+the augmented family is n-nilpotent (checked exactly, like the base family),
+(y, J, J^{-1})_{t_k} = exp(Z~_{t_k})(a, I, I) with Z~ built from the
+augmented brackets.  The prefix signatures S_{0,t_k} of every grid time are
+one batch of ``batch_signature_levels`` and the flows one batch of
+``exp_flow_batch``: exact in the driver, up to rounding, when the augmented
+family has a flow certificate (Yamato's does), RK4 otherwise.  One Davie pass
+over the same system (``tests/helpers.jacobian_flow_rde``) is its independent
+cross-check.
 
 The Malliavin derivative D_u y_t solves, in the flow parameter s,
 
@@ -32,11 +30,6 @@ Chen's identity solved for the right factor, so every D_u psi_t is array
 math over the grid.  The identity D^j_u y_t = J_{0,t} J_{0,u}^{-1} V_j(y_u)
 provides the second, independent route; their agreement is the
 correctness criterion.
-
-Finally Z^U_t = <J_{0,t}^{-1} U(y_t), eta> satisfies the expansion
-dZ^U = Z^{[V_j, U]} dx^j (driving field first in the bracket), the chain
-the dichotomy experiments in :mod:`roughflow.norris` consume; they solve
-only the cotangent lift (y, eta^T J^{-1}) of ``liefields.cotangent_fields``.
 """
 
 from __future__ import annotations
@@ -45,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controlled import RoughDriver, rde_solve_batch
 from .errors import DomainError
 from .fbm import SamplePath, TimeGrid
 from .liefields import FieldFamily, PolyVectorField
@@ -119,19 +111,6 @@ def jacobian_path_strichartz(
     eye = np.eye(m).ravel()
     start = np.concatenate([np.asarray(a, dtype=float), eye, eye])
     return _split_augmented(p.grid, np.vstack([start, exp_flow_batch(family.augmented, n, psi, start, steps)]), m)
-
-
-def jacobian_flow_rde(
-    fields: list[PolyVectorField] | FieldFamily,
-    driver: RoughDriver,
-    a: np.ndarray,
-) -> tuple[SamplePath, JacobianPath]:
-    """One second-order pass over the augmented (y, J, J^{-1}) system."""
-    family = FieldFamily.of(fields)
-    eye = np.eye(family.m).ravel()
-    state0 = np.concatenate([np.asarray(a, dtype=float), eye, eye])
-    states = rde_solve_batch(family.augmented, state0, driver.grid, driver.values)
-    return _split_augmented(driver.grid, states, family.m)
 
 
 # ---------------------------------------------------------------------------
@@ -251,45 +230,3 @@ def malliavin_via_jacobian(
     v = np.stack([f(ypath.values[:k_t]) for f in family.fields], -1)  # (k_t, m, d)
     values[:k_t] = np.einsum("kab,kbj->kaj", carry, v)
     return MalliavinSlice(grid=grid, t=t, values=values)
-
-
-# ---------------------------------------------------------------------------
-# Bracket pairings Z^U
-# ---------------------------------------------------------------------------
-
-
-def z_process(
-    fields: list[PolyVectorField],
-    driver: RoughDriver,
-    u_field: PolyVectorField,
-    eta: np.ndarray,
-    a: np.ndarray,
-    normalize_eta: bool = True,
-    method: str = "rde",
-    n: int | None = None,
-) -> np.ndarray:
-    """Pathwise Z^U_t = <J_{0,t}^{-1} U(y_t), eta> at every grid time.
-
-    ``method`` selects the Jacobian engine: one pass of the augmented
-    linear RDE (default, grid-rate accurate) or batched frozen-field flows
-    (exact in the driver; needs the nilpotency order ``n``).
-    """
-    eta = np.asarray(eta, dtype=float)
-    nrm = float(np.linalg.norm(eta))
-    if nrm == 0.0:
-        raise DomainError("eta must be a nonzero direction")
-    if normalize_eta:
-        eta = eta / nrm
-    elif abs(nrm - 1.0) > 1e-9:
-        raise DomainError("eta must be normalized")
-    if method == "rde":
-        ypath, jac = jacobian_flow_rde(fields, driver, a)
-    elif method == "strichartz":
-        if n is None:
-            raise DomainError("the flow route needs the nilpotency order n")
-        p = SamplePath(grid=driver.grid, values=driver.values, hurst=None)
-        ypath, jac = jacobian_path_strichartz(fields, p, a, n)
-    else:
-        raise DomainError(f"unknown z_process method {method!r}")
-    u_vals = u_field(ypath.values)  # (n, m)
-    return np.einsum("tab,tb,a->t", jac.J_inv, u_vals, eta)

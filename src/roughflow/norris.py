@@ -244,18 +244,21 @@ def concentration_table(
 def _path_norms(paths: np.ndarray, times: np.ndarray, exponent: float) -> np.ndarray:
     """||.||_{exponent, infty} per path; exponent 0 reduces to the sup norm.
 
-    ``paths`` is (P, n) scalar or (P, n, d) vector valued.
+    ``paths`` is time-major: (n, P) scalar or (d, n, P) vector valued.  The
+    Hoelder seminorm runs lag by lag, so it holds one (d, n - lag, P)
+    difference at a time instead of the whole table of grid pairs.
     """
     if paths.ndim == 2:
-        paths = paths[:, :, None]
-    mags_sup = np.max(np.linalg.norm(paths, axis=2), axis=1)
+        paths = paths[None]
+    mags_sup = np.max(np.linalg.norm(paths, axis=0), axis=0)
     if exponent == 0.0:
         return mags_sup
-    n = paths.shape[1]
-    i, j = np.triu_indices(n, k=1)
-    diffs = np.linalg.norm(paths[:, j, :] - paths[:, i, :], axis=2)
-    weights = (times[j] - times[i]) ** exponent
-    return mags_sup + np.max(diffs / weights[None, :], axis=1)
+    seminorm = np.full(paths.shape[2], -np.inf)
+    for lag in range(1, paths.shape[1]):
+        diffs = np.linalg.norm(paths[:, lag:] - paths[:, :-lag], axis=0)
+        weights = (times[lag:] - times[:-lag]) ** exponent
+        seminorm = np.maximum(seminorm, np.max(diffs / weights[:, None], axis=0))
+    return mags_sup + seminorm
 
 
 def norris_dichotomy_mc(
@@ -300,17 +303,20 @@ def norris_dichotomy_mc(
     eta = eta / norm
 
     grid = TimeGrid(horizon, grid_points)
+    # The cotangent lift carries w_t = eta^T J_{0,t}^{-1} beside y_t; .T reads
+    # its state component-major, (2m, n, P), without a copy.  The drivers are
+    # not kept: the pairings below never read them.
     drivers = sample_fbm_array(hurst, grid, family.d, n_paths, seed)
-    # The cotangent lift carries w_t = eta^T J_{0,t}^{-1} beside y_t.
-    states = rde_solve_batch(family.cotangent, np.concatenate([a, eta]), grid, drivers)
-    y_sol, w = states[..., :m].reshape(-1, m), states[..., m:]
+    states = rde_solve_batch(family.cotangent, np.concatenate([a, eta]), grid, drivers).T
+    del drivers
+    y_sol, w = states[:m], states[m:]
 
     def pairing(field: PolyVectorField) -> np.ndarray:
-        return np.einsum("ptb,ptb->pt", w, field(y_sol).reshape(w.shape))
+        return np.einsum("btp,btp->tp", w, field.compiled(y_sol))
 
     z_u = pairing(u_field)
-    y_paths = z_u - z_u[:, :1]
-    z_paths = np.stack([pairing(bracket(vj, u_field)) for vj in family.fields], axis=2)
+    y_paths = z_u - z_u[:1]
+    z_paths = np.stack([pairing(bracket(vj, u_field)) for vj in family.fields])
 
     y_norms = _path_norms(y_paths, grid.times, gamma_y)
     z_norms = _path_norms(z_paths, grid.times, alpha_z)

@@ -13,10 +13,10 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from roughflow.controlled import ControlledPath, rde_solve_batch
+from roughflow.controlled import ControlledPath, RoughDriver, rde_solve_batch
 from roughflow.errors import DomainError
 from roughflow.fbm import HurstParam, SamplePath, TimeGrid, sample_fbm_array
-from roughflow.flows import jacobian_flow_rde
+from roughflow.flows import JacobianPath, _split_augmented, jacobian_path_strichartz
 from roughflow.increments import Increment1, Increment2, Increment3, _mag, _pair_indices, delta1, holder_norm, sewing
 from roughflow.norris import TwoScale, _path_norms
 from roughflow.liefields import CompiledField, FieldFamily, Polynomial, PolyVectorField, bracket, parse_polynomial
@@ -111,6 +111,27 @@ def davie_chen(fields, a: np.ndarray, driver) -> np.ndarray:
     y[0] = a
     for k in range(n - 1):
         y[k + 1] = y[k] + stack(y[k]) @ weights[k]
+    return y
+
+
+def davie_path_major(fields, a: np.ndarray, grid: TimeGrid, values: np.ndarray) -> np.ndarray:
+    """The Davie loop of ``controlled.rde_solve_batch`` on a path-major state (*batch, n_points, m).
+
+    Its oracle for the time-major state: the step arithmetic is the same, but
+    each step reads and writes the strided row y[..., k, :] and transposes it
+    to component-major for the stack.
+    """
+    family = FieldFamily.of(fields)
+    d, m = family.d, family.m
+    values = np.asarray(values, dtype=float)
+    stack = family.davie_stack
+    y = np.empty(values.shape[:-1] + (m,))
+    y[..., 0, :] = a
+    for k in range(grid.n_points - 1):
+        dv = (values[..., k + 1, :] - values[..., k, :]).T
+        area = 0.5 * dv[:, None] * dv[None, :]
+        weights = np.concatenate([dv, area.reshape((d * d,) + dv.shape[1:])])
+        y[..., k + 1, :] = y[..., k, :] + stack.combine(y[..., k, :].T, weights).T
     return y
 
 
@@ -391,6 +412,47 @@ def d_psi(prefix, suffix, word: Word, j: int) -> float:
     return total
 
 
+def jacobian_flow_rde(fields, driver: RoughDriver, a: np.ndarray) -> tuple[SamplePath, JacobianPath]:
+    """One Davie pass over the augmented (y, J, J^{-1}) system.
+
+    The linear-RDE cross-check of ``flows.jacobian_path_strichartz``.
+    """
+    family = FieldFamily.of(fields)
+    eye = np.eye(family.m).ravel()
+    state0 = np.concatenate([np.asarray(a, dtype=float), eye, eye])
+    states = rde_solve_batch(family.augmented, state0, driver.grid, driver.values)
+    return _split_augmented(driver.grid, states, family.m)
+
+
+def z_process(fields, driver: RoughDriver, u_field: PolyVectorField, eta: np.ndarray, a: np.ndarray,
+              normalize_eta: bool = True, method: str = "rde", n: int | None = None) -> np.ndarray:
+    """Pathwise Z^U_t = <J_{0,t}^{-1} U(y_t), eta> at every grid time, from the full J^{-1}.
+
+    ``method`` selects the Jacobian engine: one pass of the augmented
+    linear RDE (default, grid-rate accurate) or batched frozen-field flows
+    (exact in the driver; needs the nilpotency order ``n``).
+    """
+    eta = np.asarray(eta, dtype=float)
+    nrm = float(np.linalg.norm(eta))
+    if nrm == 0.0:
+        raise DomainError("eta must be a nonzero direction")
+    if normalize_eta:
+        eta = eta / nrm
+    elif abs(nrm - 1.0) > 1e-9:
+        raise DomainError("eta must be normalized")
+    if method == "rde":
+        ypath, jac = jacobian_flow_rde(fields, driver, a)
+    elif method == "strichartz":
+        if n is None:
+            raise DomainError("the flow route needs the nilpotency order n")
+        p = SamplePath(grid=driver.grid, values=driver.values, hurst=None)
+        ypath, jac = jacobian_path_strichartz(fields, p, a, n)
+    else:
+        raise DomainError(f"unknown z_process method {method!r}")
+    u_vals = u_field(ypath.values)  # (n, m)
+    return np.einsum("tab,tb,a->t", jac.J_inv, u_vals, eta)
+
+
 def z_family(fields, driver, u_fields, eta, a):
     """Z^{U} paths for several U from a single augmented solve: (n, len(U))."""
     eta = np.asarray(eta, dtype=float)
@@ -427,7 +489,24 @@ def dichotomy_norms_augmented(fields, u_field, eta, hurst, n_paths, a=None, hori
 
     z_u = pairing(u_field)
     z_paths = np.stack([pairing(bracket(vj, u_field)) for vj in family.fields], axis=2)
-    return _path_norms(z_u - z_u[:, :1], grid.times, gamma_y), _path_norms(z_paths, grid.times, alpha_z)
+    # _path_norms takes time-major paths: (n, P) and (d, n, P).
+    return _path_norms((z_u - z_u[:, :1]).T, grid.times, gamma_y), _path_norms(z_paths.T, grid.times, alpha_z)
+
+
+def path_norms_pairs(paths: np.ndarray, times: np.ndarray, exponent: float) -> np.ndarray:
+    """||.||_{exponent, infty} of path-major paths, (P, n) or (P, n, d), from the whole pair table.
+
+    The oracle of ``norris._path_norms``: every grid pair i < j is formed at once.
+    """
+    if paths.ndim == 2:
+        paths = paths[:, :, None]
+    mags_sup = np.max(np.linalg.norm(paths, axis=2), axis=1)
+    if exponent == 0.0:
+        return mags_sup
+    i, j = np.triu_indices(paths.shape[1], k=1)
+    diffs = np.linalg.norm(paths[:, j, :] - paths[:, i, :], axis=2)
+    weights = (times[j] - times[i]) ** exponent
+    return mags_sup + np.max(diffs / weights[None, :], axis=1)
 
 
 def bracket_loop(v: PolyVectorField, w: PolyVectorField) -> PolyVectorField:

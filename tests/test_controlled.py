@@ -10,11 +10,11 @@ from roughflow.controlled import (
     rough_integral,
 )
 from roughflow.errors import BlowUpError, ConvergenceError, DomainError
-from roughflow.fbm import HurstParam, SamplePath, TimeGrid, sample_fbm
-from roughflow.liefields import PolyVectorField, parse_polynomial, taylor_correction_fields
+from roughflow.fbm import HurstParam, SamplePath, TimeGrid, sample_fbm, sample_fbm_array
+from roughflow.liefields import FieldFamily, PolyVectorField, parse_polynomial, taylor_correction_fields
 from roughflow.signature import path_signature
 
-from helpers import batch_levy_prefix_loop, controlled_norm, davie_chen
+from helpers import batch_levy_prefix_loop, controlled_norm, davie_chen, davie_path_major
 
 
 def smooth_driver(n=2049):
@@ -253,6 +253,46 @@ class TestRdeSolve:
             rde_solve_batch(yamato, np.zeros(2), grid, values)
         with pytest.raises(DomainError):
             rde_solve_batch(yamato, np.zeros(3), grid, values[:, :2])
+
+
+class TestTimeMajorDavie:
+    """``rde_solve_batch`` keeps its state time-major; the path-major loop it
+    replaced does the same arithmetic and must give the same bits."""
+
+    def test_cotangent_batch_matches_path_major_loop(self, yamato, rough_hurst):
+        # The dichotomy's solve on a 257-point grid.
+        grid = TimeGrid(1e-4, 257)
+        family = FieldFamily.of(yamato).cotangent
+        start = np.array([0.3, -0.2, 0.1, 0.0, 0.0, 1.0])
+        values = sample_fbm_array(rough_hurst, grid, 3, 500, seed=0)
+        got = rde_solve_batch(family, start, grid, values)
+        assert got.shape == (500, 257, 6)
+        assert np.array_equal(got, davie_path_major(family, start, grid, values))
+
+    def test_two_batch_axes_match_path_major_loop(self, yamato, rough_hurst):
+        grid = TimeGrid(1.0, 65)
+        a = np.array([0.4, -0.2, 0.7])
+        values = sample_fbm_array(rough_hurst, grid, 3, 6, seed=3).reshape(2, 3, 65, 3)
+        got = rde_solve_batch(yamato, a, grid, values)
+        assert got.shape == (2, 3, 65, 3)
+        assert np.array_equal(got, davie_path_major(yamato, a, grid, values))
+
+    def test_one_path_matches_path_major_loop_and_keeps_its_layout(self, yamato, fbm_path_d3):
+        grid, values = fbm_path_d3.grid, fbm_path_d3.values
+        a = np.array([0.4, -0.2, 0.7])
+        got = rde_solve_batch(yamato, a, grid, values)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, davie_path_major(yamato, a, grid, values))
+
+    def test_transpose_views_the_time_major_state(self, yamato, rough_hurst):
+        # norris reads the state component-major through .T, without a copy:
+        # .T views the (n_points, m, n_paths) state with its first two axes swapped.
+        grid = TimeGrid(1.0, 65)
+        got = rde_solve_batch(yamato, np.zeros(3), grid, sample_fbm_array(rough_hurst, grid, 3, 5, seed=4))
+        rows = got.T
+        assert rows.shape == (3, 65, 5)
+        assert rows.swapaxes(0, 1).flags.c_contiguous
+        assert np.shares_memory(rows, got)
 
 
 class TestControlledNorm:

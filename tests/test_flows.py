@@ -7,12 +7,10 @@ from roughflow.errors import DomainError, PreconditionError
 from roughflow.fbm import SamplePath, TimeGrid, sample_fbm, sample_fbm_array
 from roughflow import flows
 from roughflow.flows import (
-    jacobian_flow_rde,
     jacobian_path_strichartz,
     malliavin_derivative,
     malliavin_via_jacobian,
     split_signatures,
-    z_process,
 )
 from roughflow.liefields import FieldFamily, PolyVectorField, augmented_jacobian_fields, bracket, parse_polynomial
 from roughflow.strichartz import strichartz_solve
@@ -21,6 +19,7 @@ from roughflow.signature import path_signature
 from helpers import (
     d_psi,
     d_signature_entry,
+    jacobian_flow_rde,
     jacobian_flow_strichartz,
     jacobian_path_rk4,
     prefix_signatures,
@@ -29,6 +28,7 @@ from helpers import (
     suffix_signatures,
     z_dynamics_pair,
     z_family,
+    z_process,
 )
 
 A_INIT = np.array([0.4, -0.2, 0.7])

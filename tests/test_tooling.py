@@ -3,7 +3,8 @@
 ``bench/spans.py`` wraps the (module, attribute) pairs of ``SPANNED`` and
 ``COUNTED`` by looking each one up on ``roughflow``; a name that no longer
 resolves would crash every ``--trace`` run.  ``tools/bench_record.py`` is
-run on a stub benchmark in a throwaway repository.
+run on a stub benchmark in a throwaway repository, and its verdict rule on
+synthetic pairs.
 """
 
 import importlib
@@ -20,14 +21,15 @@ ROOT = Path(__file__).resolve().parents[1]
 SPANS_FILE = ROOT / "bench" / "spans.py"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS_FILE)
+def load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-spans = load_spans()
+spans = load("bench_spans", SPANS_FILE)
+bench_record = load("bench_record", ROOT / "tools" / "bench_record.py")
 TRACED = spans.SPANNED + spans.COUNTED
 
 
@@ -84,7 +86,10 @@ def test_bench_record_alternates_pairs_of_fresh_copies(tmp_path):
         "paths": ["bench"],
         "run_seconds": 1,
         "workloads": [{"name": "w1"}, {"name": "w2"}],
-        "end_to_end": [{"name": "wall_s", "better": "lower"}, {"name": "peak_rss_mb", "better": "lower"}],
+        "end_to_end": [
+            {"name": "wall_s", "better": "lower", "bound": 0.25},
+            {"name": "peak_rss_mb", "better": "lower", "bound": 0.05},
+        ],
     }
     (repo / "BENCHMARK.json").write_text(json.dumps(spec))
     (repo / "speed.txt").write_text("1.0")
@@ -106,6 +111,7 @@ def test_bench_record_alternates_pairs_of_fresh_copies(tmp_path):
         assert [p["seed"] for p in w["pairs"]] == [1, 2, 3]
         assert all(p["ratio"] == {"wall_s": 0.5, "peak_rss_mb": 1.0} for p in w["pairs"])
         assert w["wins"] == {"wall_s": 3, "peak_rss_mb": 0}
+        assert w["verdicts"] == {"wall_s": "gain", "peak_rss_mb": "flat"}
         assert w["baseline"]["metrics"]["wall_s"]["values"] == [1.01, 1.02, 1.03]
         assert w["change"]["correct"] and w["layers"]["seed"] == 1
     assert record["change"]["uncommitted"]
@@ -121,3 +127,34 @@ def test_bench_record_alternates_pairs_of_fresh_copies(tmp_path):
     baseline, change = roots["1.0"].pop(), roots["0.5"].pop()
     assert baseline.parent == change.parent != repo.resolve()
     assert not baseline.exists() and not change.exists()
+
+
+def summary(values):
+    return bench_record.summarize(values)
+
+
+@pytest.mark.parametrize(
+    "base, new, wins, better, bound, want",
+    [
+        # 10 of 10 won, medians 1.0 -> 0.7 apart by more than the baseline's 0.02 spread.
+        ([0.98, 0.99, 1.0, 1.01, 1.02] * 2, [0.7] * 10, 10, "lower", 0.25, "gain"),
+        # 9 of 10 is enough; 8 of 10 is not, and a 30 % gap then reads as flat.
+        ([0.98, 0.99, 1.0, 1.01, 1.02] * 2, [0.7] * 10, 9, "lower", 0.25, "gain"),
+        ([0.98, 0.99, 1.0, 1.01, 1.02] * 2, [0.7] * 10, 8, "lower", 0.25, "flat"),
+        # Every pair won, but the medians sit inside the baseline's quartiles.
+        ([0.9, 0.95, 1.0, 1.05, 1.1] * 2, [0.99] * 10, 10, "lower", 0.25, "flat"),
+        # 30 % slower against a 25 % bound; 20 % slower is within it.
+        ([1.0] * 10, [1.3] * 10, 0, "lower", 0.25, "worse"),
+        ([1.0] * 10, [1.2] * 10, 0, "lower", 0.25, "flat"),
+        # A baseline spread of 0.4 / 1.0 exceeds the bound: unresolved unless every
+        # change run beats every baseline run.
+        ([0.6, 0.8, 1.0, 1.2, 1.4] * 2, [1.1] * 10, 4, "lower", 0.25, "unresolved"),
+        ([0.9] * 4 + [1.0] * 2 + [1.5] * 4, [0.85] * 10, 10, "lower", 0.25, "flat"),
+        # Higher is better: the same rules mirrored.
+        ([10.0] * 10, [13.0] * 10, 10, "higher", 0.05, "gain"),
+        ([10.0] * 10, [9.0] * 10, 0, "higher", 0.05, "worse"),
+        ([8.0, 9.0, 10.0, 11.0, 12.0] * 2, [10.5] * 10, 5, "higher", 0.05, "unresolved"),
+    ],
+)
+def test_verdict_rules(base, new, wins, better, bound, want):
+    assert bench_record.verdict(summary(base), summary(new), wins, 10, better, bound) == want

@@ -17,8 +17,9 @@ for the per-layer metrics.
 Per workload the record holds both sides' summaries (median, quartiles and
 every value of each metric, whether every run was correct and how many
 operations failed), every pair's ratio change / baseline of each end-to-end
-metric, and how many pairs the change won on each; and the Python, numpy and
-scipy versions and CPU count of the machine.  The benchmark itself is not
+metric, how many pairs the change won on each, and a verdict on each (see
+``verdict``); and the Python, numpy and scipy versions and CPU count of the
+machine.  The benchmark itself is not
 edited or imported: this script only reads the JSON line each run prints last.
 """
 
@@ -78,15 +79,47 @@ def record_layers(command, change: Path, workload, seed, seconds) -> dict:
     return {"seed": seed, "correct": traced["correct"], "metrics": traced["metrics"]}
 
 
-def record_pairs(command, roots: dict[str, Path], workload, seeds, seconds, better: dict[str, str]) -> dict:
-    """One baseline/change pair per seed; even pairs run the baseline first, odd ones the change."""
+def verdict(baseline: dict, change: dict, wins: int, n_pairs: int, better: str, bound: float) -> str:
+    """``gain``, ``worse``, ``unresolved`` or ``flat`` for one end-to-end metric of one workload.
+
+    ``baseline`` and ``change`` are summaries (``summarize``); ``bound`` is the
+    metric's relative bound in ``BENCHMARK.json``.  The first rule that holds wins:
+
+    * ``gain``: the change won at least nine tenths of the pairs (ties count for
+      neither) and its median is better than the baseline's by more than the
+      baseline's quartile spread q3 - q1;
+    * ``worse``: the change's median is worse than the baseline's by more than
+      ``bound`` times the baseline's median;
+    * ``unresolved``: the baseline's own spread (q3 - q1) / median exceeds
+      ``bound``, and not every change run beats every baseline run;
+    * ``flat`` otherwise.
+    """
+    sign = 1.0 if better == "lower" else -1.0
+    base_med, new_med = baseline["median"], change["median"]
+    spread = baseline["q3"] - baseline["q1"]
+    if 10 * wins >= 9 * n_pairs and sign * (base_med - new_med) > spread:
+        return "gain"
+    if sign * (new_med - base_med) > bound * abs(base_med):
+        return "worse"
+    new_worst = max(change["values"]) if better == "lower" else min(change["values"])
+    base_best = min(baseline["values"]) if better == "lower" else max(baseline["values"])
+    if spread > bound * abs(base_med) and not sign * (base_best - new_worst) > 0:
+        return "unresolved"
+    return "flat"
+
+
+def record_pairs(command, roots: dict[str, Path], workload, seeds, seconds, end_to_end: dict[str, dict]) -> dict:
+    """One baseline/change pair per seed; even pairs run the baseline first, odd ones the change.
+
+    ``end_to_end`` maps each end-to-end metric to its ``better`` and ``bound``.
+    """
     runs: dict[str, list[dict]] = {"baseline": [], "change": []}
     pairs = []
     for i, seed in enumerate(seeds):
         order = ("baseline", "change") if i % 2 == 0 else ("change", "baseline")
         result = {side: run_once(command, roots[side], workload, seed, seconds, 0) for side in order}
         ratio = {}
-        for name in better:
+        for name in end_to_end:
             base, new = (result[side]["metrics"][name]["value"] for side in ("baseline", "change"))
             ratio[name] = new / base if base else None
         for side in order:
@@ -96,16 +129,21 @@ def record_pairs(command, roots: dict[str, Path], workload, seeds, seconds, bett
         print(f"{workload} seed {seed}: wall_s baseline / change {walls}", file=sys.stderr)
     wins = {
         name: sum(
-            r is not None and (r < 1.0 if how == "lower" else r > 1.0) for r in (p["ratio"][name] for p in pairs)
+            r is not None and (r < 1.0 if m["better"] == "lower" else r > 1.0)
+            for r in (p["ratio"][name] for p in pairs)
         )
-        for name, how in better.items()
+        for name, m in end_to_end.items()
     }
-    return {
-        "baseline": summarize_runs(runs["baseline"]),
-        "change": summarize_runs(runs["change"]),
-        "pairs": pairs,
-        "wins": wins,
+    sides = {side: summarize_runs(runs[side]) for side in ("baseline", "change")}
+    verdicts = {
+        name: verdict(
+            sides["baseline"]["metrics"][name], sides["change"]["metrics"][name], wins[name], len(pairs),
+            m["better"], m["bound"],
+        )
+        for name, m in end_to_end.items()
     }
+    print(f"{workload}: {verdicts}", file=sys.stderr)
+    return {**sides, "pairs": pairs, "wins": wins, "verdicts": verdicts}
 
 
 @contextlib.contextmanager
@@ -158,9 +196,11 @@ def main(argv: list[str] | None = None) -> int:
             "machine": platform.machine(),
         },
     }
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    end_to_end = {m["name"]: {"better": m["better"], "bound": m["bound"]} for m in spec["end_to_end"]}
     with copies(args.baseline) as roots:
-        record["workloads"] = {name: record_pairs(command, roots, name, args.seeds, seconds, better) for name in names}
+        record["workloads"] = {
+            name: record_pairs(command, roots, name, args.seeds, seconds, end_to_end) for name in names
+        }
         if args.layers:
             for name in names:
                 change = roots["change"]
