@@ -12,7 +12,9 @@ model failure (the offending module's message goes to stderr).
 from __future__ import annotations
 
 import argparse
+import copy
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -38,8 +40,9 @@ from .strichartz import flow_route, strichartz_solve
 # ---------------------------------------------------------------------------
 
 
-def _schema(properties: dict, required: list[str]) -> dict:
+def _schema(description: str, properties: dict, required: list[str]) -> dict:
     return {
+        "description": description,
         "type": "object",
         "properties": properties,
         "required": required,
@@ -47,164 +50,152 @@ def _schema(properties: dict, required: list[str]) -> dict:
     }
 
 
-_HURST = {"type": "number", "exclusiveMinimum": 0.0, "exclusiveMaximum": 1.0}
-_GRID = {"type": "integer", "minimum": 2, "maximum": 4097}
-_SEED = {"type": "integer", "minimum": 0}
-_PATHS = {"type": "integer", "minimum": 1}
-_POSNUM = {"type": "number", "exclusiveMinimum": 0.0}
-_FIELDS = {"type": "string", "minLength": 1}
+def _int(minimum: int, maximum: int | None = None, default: int | None = None) -> dict:
+    spec = {"type": "integer", "minimum": minimum, "maximum": maximum, "default": default}
+    return {k: v for k, v in spec.items() if v is not None}
 
+
+def _positive(default: float | None = None) -> dict:
+    spec = {"type": "number", "exclusiveMinimum": 0.0}
+    return spec if default is None else {**spec, "default": default}
+
+
+_HURST = {"type": "number", "exclusiveMinimum": 0.0, "exclusiveMaximum": 1.0, "default": 0.4}
+_SEED = _int(0, default=0)
+_FIELDS = {"type": "string", "minLength": 1, "default": "yamato"}
+_POINT = {"type": "array", "items": {"type": "number"}}
+
+
+def _grid(default: int) -> dict:
+    return _int(2, 4097, default)
+
+
+def _flow(description: str, grid_points: int, steps: int) -> dict:
+    """The schema of a frozen-field flow experiment (strichartz, jacobian, malliavin)."""
+    return _schema(
+        description,
+        {
+            "fields": _FIELDS,
+            "hurst": _HURST,
+            "time": _positive(1.0),
+            "grid_points": _grid(grid_points),
+            "level": _int(2, 5, 3),
+            "steps": _int(1, 65536, steps),
+            "initial": _POINT,
+            "seed": _SEED,
+        },
+        ["fields", "hurst", "time", "grid_points", "level", "seed"],
+    )
+
+
+#: One JSON schema per experiment.  Each property is one ``--flag`` (``_`` as ``-``)
+#: and its ``default`` keyword, if any, is the value used when neither flag nor file sets it.
 SCHEMAS = {
     "sample-fbm": _schema(
+        "sample exact fBm paths to CSV",
         {
             "hurst": _HURST,
-            "horizon": _POSNUM,
-            "grid_points": _GRID,
-            "dim": {"type": "integer", "minimum": 1, "maximum": 16},
-            "paths": _PATHS,
+            "horizon": _positive(1.0),
+            "grid_points": _grid(257),
+            "dim": _int(1, 16, 1),
+            "paths": _int(1, default=10),
             "seed": _SEED,
         },
         ["hurst", "horizon", "grid_points", "dim", "paths", "seed"],
     ),
     "signature": _schema(
+        "truncated signature of one sampled path",
         {
             "hurst": _HURST,
-            "horizon": _POSNUM,
-            "grid_points": _GRID,
-            "dim": {"type": "integer", "minimum": 1, "maximum": 8},
-            "level": {"type": "integer", "minimum": 1, "maximum": 6},
+            "horizon": _positive(1.0),
+            "grid_points": _grid(65),
+            "dim": _int(1, 8, 2),
+            "level": _int(1, 6, 4),
             "s": {"type": "number", "minimum": 0.0},
-            "t": _POSNUM,
+            "t": _positive(),
             "seed": _SEED,
         },
         ["hurst", "horizon", "grid_points", "dim", "level", "seed"],
     ),
     "sewing-test": _schema(
+        "sewing-map norm and inversion residuals",
         {
-            "mu": {"type": "number", "exclusiveMinimum": 1.0, "maximum": 2.0},
-            "depth": {"type": "integer", "minimum": 1, "maximum": 24},
+            "mu": {"type": "number", "exclusiveMinimum": 1.0, "maximum": 2.0, "default": 1.2},
+            "depth": _int(1, 24, 12),
             # A triple needs three points; the triple table grows as n^3 (278 MB peak at 257).
-            "grid_points": {**_GRID, "minimum": 3, "maximum": 257},
-            "trials": _PATHS,
+            "grid_points": _int(3, 257, 65),
+            "trials": _int(1, default=100),
             "seed": _SEED,
         },
         ["mu", "depth", "grid_points", "trials", "seed"],
     ),
     "solve": _schema(
+        "second-order RDE solve along a sampled driver",
         {
             "fields": _FIELDS,
             "hurst": _HURST,
-            "horizon": _POSNUM,
-            "mesh_exp": {"type": "integer", "minimum": 1, "maximum": 12},
-            "initial": {"type": "array", "items": {"type": "number"}},
+            "horizon": _positive(1.0),
+            "mesh_exp": _int(1, 12, 8),
+            "initial": _POINT,
             "seed": _SEED,
         },
         ["fields", "hurst", "horizon", "mesh_exp", "seed"],
     ),
     "check-fields": _schema(
+        "bracket hypothesis checks for a field family",
         {
-            "fields": _FIELDS,
-            "nilpotent": {"type": "integer", "minimum": 2, "maximum": 6},
+            "fields": {"type": "string", "minLength": 1},
+            "nilpotent": _int(2, 6, 3),
             "constant_brackets": {"type": "boolean"},
-            "hormander": {"type": "array", "items": {"type": "number"}},
-            "up_to": {"type": "integer", "minimum": 1, "maximum": 5},
+            "hormander": _POINT,
+            "up_to": _int(1, 5),
             "seed": _SEED,
         },
         ["fields", "nilpotent", "seed"],
     ),
-    "strichartz": _schema(
-        {
-            "fields": _FIELDS,
-            "hurst": _HURST,
-            "time": _POSNUM,
-            "grid_points": _GRID,
-            "level": {"type": "integer", "minimum": 2, "maximum": 5},
-            "steps": {"type": "integer", "minimum": 1, "maximum": 65536},
-            "initial": {"type": "array", "items": {"type": "number"}},
-            "seed": _SEED,
-        },
-        ["fields", "hurst", "time", "grid_points", "level", "seed"],
-    ),
-    "jacobian": _schema(
-        {
-            "fields": _FIELDS,
-            "hurst": _HURST,
-            "time": _POSNUM,
-            "grid_points": _GRID,
-            "level": {"type": "integer", "minimum": 2, "maximum": 5},
-            "steps": {"type": "integer", "minimum": 1, "maximum": 65536},
-            "initial": {"type": "array", "items": {"type": "number"}},
-            "seed": _SEED,
-        },
-        ["fields", "hurst", "time", "grid_points", "level", "seed"],
-    ),
-    "malliavin": _schema(
-        {
-            "fields": _FIELDS,
-            "hurst": _HURST,
-            "time": _POSNUM,
-            "grid_points": _GRID,
-            "level": {"type": "integer", "minimum": 2, "maximum": 5},
-            "steps": {"type": "integer", "minimum": 1, "maximum": 65536},
-            "initial": {"type": "array", "items": {"type": "number"}},
-            "seed": _SEED,
-        },
-        ["fields", "hurst", "time", "grid_points", "level", "seed"],
-    ),
+    "strichartz": _flow("endpoint via the nilpotent flow representation", 65, 256),
+    "jacobian": _flow("Jacobian flow path and residual checks", 65, 256),
+    "malliavin": _flow("Malliavin derivative slice with route cross-check", 33, 128),
     "norris-stats": _schema(
+        "fourth-variation block statistics and tails",
         {
             "hurst": _HURST,
-            "delta_exp": {"type": "integer", "minimum": 2, "maximum": 12},
-            "ratio_exp": {"type": "integer", "minimum": 1, "maximum": 8},
-            "paths": _PATHS,
+            "delta_exp": _int(2, 12, 10),
+            "ratio_exp": _int(1, 8, 5),
+            "paths": _int(1, default=2000),
             "seed": _SEED,
         },
         ["hurst", "delta_exp", "ratio_exp", "paths", "seed"],
     ),
     "norris-mc": _schema(
+        "smallness dichotomy Monte-Carlo probe",
         {
             "fields": _FIELDS,
             "hurst": _HURST,
-            "paths": _PATHS,
-            "eps": {"type": "array", "items": _POSNUM, "minItems": 2},
-            "q": _POSNUM,
-            "horizon": _POSNUM,
-            "grid_points": _GRID,
+            "paths": _int(1, default=2000),
+            "eps": {"type": "array", "items": _positive(), "minItems": 2, "default": [0.4, 0.2, 0.1, 0.05]},
+            "q": _positive(0.5),
+            "horizon": _positive(1e-4),
+            "grid_points": _grid(65),
             "seed": _SEED,
         },
         ["fields", "hurst", "paths", "eps", "q", "horizon", "grid_points", "seed"],
     ),
     "density": _schema(
+        "Monte-Carlo density probe of an endpoint component",
         {
             "fields": _FIELDS,
             "hurst": _HURST,
-            "time": _POSNUM,
-            "component": {"type": "integer", "minimum": 1, "maximum": 16},
-            "paths": {"type": "integer", "minimum": 200},
-            "grid_points": _GRID,
-            "bandwidth": _POSNUM,
+            "time": _positive(1.0),
+            "component": _int(1, 16, 3),
+            "paths": _int(200, default=20000),
+            "grid_points": _grid(33),
+            "bandwidth": _positive(),
             "seed": _SEED,
         },
         ["fields", "hurst", "time", "component", "paths", "grid_points", "seed"],
     ),
 }
-
-DEFAULTS = {
-    "sample-fbm": {"hurst": 0.4, "horizon": 1.0, "grid_points": 257, "dim": 1, "paths": 10, "seed": 0},
-    "signature": {"hurst": 0.4, "horizon": 1.0, "grid_points": 65, "dim": 2, "level": 4, "seed": 0},
-    "sewing-test": {"mu": 1.2, "depth": 12, "grid_points": 65, "trials": 100, "seed": 0},
-    "solve": {"fields": "yamato", "hurst": 0.4, "horizon": 1.0, "mesh_exp": 8, "seed": 0},
-    "check-fields": {"nilpotent": 3, "seed": 0},
-    "strichartz": {"fields": "yamato", "hurst": 0.4, "time": 1.0, "grid_points": 65, "level": 3, "steps": 256, "seed": 0},
-    "jacobian": {"fields": "yamato", "hurst": 0.4, "time": 1.0, "grid_points": 65, "level": 3, "steps": 256, "seed": 0},
-    "malliavin": {"fields": "yamato", "hurst": 0.4, "time": 1.0, "grid_points": 33, "level": 3, "steps": 128, "seed": 0},
-    "norris-stats": {"hurst": 0.4, "delta_exp": 10, "ratio_exp": 5, "paths": 2000, "seed": 0},
-    "norris-mc": {"fields": "yamato", "hurst": 0.4, "paths": 2000, "eps": [0.4, 0.2, 0.1, 0.05], "q": 0.5, "horizon": 1e-4, "grid_points": 65, "seed": 0},
-    "density": {"fields": "yamato", "hurst": 0.4, "time": 1.0, "component": 3, "paths": 20000, "grid_points": 33, "seed": 0},
-}
-
-#: Experiments that lift the driver to level 2, valid only for 1/3 < H < 1/2.
-ROUGH_REGIME = {"solve", "strichartz", "jacobian", "malliavin", "norris-mc", "density"}
 
 
 class ConfigError(Exception):
@@ -221,7 +212,9 @@ def load_fields(spec: str) -> list[PolyVectorField]:
 
 
 def resolve_config(command: str, args: argparse.Namespace) -> dict:
-    config = dict(DEFAULTS[command])
+    schema = SCHEMAS[command]
+    props = schema["properties"]
+    config = copy.deepcopy({k: p["default"] for k, p in props.items() if "default" in p})
     if getattr(args, "config", None):
         cfg_path = Path(args.config)
         if not cfg_path.is_file():
@@ -233,17 +226,22 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict:
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
         config.update(file_cfg)
-    for key in SCHEMAS[command]["properties"]:
+    for key in props:
         val = getattr(args, key, None)
         if val is not None:
             config[key] = val
+    # JSON reads NaN and Infinity, float() reads nan and inf, and no schema bound refuses them.
+    for key, val in config.items():
+        for v in val if isinstance(val, list) else (val,):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ConfigError(f"{key} must be finite, got {v}")
     # The schemas are fixed and checked by the tests, so this skips the metaschema
     # check that jsonschema.validate repeats on every call; the error is its best match.
-    schema = SCHEMAS[command]
     error = best_match(validator_for(schema)(schema).iter_errors(config))
     if error is not None:
         raise ConfigError(f"config violates schema: {error.message}")
-    if command in ROUGH_REGIME and not HurstParam(config["hurst"]).in_rough_regime:
+    # Experiments that drive fields lift the path to level 2, valid only for 1/3 < H < 1/2.
+    if {"fields", "hurst"} <= props.keys() and not HurstParam(config["hurst"]).in_rough_regime:
         raise ConfigError(f"{command} needs 1/3 < hurst < 1/2, got {config['hurst']}")
     return config
 
@@ -318,12 +316,17 @@ def run_sewing_test(config: dict, outdir: Path) -> None:
     )
 
 
-def run_solve(config: dict, outdir: Path) -> None:
+def _driven(config: dict, horizon: float, n_points: int):
+    """Fields, grid, one sampled driver on it and the initial point (zero unless given)."""
     fields = load_fields(config["fields"])
-    n_points = 2 ** config["mesh_exp"] + 1
-    grid = TimeGrid(config["horizon"], n_points)
+    grid = TimeGrid(horizon, n_points)
     p = sample_fbm(HurstParam(config["hurst"]), grid, len(fields), 1, config["seed"])[0]
     initial = np.asarray(config.get("initial", [0.0] * fields[0].m), dtype=float)
+    return fields, grid, p, initial
+
+
+def run_solve(config: dict, outdir: Path) -> None:
+    fields, grid, p, initial = _driven(config, config["horizon"], 2 ** config["mesh_exp"] + 1)
     solution, _ = rde_solve(fields, initial, RoughDriver.from_path(p))
     header = ["t"] + [f"y_{i + 1}" for i in range(fields[0].m)]
     rows = [(t, *vals) for t, vals in zip(grid.times, solution.values)]
@@ -353,7 +356,7 @@ def run_check_fields(config: dict, outdir: Path) -> None:
     if config.get("hormander") is not None:
         point = [float(v) for v in config["hormander"]]
         up_to = config.get("up_to", n - 1)
-        rank = hormander_rank(family.fields, point, up_to)
+        rank = hormander_rank(family, point, up_to)
         report["hormander"] = {
             "point": point,
             "up_to": up_to,
@@ -369,10 +372,7 @@ def run_check_fields(config: dict, outdir: Path) -> None:
 
 
 def run_strichartz(config: dict, outdir: Path) -> None:
-    fields = load_fields(config["fields"])
-    grid = TimeGrid(config["time"], config["grid_points"])
-    p = sample_fbm(HurstParam(config["hurst"]), grid, len(fields), 1, config["seed"])[0]
-    initial = np.asarray(config.get("initial", [0.0] * fields[0].m), dtype=float)
+    fields, _, p, initial = _driven(config, config["time"], config["grid_points"])
     y_flow = strichartz_solve(
         fields, p, initial, config["time"], config["level"], steps=config["steps"]
     )
@@ -391,11 +391,8 @@ def run_strichartz(config: dict, outdir: Path) -> None:
 
 
 def run_jacobian(config: dict, outdir: Path) -> None:
-    fields = load_fields(config["fields"])
+    fields, grid, p, initial = _driven(config, config["time"], config["grid_points"])
     m = fields[0].m
-    grid = TimeGrid(config["time"], config["grid_points"])
-    p = sample_fbm(HurstParam(config["hurst"]), grid, len(fields), 1, config["seed"])[0]
-    initial = np.asarray(config.get("initial", [0.0] * m), dtype=float)
     _, jac = jacobian_path_strichartz(
         fields, p, initial, config["level"], steps=config["steps"]
     )
@@ -429,12 +426,8 @@ def run_jacobian(config: dict, outdir: Path) -> None:
 
 
 def run_malliavin(config: dict, outdir: Path) -> None:
-    fields = load_fields(config["fields"])
-    m = fields[0].m
-    d = len(fields)
-    grid = TimeGrid(config["time"], config["grid_points"])
-    p = sample_fbm(HurstParam(config["hurst"]), grid, d, 1, config["seed"])[0]
-    initial = np.asarray(config.get("initial", [0.0] * m), dtype=float)
+    fields, grid, p, initial = _driven(config, config["time"], config["grid_points"])
+    m, d = fields[0].m, len(fields)
     t = config["time"]
     slice_ode = malliavin_derivative(fields, p, initial, t, config["level"], steps=config["steps"])
     slice_jac = malliavin_via_jacobian(fields, p, initial, t, config["level"], steps=config["steps"])
@@ -578,6 +571,9 @@ def _csv_floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
 
 
+_FLAG_TYPES = {"integer": int, "number": float, "string": str, "array": _csv_floats}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="roughflow",
@@ -585,89 +581,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"roughflow {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_)
+    for name, schema in SCHEMAS.items():
+        p = sub.add_parser(name, help=schema["description"])
         p.add_argument("--config", help="JSON config file (flags override it)")
         p.add_argument("--out", default="out", help="artifact root directory")
-        p.add_argument("--seed", type=int)
-        return p
-
-    p = add("sample-fbm", "sample exact fBm paths to CSV")
-    p.add_argument("--hurst", type=float)
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--grid-points", dest="grid_points", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--paths", type=int)
-
-    p = add("signature", "truncated signature of one sampled path")
-    p.add_argument("--hurst", type=float)
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--grid-points", dest="grid_points", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--level", type=int)
-    p.add_argument("--s", type=float)
-    p.add_argument("--t", type=float)
-
-    p = add("sewing-test", "sewing-map norm and inversion residuals")
-    p.add_argument("--mu", type=float)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--grid-points", dest="grid_points", type=int)
-    p.add_argument("--trials", type=int)
-
-    p = add("solve", "second-order RDE solve along a sampled driver")
-    p.add_argument("--fields")
-    p.add_argument("--hurst", type=float)
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--mesh-exp", dest="mesh_exp", type=int)
-    p.add_argument("--initial", type=_csv_floats)
-
-    p = add("check-fields", "bracket hypothesis checks for a field family")
-    p.add_argument("fields_file", nargs="?")
-    p.add_argument("--fields")
-    p.add_argument("--nilpotent", type=int)
-    p.add_argument("--constant-brackets", dest="constant_brackets", action="store_const", const=True)
-    p.add_argument("--hormander", type=_csv_floats)
-    p.add_argument("--up-to", dest="up_to", type=int)
-
-    for name, help_ in (
-        ("strichartz", "endpoint via the nilpotent flow representation"),
-        ("jacobian", "Jacobian flow path and residual checks"),
-        ("malliavin", "Malliavin derivative slice with route cross-check"),
-    ):
-        p = add(name, help_)
-        p.add_argument("--fields")
-        p.add_argument("--hurst", type=float)
-        p.add_argument("--time", type=float)
-        p.add_argument("--grid-points", dest="grid_points", type=int)
-        p.add_argument("--level", type=int)
-        p.add_argument("--steps", type=int)
-        p.add_argument("--initial", type=_csv_floats)
-
-    p = add("norris-stats", "fourth-variation block statistics and tails")
-    p.add_argument("--hurst", type=float)
-    p.add_argument("--delta-exp", dest="delta_exp", type=int)
-    p.add_argument("--ratio-exp", dest="ratio_exp", type=int)
-    p.add_argument("--paths", type=int)
-
-    p = add("norris-mc", "smallness dichotomy Monte-Carlo probe")
-    p.add_argument("--fields")
-    p.add_argument("--hurst", type=float)
-    p.add_argument("--paths", type=int)
-    p.add_argument("--eps", type=_csv_floats)
-    p.add_argument("--q", type=float)
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--grid-points", dest="grid_points", type=int)
-
-    p = add("density", "Monte-Carlo density probe of an endpoint component")
-    p.add_argument("--fields")
-    p.add_argument("--hurst", type=float)
-    p.add_argument("--time", type=float)
-    p.add_argument("--component", type=int)
-    p.add_argument("--paths", type=int)
-    p.add_argument("--grid-points", dest="grid_points", type=int)
-    p.add_argument("--bandwidth", type=float)
-
+        if name == "check-fields":
+            p.add_argument("fields_file", nargs="?")
+        for key, spec in schema["properties"].items():
+            flag = "--" + key.replace("_", "-")
+            if spec["type"] == "boolean":
+                p.add_argument(flag, action="store_const", const=True)
+            else:
+                p.add_argument(flag, type=_FLAG_TYPES[spec["type"]])
     return parser
 
 

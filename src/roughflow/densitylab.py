@@ -212,7 +212,7 @@ def check_hypotheses(
     """The three density hypotheses: nilpotency, constant brackets, spanning."""
     family = FieldFamily.of(fields)
     nil, witness = family.nilpotent(n)
-    ranks = [hormander_rank(family.fields, x, n - 1) for x in np.atleast_2d(points)]
+    ranks = [hormander_rank(family, x, n - 1) for x in np.atleast_2d(points)]
     return {
         "nilpotent": nil,
         "nilpotency_witness": list(witness) if witness else None,

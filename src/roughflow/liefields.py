@@ -18,7 +18,7 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import product as iter_product
+from math import prod
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -401,10 +401,6 @@ def iterated_bracket(fields: Sequence[PolyVectorField], word: Iterable[int]) -> 
     return acc
 
 
-def _words(d: int, k: int):
-    return iter_product(range(1, d + 1), repeat=k)
-
-
 def is_nilpotent(fields: Sequence[PolyVectorField], n: int) -> tuple[bool, tuple[int, ...] | None]:
     """True iff every order-n left-nested bracket vanishes identically.
 
@@ -450,43 +446,34 @@ def flow_certificate(fields: Sequence[PolyVectorField]) -> tuple[int, int] | Non
     return max([1, *degree.values()]), max([1, *depth.values()])
 
 
-def hormander_rank(fields: Sequence[PolyVectorField], x, up_to: int) -> int:
-    """Rank of the span of all brackets of length <= up_to evaluated at x.
+def hormander_rank(fields: "Sequence[PolyVectorField] | FieldFamily", x, up_to: int) -> int:
+    """Rank of the span of all brackets of length <= up_to evaluated at x, decided exactly.
 
-    Gaussian elimination with a fixed pivot tolerance; rows are scaled so
-    the tolerance is meaningful across field magnitudes.
+    The nonzero brackets come from the family's kept table; they are evaluated
+    at the rational value of x (every finite float is one) and eliminated over Q.
     """
     if up_to < 1:
         raise DomainError(f"up_to must be >= 1, got {up_to}")
+    family = FieldFamily.of(fields)
     x = np.asarray(x, dtype=float)
-    rows = []
-    for k in range(1, up_to + 1):
-        for word in _words(len(fields), k):
-            rows.append(iterated_bracket(fields, word)(x))
-    return _rank_by_elimination(np.array(rows), tol=1e-10)
-
-
-def _rank_by_elimination(a: np.ndarray, tol: float) -> int:
-    a = np.array(a, dtype=float)
-    if a.size == 0:
-        return 0
-    scale = np.max(np.abs(a))
-    if scale == 0.0:
-        return 0
-    a /= scale
-    n_rows, n_cols = a.shape
+    if x.shape != (family.m,) or not np.isfinite(x).all():
+        raise DomainError(f"Hörmander point must be a finite point of R^{family.m}, got {x.tolist()}")
+    point = [Fraction(v) for v in x.tolist()]
+    rows = [
+        [sum(c * prod(v**p for v, p in zip(point, e)) for e, c in comp.terms.items()) for comp in b.components]
+        for b in family.brackets(up_to + 1).values()
+    ]
     rank = 0
-    for col in range(n_cols):
-        pivot = rank + int(np.argmax(np.abs(a[rank:, col]))) if rank < n_rows else None
-        if pivot is None or abs(a[pivot, col]) <= tol:
+    for col in range(family.m):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
             continue
-        a[[rank, pivot]] = a[[pivot, rank]]
-        a[rank] /= a[rank, col]
-        others = [r for r in range(n_rows) if r != rank]
-        a[others] -= np.outer(a[others, col], a[rank])
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            ratio = rows[i][col] / top[col]
+            rows[i] = [a - ratio * b for a, b in zip(rows[i], top)]
         rank += 1
-        if rank == n_rows:
-            break
     return rank
 
 
@@ -583,8 +570,10 @@ class _Parser:
                 raise DomainError(f"variable {tok} out of range for {self.nvars} variables")
             return Polynomial.variable(self.nvars, k - 1)
         if "/" in tok:
-            num, den = tok.split("/")
-            return Polynomial.constant(self.nvars, Fraction(int(num), int(den)))
+            num, den = (int(v) for v in tok.split("/"))
+            if den == 0:
+                raise DomainError(f"zero denominator in {tok!r}")
+            return Polynomial.constant(self.nvars, Fraction(num, den))
         if tok.isdigit():
             return Polynomial.constant(self.nvars, int(tok))
         raise DomainError(f"unexpected token {tok!r} in polynomial")

@@ -1,4 +1,6 @@
+import argparse
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -6,7 +8,7 @@ import tracemalloc
 import pytest
 from jsonschema.validators import validator_for
 
-from roughflow.cli import SCHEMAS, main
+from roughflow.cli import SCHEMAS, ConfigError, main, resolve_config
 from roughflow.densitylab import yamato_fields
 from roughflow.liefields import format_field_file
 
@@ -23,6 +25,75 @@ SMALL_RUNS = {
     "norris-mc": ["--paths", "50"],
     "density": ["--paths", "1000", "--grid-points", "9"],
 }
+
+
+#: Every experiment's defaults, as the CLI has always run them; SCHEMAS' default keywords must give these.
+DEFAULTS = {
+    "sample-fbm": {"hurst": 0.4, "horizon": 1.0, "grid_points": 257, "dim": 1, "paths": 10, "seed": 0},
+    "signature": {"hurst": 0.4, "horizon": 1.0, "grid_points": 65, "dim": 2, "level": 4, "seed": 0},
+    "sewing-test": {"mu": 1.2, "depth": 12, "grid_points": 65, "trials": 100, "seed": 0},
+    "solve": {"fields": "yamato", "hurst": 0.4, "horizon": 1.0, "mesh_exp": 8, "seed": 0},
+    "check-fields": {"nilpotent": 3, "seed": 0},
+    "strichartz": {"fields": "yamato", "hurst": 0.4, "time": 1.0, "grid_points": 65, "level": 3, "steps": 256, "seed": 0},
+    "jacobian": {"fields": "yamato", "hurst": 0.4, "time": 1.0, "grid_points": 65, "level": 3, "steps": 256, "seed": 0},
+    "malliavin": {"fields": "yamato", "hurst": 0.4, "time": 1.0, "grid_points": 33, "level": 3, "steps": 128, "seed": 0},
+    "norris-stats": {"hurst": 0.4, "delta_exp": 10, "ratio_exp": 5, "paths": 2000, "seed": 0},
+    "norris-mc": {"fields": "yamato", "hurst": 0.4, "paths": 2000, "eps": [0.4, 0.2, 0.1, 0.05], "q": 0.5, "horizon": 1e-4, "grid_points": 65, "seed": 0},
+    "density": {"fields": "yamato", "hurst": 0.4, "time": 1.0, "component": 3, "paths": 20000, "grid_points": 33, "seed": 0},
+}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def test_defaults_cover_every_experiment():
+    assert sorted(DEFAULTS) == sorted(SCHEMAS) == sorted(SMALL_RUNS)
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULTS))
+def test_defaults_are_pinned(command):
+    # check-fields has no default family, so it gets the one flag it requires.
+    given = {"fields": "yamato"} if command == "check-fields" else {}
+    config = resolve_config(command, argparse.Namespace(**given))
+    assert config == {**DEFAULTS[command], **given}
+    # The resolved config owns its lists: editing one leaves the next run's defaults alone.
+    for value in config.values():
+        if isinstance(value, list):
+            value.clear()
+    assert resolve_config(command, argparse.Namespace(**given)) == {**DEFAULTS[command], **given}
+
+
+@pytest.mark.parametrize("command", sorted(SCHEMAS))
+def test_help_lists_one_flag_per_schema_property(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    flags = re.findall(r"^\s+(--[\w-]+)", out, re.MULTILINE)
+    assert sorted(flags) == sorted(["--config", "--out", *map(_flag, SCHEMAS[command]["properties"])])
+
+
+#: (command, key) for every number-typed property and every array of numbers.
+NUMBER_KEYS = [
+    (command, key)
+    for command, schema in sorted(SCHEMAS.items())
+    for key, spec in schema["properties"].items()
+    if spec["type"] in ("number", "array")
+]
+
+
+@pytest.mark.parametrize("command, key", NUMBER_KEYS)
+@pytest.mark.parametrize("bad, json_bad", [("nan", "NaN"), ("inf", "Infinity"), ("-inf", "-Infinity")])
+def test_non_finite_numbers_exit_two(command, key, bad, json_bad, tmp_path, capsys):
+    is_array = SCHEMAS[command]["properties"][key]["type"] == "array"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"{key}": {f"[1, {json_bad}, 2]" if is_array else json_bad}}}')
+    prefix = ["yamato"] if command == "check-fields" else []
+    for argv in ([f"{_flag(key)}={f'1,{bad},2' if is_array else bad}"], ["--config", str(cfg)]):
+        assert main([command, *prefix, *argv, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {key} must be finite, got {float(bad)}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
@@ -115,6 +186,14 @@ def test_malformed_fields_file_exits_two(tmp_path, capsys):
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
+def test_zero_denominator_in_field_file_exits_two(tmp_path, capsys):
+    bad = tmp_path / "zero.vf"
+    bad.write_text("3 3\n1/0\n" + "0\n" * 8)
+    assert main(["solve", "--fields", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "config error: zero denominator in '1/0'\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("header", ["3 0", "3 x", "-1 0"])
 def test_field_file_header_must_be_positive_integers(header, tmp_path, capsys):
     bad = tmp_path / "header.vf"
@@ -157,6 +236,17 @@ def test_level_two_experiments_need_rough_regime(argv, code, tmp_path, capsys):
     if code == 2:
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
         assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", sorted(c for c, s in SCHEMAS.items() if "hurst" in s["properties"]))
+def test_rough_regime_gate_covers_exactly_the_field_experiments(command):
+    # Every experiment that drives fields lifts the path to level 2.
+    args = argparse.Namespace(hurst=0.3, fields="yamato")
+    if "fields" in SCHEMAS[command]["properties"]:
+        with pytest.raises(ConfigError, match=f"{command} needs 1/3 < hurst < 1/2, got 0.3"):
+            resolve_config(command, args)
+    else:
+        assert resolve_config(command, args)["hurst"] == 0.3
 
 
 def test_sample_fbm_config_with_threads_exits_two(tmp_path, capsys):

@@ -506,12 +506,24 @@ class TestHypothesisCheckers:
         assert hormander_rank(yamato, [0.0, 0.0, 0.0], 2) == 3
         for _ in range(5):
             assert hormander_rank(yamato, rng.standard_normal(3), 2) == 3
+        assert hormander_rank(FieldFamily.of(yamato), [0.5, -1.0, 2.0], 2) == 3
 
     def test_hormander_rank_degenerate_cases(self, rng):
         assert hormander_rank([PolyVectorField.zero(2)], [0.0, 0.0], 2) == 0
         e1 = PolyVectorField((parse_polynomial("1", 2), parse_polynomial("0", 2)))
         e2 = PolyVectorField((parse_polynomial("0", 2), parse_polynomial("1", 2)))
         assert hormander_rank([e1, e2], [0.0, 0.0], 1) == 2
+
+    def test_hormander_rank_is_exact_at_small_scales(self):
+        # A 1e-10 pivot tolerance on the scaled float rows read this rank as 1.
+        e1 = PolyVectorField((parse_polynomial("1", 2), parse_polynomial("0", 2)))
+        tiny_e2 = PolyVectorField((parse_polynomial("0", 2), parse_polynomial("1/100000000000", 2)))
+        assert hormander_rank([e1, tiny_e2], [0.0, 0.0], 1) == 2
+
+    @pytest.mark.parametrize("x", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0], [[0.0, 0.0, 0.0]]])
+    def test_hormander_rank_needs_a_finite_point_of_the_space(self, yamato, x):
+        with pytest.raises(DomainError):
+            hormander_rank(yamato, x, 2)
 
 
 class TestParsing:
@@ -538,11 +550,29 @@ class TestParsing:
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "2", "2 2\nx1", "1 1\nx2", "1 1\n2.5", "1 1\n2*", "1 1\n(x1"],
+        ["", "2", "2 2\nx1", "1 1\nx2", "1 1\n2.5", "1 1\n2*", "1 1\n(x1", "1 1\n1/0", "1 1\nx1 - 0/0"],
     )
     def test_malformed_files_rejected(self, bad):
         with pytest.raises(DomainError):
             parse_field_file(bad)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(["x0", "x1", "x2", "x3", "+", "-", "*", "**", "^", "(", ")"]),
+                st.integers(0, 9).map(str),
+                st.tuples(st.integers(0, 12), st.integers(0, 3)).map(lambda r: f"{r[0]}/{r[1]}"),
+            ),
+            max_size=10,
+        )
+    )
+    def test_grammar_tokens_parse_or_raise_domain_error(self, tokens):
+        # Ten tokens cap the degree work: ((x1+x2)^9)^9 needs eleven.
+        try:
+            parse_polynomial(" ".join(tokens), 2)
+        except DomainError:
+            pass
 
     def test_power_syntax_variants(self):
         a = parse_polynomial("x1^2", 1)
