@@ -121,13 +121,12 @@ SCHEMAS = {
         "sewing-map norm and inversion residuals",
         {
             "mu": {"type": "number", "exclusiveMinimum": 1.0, "maximum": 2.0, "default": 1.2},
-            "depth": _int(1, 24, 12),
             # A triple needs three points; the triple table grows as n^3 (278 MB peak at 257).
             "grid_points": _int(3, 257, 65),
             "trials": _int(1, default=100),
             "seed": _SEED,
         },
-        ["mu", "depth", "grid_points", "trials", "seed"],
+        ["mu", "grid_points", "trials", "seed"],
     ),
     "solve": _schema(
         "second-order RDE solve along a sampled driver",
@@ -246,6 +245,23 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict:
     return config
 
 
+def check_fit(command: str, config: dict, fields: list[PolyVectorField] | None) -> None:
+    """Refuse values that do not fit the fields or the grid: point lengths, the component, s and t."""
+    if fields is not None:
+        m = fields[0].m
+        for key in ("initial", "hormander"):
+            point = config.get(key)
+            if point is not None and len(point) != m:
+                raise ConfigError(f"{key} point needs {m} coordinates, got {len(point)}")
+        if config.get("component", 1) > m:
+            raise ConfigError(f"component {config['component']} out of range 1..{m}")
+    if command == "signature":
+        grid = TimeGrid(config["horizon"], config["grid_points"])
+        s, t = config.get("s", 0.0), config.get("t", config["horizon"])
+        if grid.index_of(s) >= grid.index_of(t):
+            raise ConfigError(f"signature needs s < t, got s = {s}, t = {t}")
+
+
 # ---------------------------------------------------------------------------
 # Experiment runners
 # ---------------------------------------------------------------------------
@@ -295,7 +311,7 @@ def run_sewing_test(config: dict, outdir: Path) -> None:
         x = coeffs[3] * np.cos(2 * np.pi * times) + coeffs[4] * times + coeffs[5] * times**3
         germ = Increment2(grid, f[:, None] * (x[None, :] - x[:, None]))
         h = delta2(germ)
-        lam = sewing(h, mu, depth=config["depth"])
+        lam = sewing(h, mu)
         ratio = holder_norm(lam, mu) / holder_norm_c3(h, mu / 2, mu / 2)
         residual = float(np.max(np.abs(delta2(lam).values - h.values)))
         rows.append((trial, ratio, residual))
@@ -316,17 +332,16 @@ def run_sewing_test(config: dict, outdir: Path) -> None:
     )
 
 
-def _driven(config: dict, horizon: float, n_points: int):
-    """Fields, grid, one sampled driver on it and the initial point (zero unless given)."""
-    fields = load_fields(config["fields"])
+def _driven(config: dict, fields: list[PolyVectorField], horizon: float, n_points: int):
+    """Grid, one sampled driver on it and the initial point (zero unless given)."""
     grid = TimeGrid(horizon, n_points)
     p = sample_fbm(HurstParam(config["hurst"]), grid, len(fields), 1, config["seed"])[0]
     initial = np.asarray(config.get("initial", [0.0] * fields[0].m), dtype=float)
-    return fields, grid, p, initial
+    return grid, p, initial
 
 
-def run_solve(config: dict, outdir: Path) -> None:
-    fields, grid, p, initial = _driven(config, config["horizon"], 2 ** config["mesh_exp"] + 1)
+def run_solve(config: dict, outdir: Path, fields: list[PolyVectorField]) -> None:
+    grid, p, initial = _driven(config, fields, config["horizon"], 2 ** config["mesh_exp"] + 1)
     solution, _ = rde_solve(fields, initial, RoughDriver.from_path(p))
     header = ["t"] + [f"y_{i + 1}" for i in range(fields[0].m)]
     rows = [(t, *vals) for t, vals in zip(grid.times, solution.values)]
@@ -343,8 +358,8 @@ def run_solve(config: dict, outdir: Path) -> None:
     )
 
 
-def run_check_fields(config: dict, outdir: Path) -> None:
-    family = FieldFamily.of(load_fields(config["fields"]))
+def run_check_fields(config: dict, outdir: Path, fields: list[PolyVectorField]) -> None:
+    family = FieldFamily.of(fields)
     n = config["nilpotent"]
     nil, witness = family.nilpotent(n)
     report = {
@@ -371,8 +386,8 @@ def run_check_fields(config: dict, outdir: Path) -> None:
     write_json(outdir / "report.json", report)
 
 
-def run_strichartz(config: dict, outdir: Path) -> None:
-    fields, _, p, initial = _driven(config, config["time"], config["grid_points"])
+def run_strichartz(config: dict, outdir: Path, fields: list[PolyVectorField]) -> None:
+    _, p, initial = _driven(config, fields, config["time"], config["grid_points"])
     y_flow = strichartz_solve(
         fields, p, initial, config["time"], config["level"], steps=config["steps"]
     )
@@ -390,8 +405,8 @@ def run_strichartz(config: dict, outdir: Path) -> None:
     )
 
 
-def run_jacobian(config: dict, outdir: Path) -> None:
-    fields, grid, p, initial = _driven(config, config["time"], config["grid_points"])
+def run_jacobian(config: dict, outdir: Path, fields: list[PolyVectorField]) -> None:
+    grid, p, initial = _driven(config, fields, config["time"], config["grid_points"])
     m = fields[0].m
     _, jac = jacobian_path_strichartz(
         fields, p, initial, config["level"], steps=config["steps"]
@@ -425,8 +440,8 @@ def run_jacobian(config: dict, outdir: Path) -> None:
     )
 
 
-def run_malliavin(config: dict, outdir: Path) -> None:
-    fields, grid, p, initial = _driven(config, config["time"], config["grid_points"])
+def run_malliavin(config: dict, outdir: Path, fields: list[PolyVectorField]) -> None:
+    grid, p, initial = _driven(config, fields, config["time"], config["grid_points"])
     m, d = fields[0].m, len(fields)
     t = config["time"]
     slice_ode = malliavin_derivative(fields, p, initial, t, config["level"], steps=config["steps"])
@@ -484,8 +499,7 @@ def run_norris_stats(config: dict, outdir: Path) -> None:
     )
 
 
-def run_norris_mc(config: dict, outdir: Path) -> None:
-    fields = load_fields(config["fields"])
+def run_norris_mc(config: dict, outdir: Path, fields: list[PolyVectorField]) -> None:
     u_field = fields[1] if config["fields"] == "yamato" else fields[0]
     eta = np.zeros(fields[0].m)
     eta[-1] = 1.0
@@ -522,8 +536,7 @@ def run_norris_mc(config: dict, outdir: Path) -> None:
     )
 
 
-def run_density(config: dict, outdir: Path) -> None:
-    fields = load_fields(config["fields"])
+def run_density(config: dict, outdir: Path, fields: list[PolyVectorField]) -> None:
     rep = density_report(
         fields,
         HurstParam(config["hurst"]),
@@ -547,6 +560,7 @@ def run_density(config: dict, outdir: Path) -> None:
     write_json(outdir / "summary.json", summary)
 
 
+#: Runners of the experiments whose schema has ``fields`` take the parsed fields as a third argument.
 RUNNERS = {
     "sample-fbm": run_sample_fbm,
     "signature": run_signature,
@@ -603,12 +617,9 @@ def main(argv: list[str] | None = None) -> int:
         args.fields = args.fields_file
     try:
         config = resolve_config(command, args)
-        if "fields" in config:
-            m = load_fields(config["fields"])[0].m  # existence and parse check up front
-            for key in ("initial", "hormander"):
-                point = config.get(key)
-                if point is not None and len(point) != m:
-                    raise ConfigError(f"{key} point needs {m} coordinates, got {len(point)}")
+        # Parsed once, here, so a bad file or a point that does not fit it is a config error.
+        fields = load_fields(config["fields"]) if "fields" in config else None
+        check_fit(command, config, fields)
     except (ConfigError, RoughflowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -617,7 +628,10 @@ def main(argv: list[str] | None = None) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     try:
         write_json(outdir / "config.json", {"command": command, "config": config})
-        RUNNERS[command](config, outdir)
+        if fields is None:
+            RUNNERS[command](config, outdir)
+        else:
+            RUNNERS[command](config, outdir, fields)
         write_manifest(outdir)
     except RoughflowError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

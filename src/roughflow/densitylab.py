@@ -31,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .fbm import HurstParam, SamplePath, TimeGrid, sample_fbm_array
+from .fbm import HurstParam, TimeGrid, sample_fbm_array
 from .liefields import FieldFamily, PolyVectorField, Polynomial, fields_hash, hormander_rank, parse_polynomial
-from .signature import batch_signature_levels, levy_area
+from .signature import batch_signature_levels
 from .strichartz import build_Z_batch, exp_flow_batch, flow_route
 
 
@@ -55,26 +55,6 @@ def yamato_fields() -> list[PolyVectorField]:
         )
     )
     return [PolyVectorField.zero(m), a2, a3]
-
-
-def yamato_explicit(p: SamplePath, initial, t: float) -> np.ndarray:
-    """Explicit solution of the example system along the lifted driver."""
-    if p.dim != 3:
-        raise DomainError(f"the example system needs a 3-component driver, got d={p.dim}")
-    y1, y2, y3 = (float(v) for v in np.asarray(initial, dtype=float))
-    k = p.grid.index_of(t)
-    if k == 0:
-        return np.array([y1, y2, y3])
-    b = p.values[k] - p.values[0]
-    area = levy_area(p, 0.0, t)
-    swirl = 2.0 * (area[2, 1] - area[1, 2])
-    return np.array(
-        [
-            y1 + b[1],
-            y2 + b[2],
-            y3 + 2.0 * y2 * b[1] - 2.0 * y1 * b[2] + swirl,
-        ]
-    )
 
 
 def yamato_explicit_batch(values: np.ndarray, initial) -> np.ndarray:
@@ -127,13 +107,14 @@ KDE_CHUNK = 2048
 KDE_BLOCK = 16
 #: Window half-width in bandwidths; a kernel term beyond it is below e^{-72} of the peak.
 KDE_RADIUS = 12.0
+#: Evaluation grid margin beyond the extreme samples, in bandwidths.
+KDE_SPAN = 4.0
 
 
 def kde(
     samples: np.ndarray,
     bandwidth: float | None = None,
     grid_points: int = 512,
-    span: float = 4.0,
 ) -> DensityEstimate:
     """Gaussian-kernel density estimate with Silverman's default bandwidth.
 
@@ -143,8 +124,8 @@ def kde(
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < 100:
         raise DomainError(f"kde needs at least 100 samples, got {x.size}")
-    if grid_points < 2 or not span >= 0:
-        raise DomainError(f"kde needs grid_points >= 2 and span >= 0, got {grid_points}, {span}")
+    if grid_points < 2:
+        raise DomainError(f"kde needs grid_points >= 2, got {grid_points}")
     sigma = float(np.std(x))
     if sigma == 0.0:
         raise DomainError("samples are a single atom; no density to estimate")
@@ -153,7 +134,7 @@ def kde(
     if not bandwidth > 0:
         raise DomainError(f"bandwidth must be positive, got {bandwidth}")
     x = np.sort(x)
-    xs = np.linspace(x[0] - span * bandwidth, x[-1] + span * bandwidth, grid_points)
+    xs = np.linspace(x[0] - KDE_SPAN * bandwidth, x[-1] + KDE_SPAN * bandwidth, grid_points)
     # Exact up to rounding: each block of grid rows sums the kernel over the sorted
     # samples within KDE_RADIUS bandwidths of it, formed in place in one scratch buffer.
     rows = min(KDE_BLOCK, grid_points)
@@ -198,13 +179,6 @@ def smoothness_proxies(est: DensityEstimate) -> dict:
 # End-to-end density experiments
 # ---------------------------------------------------------------------------
 
-#: Registered explicit endpoint samplers, keyed by fields_hash.
-_EXPLICIT_SAMPLERS = {}
-
-
-def register_explicit(fields: list[PolyVectorField], sampler) -> None:
-    _EXPLICIT_SAMPLERS[fields_hash(fields)] = sampler
-
 
 def check_hypotheses(
     fields: list[PolyVectorField] | FieldFamily, n: int, points: np.ndarray
@@ -243,7 +217,6 @@ def flow_endpoint_samples(
     n: int,
     initial,
     grid_points: int = 33,
-    steps: int = FLOW_STEPS,
 ) -> np.ndarray:
     """Monte-Carlo endpoint samples y_t via the batched nilpotent flow.
 
@@ -257,7 +230,7 @@ def flow_endpoint_samples(
     for s in range(0, n_paths, FLOW_BLOCK):
         block = slice(s, s + FLOW_BLOCK)
         levels = batch_signature_levels(drivers[block], n - 1)
-        out[block] = exp_flow_batch(family, n, build_Z_batch(family, levels, n), starts[block], steps)
+        out[block] = exp_flow_batch(family, n, build_Z_batch(family, levels, n), starts[block], FLOW_STEPS)
     return out
 
 
@@ -272,15 +245,14 @@ def density_report(
     seed: int = 0,
     grid_points: int = 33,
     bandwidth: float | None = None,
-    kde_points: int = 512,
 ) -> dict:
     """KDE and smoothness proxies for a 1-d functional of the endpoint law.
 
     ``functional`` is either a 1-based component index or a weight vector.
     Refuses to run when any of the three bracket hypotheses fails, naming
-    the failed one.  When an explicit sampler is registered for the field
-    family, an independent driver batch is pushed through it and the
-    two-sample Kolmogorov-Smirnov distance is reported.
+    the failed one.  For Yamato's family an independent driver batch is pushed
+    through ``yamato_explicit_batch`` and the two-sample Kolmogorov-Smirnov
+    distance to it is reported.
     """
     m = fields[0].m
     initial = np.zeros(m) if initial is None else np.asarray(initial, dtype=float)
@@ -310,8 +282,8 @@ def density_report(
     )
     flow = flow_route(FieldFamily.of(fields), n, FLOW_STEPS)
     samples = endpoints @ weights
-    full = kde(samples, bandwidth=bandwidth, grid_points=kde_points)
-    half = kde(samples[: n_paths // 2], bandwidth=bandwidth, grid_points=kde_points)
+    full = kde(samples, bandwidth=bandwidth)
+    half = kde(samples[: n_paths // 2], bandwidth=bandwidth)
     proxies_full = smoothness_proxies(full)
     proxies_half = smoothness_proxies(half)
     stability = {
@@ -340,16 +312,11 @@ def density_report(
         "skewness": skew,
         "skewness_stderr": skew_stderr,
     }
-    sampler = _EXPLICIT_SAMPLERS.get(fields_hash(fields))
-    if sampler is not None:
+    if fields_hash(fields) == fields_hash(yamato_fields()):
         from scipy.stats import ks_2samp
-        grid = TimeGrid(t, grid_points)
-        drivers = sample_fbm_array(hurst, grid, len(fields), n_paths, seed + 1)
-        explicit = sampler(drivers, initial) @ weights
+        drivers = sample_fbm_array(hurst, TimeGrid(t, grid_points), len(fields), n_paths, seed + 1)
+        explicit = yamato_explicit_batch(drivers, initial) @ weights
         ks = ks_2samp(samples, explicit)
         report["ks_statistic"] = float(ks.statistic)
         report["ks_pvalue"] = float(ks.pvalue)
     return report
-
-
-register_explicit(yamato_fields(), yamato_explicit_batch)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,26 +57,17 @@ class HurstParam:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform partition of [0, T] with ``n_points`` nodes, first node 0."""
+    """Uniform partition of [0, T] with ``n_points`` nodes, first node 0, kept in ``times``."""
 
     horizon: float
     n_points: int
-    times: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         if self.horizon <= 0:
             raise DomainError(f"horizon must be positive, got {self.horizon}")
         if self.n_points < 2:
             raise DomainError(f"need at least 2 grid points, got {self.n_points}")
-        if self.times is None:
-            object.__setattr__(
-                self, "times", np.linspace(0.0, self.horizon, self.n_points)
-            )
-        t = self.times
-        if t[0] != 0.0 or np.any(np.diff(t) <= 0):
-            raise DomainError("grid times must start at 0 and increase strictly")
-        if not np.allclose(np.diff(t), t[1] - t[0], rtol=1e-12, atol=1e-15):
-            raise DomainError("grid must be uniform")
+        object.__setattr__(self, "times", np.linspace(0.0, self.horizon, self.n_points))
 
     @property
     def mesh(self) -> float:

@@ -224,7 +224,7 @@ def malliavin_via_jacobian(
     values = np.zeros((grid.n_points, m, d))
     # Only [0, t] is read, so the Jacobian flow runs on that prefix (a grid needs 2 points).
     k = max(k_t, 1)
-    head = TimeGrid(grid.times[k], k + 1, times=grid.times[: k + 1])
+    head = TimeGrid(grid.times[k], k + 1)
     ypath, jac = jacobian_path_strichartz(family, SamplePath(head, p.values[: k + 1]), a, n, steps)
     carry = jac.J[k_t] @ jac.J_inv[:k_t]
     v = np.stack([f(ypath.values[:k_t]) for f in family.fields], -1)  # (k_t, m, d)

@@ -195,8 +195,12 @@ def holder_norm_c3(h: Increment3, gamma: float, rho: float) -> float:
     return float(np.max(_mag(h.values, 1) / triples(h.grid).split_weights(gamma, rho)))
 
 
-def _check_closed(h: Increment3, tol: float) -> Array:
-    """Return h_{0ab} on all pairs after verifying delta h = 0.
+#: Relative tolerance of the closedness check behind ``sewing``.
+CLOSED_TOL = 1e-10
+
+
+def _check_closed(h: Increment3) -> Array:
+    """Return h_{0ab} on all pairs after verifying delta h = 0 to ``CLOSED_TOL``.
 
     Closedness is equivalent to h_{sut} = h_{0ut} - h_{0st} + h_{0su} for
     all triples, which is O(n^2) data plus an O(n^3) comparison: on the
@@ -224,50 +228,30 @@ def _check_closed(h: Increment3, tol: float) -> Array:
     recon = f[uj] - f[ij] + f[iu]
     scale = max(1.0, float(np.max(_mag(direct, 1))))
     worst = float(np.max(_mag(direct - recon, 1)))
-    if worst > tol * scale:
+    if worst > CLOSED_TOL * scale:
         raise ValidationError(
-            f"increment is not closed: max |delta h| = {worst:.3e} (tol {tol:.0e})"
+            f"increment is not closed: max |delta h| = {worst:.3e} (tol {CLOSED_TOL:.0e})"
         )
     return h0
 
 
-def sewing(h: Increment3, mu: float, depth: int = 12, tol: float = 1e-10) -> Increment2:
+def sewing(h: Increment3, mu: float) -> Increment2:
     """Invert delta on a closed 2-increment: returns Lambda(h).
 
     The construction uses the potential g_{ab} = -h_{0ab} (which satisfies
     delta g = h exactly when h is closed) and subtracts the coboundary of
-    the compensated-telescope integral of g, computed by near-dyadic
-    interval splitting down to at most ``depth`` levels.  Because the
+    the compensated-telescope integral of g, refined down to single grid
+    intervals: f is the cumulative sum of g over them.  Because the
     subtracted part is an exact coboundary, delta(Lambda h) = h holds to
-    machine precision at any depth; ``depth`` only controls how far the
-    telescope refines, and at the default it reaches single grid intervals
-    for every grid in the sampler's range so the result is the canonical
-    discrete sewing with ||Lambda h||_mu <= ||h|| / (2^mu - 2).
+    machine precision, and the result is the canonical discrete sewing with
+    ||Lambda h||_mu <= ||h|| / (2^mu - 2).
     """
     if mu <= 1:
         raise DomainError(f"sewing requires mu > 1, got {mu}")
-    if depth < 1:
-        raise DomainError(f"depth must be >= 1, got {depth}")
-    h0 = _check_closed(h, tol)
-    g = -h0  # g_{ab} = -h_{0ab}; delta g = h exactly.
-    n = h.grid.n_points
-    if 2**depth >= n - 1:
-        # Full telescope: f is the cumulative finest-grid sum of g.
-        steps = np.einsum("ii...->i...", g[:-1, 1:])
-        f = np.concatenate([np.zeros_like(steps[:1]), np.cumsum(steps, axis=0)], axis=0)
-        lam = g - (f[None, :, ...] - f[:, None, ...])
-    else:
-        # Depth-limited telescope, per pair.
-        def partial(i: int, j: int, lvl: int):
-            if j - i <= 1 or lvl == 0:
-                return g[i, j]
-            m = (i + j) // 2
-            return partial(i, m, lvl - 1) + partial(m, j, lvl - 1)
-
-        lam = np.zeros_like(g)
-        for i in range(n):
-            for j in range(i + 1, n):
-                lam[i, j] = g[i, j] - partial(i, j, depth)
-    ii, jj = np.tril_indices(n, k=-1)
+    g = -_check_closed(h)  # g_{ab} = -h_{0ab}; delta g = h exactly.
+    steps = np.einsum("ii...->i...", g[:-1, 1:])
+    f = np.concatenate([np.zeros_like(steps[:1]), np.cumsum(steps, axis=0)], axis=0)
+    lam = g - (f[None, :, ...] - f[:, None, ...])
+    ii, jj = np.tril_indices(h.grid.n_points, k=-1)
     lam[ii, jj, ...] = 0.0
     return Increment2(h.grid, lam)

@@ -197,11 +197,6 @@ class PolyVectorField:
     def __sub__(self, other: "PolyVectorField") -> "PolyVectorField":
         return self + (-other)
 
-    def __mul__(self, scalar) -> "PolyVectorField":
-        return PolyVectorField(tuple(c * Fraction(scalar) for c in self.components))
-
-    __rmul__ = __mul__
-
     @property
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.components)
@@ -243,9 +238,6 @@ class PolyVectorField:
         return PolyVectorField(
             tuple(Polynomial.constant(m, e) for e in entries)
         )
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(c) for c in self.components) + ")"
 
 
 @dataclass(frozen=True, eq=False)

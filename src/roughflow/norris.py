@@ -174,14 +174,12 @@ def block_stats_mc(
     n_paths: int,
     seed: int = 0,
     horizon: float = 1.0,
-    d: int = 1,
 ) -> dict:
-    """Monte-Carlo block statistics against their closed-form targets."""
+    """Monte-Carlo block statistics of one scalar fBm against their closed-form targets."""
     n_points = int(round(horizon / scales.delta)) + 1
     grid = TimeGrid(horizon, n_points)
-    paths = sample_fbm_array(hurst, grid, d, n_paths, seed)
-    incr = np.diff(paths, axis=1)
-    fourth = np.sum(incr * incr, axis=2) ** 2
+    incr = np.diff(sample_fbm_array(hurst, grid, 1, n_paths, seed)[:, :, 0], axis=1)
+    fourth = (incr * incr) ** 2
     r = scales.r
     n_blocks = fourth.shape[1] // r
     x = fourth[:, : n_blocks * r].reshape(n_paths, n_blocks, r).sum(axis=2)
@@ -241,24 +239,11 @@ def concentration_table(
 # ---------------------------------------------------------------------------
 
 
-def _path_norms(paths: np.ndarray, times: np.ndarray, exponent: float) -> np.ndarray:
-    """||.||_{exponent, infty} per path; exponent 0 reduces to the sup norm.
-
-    ``paths`` is time-major: (n, P) scalar or (d, n, P) vector valued.  The
-    Hoelder seminorm runs lag by lag, so it holds one (d, n - lag, P)
-    difference at a time instead of the whole table of grid pairs.
-    """
+def _path_norms(paths: np.ndarray) -> np.ndarray:
+    """Sup norm per path of time-major paths, (n, P) scalar or (d, n, P) vector valued."""
     if paths.ndim == 2:
         paths = paths[None]
-    mags_sup = np.max(np.linalg.norm(paths, axis=0), axis=0)
-    if exponent == 0.0:
-        return mags_sup
-    seminorm = np.full(paths.shape[2], -np.inf)
-    for lag in range(1, paths.shape[1]):
-        diffs = np.linalg.norm(paths[:, lag:] - paths[:, :-lag], axis=0)
-        weights = (times[lag:] - times[:-lag]) ** exponent
-        seminorm = np.maximum(seminorm, np.max(diffs / weights[:, None], axis=0))
-    return mags_sup + seminorm
+    return np.max(np.linalg.norm(paths, axis=0), axis=0)
 
 
 def norris_dichotomy_mc(
@@ -272,16 +257,14 @@ def norris_dichotomy_mc(
     a=None,
     horizon: float = 0.01,
     grid_points: int = 65,
-    gamma_y: float = 0.0,
-    alpha_z: float = 0.0,
     seed: int = 0,
 ) -> dict:
     """Estimate P(||y|| < eps and ||z|| > eps^q) on a shrinking eps ladder.
 
     y_t = Z^U_t - Z^U_0 and z collects the integrand paths Z^{[V_j, U]} of
-    its expansion; the norms are ||.||_{gamma,infty} with exponent 0 meaning
-    the plain sup norm (Hoelder-seminorm events at the listed eps are
-    unobservably rare at desk scale, so the probe defaults to sup norms).
+    its expansion; the norms are sup norms over the grid (the Hoelder
+    seminorms of the ||.||_{gamma,infty} norms add events that are
+    unobservably rare at desk scale at the listed eps).
     Returns per-eps frequencies and the fitted decay exponent over the
     rows with at least one event; zero-count rows carry the resolution
     bound 1/n_paths as an upper-bound marker.
@@ -318,8 +301,8 @@ def norris_dichotomy_mc(
     y_paths = z_u - z_u[:1]
     z_paths = np.stack([pairing(bracket(vj, u_field)) for vj in family.fields])
 
-    y_norms = _path_norms(y_paths, grid.times, gamma_y)
-    z_norms = _path_norms(z_paths, grid.times, alpha_z)
+    y_norms = _path_norms(y_paths)
+    z_norms = _path_norms(z_paths)
 
     rows = []
     for eps in eps_arr:
@@ -350,8 +333,6 @@ def norris_dichotomy_mc(
             freqs[k] >= freqs[k + 1] - 1e-15 for k in range(len(freqs) - 1)
         ),
         "q": q,
-        "gamma_y": gamma_y,
-        "alpha_z": alpha_z,
         "horizon": horizon,
         "n_paths": n_paths,
         "seed": seed,

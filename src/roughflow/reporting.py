@@ -65,13 +65,11 @@ def svg_line_plot(
     xs: np.ndarray,
     ys: np.ndarray,
     title: str = "",
-    width: int = 640,
-    height: int = 400,
 ) -> Path:
     """Minimal hand-rolled SVG 1.1 line plot with pinned float formatting."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    pad = 40.0
+    width, height, pad = 640, 400, 40.0
     x0, x1 = float(np.min(xs)), float(np.max(xs))
     y0, y1 = float(np.min(ys)), float(np.max(ys))
     if x1 == x0:

@@ -30,9 +30,6 @@ import numpy as np
 from .errors import DomainError
 from .fbm import SamplePath
 
-#: Default truncation level, enough for 3-nilpotent flows plus one spare level.
-DEFAULT_LEVEL = 4
-
 Word = tuple[int, ...]
 
 
@@ -119,11 +116,6 @@ def path_signature(p: SamplePath, s: float, t: float, n: int) -> IteratedIntegra
         raise DomainError(f"need s < t on the grid, got indices ({i}, {j})")
     levels = [lvl[0] for lvl in batch_signature_levels(p.values[None, i : j + 1], n)]
     return IteratedIntegrals(s=p.grid.times[i], t=p.grid.times[j], d=p.values.shape[1], level=n, levels=levels)
-
-
-def levy_area(p: SamplePath, s: float, t: float) -> np.ndarray:
-    """Level-2 signature table as a d x d matrix B^2_{st}."""
-    return path_signature(p, s, t, 2).levels[1]
 
 
 # ---------------------------------------------------------------------------

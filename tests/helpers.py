@@ -135,6 +135,35 @@ def davie_path_major(fields, a: np.ndarray, grid: TimeGrid, values: np.ndarray) 
     return y
 
 
+def levy_area(p: SamplePath, s: float, t: float) -> np.ndarray:
+    """Level-2 signature table as a d x d matrix B^2_{st}, from ``path_signature``."""
+    return path_signature(p, s, t, 2).levels[1]
+
+
+def yamato_explicit(p: SamplePath, initial, t: float) -> np.ndarray:
+    """Explicit solution of Yamato's example system along one lifted driver.
+
+    The per-path oracle of ``densitylab.yamato_explicit_batch``: its area
+    comes from the signature engine, not from the batch formula's segment loop.
+    """
+    if p.dim != 3:
+        raise DomainError(f"the example system needs a 3-component driver, got d={p.dim}")
+    y1, y2, y3 = (float(v) for v in np.asarray(initial, dtype=float))
+    k = p.grid.index_of(t)
+    if k == 0:
+        return np.array([y1, y2, y3])
+    b = p.values[k] - p.values[0]
+    area = levy_area(p, 0.0, t)
+    swirl = 2.0 * (area[2, 1] - area[1, 2])
+    return np.array(
+        [
+            y1 + b[1],
+            y2 + b[2],
+            y3 + 2.0 * y2 * b[1] - 2.0 * y1 * b[2] + swirl,
+        ]
+    )
+
+
 def sheared_yamato() -> list[PolyVectorField]:
     """Yamato's fields in u = (x1 - x3, x2, x3): still 3-nilpotent with constant
     brackets, but u1's component depends on u1, so there is no flow certificate."""
@@ -265,7 +294,7 @@ def product_rule_defect(g: Increment2, h: Increment1) -> float:
     return float(np.max(_mag(lhs - rhs, 1)))
 
 
-def sewing_trials_per_call(grid_points: int, trials: int, seed: int, mu: float = 1.2, depth: int = 12) -> list[tuple]:
+def sewing_trials_per_call(grid_points: int, trials: int, seed: int, mu: float = 1.2) -> list[tuple]:
     """The (trial, norm_ratio, delta_residual) rows of ``sewing-test``, every triple evaluated per call."""
     grid = TimeGrid(1.0, grid_points)
     times = grid.times
@@ -277,7 +306,7 @@ def sewing_trials_per_call(grid_points: int, trials: int, seed: int, mu: float =
         f = c[0] * np.sin(np.pi * times) + c[1] * times**2 + c[2]
         x = c[3] * np.cos(2 * np.pi * times) + c[4] * times + c[5] * times**3
         h = delta2_fancy(Increment2(grid, f[:, None] * (x[None, :] - x[:, None])))
-        lam = sewing(h, mu, depth=depth)
+        lam = sewing(h, mu)
         ratio = holder_norm(lam, mu) / holder_norm_c3_per_call(h, mu / 2, mu / 2)
         residual = float(np.max(np.abs(delta2_fancy(lam)(i, u, j) - h(i, u, j))))
         rows.append((trial, ratio, residual))
@@ -464,8 +493,7 @@ def z_family(fields, driver, u_fields, eta, a):
     return np.stack(cols, axis=1)
 
 
-def dichotomy_norms_augmented(fields, u_field, eta, hurst, n_paths, a=None, horizon=0.01, grid_points=65,
-                              gamma_y=0.0, alpha_z=0.0, seed=0):
+def dichotomy_norms_augmented(fields, u_field, eta, hurst, n_paths, a=None, horizon=0.01, grid_points=65, seed=0):
     """(y_norms, z_norms) of ``norris_dichotomy_mc`` from the full (y, J, J^{-1}) system.
 
     The augmented-system oracle of the cotangent lift: J^{-1} is contracted
@@ -490,23 +518,14 @@ def dichotomy_norms_augmented(fields, u_field, eta, hurst, n_paths, a=None, hori
     z_u = pairing(u_field)
     z_paths = np.stack([pairing(bracket(vj, u_field)) for vj in family.fields], axis=2)
     # _path_norms takes time-major paths: (n, P) and (d, n, P).
-    return _path_norms((z_u - z_u[:, :1]).T, grid.times, gamma_y), _path_norms(z_paths.T, grid.times, alpha_z)
+    return _path_norms((z_u - z_u[:, :1]).T), _path_norms(z_paths.T)
 
 
-def path_norms_pairs(paths: np.ndarray, times: np.ndarray, exponent: float) -> np.ndarray:
-    """||.||_{exponent, infty} of path-major paths, (P, n) or (P, n, d), from the whole pair table.
-
-    The oracle of ``norris._path_norms``: every grid pair i < j is formed at once.
-    """
+def path_sup_norms(paths: np.ndarray) -> np.ndarray:
+    """Sup norm of path-major paths, (P, n) or (P, n, d): the oracle of the time-major ``norris._path_norms``."""
     if paths.ndim == 2:
         paths = paths[:, :, None]
-    mags_sup = np.max(np.linalg.norm(paths, axis=2), axis=1)
-    if exponent == 0.0:
-        return mags_sup
-    i, j = np.triu_indices(paths.shape[1], k=1)
-    diffs = np.linalg.norm(paths[:, j, :] - paths[:, i, :], axis=2)
-    weights = (times[j] - times[i]) ** exponent
-    return mags_sup + np.max(diffs / weights[None, :], axis=1)
+    return np.max(np.linalg.norm(paths, axis=2), axis=1)
 
 
 def bracket_loop(v: PolyVectorField, w: PolyVectorField) -> PolyVectorField:

@@ -122,7 +122,7 @@ def test_criterion_03_sewing_theorem():
         x = c[3] * np.cos(2 * np.pi * times) + c[4] * times + c[5] * times**3
         germ = Increment2(grid, f[:, None] * (x[None, :] - x[:, None]))
         h = delta2(germ)
-        lam = sewing(h, mu, depth=12)
+        lam = sewing(h, mu)
         ratio = holder_norm(lam, mu) / holder_norm_c3(h, mu / 2, mu / 2)
         residual = float(np.max(np.abs(delta2(lam)(i, u, j) - h(i, u, j))))
         worst_ratio = max(worst_ratio, ratio)

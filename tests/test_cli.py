@@ -8,9 +8,10 @@ import tracemalloc
 import pytest
 from jsonschema.validators import validator_for
 
+from roughflow import cli
 from roughflow.cli import SCHEMAS, ConfigError, main, resolve_config
 from roughflow.densitylab import yamato_fields
-from roughflow.liefields import format_field_file
+from roughflow.liefields import format_field_file, parse_field_file
 
 SMALL_RUNS = {
     "sample-fbm": ["--grid-points", "17", "--paths", "2"],
@@ -31,7 +32,7 @@ SMALL_RUNS = {
 DEFAULTS = {
     "sample-fbm": {"hurst": 0.4, "horizon": 1.0, "grid_points": 257, "dim": 1, "paths": 10, "seed": 0},
     "signature": {"hurst": 0.4, "horizon": 1.0, "grid_points": 65, "dim": 2, "level": 4, "seed": 0},
-    "sewing-test": {"mu": 1.2, "depth": 12, "grid_points": 65, "trials": 100, "seed": 0},
+    "sewing-test": {"mu": 1.2, "grid_points": 65, "trials": 100, "seed": 0},
     "solve": {"fields": "yamato", "hurst": 0.4, "horizon": 1.0, "mesh_exp": 8, "seed": 0},
     "check-fields": {"nilpotent": 3, "seed": 0},
     "strichartz": {"fields": "yamato", "hurst": 0.4, "time": 1.0, "grid_points": 65, "level": 3, "steps": 256, "seed": 0},
@@ -221,6 +222,46 @@ def test_initial_point_length_exits_two(command, point, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.strip() == f"config error: initial point needs 3 coordinates, got {point.count(',') + 1}"
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "--component", "9"],  # Yamato's family has m = 3
+        ["signature", "--t", "2"],  # past --horizon 1
+        ["signature", "--s", "0.9", "--t", "0.5"],
+        ["signature", "--s", "0.5", "--t", "0.5"],
+    ],
+)
+def test_values_that_miss_the_fields_or_grid_exit_two(argv, tmp_path, capsys):
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("config error: ")
+    assert not any(tmp_path.iterdir())
+
+
+def test_fields_file_is_parsed_once_per_run(tmp_path, monkeypatch):
+    texts = []
+
+    def spy(text):
+        texts.append(text)
+        return parse_field_file(text)
+
+    monkeypatch.setattr(cli, "parse_field_file", spy)
+    path = tmp_path / "yamato.vf"
+    path.write_text(format_field_file(yamato_fields()))
+    assert main(["solve", "--fields", str(path), "--mesh-exp", "4", "--out", str(tmp_path)]) == 0
+    assert len(texts) == 1
+
+
+def test_sewing_depth_is_not_an_option(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["sewing-test", "--depth", "12", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"depth": 12}))
+    assert main(["sewing-test", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
 @pytest.mark.parametrize(

@@ -51,10 +51,6 @@ class TestTimeGrid:
         with pytest.raises(DomainError):
             g.index_of(0.3)
 
-    def test_nonuniform_rejected(self):
-        with pytest.raises(DomainError):
-            TimeGrid(1.0, 4, times=np.array([0.0, 0.1, 0.5, 1.0]))
-
 
 class TestCovariance:
     def test_diagonal_is_one_at_unit_time(self):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from roughflow.controlled import ControlledPath, RoughDriver, pair_integral
-from roughflow.densitylab import yamato_explicit
 from roughflow.errors import DomainError, PreconditionError
 from roughflow.fbm import SamplePath, TimeGrid, sample_fbm, sample_fbm_array
 from roughflow import flows
@@ -26,6 +25,7 @@ from helpers import (
     psi,
     sheared_yamato,
     suffix_signatures,
+    yamato_explicit,
     z_dynamics_pair,
     z_family,
     z_process,
@@ -275,7 +275,7 @@ class TestMalliavinDerivative:
         y, jac = jacobian_path_strichartz(yamato, p, A_INIT, 3)
         for t in (0.25, 0.5, 0.75):
             k = grid.index_of(t)
-            head = SamplePath(TimeGrid(grid.times[k], k + 1, times=grid.times[: k + 1]), p.values[: k + 1])
+            head = SamplePath(TimeGrid(grid.times[k], k + 1), p.values[: k + 1])
             y_head, jac_head = jacobian_path_strichartz(yamato, head, A_INIT, 3)
             assert np.array_equal(y_head.values, y.values[: k + 1])
             assert np.array_equal(jac_head.J, jac.J[: k + 1])

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from roughflow.controlled import RoughDriver, rde_solve
-from roughflow.densitylab import flow_endpoint_samples, yamato_explicit, yamato_explicit_batch
+from roughflow.densitylab import flow_endpoint_samples, yamato_explicit_batch
 from roughflow.errors import BlowUpError, DomainError, PreconditionError
 from roughflow.fbm import HurstParam, SamplePath, TimeGrid, sample_fbm, sample_fbm_array
 from roughflow.flows import jacobian_path_strichartz, malliavin_via_jacobian
@@ -24,7 +24,7 @@ from roughflow.strichartz import (
     strichartz_solve,
 )
 
-from helpers import coefficient_abs_sum, frozen_field, prefix_signatures, psi, sheared_yamato
+from helpers import coefficient_abs_sum, frozen_field, prefix_signatures, psi, sheared_yamato, yamato_explicit
 
 
 def signature_levels(p, level):

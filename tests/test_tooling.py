@@ -4,7 +4,7 @@
 ``COUNTED`` by looking each one up on ``roughflow``; a name that no longer
 resolves would crash every ``--trace`` run.  ``tools/bench_record.py`` is
 run on a stub benchmark in a throwaway repository, and its verdict rule on
-synthetic pairs.
+synthetic pairs.  ``tools/traffic.py``'s tracer is run on one package call.
 """
 
 import importlib
@@ -15,6 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -30,6 +31,7 @@ def load(name, path):
 
 spans = load("bench_spans", SPANS_FILE)
 bench_record = load("bench_record", ROOT / "tools" / "bench_record.py")
+traffic = load("traffic", ROOT / "tools" / "traffic.py")
 TRACED = spans.SPANNED + spans.COUNTED
 
 
@@ -158,3 +160,20 @@ def summary(values):
 )
 def test_verdict_rules(base, new, wins, better, bound, want):
     assert bench_record.verdict(summary(base), summary(new), wins, 10, better, bound) == want
+
+
+def test_traffic_reports_the_lines_a_call_skipped():
+    from roughflow import densitylab
+
+    source = Path(densitylab.__file__).read_text().splitlines()
+
+    def line_of(text):
+        (hit,) = [k + 1 for k, line in enumerate(source) if text in line]
+        return hit
+
+    samples = np.random.default_rng(0).standard_normal(500)
+    with traffic.Recorder() as recorder:
+        densitylab.kde(samples)
+    unrun = traffic.unrun_lines(recorder.hits)[("roughflow/densitylab.py", "kde")]
+    assert line_of('raise DomainError("samples are a single atom') in unrun
+    assert line_of("bandwidth = 1.06 * sigma") not in unrun
