@@ -5,7 +5,7 @@ Modules
 fbm         exact fBm sampling and covariance
 increments  k-increments, the delta operator, Hoelder norms, sewing map
 signature   exact piecewise-linear signatures, Chen identity, Levy area
-controlled  controlled paths, rough integrals, second-order RDE scheme
+controlled  rough drivers, controlled paths, second-order RDE scheme
 liefields   exact polynomial vector fields, brackets, hypothesis checks
 strichartz  nilpotent flow representation (permutation functionals, exp flow)
 flows       Jacobian flows, Malliavin-derivative flows

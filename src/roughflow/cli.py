@@ -450,6 +450,8 @@ def run_malliavin(config: dict, outdir: Path, fields: list[PolyVectorField]) -> 
     rows = [(u, *slice_ode.values[k].ravel()) for k, u in enumerate(grid.times)]
     write_csv(outdir / "malliavin.csv", header, rows)
     k_t = grid.index_of(t)
+    family = FieldFamily.of(fields)
+    levels = family.bracket_stack(config["level"]).levels if family.brackets(config["level"]) else ()
     write_json(
         outdir / "summary.json",
         {
@@ -459,8 +461,9 @@ def run_malliavin(config: dict, outdir: Path, fields: list[PolyVectorField]) -> 
                 np.max(np.abs(slice_ode.values[: k_t + 1] - slice_jac.values[: k_t + 1]))
             ),
             "flow": {
-                "forced": {"route": "rk4", "steps": config["steps"]},
-                "jacobian": flow_route(FieldFamily.of(fields).augmented, config["level"], config["steps"]),
+                # The dependency levels the forced flow steps one at a time; null for a cycle.
+                "forced": {"route": "rk4", "steps": config["steps"], "levels": levels},
+                "jacobian": flow_route(family.augmented, config["level"], config["steps"]),
             },
         },
     )

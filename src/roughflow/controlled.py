@@ -1,44 +1,42 @@
-"""Controlled paths, the rough integral and a second-order RDE scheme.
+"""Rough drivers, controlled paths and a second-order RDE scheme.
 
 A path z is (weakly) controlled by the driver x when its increments
-decompose as
-
-    delta z_{st} = zeta_s . x^1_{st} + r_{st},
-
-with the Gubinelli derivative zeta one degree more regular and the
-remainder r of doubled Hoelder exponent.  The rough integral of such a z
-against the level-2 lift (x^1, x^2) is realized here as the limit of
-compensated Riemann sums
-
-    sum_u [ z_u (x) x^1_{u u'} + zeta_u . x^2_{u u'} ],
-
-which is the concrete form of (id - Lambda delta) applied to the germ
-z x^1 + zeta x^2; the abstract sewing operator itself lives in
-:mod:`roughflow.increments` and is exercised there.
+decompose as delta z_{st} = zeta_s . x^1_{st} + r_{st}, with the Gubinelli
+derivative zeta one degree more regular and the remainder r of doubled
+Hoelder exponent; ``rde_solve`` returns its solution in that form.  The
+compensated-sum rough integral of such a path lives in ``tests/helpers.py``
+as a reference routine, and the abstract sewing map in
+:mod:`roughflow.increments`.
 
 The RDE solver is the explicit second-order Taylor (Davie) scheme
 
     y_{k+1} = y_k + V_i(y_k) x^{1,i} + (grad V_j . V_i)(y_k) x^{2,ij},
 
 with the index convention x^{2,ij}_{st} = int_s^t x^{1,i}_{su} dx^j_u
-(first letter innermost), pinned by the scalar exponential test.
+(first letter innermost), pinned by the scalar exponential test.  It runs
+one dependency level of the compiled stack at a time over a block of steps
+(``CompiledField.schedule``): a component reads only components on lower
+levels, so its increments over the block are array math, and ``advance``
+sums them in step order.  A family whose dependency graph has a cycle runs
+one step per block.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import BlowUpError, ConvergenceError, DomainError
+from .errors import BlowUpError, DomainError
 from .fbm import SamplePath, TimeGrid
-from .increments import Increment2
 from .liefields import FieldFamily, PolyVectorField
 from .signature import batch_signature_levels
 
-#: Relative stabilization demanded between the last two refinement levels.
-REFINEMENT_RTOL = 1e-6
+#: Floats of the step weights and contracted coefficients that one block of
+#: Davie steps (or of forced-flow RK4 stages) holds at once.
+BLOCK_FLOATS = 2**18
 
 
 @dataclass(frozen=True)
@@ -82,18 +80,12 @@ class RoughDriver:
         start = self.values[i] - self.values[0]
         return self.b2_prefix[j] - self.b2_prefix[i] - start[..., :, None] * self.b1(i, j)[..., None, :]
 
-    def restrict(self, i: int, j: int) -> "RoughDriver":
-        """Driver on the subinterval [t_i, t_j], time shifted to start at 0."""
-        sub = TimeGrid(self.grid.times[j] - self.grid.times[i], j - i + 1)
-        return RoughDriver(grid=sub, values=self.values[i : j + 1] - self.values[i])
-
 
 @dataclass(frozen=True)
 class ControlledPath:
     """A controlled path (z, zeta) together with its driver.
 
-    ``z`` has shape (n, m) and ``zeta`` (n, m, d); the remainder
-    r_{st} = delta z_{st} - zeta_s x^1_{st} is exposed for norm reporting.
+    ``z`` has shape (n, m) and ``zeta`` (n, m, d).
     """
 
     grid: TimeGrid
@@ -120,102 +112,6 @@ class ControlledPath:
     def m(self) -> int:
         return self.z.shape[1]
 
-    def remainder(self) -> Increment2:
-        """r_{st} = delta z_{st} - zeta_s x^1_{st} on all grid pairs."""
-        dz = self.z[None, :, :] - self.z[:, None, :]
-        dx = self.driver.values[None, :, :] - self.driver.values[:, None, :]
-        lin = np.einsum("smd,std->stm", self.zeta, dx)
-        return Increment2(self.grid, dz - lin)
-
-
-def _refinement_partitions(i: int, j: int) -> list[list[int]]:
-    """Nested index partitions of [i, j]: trivial, then near-dyadic splits."""
-    parts = [[i, j]]
-    while True:
-        prev = parts[-1]
-        nxt = [prev[0]]
-        for a, b in zip(prev[:-1], prev[1:]):
-            if b - a > 1:
-                nxt.append((a + b) // 2)
-            nxt.append(b)
-        if len(nxt) == len(prev):
-            return parts
-        parts.append(nxt)
-
-
-def _germ_sum(z: ControlledPath, partition: list[int]) -> np.ndarray:
-    """Compensated sum of the germ over one index partition; shape (m, d)."""
-    total = np.zeros((z.m, z.driver.d))
-    for a, b in zip(partition[:-1], partition[1:]):
-        total += np.outer(z.z[a], z.driver.b1(a, b))
-        total += z.zeta[a] @ z.driver.b2(a, b)
-    return total
-
-
-def rough_integral(
-    z: ControlledPath, s: float, t: float, rtol: float = REFINEMENT_RTOL
-) -> tuple[np.ndarray, ControlledPath]:
-    """Rough integral of z against its driver over [s, t].
-
-    Returns the (m, d) table of integrals int_s^t z^a dx^i (each entry
-    compensated with the matching Levy-area term) and the indefinite
-    integral as a controlled path on [s, t] whose Gubinelli derivative is z
-    itself: the (a, i) component is controlled with zeta-hat^{(a,i), j} =
-    z^a 1_{i=j}.
-
-    The value is the finest compensated sum; the dyadic-in-index refinement
-    sequence must stabilize to REFINEMENT_RTOL or a ConvergenceError is
-    raised.
-    """
-    i, j = z.grid.index_of(s), z.grid.index_of(t)
-    if i >= j:
-        raise DomainError("need s < t on the grid")
-    sums = [_germ_sum(z, part) for part in _refinement_partitions(i, j)]
-    value = sums[-1]
-    if len(sums) >= 2:
-        scale = max(1.0, float(np.max(np.abs(value))))
-        drift = float(np.max(np.abs(sums[-1] - sums[-2])))
-        if drift > rtol * scale:
-            raise ConvergenceError(
-                f"compensated sums did not stabilize on [{s}, {t}]: "
-                f"last refinement moved by {drift:.3e} (scale {scale:.3e})"
-            )
-    # Indefinite integral on the subgrid, flattened to m*d components.
-    n_sub = j - i + 1
-    m, d = z.m, z.driver.d
-    hat = np.zeros((n_sub, m, d))
-    for k in range(n_sub - 1):
-        a = i + k
-        hat[k + 1] = (
-            hat[k]
-            + np.outer(z.z[a], z.driver.b1(a, a + 1))
-            + z.zeta[a] @ z.driver.b2(a, a + 1)
-        )
-    sub_driver = z.driver.restrict(i, j)
-    zeta_hat = np.zeros((n_sub, m * d, d))
-    for a in range(m):
-        for ii in range(d):
-            zeta_hat[:, a * d + ii, ii] = z.z[i : j + 1, a]
-    as_controlled = ControlledPath(
-        grid=sub_driver.grid,
-        z=hat.reshape(n_sub, m * d),
-        zeta=zeta_hat,
-        driver=sub_driver,
-    )
-    return value, as_controlled
-
-
-def pair_integral(z: ControlledPath, s: float, t: float) -> float:
-    """Scalar rough integral sum_i int_s^t z^i dx^i (requires m == d).
-
-    This is the pairing used by linear expansion dynamics, where z collects
-    one integrand per driver component.
-    """
-    if z.m != z.driver.d:
-        raise DomainError("pair_integral needs one integrand per driver component")
-    value, _ = rough_integral(z, s, t)
-    return float(np.trace(value))
-
 
 def rde_solve(
     fields: list[PolyVectorField] | FieldFamily,
@@ -233,6 +129,21 @@ def rde_solve(
     return SamplePath(grid=driver.grid, values=y, hurst=None), ControlledPath(driver.grid, y, zeta, driver)
 
 
+def advance(rows: np.ndarray) -> None:
+    """rows[k + 1] += rows[k] for k in order, in place: row 0 is a block's first
+    state and the others its increments, so that y[k + 1] = y[k] + inc[k].
+
+    ``np.cumsum`` runs one column at a time, which is slow on a batch wider than
+    the block is long; there the rows are added one after another, in the same
+    order.
+    """
+    if len(rows) > rows[0].size:
+        np.cumsum(rows, axis=0, out=rows)
+    else:
+        for k in range(len(rows) - 1):
+            rows[k + 1] += rows[k]
+
+
 def rde_solve_batch(
     fields: list[PolyVectorField] | FieldFamily,
     a: np.ndarray,
@@ -244,11 +155,15 @@ def rde_solve_batch(
     ``values`` is (..., n_points, d): (n_paths, n_points, d) or one
     (n_points, d) path.  The level-2 increment of a linear step is
     dv (x) dv / 2, so each step contracts the stack's coefficients with
-    [dv, dv (x) dv / 2] and evaluates it once.  The state is kept time-major
-    and component-major, (n_points, m, *reversed batch), so step k reads row
-    y[k] and writes row y[k + 1].  Returns the view (..., n_points, m) of it;
-    ``.T`` of that is the component-major (m, n_points, *reversed batch)
-    without a copy.  A non-finite state raises BlowUpError at its grid time.
+    [dv, dv (x) dv / 2].  The state is kept time-major and component-major,
+    (n_points, m, *reversed batch), and is advanced one dependency level of
+    the stack at a time over a block of steps: a component's increments read
+    only rows of lower levels, which are already written, and ``advance`` sums
+    them onto the block's first row.  A family whose dependency graph has a
+    cycle runs as one level, one step per block.  Returns the view
+    (..., n_points, m) of the state; ``.T`` of that is the component-major
+    (m, n_points, *reversed batch) without a copy.  A non-finite state raises
+    BlowUpError at its first grid time.
     """
     family = FieldFamily.of(fields)
     d, m = family.d, family.m
@@ -262,12 +177,27 @@ def rde_solve_batch(
     batch = values.shape[:-2][::-1]
     y = np.empty((grid.n_points, m) + batch)
     y[0] = a.reshape((m,) + (1,) * len(batch))
-    for k in range(grid.n_points - 1):
-        # .T reverses the batch axes of dv as they are reversed in y.
-        dv = (values[..., k + 1, :] - values[..., k, :]).T
-        area = 0.5 * dv[:, None] * dv[None, :]
-        weights = np.concatenate([dv, area.reshape((d * d,) + dv.shape[1:])])
-        y[k + 1] = y[k] + stack.combine(y[k], weights)
-        if not np.isfinite(y[k + 1]).all():
-            raise BlowUpError("RDE state became non-finite", when=grid.times[k + 1])
+    # .T reverses the batch axes of the driver as they are reversed in y.
+    path = values.T
+    per_step = sum(stack.coef.shape) * math.prod(batch)
+    block = 1 if stack.levels is None else max(1, BLOCK_FLOATS // per_step)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0 in range(0, grid.n_points - 1, block):
+            k1 = min(k0 + block, grid.n_points - 1)
+            weights = np.empty((d + d * d, k1 - k0) + batch)
+            dv = np.subtract(path[:, k0 + 1 : k1 + 1], path[:, k0:k1], out=weights[:d])
+            np.multiply(0.5 * dv[:, None], dv[None, :], out=weights[d:].reshape((d,) + dv.shape))
+            coef = stack.contract(weights)
+            y[k0 + 1 : k1 + 1] = 0.0
+            for table, rows, runs in stack.schedule:
+                mono = stack.monomials(y[k0:k1].swapaxes(0, 1), table)
+                for i, pairs, _ in rows:
+                    inc = y[k0 + 1 : k1 + 1, i]
+                    for p, q in pairs:
+                        inc += coef[p] if mono[q] is None else coef[p] * mono[q]
+                for run in runs:
+                    advance(y[k0 : k1 + 1, run])
+            if not np.isfinite(y[k0 + 1 : k1 + 1]).all():
+                finite = np.isfinite(y[k0 + 1 : k1 + 1]).reshape(k1 - k0, -1).all(axis=1)
+                raise BlowUpError("RDE state became non-finite", when=grid.times[k0 + 1 + np.argmin(finite)])
     return np.moveaxis(y.T, -1, -2)

@@ -20,7 +20,10 @@ The Malliavin derivative D_u y_t solves, in the flow parameter s,
                      + V_j(phi_s) 1_{[0,t)}(u) e_j^T
                      + sum_{k>=2, words w} D_u psi_t^w V_w(phi_s),
 
-integrated by RK4, where the derivative of a signature entry splits at u:
+integrated by RK4 one dependency level of the bracket stack at a time: the
+four stage slopes of a level over all steps read only lower levels, since
+d_l Z_t^i = 0 unless l sits on a lower level, and the steps are summed by
+``controlled.advance``.  The derivative of a signature entry splits at u:
 
     D^j_u B^{k, i_1..i_k}_{0t}
         = sum_{l: i_l = j} B^{l-1, i_1..i_{l-1}}_{0u} B^{k-l, i_{l+1}..i_k}_{ut}.
@@ -38,11 +41,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .controlled import BLOCK_FLOATS, advance
+from .errors import BlowUpError, DomainError
 from .fbm import SamplePath, TimeGrid
 from .liefields import FieldFamily, PolyVectorField
 from .signature import batch_signature_levels
-from .strichartz import DEFAULT_FLOW_STEPS, build_Z_batch, exp_flow_batch, psi_batch, rk4
+from .strichartz import DEFAULT_FLOW_STEPS, build_Z_batch, exp_flow_batch, psi_batch
 
 
 @dataclass(frozen=True)
@@ -179,6 +183,8 @@ def malliavin_derivative(
     family = FieldFamily.of(fields)
     family.require_constant_brackets(n)
     family.require_nilpotent(n)
+    if steps < 1:
+        raise DomainError(f"steps must be >= 1, got {steps}")
     m, d = family.m, family.d
     a = family.initial(a)
     grid = p.grid
@@ -195,16 +201,42 @@ def malliavin_derivative(
     # Forcing weights per (word, u_k, j) on the brackets V_w: D^j_{u_k} psi^w, for
     # u_k < t only; D_u y_t = 0 for u >= t (adaptedness).
     weights = d_psi(prefixes, suffixes, words)[:, :k_t].reshape(len(words), -1)
-
-    # Joint RK4 in s: phi (m,) and D (n_u, m, d).  Each stage evaluates the
-    # brackets V_w(phi) once; Z_t and the forcing are their psi and D psi sums.
-    def rhs(state):
-        phi_s, D_s = state
-        v = stack(phi_s)  # (m, n_words)
-        forcing = (v @ weights).reshape(m, k_t, d).transpose(1, 0, 2)
-        return v @ psi, np.matmul(stack.jacobian(phi_s) @ psi, D_s) + forcing
-
-    _, values[:k_t] = rk4(rhs, (a, np.zeros((k_t, m, d))), steps)
+    # Column 0 of z is Z_t = sum_w psi^w V_w, column 1 + k d + j the forcing of D^j_{u_k}.
+    z = stack.weighted(np.column_stack([psi, weights]))
+    # RK4 in s on the rows (phi^i, D^{ij}_{u_k} for every k and j), one
+    # dependency level at a time over a block of steps.  The stage states of
+    # rows above the level are not yet written, and its slopes do not read
+    # them; a family whose levels have a cycle runs one step per block, where
+    # the stage states built from the block's first row are its own.
+    h = 1.0 / steps
+    width = z.coef.shape[1]
+    block = 1 if stack.levels is None else max(1, BLOCK_FLOATS // (4 * m * width))
+    state = np.zeros((m, width))
+    state[:, 0] = a
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s0 in range(0, steps, block):
+            y = np.zeros((min(block, steps - s0) + 1, m, width))
+            y[0] = state
+            k = np.zeros((4,) + y[1:].shape)
+            for table, rows, runs in stack.schedule:
+                for r, shift in enumerate((0.0, 0.5 * h, 0.5 * h, h)):
+                    x = y[:-1] + shift * k[r - 1] if r else y[:-1]
+                    mono = z.monomials(x[..., 0].T, table)
+                    for i, value, grad in rows:
+                        out = k[r, :, i]
+                        for c, q in value:
+                            out += z.coef[c] if mono[q] is None else z.coef[c] * mono[q][:, None]
+                        for c, l, q in grad:
+                            dz = z.jac_coef[c, 0] if mono[q] is None else z.jac_coef[c, 0] * mono[q][:, None]
+                            out[:, 1:] += dz * x[:, l, 1:]
+                for run in runs:
+                    y[1:, run] = (h / 6.0) * (k[0, :, run] + 2.0 * k[1, :, run] + 2.0 * k[2, :, run] + k[3, :, run])
+                    advance(y[:, run])
+            finite = np.isfinite(y).reshape(len(y), -1).all(axis=1)
+            if not finite.all():
+                raise BlowUpError("RK4 flow state became non-finite", when=(s0 + np.argmin(finite)) * h)
+            state = y[-1]
+    values[:k_t] = state[:, 1:].reshape(m, k_t, d).transpose(1, 0, 2)
     return MalliavinSlice(grid=grid, t=t, values=values)
 
 

@@ -245,7 +245,10 @@ class CompiledField:
     """Float form of polynomial vector fields, compiled once for evaluation.
 
     ``exponents`` is the (n, m) monomial table, closed under first partials,
-    and ``plan`` lists each table row's (variable, power) factors.
+    and ``plan`` lists each table row's (variable, power) factors.  ``levels``
+    are the components by ``dependency_levels`` of the exact fields: a
+    component reads only components on lower levels.  It is None when the
+    dependency graph has a cycle.
     Row k of ``coef`` is the coefficient of component i on monomial q for
     ``pairs[k] = (i, q)``; ``jac_coef`` does the same for d_l V^i and
     ``jac_pairs[k] = ((i, l), q)``.  Only pairs nonzero somewhere are kept.  The
@@ -261,6 +264,7 @@ class CompiledField:
     jac_pairs: tuple[tuple[tuple[int, int], int], ...]
     jac_coef: np.ndarray
     plan: tuple[tuple[tuple[int, int], ...], ...]
+    levels: tuple[tuple[int, ...], ...] | None
 
     @staticmethod
     def stack(fields: Sequence[PolyVectorField]) -> "CompiledField":
@@ -293,7 +297,7 @@ class CompiledField:
         exponents = np.array(table, dtype=int).reshape(len(table), m)
         exponents.flags.writeable = False
         plan = tuple(tuple((k, p) for k, p in enumerate(e) if p) for e in table)
-        return CompiledField(exponents, pairs, coef, jac_pairs, jac_coef, plan)
+        return CompiledField(exponents, pairs, coef, jac_pairs, jac_coef, plan, dependency_levels(fields))
 
     def weighted(self, w) -> "CompiledField":
         """The field sum_f w[f] V_f of a stack; w is (n_fields, *family)."""
@@ -303,26 +307,69 @@ class CompiledField:
             return (c @ w.reshape(w.shape[0], -1)).reshape(c.shape[:1] + w.shape[1:])
 
         return CompiledField(
-            self.exponents, self.pairs, contract(self.coef), self.jac_pairs, contract(self.jac_coef), self.plan
+            self.exponents, self.pairs, contract(self.coef), self.jac_pairs, contract(self.jac_coef), self.plan,
+            self.levels,
         )
 
-    def combine(self, x, w) -> np.ndarray:
-        """Values of sum_f w[f] V_f at component-major points x (m, *batch); w is
-        (n_fields, *batch).  Unlike ``weighted``, contracts only the value table."""
-        w = np.asarray(w, dtype=float)
-        flat = w.reshape(w.shape[0], -1) if w.ndim > 1 else w
-        return self._sum(x, self.pairs, (self.coef @ flat).reshape(self.coef.shape[:1] + w.shape[1:]), 1)
+    @cached_property
+    def terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """A stack's nonzero ``coef`` entries, row by row in field order, as
+        (fields, coefficients), both (n_terms, n_pairs): entry [t, k] is row k's
+        t-th nonzero entry, or coefficient 0 on field 0 past the row's last."""
+        nonzero = [np.flatnonzero(row) for row in self.coef]
+        fields = np.zeros((max(map(len, nonzero), default=0), len(nonzero)), dtype=int)
+        coef = np.zeros(fields.shape)
+        for k, row in enumerate(nonzero):
+            fields[: len(row), k] = row
+            coef[: len(row), k] = self.coef[k, row]
+        return fields, coef
 
-    def monomials(self, x: np.ndarray) -> list:
-        """Each table monomial at component-major points x (m, *batch), or None
-        for the constant one, whose coefficient is then added as it is."""
+    def contract(self, w: np.ndarray) -> np.ndarray:
+        """sum_f coef[k, f] w[f] for every pair k of a stack; w is (n_fields, *batch).
+
+        Each row adds its ``terms`` to zero one after another, elementwise and
+        not through BLAS, so that a value does not depend on the batch it is
+        computed in.
+        """
+        fields, coef = self.terms
+        products = coef.reshape(coef.shape + (1,) * (w.ndim - 1)) * w[fields]
+        total = np.zeros(products.shape[1:])
+        for term in products:
+            total += term
+        return total
+
+    @cached_property
+    def schedule(self) -> tuple:
+        """Per dependency level (every component on one level for a cycle): the
+        table rows its components read; each component i with the (k, q) of its
+        ``pairs`` and the (k, l, q) of its ``jac_pairs``; its runs of consecutive
+        components, as slices."""
         out = []
-        for factors in self.plan:
+        for level in self.levels or [tuple(range(self.exponents.shape[1]))]:
+            rows = [
+                (
+                    i,
+                    [(k, q) for k, (j, q) in enumerate(self.pairs) if j == i],
+                    [(k, l, q) for k, ((j, l), q) in enumerate(self.jac_pairs) if j == i],
+                )
+                for i in level
+            ]
+            cuts = [0] + [c for c in range(1, len(level)) if level[c] != level[c - 1] + 1] + [len(level)]
+            runs = [slice(level[a], level[b - 1] + 1) for a, b in zip(cuts, cuts[1:])]
+            out.append(({q for _, value, grad in rows for *_, q in value + grad}, rows, runs))
+        return tuple(out)
+
+    def monomials(self, x: np.ndarray, rows: Iterable[int] | None = None) -> dict:
+        """Table monomials q in ``rows`` (all by default) at component-major points
+        x (m, *batch), by q; None for the constant one, whose coefficient is then
+        added as it is."""
+        out = {}
+        for q in range(len(self.plan)) if rows is None else rows:
             val = None
-            for k, p in factors:
+            for k, p in self.plan[q]:
                 term = x[k] if p == 1 else x[k] ** p
                 val = term if val is None else val * term
-            out.append(val)
+            out[q] = val
         return out
 
     def _sum(self, x, pairs, coef, rank: int) -> np.ndarray:
@@ -412,30 +459,45 @@ def constant_brackets(fields: Sequence[PolyVectorField], up_to: int) -> bool:
     return all(b.is_constant for w, b in bracket_table(fields, up_to + 1).items() if len(w) >= 2)
 
 
+def dependency_levels(fields: Sequence[PolyVectorField]) -> tuple[tuple[int, ...], ...] | None:
+    """Components of ``fields`` by dependency level, or None when the graph has a cycle.
+
+    Component i depends on component j when x_j occurs in a monomial of the
+    i-th component of some field.  Level 0 holds the components that depend on
+    none, and level k those whose dependencies all sit below level k, one of
+    them on level k - 1.
+    """
+    m = fields[0].m if fields else 0
+    needs = [{j for fld in fields for e in fld.components[i].terms for j, p in enumerate(e) if p} for i in range(m)]
+    levels: list[tuple[int, ...]] = []
+    placed: set[int] = set()
+    while len(placed) < m:
+        ready = tuple(i for i in range(m) if i not in placed and needs[i] <= placed)
+        if not ready:
+            return None
+        levels.append(ready)
+        placed.update(ready)
+    return tuple(levels)
+
+
 def flow_certificate(fields: Sequence[PolyVectorField]) -> tuple[int, int] | None:
     """Degree bound and Picard depth of the flow of every weighted sum of ``fields``.
 
-    Component i depends on component j when x_j occurs in a monomial of the
-    i-th component of some field.  When that graph is acyclic the flow
+    When the dependency graph of ``dependency_levels`` is acyclic the flow
     s -> exp(sZ)(a) is a polynomial in s whatever the weights: component i
     has degree at most D_i = 1 + max over its monomials e of sum_j e_j D_j
     (0 when it has none), and L Picard sweeps make it exact, L the number of
-    components on the longest dependency chain.  Returns (max(1, max D_i), L),
-    or None when the graph has a cycle.
+    levels.  Returns (max(1, max D_i), max(1, L)), or None when the graph has
+    a cycle.
     """
-    m = fields[0].m if fields else 0
-    monomials = [{e for fld in fields for e in fld.components[i].terms} for i in range(m)]
-    needs = [{j for e in monomials[i] for j, p in enumerate(e) if p} for i in range(m)]
+    levels = dependency_levels(fields)
+    if levels is None:
+        return None
     degree: dict[int, int] = {}
-    depth: dict[int, int] = {}
-    while len(degree) < m:
-        ready = [i for i in range(m) if i not in degree and needs[i] <= degree.keys()]
-        if not ready:
-            return None
-        for i in ready:
-            degree[i] = max((1 + sum(p * degree[j] for j, p in enumerate(e) if p) for e in monomials[i]), default=0)
-            depth[i] = 1 + max((depth[j] for j in needs[i]), default=0)
-    return max([1, *degree.values()]), max([1, *depth.values()])
+    for i in (i for level in levels for i in level):
+        monomials = {e for fld in fields for e in fld.components[i].terms}
+        degree[i] = max((1 + sum(p * degree[j] for j, p in enumerate(e) if p) for e in monomials), default=0)
+    return max([1, *degree.values()]), max(1, len(levels))
 
 
 def hormander_rank(fields: "Sequence[PolyVectorField] | FieldFamily", x, up_to: int) -> int:
@@ -807,12 +869,12 @@ class FieldFamily:
         return self._member(("flow", n), lambda: flow_certificate(list(self.brackets(n).values())))
 
     def bracket_stack(self, n: int) -> CompiledField:
-        """The brackets of ``brackets(n)``, in its order, compiled as one stack."""
+        """The brackets of ``brackets(n)``, in its order, compiled as one stack with its levels."""
         return self._member(("bracket_stack", n), lambda: CompiledField.stack(list(self.brackets(n).values())))
 
     @cached_property
     def davie_stack(self) -> CompiledField:
-        """V_1..V_d then W[i][j] = grad V_j . V_i (row-major), compiled as one stack."""
+        """V_1..V_d then W[i][j] = grad V_j . V_i (row-major), compiled as one stack with its levels."""
         corrections = taylor_correction_fields(self.fields)
         return CompiledField.stack(list(self.fields) + [w for row in corrections for w in row])
 

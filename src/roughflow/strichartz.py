@@ -62,33 +62,21 @@ def _psi_terms(k: int) -> tuple[tuple[tuple[int, ...], float], ...]:
     return tuple(out)
 
 
-def rk4(rhs: Callable, y0, steps: int):
-    """Classical RK4 for the autonomous flow on s in [0, 1].
-
-    The state is an array, or a tuple of arrays advanced jointly (then
-    ``rhs`` maps a tuple to a tuple).
-    """
+def rk4(rhs: Callable, y0, steps: int) -> np.ndarray:
+    """Classical RK4 for the autonomous flow on s in [0, 1] of an array state."""
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
-    joint = isinstance(y0, tuple)
-    f = rhs if joint else lambda s: (rhs(s[0]),)
-    y = tuple(np.array(s, dtype=float) for s in (y0 if joint else (y0,)))
+    y = np.array(y0, dtype=float)
     h = 1.0 / steps
-
-    def shift(c: float, k: tuple) -> tuple:
-        return tuple(s + c * d for s, d in zip(y, k))
-
     for n in range(steps):
-        k1 = f(y)
-        k2 = f(shift(0.5 * h, k1))
-        k3 = f(shift(0.5 * h, k2))
-        k4 = f(shift(h, k3))
-        y = tuple(
-            s + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d) for s, a, b, c, d in zip(y, k1, k2, k3, k4)
-        )
-        if not all(np.all(np.isfinite(s)) for s in y):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(y)):
             raise BlowUpError("RK4 flow state became non-finite", when=(n + 1) * h)
-    return y if joint else y[0]
+    return y
 
 
 def psi_batch(levels: list[np.ndarray], word: Word) -> np.ndarray:

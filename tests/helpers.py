@@ -8,15 +8,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
 
 import numpy as np
+from hypothesis import strategies as st
 
 from roughflow.controlled import ControlledPath, RoughDriver, rde_solve_batch
-from roughflow.errors import DomainError
+from roughflow.errors import ConvergenceError, DomainError
 from roughflow.fbm import HurstParam, SamplePath, TimeGrid, sample_fbm_array
-from roughflow.flows import JacobianPath, _split_augmented, jacobian_path_strichartz
+from roughflow import flows
+from roughflow.flows import JacobianPath, MalliavinSlice, _split_augmented, jacobian_path_strichartz, split_signatures
 from roughflow.increments import Increment1, Increment2, Increment3, _mag, _pair_indices, delta1, holder_norm, sewing
 from roughflow.norris import TwoScale, _path_norms
 from roughflow.liefields import CompiledField, FieldFamily, Polynomial, PolyVectorField, bracket, parse_polynomial
@@ -28,7 +31,7 @@ from roughflow.signature import (
     path_signature,
     segment_signature,
 )
-from roughflow.strichartz import DEFAULT_FLOW_STEPS, _psi_terms, build_Z_batch, exp_flow_batch, rk4
+from roughflow.strichartz import DEFAULT_FLOW_STEPS, _psi_terms, build_Z_batch, exp_flow_batch, psi_batch
 
 
 def psi(sig: IteratedIntegrals, word: Word) -> float:
@@ -58,6 +61,24 @@ def frozen_field(fields, sig: IteratedIntegrals, n: int) -> CompiledField:
     return stack.weighted([0.0] + [psi(sig, w) for w in brackets])
 
 
+def rk4_joint(rhs, y0: tuple, steps: int) -> tuple:
+    """Classical RK4 on s in [0, 1] for a tuple of arrays advanced jointly; ``rhs``
+    maps a tuple to a tuple.  The step of ``strichartz.rk4``, one array per entry."""
+    y = tuple(np.array(s, dtype=float) for s in y0)
+    h = 1.0 / steps
+
+    def shift(c: float, k: tuple) -> tuple:
+        return tuple(s + c * d for s, d in zip(y, k))
+
+    for _ in range(steps):
+        k1 = rhs(y)
+        k2 = rhs(shift(0.5 * h, k1))
+        k3 = rhs(shift(0.5 * h, k2))
+        k4 = rhs(shift(h, k3))
+        y = tuple(s + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d) for s, a, b, c, d in zip(y, k1, k2, k3, k4))
+    return y
+
+
 def flow_with_jacobians(z: CompiledField, a: np.ndarray, steps: int):
     """RK4 of (phi, Jtilde, Jbar) along compiled frozen fields on s in [0, 1].
 
@@ -75,7 +96,7 @@ def flow_with_jacobians(z: CompiledField, a: np.ndarray, steps: int):
         return (z(p_), np.einsum("ab...,...bc->...ac", gz, j_), -np.einsum("...ab,bc...->...ac", jb_, gz))
 
     eye = np.broadcast_to(np.eye(m), K + (m, m))
-    phi, J, Jb = rk4(rhs, (np.broadcast_to(np.asarray(a, dtype=float), K + (m,)).T, eye, eye), steps)
+    phi, J, Jb = rk4_joint(rhs, (np.broadcast_to(np.asarray(a, dtype=float), K + (m,)).T, eye, eye), steps)
     return phi.T, J, Jb
 
 
@@ -93,6 +114,36 @@ def jacobian_path_rk4(fields, p, a, n, steps=DEFAULT_FLOW_STEPS):
     phi, J, Jb = flow_with_jacobians(family.bracket_stack(n).weighted(psi_mat.T), a, steps)
     eye = np.eye(m)[None]
     return np.vstack([np.asarray(a, dtype=float)[None], phi]), np.vstack([eye, J]), np.vstack([eye, Jb])
+
+
+def malliavin_derivative_steps(fields, p: SamplePath, a, t: float, n: int, steps=DEFAULT_FLOW_STEPS) -> MalliavinSlice:
+    """D_u y_t by the forced variational flow, one joint RK4 step of (phi, D) at a time.
+
+    The oracle of ``flows.malliavin_derivative``, which runs the same RK4 one
+    dependency level at a time over blocks of steps.
+    """
+    family = FieldFamily.of(fields)
+    m, d = family.m, family.d
+    a = family.initial(a)
+    k_t = p.grid.index_of(t)
+    values = np.zeros((p.grid.n_points, m, d))
+    words = list(family.brackets(n))
+    if k_t == 0 or not words:
+        return MalliavinSlice(grid=p.grid, t=t, values=values)
+    prefixes, suffixes = split_signatures(p, k_t, n - 1)
+    stack = family.bracket_stack(n)
+    psi_t = np.array([psi_batch([lvl[k_t:] for lvl in prefixes], w)[0] for w in words])
+    weights = flows.d_psi(prefixes, suffixes, words)[:, :k_t].reshape(len(words), -1)
+
+    # Each stage evaluates the brackets V_w(phi) once; Z_t and the forcing are their psi and D psi sums.
+    def rhs(state):
+        phi_s, D_s = state
+        v = stack(phi_s)  # (m, n_words)
+        forcing = (v @ weights).reshape(m, k_t, d).transpose(1, 0, 2)
+        return v @ psi_t, np.matmul(stack.jacobian(phi_s) @ psi_t, D_s) + forcing
+
+    _, values[:k_t] = rk4_joint(rhs, (a, np.zeros((k_t, m, d))), steps)
+    return MalliavinSlice(grid=p.grid, t=t, values=values)
 
 
 def davie_chen(fields, a: np.ndarray, driver) -> np.ndarray:
@@ -115,11 +166,13 @@ def davie_chen(fields, a: np.ndarray, driver) -> np.ndarray:
 
 
 def davie_path_major(fields, a: np.ndarray, grid: TimeGrid, values: np.ndarray) -> np.ndarray:
-    """The Davie loop of ``controlled.rde_solve_batch`` on a path-major state (*batch, n_points, m).
+    """The Davie step loop on a path-major state (*batch, n_points, m), one Python step per grid step.
 
-    Its oracle for the time-major state: the step arithmetic is the same, but
-    each step reads and writes the strided row y[..., k, :] and transposes it
-    to component-major for the stack.
+    The oracle of ``controlled.rde_solve_batch``'s level-by-level blocks: each
+    step contracts the stack's coefficients with that step's weights, sums
+    coefficient times monomial per pair from zeros, and adds the sum to the
+    strided row y[..., k, :], transposed to component-major for the stack.
+    It does not stop at a non-finite state.
     """
     family = FieldFamily.of(fields)
     d, m = family.d, family.m
@@ -131,7 +184,13 @@ def davie_path_major(fields, a: np.ndarray, grid: TimeGrid, values: np.ndarray) 
         dv = (values[..., k + 1, :] - values[..., k, :]).T
         area = 0.5 * dv[:, None] * dv[None, :]
         weights = np.concatenate([dv, area.reshape((d * d,) + dv.shape[1:])])
-        y[..., k + 1, :] = y[..., k, :] + stack.combine(y[..., k, :].T, weights).T
+        coef = stack.contract(weights)
+        x = y[..., k, :].T
+        mono = stack.monomials(x)
+        inc = np.zeros(x.shape)
+        for (i, q), c in zip(stack.pairs, coef):
+            inc[i] += c if mono[q] is None else c * mono[q]
+        y[..., k + 1, :] = y[..., k, :] + inc.T
     return y
 
 
@@ -172,6 +231,28 @@ def sheared_yamato() -> list[PolyVectorField]:
         return PolyVectorField(tuple(parse_polynomial(c, 3) for c in components))
 
     return [PolyVectorField.zero(3), field("1 - 2*x2", "0", "2*x2"), field("2*x1 + 2*x3", "1", "-2*x1 - 2*x3")]
+
+
+@st.composite
+def triangular_families(draw):
+    """Polynomial fields on R^m, m <= 4, whose components depend only on earlier
+    components of a random order, with monomials of total degree <= 2; the flow
+    degree bound reaches 1, 3, 7, 15 along a chain of four."""
+    m = draw(st.integers(1, 4))
+    order = draw(st.permutations(range(m)))
+    fields = []
+    for _ in range(draw(st.integers(1, 3))):
+        components = [{} for _ in range(m)]
+        for rank, i in enumerate(order):
+            for _ in range(draw(st.integers(0, 3))):
+                exponent = [0] * m
+                if rank:
+                    for _ in range(draw(st.integers(0, 2))):
+                        exponent[draw(st.sampled_from(order[:rank]))] += 1
+                coeff = Fraction(draw(st.integers(-2, 2)), draw(st.integers(1, 4)))
+                components[i][tuple(exponent)] = coeff
+        fields.append(PolyVectorField(tuple(Polynomial(m, c) for c in components)))
+    return fields
 
 
 def jacobian_flow_strichartz(fields, p, a, t, n, steps=DEFAULT_FLOW_STEPS):
@@ -773,6 +854,124 @@ def block_stats(p: SamplePath, scales: TwoScale) -> BlockStats:
     return BlockStats(scales, x, x**0.25, float(np.sum(fourth)), float(np.mean(x)), float(np.var(x)))
 
 
+# ---------------------------------------------------------------------------
+# Rough integrals of controlled paths
+# ---------------------------------------------------------------------------
+#
+# A path z is controlled by the driver x when delta z_{st} = zeta_s x^1_{st} + r_{st}
+# with the remainder r of doubled Hoelder exponent.  Its rough integral against
+# (x^1, x^2) is the limit of the compensated sums
+#     sum_u [ z_u (x) x^1_{u u'} + zeta_u . x^2_{u u'} ],
+# the concrete form of (id - Lambda delta) on the germ z x^1 + zeta x^2, whose
+# abstract sewing lives in ``roughflow.increments``.
+
+#: Relative stabilization demanded between the last two refinement levels.
+REFINEMENT_RTOL = 1e-6
+
+
+def restrict(driver: RoughDriver, i: int, j: int) -> RoughDriver:
+    """The driver on the subinterval [t_i, t_j], time shifted to start at 0."""
+    sub = TimeGrid(driver.grid.times[j] - driver.grid.times[i], j - i + 1)
+    return RoughDriver(grid=sub, values=driver.values[i : j + 1] - driver.values[i])
+
+
+def remainder(z: ControlledPath) -> Increment2:
+    """r_{st} = delta z_{st} - zeta_s x^1_{st} on all grid pairs."""
+    dz = z.z[None, :, :] - z.z[:, None, :]
+    dx = z.driver.values[None, :, :] - z.driver.values[:, None, :]
+    lin = np.einsum("smd,std->stm", z.zeta, dx)
+    return Increment2(z.grid, dz - lin)
+
+
+def _refinement_partitions(i: int, j: int) -> list[list[int]]:
+    """Nested index partitions of [i, j]: trivial, then near-dyadic splits."""
+    parts = [[i, j]]
+    while True:
+        prev = parts[-1]
+        nxt = [prev[0]]
+        for a, b in zip(prev[:-1], prev[1:]):
+            if b - a > 1:
+                nxt.append((a + b) // 2)
+            nxt.append(b)
+        if len(nxt) == len(prev):
+            return parts
+        parts.append(nxt)
+
+
+def _germ_sum(z: ControlledPath, partition: list[int]) -> np.ndarray:
+    """Compensated sum of the germ over one index partition; shape (m, d)."""
+    total = np.zeros((z.m, z.driver.d))
+    for a, b in zip(partition[:-1], partition[1:]):
+        total += np.outer(z.z[a], z.driver.b1(a, b))
+        total += z.zeta[a] @ z.driver.b2(a, b)
+    return total
+
+
+def rough_integral(
+    z: ControlledPath, s: float, t: float, rtol: float = REFINEMENT_RTOL
+) -> tuple[np.ndarray, ControlledPath]:
+    """Rough integral of z against its driver over [s, t].
+
+    Returns the (m, d) table of integrals int_s^t z^a dx^i (each entry
+    compensated with the matching Levy-area term) and the indefinite
+    integral as a controlled path on [s, t] whose Gubinelli derivative is z
+    itself: the (a, i) component is controlled with zeta-hat^{(a,i), j} =
+    z^a 1_{i=j}.
+
+    The value is the finest compensated sum; the dyadic-in-index refinement
+    sequence must stabilize to REFINEMENT_RTOL or a ConvergenceError is
+    raised.
+    """
+    i, j = z.grid.index_of(s), z.grid.index_of(t)
+    if i >= j:
+        raise DomainError("need s < t on the grid")
+    sums = [_germ_sum(z, part) for part in _refinement_partitions(i, j)]
+    value = sums[-1]
+    if len(sums) >= 2:
+        scale = max(1.0, float(np.max(np.abs(value))))
+        drift = float(np.max(np.abs(sums[-1] - sums[-2])))
+        if drift > rtol * scale:
+            raise ConvergenceError(
+                f"compensated sums did not stabilize on [{s}, {t}]: "
+                f"last refinement moved by {drift:.3e} (scale {scale:.3e})"
+            )
+    # Indefinite integral on the subgrid, flattened to m*d components.
+    n_sub = j - i + 1
+    m, d = z.m, z.driver.d
+    hat = np.zeros((n_sub, m, d))
+    for k in range(n_sub - 1):
+        a = i + k
+        hat[k + 1] = (
+            hat[k]
+            + np.outer(z.z[a], z.driver.b1(a, a + 1))
+            + z.zeta[a] @ z.driver.b2(a, a + 1)
+        )
+    sub_driver = restrict(z.driver, i, j)
+    zeta_hat = np.zeros((n_sub, m * d, d))
+    for a in range(m):
+        for ii in range(d):
+            zeta_hat[:, a * d + ii, ii] = z.z[i : j + 1, a]
+    as_controlled = ControlledPath(
+        grid=sub_driver.grid,
+        z=hat.reshape(n_sub, m * d),
+        zeta=zeta_hat,
+        driver=sub_driver,
+    )
+    return value, as_controlled
+
+
+def pair_integral(z: ControlledPath, s: float, t: float) -> float:
+    """Scalar rough integral sum_i int_s^t z^i dx^i (requires m == d).
+
+    This is the pairing used by linear expansion dynamics, where z collects
+    one integrand per driver component.
+    """
+    if z.m != z.driver.d:
+        raise DomainError("pair_integral needs one integrand per driver component")
+    value, _ = rough_integral(z, s, t)
+    return float(np.trace(value))
+
+
 @dataclass(frozen=True)
 class ControlledNorm:
     """Three-part semi-norm of a controlled path at exponent kappa."""
@@ -798,5 +997,5 @@ def controlled_norm(z: ControlledPath, kappa: float) -> ControlledNorm:
         col = z.zeta[:, :, j]
         dcol = Increment2(z.grid, col[None, :, :] - col[:, None, :])
         gub += holder_norm(dcol, kappa) + float(np.max(np.linalg.norm(col, axis=1)))
-    rem = holder_norm(z.remainder(), 2.0 * kappa)
+    rem = holder_norm(remainder(z), 2.0 * kappa)
     return ControlledNorm(kappa, path_part, gub, rem)

@@ -119,7 +119,8 @@ def test_flow_summaries_record_the_route(command, tmp_path):
     name = "result.json" if command == "strichartz" else "summary.json"
     summary = json.loads((tmp_path / f"{command}-seed1" / name).read_text())
     exact = {"route": "polynomial", "degree": 2, "depth": 2, "nodes": 1}
-    expect = {"forced": {"route": "rk4", "steps": 32}, "jacobian": exact} if command == "malliavin" else exact
+    forced = {"route": "rk4", "steps": 32, "levels": [[0, 1], [2]]}
+    expect = {"forced": forced, "jacobian": exact} if command == "malliavin" else exact
     assert summary["flow"] == expect
 
 
@@ -308,6 +309,16 @@ def test_malliavin_on_zero_fields_exits_zero(tmp_path):
     assert json.loads((outdir / "summary.json").read_text())["route_residual"] == 0.0
     _, *rows = (outdir / "malliavin.csv").read_text().strip().splitlines()
     assert all(float(v) == 0.0 for row in rows for v in row.split(",")[1:])
+
+
+def test_blow_up_exits_three_with_one_stderr_line(tmp_path):
+    # y' = y^4 from y = 5 overflows within the first steps; numpy must not warn on the way.
+    quartic = tmp_path / "quartic.vf"
+    quartic.write_text("1 1\nx1^4\n")
+    argv = ["solve", "--fields", str(quartic), "--initial", "5", "--out", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-m", "roughflow.cli", *argv], capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == ["BlowUpError: RDE state became non-finite (at 0.015625)"]
 
 
 def test_cli_import_leaves_out_heavy_scipy_modules():

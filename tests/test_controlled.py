@@ -1,20 +1,56 @@
+import math
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from roughflow.controlled import (
-    ControlledPath,
-    RoughDriver,
-    pair_integral,
-    rde_solve,
-    rde_solve_batch,
-    rough_integral,
-)
+from roughflow import controlled
+from roughflow.controlled import ControlledPath, RoughDriver, rde_solve, rde_solve_batch
 from roughflow.errors import BlowUpError, ConvergenceError, DomainError
 from roughflow.fbm import HurstParam, SamplePath, TimeGrid, sample_fbm, sample_fbm_array
 from roughflow.liefields import FieldFamily, PolyVectorField, parse_polynomial, taylor_correction_fields
 from roughflow.signature import path_signature
 
-from helpers import batch_levy_prefix_loop, controlled_norm, davie_chen, davie_path_major
+from roughflow.densitylab import yamato_fields
+
+from helpers import (
+    batch_levy_prefix_loop,
+    controlled_norm,
+    davie_chen,
+    davie_path_major,
+    pair_integral,
+    restrict,
+    rough_integral,
+    sheared_yamato,
+    triangular_families,
+)
+
+
+def lifted(base, lift):
+    family = FieldFamily.of(base())
+    return getattr(family, lift) if lift else family
+
+
+#: Yamato's family, its sheared form (whose dependency graph has a cycle) and their lifts.
+NAMED_FAMILIES = [
+    (base, lift) for base in (yamato_fields, sheared_yamato) for lift in (None, "cotangent", "augmented")
+]
+
+
+@st.composite
+def davie_problems(draw):
+    """A family, a batch shape, a block length and a grid of one step fewer, as many or one more steps."""
+    if draw(st.booleans()):
+        family = FieldFamily.of(draw(triangular_families()))
+    else:
+        family = lifted(*draw(st.sampled_from(NAMED_FAMILIES)))
+    batch = draw(st.sampled_from([(), (1,), (3,), (2, 2)]))
+    block = draw(st.integers(1, 5))
+    steps = max(1, block + draw(st.integers(-1, 1)))
+    return family, batch, block, steps, draw(st.integers(0, 2**32 - 1))
 
 
 def smooth_driver(n=2049):
@@ -65,7 +101,7 @@ class TestRoughDriver:
         assert np.array_equal(area, drv.b2_prefix[64])
 
     def test_restrict_shifts_origin(self, fbm_path_d2):
-        sub = RoughDriver.from_path(fbm_path_d2).restrict(16, 48)
+        sub = restrict(RoughDriver.from_path(fbm_path_d2), 16, 48)
         assert sub.grid.n_points == 33
         assert np.all(sub.values[0] == 0.0)
 
@@ -256,8 +292,60 @@ class TestRdeSolve:
 
 
 class TestTimeMajorDavie:
-    """``rde_solve_batch`` keeps its state time-major; the path-major loop it
-    replaced does the same arithmetic and must give the same bits."""
+    """``rde_solve_batch`` keeps its state time-major and steps it one dependency
+    level at a time over blocks of steps; the path-major step loop does the same
+    arithmetic and must give the same bits."""
+
+    @given(problem=davie_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_level_blocks_match_the_step_loop(self, problem):
+        family, batch, block, steps, seed = problem
+        rng = np.random.default_rng(seed)
+        grid = TimeGrid(1.0, steps + 1)
+        values = np.cumsum(rng.normal(0.0, 0.3, batch + (steps + 1, family.d)), axis=-2)
+        a = rng.uniform(-1.0, 1.0, family.m)
+        per_step = sum(family.davie_stack.coef.shape) * math.prod(batch)
+        with mock.patch.object(controlled, "BLOCK_FLOATS", block * per_step):
+            got = rde_solve_batch(family, a, grid, values)
+        want = davie_path_major(family, a, grid, values)
+        assert got.shape == want.shape == batch + (steps + 1, family.m)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("paths", [None, 3])
+    def test_blow_up_time_is_the_first_non_finite_row_and_warns_nothing(self, paths):
+        square = [PolyVectorField((parse_polynomial("x1^2", 1),))]
+        grid = TimeGrid(1.0, 65)
+        values = np.linspace(0.0, 1.0, 65)[:, None]
+        if paths:
+            values = values * np.arange(1.0, paths + 1.0)[:, None, None]
+        a = np.array([5.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            loop = davie_path_major(square, a, grid, values)
+        finite = np.isfinite(loop).reshape(-1, 65).all(axis=0)
+        assert not finite.all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUpError) as err:
+                rde_solve_batch(square, a, grid, values)
+        assert err.value.when == grid.times[np.argmin(finite)]
+
+    def test_blow_up_inside_a_block_of_an_acyclic_family(self):
+        # y2 reads y1 only; its increments overflow at row 9, inside one block of all 39 steps.
+        fields = [PolyVectorField((parse_polynomial("1", 2), parse_polynomial("0", 2))),
+                  PolyVectorField((parse_polynomial("0", 2), parse_polynomial("x1^2", 2)))]
+        assert FieldFamily.of(fields).davie_stack.levels == ((0,), (1,))
+        grid = TimeGrid(1.0, 40)
+        values = np.stack([1e153 * np.arange(40.0), np.arange(40.0)], axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            loop = davie_path_major(fields, np.zeros(2), grid, values)
+        first = np.argmin(np.isfinite(loop).all(axis=1))
+        assert first == 9
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUpError) as err:
+                rde_solve_batch(fields, np.zeros(2), grid, values)
+        assert err.value.when == grid.times[first]
 
     def test_cotangent_batch_matches_path_major_loop(self, yamato, rough_hurst):
         # The dichotomy's solve on a 257-point grid.

@@ -1,7 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from roughflow.controlled import ControlledPath, RoughDriver, pair_integral
+from roughflow.controlled import ControlledPath, RoughDriver
 from roughflow.errors import DomainError, PreconditionError
 from roughflow.fbm import SamplePath, TimeGrid, sample_fbm, sample_fbm_array
 from roughflow import flows
@@ -21,6 +23,8 @@ from helpers import (
     jacobian_flow_rde,
     jacobian_flow_strichartz,
     jacobian_path_rk4,
+    malliavin_derivative_steps,
+    pair_integral,
     prefix_signatures,
     psi,
     sheared_yamato,
@@ -256,6 +260,10 @@ class TestMalliavinDerivative:
         with pytest.raises(DomainError):
             malliavin_derivative(yamato, fbm_path_d3, np.zeros(shape), 0.5, 3, steps=4)
 
+    def test_steps_must_be_positive(self, yamato, fbm_path_d3):
+        with pytest.raises(DomainError, match="steps must be >= 1"):
+            malliavin_derivative(yamato, fbm_path_d3, A_INIT, 0.5, 3, steps=0)
+
     def test_adaptedness(self, yamato, fbm_path_d3):
         ms = malliavin_derivative(yamato, fbm_path_d3, A_INIT, 0.5, 3, steps=64)
         assert np.max(np.abs(ms.values[32:])) == 0.0  # u >= t = t_32, row u = t included
@@ -301,6 +309,26 @@ class TestMalliavinDerivative:
         for k in (0, 10, 40, 63):
             expect = 2 * A_INIT[1] + 2 * (2 * b3[k] - b3[64])
             assert ms.values[k, 2, 1] == pytest.approx(expect, abs=1e-9)
+
+    @pytest.mark.parametrize("case", ["yamato", "sheared"])
+    @pytest.mark.parametrize("t", [0.5, 1.0])
+    @pytest.mark.parametrize("steps", [32, 128])
+    def test_level_blocks_match_the_step_loop(self, yamato, fbm_path_d3, case, t, steps):
+        # Sheared Yamato's brackets read their own components: one cyclic level.
+        fields = yamato if case == "yamato" else sheared_yamato()
+        levels = FieldFamily.of(fields).bracket_stack(3).levels
+        assert levels == (((0, 1), (2,)) if case == "yamato" else None)
+        got = malliavin_derivative(fields, fbm_path_d3, A_INIT, t, 3, steps=steps)
+        want = malliavin_derivative_steps(fields, fbm_path_d3, A_INIT, t, 3, steps=steps)
+        assert np.max(np.abs(got.values - want.values)) <= 1e-14 * max(1.0, np.max(np.abs(want.values)))
+
+    def test_blocks_of_steps_carry_the_state(self, yamato, fbm_path_d3):
+        # Blocks of 5 steps: the last of the 7 blocks holds 2.
+        width = 1 + 64 * 3
+        with mock.patch.object(flows, "BLOCK_FLOATS", 5 * 4 * 3 * width):
+            got = malliavin_derivative(yamato, fbm_path_d3, A_INIT, 1.0, 3, steps=32)
+        want = malliavin_derivative_steps(yamato, fbm_path_d3, A_INIT, 1.0, 3, steps=32)
+        assert np.max(np.abs(got.values - want.values)) <= 1e-14 * max(1.0, np.max(np.abs(want.values)))
 
     def test_hypothesis_gate(self, fbm_path_d3):
         grow = PolyVectorField(

@@ -20,6 +20,7 @@ from roughflow.liefields import (
     bracket_table,
     constant_brackets,
     cotangent_fields,
+    dependency_levels,
     flow_certificate,
     format_field_file,
     hormander_rank,
@@ -30,7 +31,7 @@ from roughflow.liefields import (
     taylor_correction_fields,
 )
 
-from helpers import bracket_loop, constant_brackets_loop, is_nilpotent_loop
+from helpers import bracket_loop, constant_brackets_loop, is_nilpotent_loop, sheared_yamato, triangular_families
 
 
 def random_field(m, deg, rng, density=0.4):
@@ -255,6 +256,7 @@ ORACLE_FAMILIES = {"yamato": yamato_fields, "dilation": dilation_family, "noncon
 
 def assert_same_compiled(got, expect):
     assert got.pairs == expect.pairs and got.jac_pairs == expect.jac_pairs and got.plan == expect.plan
+    assert got.levels == expect.levels
     for a, b in ((got.exponents, expect.exponents), (got.coef, expect.coef), (got.jac_coef, expect.jac_coef)):
         assert np.array_equal(a, b)
 
@@ -416,6 +418,71 @@ class TestFlowCertificate:
     def test_cycles_are_not_certified(self, fields):
         assert flow_certificate(fields) is None
         assert FieldFamily.of(fields).flow_certificate(2) is None
+        assert dependency_levels(fields) is None
+        assert CompiledField.stack(fields).levels is None
+
+
+class TestDependencyLevels:
+    def test_yamato_davie_stack_and_its_cotangent_lift(self, yamato):
+        family = FieldFamily.of(yamato)
+        assert family.davie_stack.levels == ((0, 1), (2,))
+        # w_3 is constant; w_1 and w_2 read it, as y_3 reads y_1 and y_2.
+        assert family.cotangent.davie_stack.levels == ((0, 1, 5), (2, 3, 4))
+        assert family.bracket_stack(3).levels == ((0, 1), (2,))
+        assert family.davie_stack.weighted(np.ones(12)).levels == family.davie_stack.levels
+
+    def test_sheared_yamato_is_one_cycle(self):
+        family = FieldFamily.of(sheared_yamato())
+        assert family.davie_stack.levels is None
+        assert family.cotangent.davie_stack.levels is None
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            yamato_fields(),
+            augmented_jacobian_fields(yamato_fields()),
+            [_field("1", "0"), _field("0", "x1^2")],
+            [_field("1", "x1^2", "x1*x2")],
+            [_field("0", "0", "0")],
+        ],
+        ids=["yamato", "augmented", "quadratic-shear", "chain", "zero"],
+    )
+    def test_certified_depth_is_the_number_of_levels(self, fields):
+        family = FieldFamily.of(fields)
+        for n in (2, 3, 4):
+            brackets = list(family.brackets(n).values())
+            if brackets:
+                assert family.flow_certificate(n)[1] == len(family.bracket_stack(n).levels)
+        assert flow_certificate(fields)[1] == len(dependency_levels(fields))
+
+    @given(fields=triangular_families())
+    @settings(max_examples=30, deadline=None)
+    def test_every_level_reads_only_lower_levels(self, fields):
+        levels = dependency_levels(fields)
+        assert flow_certificate(fields)[1] == len(levels)
+        assert sorted(i for level in levels for i in level) == list(range(fields[0].m))
+        rank = {i: r for r, level in enumerate(levels) for i in level}
+        for fld in fields:
+            for i, comp in enumerate(fld.components):
+                assert all(rank[j] < rank[i] for j in comp.variables)
+        # Each component above level 0 reads one on the level just below.
+        for r, level in enumerate(levels[1:], 1):
+            for i in level:
+                assert any(rank[j] == r - 1 for fld in fields for j in fld.components[i].variables)
+
+
+class TestContract:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_weighted_sum_that_does_not_depend_on_the_batch(self, seed):
+        rng = np.random.default_rng(seed)
+        stack = CompiledField.stack(planned_table_fields(rng, 5))
+        w = rng.standard_normal((5, 40))
+        got = stack.contract(w)
+        assert got.shape == (len(stack.pairs), 40)
+        assert np.allclose(got, stack.coef @ w, rtol=1e-14, atol=1e-14)
+        assert np.array_equal(got[:, :7], stack.contract(w[:, :7]))
+        assert np.array_equal(got[:, 3], stack.contract(w[:, 3]))
+        assert np.array_equal(got.reshape(-1, 4, 10), stack.contract(w.reshape(5, 4, 10)))
 
 
 class TestBracket:

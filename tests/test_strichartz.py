@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from roughflow.densitylab import flow_endpoint_samples, yamato_explicit_batch
 from roughflow.errors import BlowUpError, DomainError, PreconditionError
 from roughflow.fbm import HurstParam, SamplePath, TimeGrid, sample_fbm, sample_fbm_array
 from roughflow.flows import jacobian_path_strichartz, malliavin_via_jacobian
-from roughflow.liefields import CompiledField, FieldFamily, Polynomial, PolyVectorField, bracket_table, parse_polynomial
+from roughflow.liefields import CompiledField, FieldFamily, PolyVectorField, bracket_table, parse_polynomial
 from roughflow.signature import batch_signature_levels, chen_concat, path_signature
 from roughflow import liefields, strichartz
 from roughflow.strichartz import (
@@ -24,7 +23,15 @@ from roughflow.strichartz import (
     strichartz_solve,
 )
 
-from helpers import coefficient_abs_sum, frozen_field, prefix_signatures, psi, sheared_yamato, yamato_explicit
+from helpers import (
+    coefficient_abs_sum,
+    frozen_field,
+    prefix_signatures,
+    psi,
+    sheared_yamato,
+    triangular_families,
+    yamato_explicit,
+)
 
 
 def signature_levels(p, level):
@@ -390,28 +397,6 @@ class TestFamilyFlow:
     def test_psi_rows_must_match_the_brackets(self, yamato):
         with pytest.raises(DomainError, match=r"psi must be \(4, n_paths\)"):
             exp_flow_batch(yamato, 3, np.ones((3, 2)), np.zeros(3))
-
-
-@st.composite
-def triangular_families(draw):
-    """Polynomial fields on R^m, m <= 4, whose components depend only on earlier
-    components of a random order, with monomials of total degree <= 2; the flow
-    degree bound reaches 1, 3, 7, 15 along a chain of four."""
-    m = draw(st.integers(1, 4))
-    order = draw(st.permutations(range(m)))
-    fields = []
-    for _ in range(draw(st.integers(1, 3))):
-        components = [{} for _ in range(m)]
-        for rank, i in enumerate(order):
-            for _ in range(draw(st.integers(0, 3))):
-                exponent = [0] * m
-                if rank:
-                    for _ in range(draw(st.integers(0, 2))):
-                        exponent[draw(st.sampled_from(order[:rank]))] += 1
-                coeff = Fraction(draw(st.integers(-2, 2)), draw(st.integers(1, 4)))
-                components[i][tuple(exponent)] = coeff
-        fields.append(PolyVectorField(tuple(Polynomial(m, c) for c in components)))
-    return fields
 
 
 def triangular_flow_closed_form(components, weights, a):
