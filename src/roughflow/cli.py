@@ -435,7 +435,7 @@ def run_jacobian(config: dict, outdir: Path, fields: list[PolyVectorField]) -> N
             "fields_hash": fields_hash(fields),
             "inverse_residual": jac.inverse_residual(),
             "fd_residual": float(np.max(np.abs(fd - jac.J[-1]))),
-            "flow": flow_route(FieldFamily.of(fields).augmented, config["level"], config["steps"]),
+            "flow": flow_route(FieldFamily.of(fields), config["level"], config["steps"]),
         },
     )
 
@@ -450,8 +450,6 @@ def run_malliavin(config: dict, outdir: Path, fields: list[PolyVectorField]) -> 
     rows = [(u, *slice_ode.values[k].ravel()) for k, u in enumerate(grid.times)]
     write_csv(outdir / "malliavin.csv", header, rows)
     k_t = grid.index_of(t)
-    family = FieldFamily.of(fields)
-    levels = family.bracket_stack(config["level"]).levels if family.brackets(config["level"]) else ()
     write_json(
         outdir / "summary.json",
         {
@@ -460,11 +458,7 @@ def run_malliavin(config: dict, outdir: Path, fields: list[PolyVectorField]) -> 
             "route_residual": float(
                 np.max(np.abs(slice_ode.values[: k_t + 1] - slice_jac.values[: k_t + 1]))
             ),
-            "flow": {
-                # The dependency levels the forced flow steps one at a time; null for a cycle.
-                "forced": {"route": "rk4", "steps": config["steps"], "levels": levels},
-                "jacobian": flow_route(family.augmented, config["level"], config["steps"]),
-            },
+            "flow": flow_route(FieldFamily.of(fields), config["level"], config["steps"]),
         },
     )
 

@@ -25,27 +25,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import BlowUpError, DomainError
 from .fbm import SamplePath, TimeGrid
 from .liefields import FieldFamily, PolyVectorField
-from .signature import batch_signature_levels
 
 #: Floats of the step weights and contracted coefficients that one block of
-#: Davie steps (or of forced-flow RK4 stages) holds at once.
+#: Davie steps holds at once.
 BLOCK_FLOATS = 2**18
 
 
 @dataclass(frozen=True)
 class RoughDriver:
-    """Level-2 rough path on a grid: increments x^1 and Levy area x^2.
-
-    ``b2_prefix[k]`` stores x^2_{t_0 t_k}, built on first use; Chen's identity
-    then yields the area over any grid pair in O(1).
-    """
+    """A driving path on a grid, values (n_points, d), read as the piecewise-linear
+    path whose level-2 lift the Davie scheme steps along."""
 
     grid: TimeGrid
     values: np.ndarray
@@ -56,11 +51,6 @@ class RoughDriver:
             raise DomainError("driver values must be (n_points, d)")
         object.__setattr__(self, "values", v)
 
-    @cached_property
-    def b2_prefix(self) -> np.ndarray:
-        """x^2_{t_0 t_k} for every grid k: (n_points, d, d)."""
-        return batch_signature_levels(self.values[None], 2, prefixes=True)[1][:, 0]
-
     @staticmethod
     def from_path(p: SamplePath) -> "RoughDriver":
         return RoughDriver(grid=p.grid, values=p.values)
@@ -68,17 +58,6 @@ class RoughDriver:
     @property
     def d(self) -> int:
         return self.values.shape[1]
-
-    def b1(self, i, j) -> np.ndarray:
-        """x^1_{t_i t_j} = x_{t_j} - x_{t_i}; i and j may be index arrays."""
-        return self.values[j] - self.values[i]
-
-    def b2(self, i, j) -> np.ndarray:
-        """x^2_{t_i t_j} via the Chen relation on prefix areas; i and j may be index arrays."""
-        if np.any(np.asarray(i) > np.asarray(j)):
-            raise DomainError("need i <= j for the Levy area")
-        start = self.values[i] - self.values[0]
-        return self.b2_prefix[j] - self.b2_prefix[i] - start[..., :, None] * self.b1(i, j)[..., None, :]
 
 
 @dataclass(frozen=True)
@@ -191,7 +170,7 @@ def rde_solve_batch(
             y[k0 + 1 : k1 + 1] = 0.0
             for table, rows, runs in stack.schedule:
                 mono = stack.monomials(y[k0:k1].swapaxes(0, 1), table)
-                for i, pairs, _ in rows:
+                for i, pairs in rows:
                     inc = y[k0 + 1 : k1 + 1, i]
                     for p, q in pairs:
                         inc += coef[p] if mono[q] is None else coef[p] * mono[q]

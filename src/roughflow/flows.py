@@ -1,29 +1,26 @@
 """Jacobian flows and Malliavin-derivative flows.
 
-The Jacobian J_{0,t} of the solution map a -> y_t(a) solves the linear
-equation dJ = grad V_i(y) J dx^i with J_{0,0} = I, and its inverse solves
-dJ^{-1} = -J^{-1} grad V_i(y) dx^i (right multiplication; the product rule
-forces this order).  Jointly with y they solve one polynomial RDE on
-R^{m + 2 m^2}, driven by the fields of ``augmented_jacobian_fields``.  When
-the augmented family is n-nilpotent (checked exactly, like the base family),
-(y, J, J^{-1})_{t_k} = exp(Z~_{t_k})(a, I, I) with Z~ built from the
-augmented brackets.  The prefix signatures S_{0,t_k} of every grid time are
-one batch of ``batch_signature_levels`` and the flows one batch of
-``exp_flow_batch``: exact in the driver, up to rounding, when the augmented
-family has a flow certificate (Yamato's does), RK4 otherwise.  One Davie pass
-over the same system (``tests/helpers.jacobian_flow_rde``) is its independent
-cross-check.
+For n-nilpotent fields y_t = exp(Z_t)(a) (see ``strichartz``), so the
+Jacobian J_{0,t} of the solution map a -> y_t(a) is the derivative
+D exp(Z_t)(a), and its inverse is D exp(-Z_t)(y_t).  Both are the tangent
+columns of one frozen flow, ``strichartz.variational``: started from (a, I)
+under Z_t, and from (y_t, I) under -Z_t.  The prefix signatures S_{0,t_k} of
+every grid time are one batch of ``batch_signature_levels``, and the flows of
+all grid times one batch of ``strichartz.frozen_flow``: exact in the driver,
+up to rounding, when the family has a flow certificate (Yamato's does), RK4
+otherwise.  A Davie pass over the joint (y, J, J^{-1}) system
+(``tests/helpers.jacobian_flow_rde``) is its independent cross-check.
 
-The Malliavin derivative D_u y_t solves, in the flow parameter s,
+The Malliavin derivative D_u y_t is the derivative of exp(Z_t)(a) along
+D_u psi_t, which solves, in the flow parameter s,
 
     d/ds D_u phi_s = grad Z_t(phi_s) D_u phi_s
                      + V_j(phi_s) 1_{[0,t)}(u) e_j^T
-                     + sum_{k>=2, words w} D_u psi_t^w V_w(phi_s),
+                     + sum_{k>=2, words w} D_u psi_t^w V_w(phi_s):
 
-integrated by RK4 one dependency level of the bracket stack at a time: the
-four stage slopes of a level over all steps read only lower levels, since
-d_l Z_t^i = 0 unless l sits on a lower level, and the steps are summed by
-``controlled.advance``.  The derivative of a signature entry splits at u:
+the variational flow of Z_t forced by the brackets weighted with D_u psi_t,
+one tangent column per (u, j), on the same route as the Jacobian.  The
+derivative of a signature entry splits at u:
 
     D^j_u B^{k, i_1..i_k}_{0t}
         = sum_{l: i_l = j} B^{l-1, i_1..i_{l-1}}_{0u} B^{k-l, i_{l+1}..i_k}_{ut}.
@@ -41,12 +38,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controlled import BLOCK_FLOATS, advance
-from .errors import BlowUpError, DomainError
+from .errors import DomainError
 from .fbm import SamplePath, TimeGrid
 from .liefields import FieldFamily, PolyVectorField
 from .signature import batch_signature_levels
-from .strichartz import DEFAULT_FLOW_STEPS, build_Z_batch, exp_flow_batch, psi_batch
+from .strichartz import DEFAULT_FLOW_STEPS, build_Z_batch, frozen_flow, psi_batch, variational
 
 
 @dataclass(frozen=True)
@@ -83,16 +79,18 @@ class MalliavinSlice:
 
 
 # ---------------------------------------------------------------------------
-# Jacobians of the augmented (y, J, J^{-1}) system
+# Jacobians
 # ---------------------------------------------------------------------------
 
 
-def _split_augmented(grid: TimeGrid, states: np.ndarray, m: int) -> tuple[SamplePath, JacobianPath]:
-    """Rows (y, J row-major, J^{-1} row-major) of the augmented system, one per grid time."""
-    n = grid.n_points
-    J = states[:, m : m + m * m].reshape(n, m, m)
-    Jb = states[:, m + m * m :].reshape(n, m, m)
-    return SamplePath(grid=grid, values=states[:, :m], hurst=None), JacobianPath(grid=grid, J=J, J_inv=Jb)
+def _tangent_flow(z, y0: np.ndarray, certificate, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """exp(z)(y0) and D exp(z)(y0) for y0 (m, *batch): shaped (m, *batch) and (m, *batch, m)."""
+    m = y0.shape[0]
+    start = np.empty(y0.shape + (1 + m,))
+    start[..., 0] = y0
+    start[..., 1:] = np.eye(m).reshape((m,) + (1,) * (y0.ndim - 1) + (m,))
+    end = frozen_flow(variational(z), start, certificate, steps)
+    return end[..., 0], end[..., 1:]
 
 
 def jacobian_path_strichartz(
@@ -102,19 +100,28 @@ def jacobian_path_strichartz(
     n: int,
     steps: int = DEFAULT_FLOW_STEPS,
 ) -> tuple[SamplePath, JacobianPath]:
-    """(y, J, J^{-1}) at every grid time: the augmented flows at every prefix signature, as one batch.
+    """(y, J, J^{-1}) at every grid time: the tangent flows of exp(Z_t) and exp(-Z_t) at every
+    prefix signature, each as one batch.
 
-    ``steps`` is used only when the augmented family has no flow certificate (RK4).
+    ``steps`` is used only when the family has no flow certificate (RK4).
     """
     family = FieldFamily.of(fields)
     family.require_constant_brackets(n)
     family.require_nilpotent(n)
-    m = family.m
+    a = family.initial(a)
+    m, rows = family.m, p.grid.n_points
+    y, J = np.tile(a, (rows, 1)), np.tile(np.eye(m), (rows, 1, 1))
+    J_inv = J.copy()
     levels = [lvl[1:, 0] for lvl in batch_signature_levels(p.values[None], n - 1, prefixes=True)]
-    psi = build_Z_batch(family.augmented, levels, n)
-    eye = np.eye(m).ravel()
-    start = np.concatenate([np.asarray(a, dtype=float), eye, eye])
-    return _split_augmented(p.grid, np.vstack([start, exp_flow_batch(family.augmented, n, psi, start, steps)]), m)
+    psi = build_Z_batch(family, levels, n)
+    # With no nonzero bracket Z_t = 0: every flow is the identity.
+    if len(psi):
+        stack, certificate = family.bracket_stack(n), family.flow_certificate(n)
+        start = np.broadcast_to(a[:, None], (m, rows - 1))
+        end, tangent = _tangent_flow(stack.weighted(psi), start, certificate, steps)
+        y[1:], J[1:] = end.T, tangent.transpose(1, 0, 2)
+        J_inv[1:] = _tangent_flow(stack.weighted(-psi), end, certificate, steps)[1].transpose(1, 0, 2)
+    return SamplePath(grid=p.grid, values=y, hurst=None), JacobianPath(grid=p.grid, J=J, J_inv=J_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +182,12 @@ def malliavin_derivative(
     n: int,
     steps: int = DEFAULT_FLOW_STEPS,
 ) -> MalliavinSlice:
-    """D_u y_t for every grid u, by the forced variational flow (RK4, ``steps`` steps).
+    """D_u y_t for every grid u, by the forced variational flow of Z_t.
 
-    Requires constant brackets of order >= 2 (the hypothesis that removes
-    the gradient terms of the higher brackets from the equation).
+    Exact up to rounding when the family has a flow certificate; otherwise
+    RK4 with ``steps`` steps.  Requires constant brackets of order >= 2 (the
+    hypothesis that removes the gradient terms of the higher brackets from
+    the equation).
     """
     family = FieldFamily.of(fields)
     family.require_constant_brackets(n)
@@ -201,41 +210,11 @@ def malliavin_derivative(
     # Forcing weights per (word, u_k, j) on the brackets V_w: D^j_{u_k} psi^w, for
     # u_k < t only; D_u y_t = 0 for u >= t (adaptedness).
     weights = d_psi(prefixes, suffixes, words)[:, :k_t].reshape(len(words), -1)
-    # Column 0 of z is Z_t = sum_w psi^w V_w, column 1 + k d + j the forcing of D^j_{u_k}.
-    z = stack.weighted(np.column_stack([psi, weights]))
-    # RK4 in s on the rows (phi^i, D^{ij}_{u_k} for every k and j), one
-    # dependency level at a time over a block of steps.  The stage states of
-    # rows above the level are not yet written, and its slopes do not read
-    # them; a family whose levels have a cycle runs one step per block, where
-    # the stage states built from the block's first row are its own.
-    h = 1.0 / steps
-    width = z.coef.shape[1]
-    block = 1 if stack.levels is None else max(1, BLOCK_FLOATS // (4 * m * width))
-    state = np.zeros((m, width))
-    state[:, 0] = a
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s0 in range(0, steps, block):
-            y = np.zeros((min(block, steps - s0) + 1, m, width))
-            y[0] = state
-            k = np.zeros((4,) + y[1:].shape)
-            for table, rows, runs in stack.schedule:
-                for r, shift in enumerate((0.0, 0.5 * h, 0.5 * h, h)):
-                    x = y[:-1] + shift * k[r - 1] if r else y[:-1]
-                    mono = z.monomials(x[..., 0].T, table)
-                    for i, value, grad in rows:
-                        out = k[r, :, i]
-                        for c, q in value:
-                            out += z.coef[c] if mono[q] is None else z.coef[c] * mono[q][:, None]
-                        for c, l, q in grad:
-                            dz = z.jac_coef[c, 0] if mono[q] is None else z.jac_coef[c, 0] * mono[q][:, None]
-                            out[:, 1:] += dz * x[:, l, 1:]
-                for run in runs:
-                    y[1:, run] = (h / 6.0) * (k[0, :, run] + 2.0 * k[1, :, run] + 2.0 * k[2, :, run] + k[3, :, run])
-                    advance(y[:, run])
-            finite = np.isfinite(y).reshape(len(y), -1).all(axis=1)
-            if not finite.all():
-                raise BlowUpError("RK4 flow state became non-finite", when=(s0 + np.argmin(finite)) * h)
-            state = y[-1]
+    # Column 0 of the state is phi, column 1 + k d + j the derivative D^j_{u_k}.
+    start = np.zeros((m, 1 + k_t * d))
+    start[:, 0] = a
+    slope = variational(stack.weighted(psi), stack.weighted(weights))
+    state = frozen_flow(slope, start, family.flow_certificate(n), steps)
     values[:k_t] = state[:, 1:].reshape(m, k_t, d).transpose(1, 0, 2)
     return MalliavinSlice(grid=grid, t=t, values=values)
 

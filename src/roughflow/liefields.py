@@ -342,21 +342,13 @@ class CompiledField:
     def schedule(self) -> tuple:
         """Per dependency level (every component on one level for a cycle): the
         table rows its components read; each component i with the (k, q) of its
-        ``pairs`` and the (k, l, q) of its ``jac_pairs``; its runs of consecutive
-        components, as slices."""
+        ``pairs``; its runs of consecutive components, as slices."""
         out = []
         for level in self.levels or [tuple(range(self.exponents.shape[1]))]:
-            rows = [
-                (
-                    i,
-                    [(k, q) for k, (j, q) in enumerate(self.pairs) if j == i],
-                    [(k, l, q) for k, ((j, l), q) in enumerate(self.jac_pairs) if j == i],
-                )
-                for i in level
-            ]
+            rows = [(i, [(k, q) for k, (j, q) in enumerate(self.pairs) if j == i]) for i in level]
             cuts = [0] + [c for c in range(1, len(level)) if level[c] != level[c - 1] + 1] + [len(level)]
             runs = [slice(level[a], level[b - 1] + 1) for a, b in zip(cuts, cuts[1:])]
-            out.append(({q for _, value, grad in rows for *_, q in value + grad}, rows, runs))
+            out.append(({q for _, value in rows for _, q in value}, rows, runs))
         return tuple(out)
 
     def monomials(self, x: np.ndarray, rows: Iterable[int] | None = None) -> dict:
@@ -737,44 +729,12 @@ def _covector_rows(jac: list[list[Polynomial]], total: int, first: int) -> list[
     return out
 
 
-def augmented_jacobian_fields(fields: Sequence[PolyVectorField]) -> list[PolyVectorField]:
-    """Driving fields of the joint (y, J, J^{-1}) system on R^{m + 2 m^2}.
-
-    Variable layout: y occupies the first m slots, J the next m^2
-    (row-major), J^{-1} the last m^2.  All components stay polynomial, so
-    the second-order scheme applies unchanged.
-    """
-    m = fields[0].m
-    total = m + 2 * m * m
-
-    def j_var(row: int, col: int) -> Polynomial:
-        return Polynomial.variable(total, m + row * m + col)
-
-    out = []
-    for v in fields:
-        jac = v.jacobian()  # jac[i][l] = d_l V^i, polynomials in y
-        comps = [c.lift(total) for c in v.components]
-        # dJ_{ab} = sum_l d_l V^a J_{lb}
-        for a_ in range(m):
-            for b_ in range(m):
-                acc = Polynomial.zero(total)
-                for l in range(m):
-                    acc = acc + jac[a_][l].lift(total) * j_var(l, b_)
-                comps.append(acc)
-        # dJinv = -Jinv grad V, one covector row of J^{-1} at a time
-        for a_ in range(m):
-            comps += _covector_rows(jac, total, m + m * m + a_ * m)
-        out.append(PolyVectorField(tuple(comps)))
-    return out
-
-
 def cotangent_fields(fields: Sequence[PolyVectorField]) -> list[PolyVectorField]:
     """Driving fields of the cotangent lift (y, w) on R^{2m}.
 
     y occupies the first m slots and the row vector w the last m; w solves
-    dw = -w grad V_i(y) dx^i, as each row of the J^{-1} block of
-    ``augmented_jacobian_fields`` does, so w_0 = eta gives
-    w_t = eta^T J_{0,t}^{-1}.  The fields do not depend on eta.
+    dw = -w grad V_i(y) dx^i, as each row of J_{0,t}^{-1} does, so w_0 = eta
+    gives w_t = eta^T J_{0,t}^{-1}.  The fields do not depend on eta.
     """
     m = fields[0].m
     return [
@@ -877,11 +837,6 @@ class FieldFamily:
         """V_1..V_d then W[i][j] = grad V_j . V_i (row-major), compiled as one stack with its levels."""
         corrections = taylor_correction_fields(self.fields)
         return CompiledField.stack(list(self.fields) + [w for row in corrections for w in row])
-
-    @cached_property
-    def augmented(self) -> "FieldFamily":
-        """The family of the joint (y, J, J^{-1}) fields of ``augmented_jacobian_fields``."""
-        return FieldFamily.of(augmented_jacobian_fields(self.fields))
 
     @cached_property
     def cotangent(self) -> "FieldFamily":

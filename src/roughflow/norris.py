@@ -43,36 +43,12 @@ from .liefields import FieldFamily, PolyVectorField, bracket
 from .controlled import rde_solve_batch
 
 # ---------------------------------------------------------------------------
-# Hermite polynomials and increment correlations
+# Increment correlations and Hermite moments
 # ---------------------------------------------------------------------------
-
-MAX_HERMITE = 6
-
-
-def hermite(k: int, x):
-    """Probabilists' Hermite polynomial H_k, k <= 6, by the recurrence."""
-    if not 0 <= k <= MAX_HERMITE:
-        raise DomainError(f"hermite supports 0 <= k <= {MAX_HERMITE}, got {k}")
-    x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
-    if k == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = x.copy()
-    for j in range(1, k):
-        h, h_prev = x * h - j * h_prev, h
-    return h if h.ndim else float(h)
-
-
-def alpha(m: int, hurst: HurstParam | float) -> float:
-    """Correlation of unit-spaced fBm increments at lag m >= 0."""
-    H = hurst.value if isinstance(hurst, HurstParam) else float(hurst)
-    if m < 0:
-        raise DomainError(f"lag must be nonnegative, got {m}")
-    two_h = 2.0 * H
-    return 0.5 * ((m + 1) ** two_h + abs(m - 1) ** two_h - 2.0 * m**two_h)
 
 
 def alpha_matrix(K: int, hurst: HurstParam | float) -> np.ndarray:
+    """Correlations alpha(|i - j|) of K unit-spaced fBm increments: (K, K)."""
     lags = np.abs(np.arange(K)[:, None] - np.arange(K)[None, :])
     H = hurst.value if isinstance(hurst, HurstParam) else float(hurst)
     two_h = 2.0 * H
@@ -104,42 +80,6 @@ def s_k(K: int, hurst: HurstParam | float) -> float:
     """
     a = alpha_matrix(K, hurst)
     return float(np.sum(12.0 * a**4 + a**2))
-
-
-def isserlis_even_moment(cov: np.ndarray, idx: list[int]) -> float:
-    """E[x_{i_1} ... x_{i_{2n}}] for a centered Gaussian vector, by pairings."""
-    if len(idx) % 2 == 1:
-        return 0.0
-    if not idx:
-        return 1.0
-    first, rest = idx[0], idx[1:]
-    total = 0.0
-    for pos in range(len(rest)):
-        pair = cov[first, rest[pos]]
-        remaining = rest[:pos] + rest[pos + 1 :]
-        total += pair * isserlis_even_moment(cov, remaining)
-    return total
-
-
-def isserlis_fourth_variation_moments(cov: np.ndarray) -> tuple[float, float]:
-    """Exact (mean, variance) of sum_i x_i^4 by brute-force pairing sums."""
-    K = cov.shape[0]
-    mean = sum(isserlis_even_moment(cov, [i] * 4) for i in range(K))
-    second = 0.0
-    for i in range(K):
-        for j in range(K):
-            second += isserlis_even_moment(cov, [i] * 4 + [j] * 4)
-    return mean, second - mean**2
-
-
-def sample_fourth_variation(
-    K: int, hurst: HurstParam | float, n_samples: int, seed: int = 0
-) -> np.ndarray:
-    """Monte-Carlo samples of Xhat_K from the exact increment covariance."""
-    L = np.linalg.cholesky(alpha_matrix(K, hurst) + 1e-12 * np.eye(K))
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    g = rng.standard_normal((n_samples, K)) @ L.T
-    return np.sum(g**4, axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,14 @@ with tau the inverse permutation and e(sigma) the descent count.  The
 permutation sum is enumerated literally (k <= 5 keeps it tiny).  The
 exponential flow integrates dPsi/ds = Z(Psi) on [0, 1] for a batch of
 paths at once, on the bracket stack and flow certificate that the family
-keeps; ``strichartz_solve`` is its batch of one.  ``exp_flow_batch`` reads
+keeps; ``strichartz_solve`` is its batch of one.  ``frozen_flow`` reads
 the family's certificate at order n: when the brackets' dependency graph is
 acyclic (triangular fields, Yamato's family among them) the flow is a
 polynomial in s of known degree D, and L Picard steps on max(1, ceil(D / 2))
 Gauss-Legendre nodes (the last one at s = 1 only) give it exactly up to
-rounding; other families run fixed-step RK4.
+rounding; other families run fixed-step RK4.  ``variational`` adds the
+tangent columns of the same flow, from which ``flows`` reads the Jacobian
+and the Malliavin derivative.
 """
 
 from __future__ import annotations
@@ -150,14 +152,15 @@ def gauss_nodes(degree: int) -> int:
     return max(1, -(-degree // 2))
 
 
-def polynomial_flow(z: CompiledField, y0: np.ndarray, degree: int, depth: int) -> np.ndarray:
-    """Time-1 flow of z from y0 (m, n_paths) when it is a polynomial of degree <= ``degree`` in s.
+def polynomial_flow(z: Callable, y0: np.ndarray, degree: int, depth: int) -> np.ndarray:
+    """Time-1 flow of z from y0 (m, *batch) when it is a polynomial of degree <= ``degree`` in s.
 
     With ``degree`` and ``depth`` from ``liefields.flow_certificate``, Picard step
     k is exact on every component whose dependency chain has at most k
     components.  The first depth - 1 steps run on the n = ``gauss_nodes(degree)``
     Gauss-Legendre nodes, y(s_l) <- y0 + sum_k W[l, k] z(y(s_k)), with the node
-    axis as one more batch axis; the last is needed at s = 1 only:
+    axis inserted after the component axis, (m, n, *batch), for z a compiled field
+    or a ``variational`` slope; the last is needed at s = 1 only:
     y(1) = y0 + sum_l w_l z(y(s_l)).
 
     n = ceil(D / 2) nodes suffice although a component that z reads may have
@@ -174,9 +177,10 @@ def polynomial_flow(z: CompiledField, y0: np.ndarray, degree: int, depth: int) -
     def quadrature(matrix: np.ndarray, zs: np.ndarray) -> np.ndarray:
         # sum_k matrix[:, k] zs[:, k] elementwise, not through BLAS, so that
         # each path's value does not depend on the batch it is in.
-        total = matrix[:, 0, None] * zs[:, None, 0]
+        column = (slice(None),) + (None,) * (zs.ndim - 2)
+        total = matrix[:, 0][column] * zs[:, None, 0]
         for k in range(1, nodes):
-            total += matrix[:, k, None] * zs[:, None, k]
+            total += matrix[:, k][column] * zs[:, None, k]
         return total
 
     start = y0[:, None]
@@ -217,11 +221,37 @@ def exp_flow_batch(
     if not psi.shape[0]:
         # No bracket: Z_t = 0, and the flow is the identity.
         return y0.T.copy()
-    z = family.bracket_stack(n).weighted(psi)
-    certificate = family.flow_certificate(n)
-    if certificate is None:
-        return rk4(z, y0, steps).T
-    return polynomial_flow(z, y0, *certificate).T
+    return frozen_flow(family.bracket_stack(n).weighted(psi), y0, family.flow_certificate(n), steps).T
+
+
+def frozen_flow(z: Callable, y0: np.ndarray, certificate: tuple[int, int] | None, steps: int) -> np.ndarray:
+    """Time-1 flow of the slope z from y0 (m, *batch): ``polynomial_flow`` under a flow
+    certificate, else RK4 with ``steps`` steps; overflow raises BlowUpError, unwarned."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if certificate is None:
+            return rk4(z, y0, steps)
+        return polynomial_flow(z, y0, *certificate)
+
+
+def variational(z: CompiledField, forcing: CompiledField | None = None) -> Callable:
+    """Slope of the state [phi, D_1, ..., D_k] (m, *batch, 1 + k): phi' = z(phi) and
+    D_c' = grad z(phi) D_c + F_c(phi), F_c the c-th field of ``forcing``'s last axis.
+
+    From (a, I) the columns end at D exp(z)(a).  When z and the forcing weight one
+    stack, D_c^i reads what phi^i reads, with no higher degree in s, so the stack's
+    flow certificate covers the whole state.
+    """
+
+    def slope(state: np.ndarray) -> np.ndarray:
+        phi = state[..., 0]
+        out = np.empty(state.shape)
+        out[..., 0] = z(phi)
+        out[..., 1:] = np.einsum("il...,l...c->i...c", z.jacobian(phi), state[..., 1:])
+        if forcing is not None:
+            out[..., 1:] += forcing(phi[..., None])
+        return out
+
+    return slope
 
 
 def strichartz_solve(
@@ -243,7 +273,8 @@ def strichartz_solve(
 
 
 def flow_route(family: FieldFamily, n: int, steps: int) -> dict:
-    """The route ``exp_flow_batch`` takes for the Z_t of ``family`` at order n, as a run record."""
+    """The route ``frozen_flow`` takes for the Z_t of ``family`` at order n (in ``exp_flow_batch``
+    and the tangent flows of ``flows``), as a run record."""
     certificate = family.flow_certificate(n)
     if certificate is None:
         return {"route": "rk4", "steps": steps}

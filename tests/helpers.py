@@ -19,10 +19,18 @@ from roughflow.controlled import ControlledPath, RoughDriver, rde_solve_batch
 from roughflow.errors import ConvergenceError, DomainError
 from roughflow.fbm import HurstParam, SamplePath, TimeGrid, sample_fbm_array
 from roughflow import flows
-from roughflow.flows import JacobianPath, MalliavinSlice, _split_augmented, jacobian_path_strichartz, split_signatures
+from roughflow.flows import JacobianPath, MalliavinSlice, jacobian_path_strichartz, split_signatures
 from roughflow.increments import Increment1, Increment2, Increment3, _mag, _pair_indices, delta1, holder_norm, sewing
-from roughflow.norris import TwoScale, _path_norms
-from roughflow.liefields import CompiledField, FieldFamily, Polynomial, PolyVectorField, bracket, parse_polynomial
+from roughflow.norris import TwoScale, _path_norms, alpha_matrix
+from roughflow.liefields import (
+    CompiledField,
+    FieldFamily,
+    Polynomial,
+    PolyVectorField,
+    _covector_rows,
+    bracket,
+    parse_polynomial,
+)
 from roughflow.signature import (
     IteratedIntegrals,
     Word,
@@ -103,8 +111,8 @@ def flow_with_jacobians(z: CompiledField, a: np.ndarray, steps: int):
 def jacobian_path_rk4(fields, p, a, n, steps=DEFAULT_FLOW_STEPS):
     """(y, J, J^{-1}) at every grid time by per-prefix frozen fields and ``flow_with_jacobians``.
 
-    The RK4 route ``flows.jacobian_path_strichartz`` took before it flowed the
-    augmented family; rows are grid times, row 0 the start.
+    The oracle of ``flows.jacobian_path_strichartz``, which reads J^{-1} from the
+    backward flow of -Z_t instead; rows are grid times, row 0 the start.
     """
     family = FieldFamily.of(fields)
     m, k_max = family.m, p.grid.n_points - 1
@@ -119,8 +127,8 @@ def jacobian_path_rk4(fields, p, a, n, steps=DEFAULT_FLOW_STEPS):
 def malliavin_derivative_steps(fields, p: SamplePath, a, t: float, n: int, steps=DEFAULT_FLOW_STEPS) -> MalliavinSlice:
     """D_u y_t by the forced variational flow, one joint RK4 step of (phi, D) at a time.
 
-    The oracle of ``flows.malliavin_derivative``, which runs the same RK4 one
-    dependency level at a time over blocks of steps.
+    The oracle of ``flows.malliavin_derivative``, which flows the same state as
+    one ``strichartz.variational`` slope on ``frozen_flow``'s route.
     """
     family = FieldFamily.of(fields)
     m, d = family.m, family.d
@@ -150,14 +158,14 @@ def davie_chen(fields, a: np.ndarray, driver) -> np.ndarray:
     """Davie steps on a ``RoughDriver``, one path: (n_points, m).
 
     The per-path oracle of ``controlled.rde_solve_batch``: each step's area is
-    read from the driver's Chen-prefix table (``RoughDriver.b2``), not formed
+    read from the driver's Chen-prefix table (``b2``), not formed
     as dv (x) dv / 2, and the stack is evaluated before it is contracted.
     """
     family = FieldFamily.of(fields)
     d, n = family.d, driver.grid.n_points
     stack = family.davie_stack
     lo, hi = np.arange(n - 1), np.arange(1, n)
-    weights = np.concatenate([driver.b1(lo, hi), driver.b2(lo, hi).reshape(n - 1, d * d)], axis=1)
+    weights = np.concatenate([b1(driver, lo, hi), b2(driver, lo, hi).reshape(n - 1, d * d)], axis=1)
     y = np.empty((n, family.m))
     y[0] = a
     for k in range(n - 1):
@@ -231,6 +239,16 @@ def sheared_yamato() -> list[PolyVectorField]:
         return PolyVectorField(tuple(parse_polynomial(c, 3) for c in components))
 
     return [PolyVectorField.zero(3), field("1 - 2*x2", "0", "2*x2"), field("2*x1 + 2*x3", "1", "-2*x1 - 2*x3")]
+
+
+def chain_family():
+    """V1 = d1, V2 = x1 d2 + x2 d3: [V1, V2] = d2, [[V1, V2], V2] = d3 and every
+    order-4 bracket vanishes, so it is 4-nilpotent with constant brackets and its
+    flows read the level-3 signature."""
+    return [
+        PolyVectorField(tuple(parse_polynomial(c, 3) for c in ("1", "0", "0"))),
+        PolyVectorField(tuple(parse_polynomial(c, 3) for c in ("0", "x1", "x2"))),
+    ]
 
 
 @st.composite
@@ -442,7 +460,7 @@ def batch_levy_prefix_loop(values):
     """Every prefix level-2 signature by one Chen update per grid segment.
 
     The per-segment oracle of ``batch_signature_levels(values, 2, prefixes=True)``
-    (path-major here) and so of ``RoughDriver.b2_prefix``; its last slice
+    (path-major here) and so of ``b2_prefix``; its last slice
     is term for term the running sum of ``densitylab.yamato_explicit_batch``.
     """
     n_paths, n_points, d = values.shape
@@ -522,6 +540,51 @@ def d_psi(prefix, suffix, word: Word, j: int) -> float:
     return total
 
 
+def augmented_jacobian_fields(fields) -> list[PolyVectorField]:
+    """Driving fields of the joint (y, J, J^{-1}) system on R^{m + 2 m^2}.
+
+    Variable layout: y occupies the first m slots, J the next m^2
+    (row-major), J^{-1} the last m^2.  All components stay polynomial, so
+    the Davie scheme and the frozen flows apply unchanged: the oracle of the
+    tangent columns of ``strichartz.variational``.
+    """
+    m = fields[0].m
+    total = m + 2 * m * m
+
+    def j_var(row: int, col: int) -> Polynomial:
+        return Polynomial.variable(total, m + row * m + col)
+
+    out = []
+    for v in fields:
+        jac = v.jacobian()  # jac[i][l] = d_l V^i, polynomials in y
+        comps = [c.lift(total) for c in v.components]
+        # dJ_{ab} = sum_l d_l V^a J_{lb}
+        for a_ in range(m):
+            for b_ in range(m):
+                acc = Polynomial.zero(total)
+                for l in range(m):
+                    acc = acc + jac[a_][l].lift(total) * j_var(l, b_)
+                comps.append(acc)
+        # dJinv = -Jinv grad V, one covector row of J^{-1} at a time
+        for a_ in range(m):
+            comps += _covector_rows(jac, total, m + m * m + a_ * m)
+        out.append(PolyVectorField(tuple(comps)))
+    return out
+
+
+def augmented(fields) -> FieldFamily:
+    """The family of ``augmented_jacobian_fields`` of a family's fields."""
+    return FieldFamily.of(augmented_jacobian_fields(FieldFamily.of(fields).fields))
+
+
+def split_augmented(grid: TimeGrid, states: np.ndarray, m: int) -> tuple[SamplePath, JacobianPath]:
+    """Rows (y, J row-major, J^{-1} row-major) of the augmented system, one per grid time."""
+    n = grid.n_points
+    J = states[:, m : m + m * m].reshape(n, m, m)
+    Jb = states[:, m + m * m :].reshape(n, m, m)
+    return SamplePath(grid=grid, values=states[:, :m], hurst=None), JacobianPath(grid=grid, J=J, J_inv=Jb)
+
+
 def jacobian_flow_rde(fields, driver: RoughDriver, a: np.ndarray) -> tuple[SamplePath, JacobianPath]:
     """One Davie pass over the augmented (y, J, J^{-1}) system.
 
@@ -530,8 +593,8 @@ def jacobian_flow_rde(fields, driver: RoughDriver, a: np.ndarray) -> tuple[Sampl
     family = FieldFamily.of(fields)
     eye = np.eye(family.m).ravel()
     state0 = np.concatenate([np.asarray(a, dtype=float), eye, eye])
-    states = rde_solve_batch(family.augmented, state0, driver.grid, driver.values)
-    return _split_augmented(driver.grid, states, family.m)
+    states = rde_solve_batch(augmented(family), state0, driver.grid, driver.values)
+    return split_augmented(driver.grid, states, family.m)
 
 
 def z_process(fields, driver: RoughDriver, u_field: PolyVectorField, eta: np.ndarray, a: np.ndarray,
@@ -588,7 +651,7 @@ def dichotomy_norms_augmented(fields, u_field, eta, hurst, n_paths, a=None, hori
     grid = TimeGrid(horizon, grid_points)
     drivers = sample_fbm_array(hurst, grid, family.d, n_paths, seed)
     eye = np.eye(m).ravel()
-    states = rde_solve_batch(family.augmented, np.concatenate([a, eye, eye]), grid, drivers)
+    states = rde_solve_batch(augmented(family), np.concatenate([a, eye, eye]), grid, drivers)
     y_sol = states[:, :, :m]
     j_inv = states[:, :, m + m * m :].reshape(n_paths, grid_points, m, m)
 
@@ -648,6 +711,72 @@ def constant_brackets_loop(fields, up_to):
         for k in range(2, up_to + 1)
         for word in iter_product(range(1, len(fields) + 1), repeat=k)
     )
+
+
+# ---------------------------------------------------------------------------
+# Hermite polynomials and Isserlis moments: the oracles of ``norris.hermite_moments``
+# ---------------------------------------------------------------------------
+
+MAX_HERMITE = 6
+
+
+def hermite(k: int, x):
+    """Probabilists' Hermite polynomial H_k, k <= 6, by the recurrence."""
+    if not 0 <= k <= MAX_HERMITE:
+        raise DomainError(f"hermite supports 0 <= k <= {MAX_HERMITE}, got {k}")
+    x = np.asarray(x, dtype=float)
+    h_prev = np.ones_like(x)
+    if k == 0:
+        return h_prev if h_prev.ndim else float(h_prev)
+    h = x.copy()
+    for j in range(1, k):
+        h, h_prev = x * h - j * h_prev, h
+    return h if h.ndim else float(h)
+
+
+def alpha(m: int, hurst: HurstParam | float) -> float:
+    """Correlation of unit-spaced fBm increments at lag m >= 0."""
+    H = hurst.value if isinstance(hurst, HurstParam) else float(hurst)
+    if m < 0:
+        raise DomainError(f"lag must be nonnegative, got {m}")
+    two_h = 2.0 * H
+    return 0.5 * ((m + 1) ** two_h + abs(m - 1) ** two_h - 2.0 * m**two_h)
+
+
+def isserlis_even_moment(cov: np.ndarray, idx: list[int]) -> float:
+    """E[x_{i_1} ... x_{i_{2n}}] for a centered Gaussian vector, by pairings."""
+    if len(idx) % 2 == 1:
+        return 0.0
+    if not idx:
+        return 1.0
+    first, rest = idx[0], idx[1:]
+    total = 0.0
+    for pos in range(len(rest)):
+        pair = cov[first, rest[pos]]
+        remaining = rest[:pos] + rest[pos + 1 :]
+        total += pair * isserlis_even_moment(cov, remaining)
+    return total
+
+
+def isserlis_fourth_variation_moments(cov: np.ndarray) -> tuple[float, float]:
+    """Exact (mean, variance) of sum_i x_i^4 by brute-force pairing sums."""
+    K = cov.shape[0]
+    mean = sum(isserlis_even_moment(cov, [i] * 4) for i in range(K))
+    second = 0.0
+    for i in range(K):
+        for j in range(K):
+            second += isserlis_even_moment(cov, [i] * 4 + [j] * 4)
+    return mean, second - mean**2
+
+
+def sample_fourth_variation(
+    K: int, hurst: HurstParam | float, n_samples: int, seed: int = 0
+) -> np.ndarray:
+    """Monte-Carlo samples of Xhat_K from the exact increment covariance."""
+    L = np.linalg.cholesky(alpha_matrix(K, hurst) + 1e-12 * np.eye(K))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    g = rng.standard_normal((n_samples, K)) @ L.T
+    return np.sum(g**4, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -869,6 +998,24 @@ def block_stats(p: SamplePath, scales: TwoScale) -> BlockStats:
 REFINEMENT_RTOL = 1e-6
 
 
+def b1(driver: RoughDriver, i, j) -> np.ndarray:
+    """x^1_{t_i t_j} = x_{t_j} - x_{t_i}; i and j may be index arrays."""
+    return driver.values[j] - driver.values[i]
+
+
+def b2_prefix(driver: RoughDriver) -> np.ndarray:
+    """x^2_{t_0 t_k} for every grid k: (n_points, d, d)."""
+    return batch_signature_levels(driver.values[None], 2, prefixes=True)[1][:, 0]
+
+
+def b2(driver: RoughDriver, i, j) -> np.ndarray:
+    """x^2_{t_i t_j} via the Chen relation on prefix areas; i and j may be index arrays."""
+    if np.any(np.asarray(i) > np.asarray(j)):
+        raise DomainError("need i <= j for the Levy area")
+    prefix, start = b2_prefix(driver), driver.values[i] - driver.values[0]
+    return prefix[j] - prefix[i] - start[..., :, None] * b1(driver, i, j)[..., None, :]
+
+
 def restrict(driver: RoughDriver, i: int, j: int) -> RoughDriver:
     """The driver on the subinterval [t_i, t_j], time shifted to start at 0."""
     sub = TimeGrid(driver.grid.times[j] - driver.grid.times[i], j - i + 1)
@@ -900,10 +1047,12 @@ def _refinement_partitions(i: int, j: int) -> list[list[int]]:
 
 def _germ_sum(z: ControlledPath, partition: list[int]) -> np.ndarray:
     """Compensated sum of the germ over one index partition; shape (m, d)."""
+    lo, hi = partition[:-1], partition[1:]
+    x1, x2 = b1(z.driver, lo, hi), b2(z.driver, lo, hi)
     total = np.zeros((z.m, z.driver.d))
-    for a, b in zip(partition[:-1], partition[1:]):
-        total += np.outer(z.z[a], z.driver.b1(a, b))
-        total += z.zeta[a] @ z.driver.b2(a, b)
+    for k, a in enumerate(lo):
+        total += np.outer(z.z[a], x1[k])
+        total += z.zeta[a] @ x2[k]
     return total
 
 
@@ -939,13 +1088,10 @@ def rough_integral(
     n_sub = j - i + 1
     m, d = z.m, z.driver.d
     hat = np.zeros((n_sub, m, d))
+    steps = np.arange(i, j)
+    x1, x2 = b1(z.driver, steps, steps + 1), b2(z.driver, steps, steps + 1)
     for k in range(n_sub - 1):
-        a = i + k
-        hat[k + 1] = (
-            hat[k]
-            + np.outer(z.z[a], z.driver.b1(a, a + 1))
-            + z.zeta[a] @ z.driver.b2(a, a + 1)
-        )
+        hat[k + 1] = hat[k] + np.outer(z.z[i + k], x1[k]) + z.zeta[i + k] @ x2[k]
     sub_driver = restrict(z.driver, i, j)
     zeta_hat = np.zeros((n_sub, m * d, d))
     for a in range(m):

@@ -37,18 +37,11 @@ from roughflow.liefields import (
     hormander_rank,
     is_nilpotent,
 )
-from roughflow.norris import (
-    alpha_matrix,
-    hermite_moments,
-    isserlis_fourth_variation_moments,
-    norris_dichotomy_mc,
-    s_k,
-    sample_fourth_variation,
-)
+from roughflow.norris import alpha_matrix, hermite_moments, norris_dichotomy_mc, s_k
 from roughflow.signature import batch_signature_levels
 from roughflow.strichartz import build_Z_batch, exp_flow_batch, strichartz_solve
 
-from helpers import triple_indices
+from helpers import isserlis_fourth_variation_moments, sample_fourth_variation, triple_indices
 
 
 def report(num: int, name: str, detail: str):

@@ -118,10 +118,7 @@ def test_flow_summaries_record_the_route(command, tmp_path):
     assert main([command, *SMALL_RUNS[command], "--seed", "1", "--out", str(tmp_path)]) == 0
     name = "result.json" if command == "strichartz" else "summary.json"
     summary = json.loads((tmp_path / f"{command}-seed1" / name).read_text())
-    exact = {"route": "polynomial", "degree": 2, "depth": 2, "nodes": 1}
-    forced = {"route": "rk4", "steps": 32, "levels": [[0, 1], [2]]}
-    expect = {"forced": forced, "jacobian": exact} if command == "malliavin" else exact
-    assert summary["flow"] == expect
+    assert summary["flow"] == {"route": "polynomial", "degree": 2, "depth": 2, "nodes": 1}
 
 
 @pytest.mark.parametrize("command", ["sample-fbm", "sewing-test", "density", "norris-mc"])
@@ -319,6 +316,17 @@ def test_blow_up_exits_three_with_one_stderr_line(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "roughflow.cli", *argv], capture_output=True, text=True)
     assert proc.returncode == 3
     assert proc.stderr.splitlines() == ["BlowUpError: RDE state became non-finite (at 0.015625)"]
+
+
+@pytest.mark.parametrize("command, when", [("jacobian", "0.0117188"), ("malliavin", "0.0390625")])
+def test_flow_blow_up_exits_three_with_one_stderr_line(command, when, tmp_path):
+    # x1^4 reads itself: no flow certificate, so the frozen flow runs RK4 and overflows there.
+    quartic = tmp_path / "quartic.vf"
+    quartic.write_text("1 1\nx1^4\n")
+    argv = [command, "--fields", str(quartic), "--initial", "5", "--out", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-m", "roughflow.cli", *argv], capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [f"BlowUpError: RK4 flow state became non-finite (at {when})"]
 
 
 def test_cli_import_leaves_out_heavy_scipy_modules():

@@ -17,6 +17,10 @@ from roughflow.signature import path_signature
 from roughflow.densitylab import yamato_fields
 
 from helpers import (
+    augmented,
+    b1,
+    b2,
+    b2_prefix,
     batch_levy_prefix_loop,
     controlled_norm,
     davie_chen,
@@ -31,6 +35,8 @@ from helpers import (
 
 def lifted(base, lift):
     family = FieldFamily.of(base())
+    if lift == "augmented":
+        return augmented(family)
     return getattr(family, lift) if lift else family
 
 
@@ -77,7 +83,7 @@ class TestRoughDriver:
     def test_b2_chen_consistency(self, fbm_path_d2):
         drv = RoughDriver.from_path(fbm_path_d2)
         sig = path_signature(fbm_path_d2, 0.25, 0.75, 2)
-        assert np.max(np.abs(drv.b2(16, 48) - sig.levels[1])) < 1e-13
+        assert np.max(np.abs(b2(drv, 16, 48) - sig.levels[1])) < 1e-13
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_b2_prefix_matches_segment_loop(self, d):
@@ -85,20 +91,20 @@ class TestRoughDriver:
         p = sample_fbm(HurstParam(0.4), grid, d, seed=5)[0]
         drv = RoughDriver.from_path(p)
         want = batch_levy_prefix_loop(p.values[None])[0]
-        assert drv.b2_prefix.shape == (65, d, d)
-        assert np.all(drv.b2_prefix[0] == 0.0)
-        assert np.max(np.abs(drv.b2_prefix - want)) <= 1e-13 * max(1.0, float(np.max(np.abs(want))))
+        prefix = b2_prefix(drv)
+        assert prefix.shape == (65, d, d)
+        assert np.all(prefix[0] == 0.0)
+        assert np.max(np.abs(prefix - want)) <= 1e-13 * max(1.0, float(np.max(np.abs(want))))
         if d == 1:
             b = p.values[:, 0] - p.values[0, 0]
-            assert np.array_equal(drv.b2_prefix[:, 0, 0], b**2 / 2)
+            assert np.array_equal(prefix[:, 0, 0], b**2 / 2)
 
     def test_b2_prefix_is_built_on_first_use(self, yamato, fbm_path_d3):
+        # The driver keeps no level-2 table; the area is built where it is read.
         drv = RoughDriver.from_path(fbm_path_d3)
         rde_solve(yamato, np.zeros(3), drv)
-        assert "b2_prefix" not in drv.__dict__
-        area = drv.b2(0, 64)
-        assert drv.__dict__["b2_prefix"] is drv.b2_prefix
-        assert np.array_equal(area, drv.b2_prefix[64])
+        assert not hasattr(drv, "b2_prefix") and not hasattr(drv, "b2")
+        assert np.array_equal(b2(drv, 0, 64), b2_prefix(drv)[64])
 
     def test_restrict_shifts_origin(self, fbm_path_d2):
         sub = restrict(RoughDriver.from_path(fbm_path_d2), 16, 48)
@@ -114,7 +120,7 @@ class TestRoughIntegral:
             drv.grid, np.tile(c, (65, 1)), np.zeros((65, 3, 2)), drv
         )
         val, _ = rough_integral(z, 0.0, 1.0)
-        assert np.max(np.abs(val - np.outer(c, drv.b1(0, 64)))) < 1e-14
+        assert np.max(np.abs(val - np.outer(c, b1(drv, 0, 64)))) < 1e-14
 
     def test_driver_against_itself_matches_levy_area(self, fbm_path_d2):
         drv = RoughDriver.from_path(fbm_path_d2)
@@ -122,10 +128,10 @@ class TestRoughIntegral:
             drv.grid, fbm_path_d2.values, np.tile(np.eye(2), (65, 1, 1)), drv
         )
         val, hat = rough_integral(z, 0.0, 1.0)
-        b1 = drv.b1(0, 64)
+        x1 = b1(drv, 0, 64)
         # Shuffle: symmetric part is forced; the table is the Levy area.
-        assert np.max(np.abs(val + val.T - np.outer(b1, b1))) < 1e-13
-        assert np.max(np.abs(val - drv.b2(0, 64))) < 1e-14
+        assert np.max(np.abs(val + val.T - np.outer(x1, x1))) < 1e-13
+        assert np.max(np.abs(val - b2(drv, 0, 64))) < 1e-14
         # The indefinite integral is controlled by z itself.
         assert np.allclose(hat.zeta[:, 0, 0], fbm_path_d2.values[:, 0])
 

@@ -1,5 +1,3 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 
@@ -13,11 +11,14 @@ from roughflow.flows import (
     malliavin_via_jacobian,
     split_signatures,
 )
-from roughflow.liefields import FieldFamily, PolyVectorField, augmented_jacobian_fields, bracket, parse_polynomial
-from roughflow.strichartz import strichartz_solve
+from roughflow.liefields import FieldFamily, PolyVectorField, bracket, parse_polynomial
+from roughflow import strichartz
+from roughflow.strichartz import flow_route, strichartz_solve
 from roughflow.signature import path_signature
 
 from helpers import (
+    augmented_jacobian_fields,
+    chain_family,
     d_psi,
     d_signature_entry,
     jacobian_flow_rde,
@@ -36,16 +37,6 @@ from helpers import (
 )
 
 A_INIT = np.array([0.4, -0.2, 0.7])
-
-
-def chain_family():
-    """V1 = d1, V2 = x1 d2 + x2 d3: [V1, V2] = d2, [[V1, V2], V2] = d3 and every
-    order-4 bracket vanishes, so it is 4-nilpotent with constant brackets and its
-    flows read the level-3 signature."""
-    return [
-        PolyVectorField(tuple(parse_polynomial(c, 3) for c in ("1", "0", "0"))),
-        PolyVectorField(tuple(parse_polynomial(c, 3) for c in ("0", "x1", "x2"))),
-    ]
 
 
 def max_gap(pairs):
@@ -136,7 +127,7 @@ class TestJacobianFlows:
             jacobian_flow_strichartz(
                 [grow, e1, PolyVectorField.zero(3)], fbm_path_d3, A_INIT, 1.0, 3
             )
-        # The base family's checks fire before the augmented family is built or checked.
+        # The family's checks fire before any flow runs.
         with pytest.raises(PreconditionError) as err:
             jacobian_path_strichartz([grow, e1, PolyVectorField.zero(3)], fbm_path_d3, A_INIT, 3)
         assert err.value.name == "constant brackets"
@@ -167,7 +158,7 @@ class TestJacobianFlows:
 
     def test_uncertified_family_takes_rk4_fallback(self, fbm_path_d3):
         sheared = sheared_yamato()
-        assert FieldFamily.of(sheared).augmented.flow_certificate(3) is None
+        assert FieldFamily.of(sheared).flow_certificate(3) is None
         a = np.array([0.1, -0.5, 0.8])
         ypath, jac = jacobian_path_strichartz(sheared, fbm_path_d3, a, 3, steps=64)
         y, J, Jb = jacobian_path_rk4(sheared, fbm_path_d3, a, 3, steps=64)
@@ -175,7 +166,7 @@ class TestJacobianFlows:
 
     def test_four_nilpotent_family_matches_rk4_oracle(self, fbm_path_d2):
         fields, a = chain_family(), np.array([0.3, -0.4, 0.2])
-        assert FieldFamily.of(fields).augmented.flow_certificate(4) is not None
+        assert FieldFamily.of(fields).flow_certificate(4) is not None
         ypath, jac = jacobian_path_strichartz(fields, fbm_path_d2, a, 4)
         y, J, Jb = jacobian_path_rk4(fields, fbm_path_d2, a, 4)
         assert max_gap([(ypath.values, y), (jac.J, J), (jac.J_inv, Jb)]) <= 1e-12
@@ -257,8 +248,15 @@ class TestSignatureDerivatives:
 class TestMalliavinDerivative:
     @pytest.mark.parametrize("shape", [(2,), (4,), (1, 3)])
     def test_wrong_initial_shape_raises(self, yamato, fbm_path_d3, shape):
-        with pytest.raises(DomainError):
-            malliavin_derivative(yamato, fbm_path_d3, np.zeros(shape), 0.5, 3, steps=4)
+        a = np.zeros(shape)
+        routes = (
+            lambda: malliavin_derivative(yamato, fbm_path_d3, a, 0.5, 3, steps=4),
+            lambda: malliavin_via_jacobian(yamato, fbm_path_d3, a, 0.5, 3, steps=4),
+            lambda: jacobian_path_strichartz(yamato, fbm_path_d3, a, 3, steps=4),
+        )
+        for route in routes:
+            with pytest.raises(DomainError, match=r"must be shape \(3,\), got"):
+                route()
 
     def test_steps_must_be_positive(self, yamato, fbm_path_d3):
         with pytest.raises(DomainError, match="steps must be >= 1"):
@@ -313,21 +311,12 @@ class TestMalliavinDerivative:
     @pytest.mark.parametrize("case", ["yamato", "sheared"])
     @pytest.mark.parametrize("t", [0.5, 1.0])
     @pytest.mark.parametrize("steps", [32, 128])
-    def test_level_blocks_match_the_step_loop(self, yamato, fbm_path_d3, case, t, steps):
-        # Sheared Yamato's brackets read their own components: one cyclic level.
+    def test_forced_flow_matches_the_step_loop(self, yamato, fbm_path_d3, case, t, steps):
+        # Yamato runs the exact polynomial route, where RK4 is exact too; sheared
+        # Yamato has no flow certificate and runs RK4 with ``steps`` steps.
         fields = yamato if case == "yamato" else sheared_yamato()
-        levels = FieldFamily.of(fields).bracket_stack(3).levels
-        assert levels == (((0, 1), (2,)) if case == "yamato" else None)
         got = malliavin_derivative(fields, fbm_path_d3, A_INIT, t, 3, steps=steps)
         want = malliavin_derivative_steps(fields, fbm_path_d3, A_INIT, t, 3, steps=steps)
-        assert np.max(np.abs(got.values - want.values)) <= 1e-14 * max(1.0, np.max(np.abs(want.values)))
-
-    def test_blocks_of_steps_carry_the_state(self, yamato, fbm_path_d3):
-        # Blocks of 5 steps: the last of the 7 blocks holds 2.
-        width = 1 + 64 * 3
-        with mock.patch.object(flows, "BLOCK_FLOATS", 5 * 4 * 3 * width):
-            got = malliavin_derivative(yamato, fbm_path_d3, A_INIT, 1.0, 3, steps=32)
-        want = malliavin_derivative_steps(yamato, fbm_path_d3, A_INIT, 1.0, 3, steps=32)
         assert np.max(np.abs(got.values - want.values)) <= 1e-14 * max(1.0, np.max(np.abs(want.values)))
 
     def test_hypothesis_gate(self, fbm_path_d3):
@@ -341,6 +330,28 @@ class TestMalliavinDerivative:
         with pytest.raises(PreconditionError) as err:
             malliavin_derivative(bad, fbm_path_d3, A_INIT, 1.0, 3)
         assert "constant" in err.value.name
+
+
+class TestFlowRoutes:
+    """The Jacobian and Malliavin flows run the route that ``flow_route`` records for the family."""
+
+    @pytest.mark.parametrize(
+        "case, n, route", [("yamato", 3, "polynomial"), ("chain", 4, "polynomial"), ("sheared", 3, "rk4")]
+    )
+    def test_route_run_is_the_route_recorded(self, case, n, route, yamato, fbm_path_d2, fbm_path_d3, monkeypatch):
+        fields = {"yamato": yamato, "chain": chain_family(), "sheared": sheared_yamato()}[case]
+        p = fbm_path_d2 if case == "chain" else fbm_path_d3
+        ran = []
+        for name, label in (("polynomial_flow", "polynomial"), ("rk4", "rk4")):
+            real = getattr(strichartz, name)
+            monkeypatch.setattr(strichartz, name, lambda *args, real=real, label=label: ran.append(label) or real(*args))
+        recorded = flow_route(FieldFamily.of(fields), n, 8)["route"]
+        jacobian_path_strichartz(fields, p, A_INIT, n, steps=8)
+        # The forward flow of exp(Z_t), then the backward one of exp(-Z_t).
+        assert ran == [recorded] * 2 == [route] * 2
+        ran.clear()
+        malliavin_derivative(fields, p, A_INIT, 0.5, n, steps=8)
+        assert ran == [recorded] == [route]
 
 
 class TestZProcesses:

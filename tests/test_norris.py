@@ -11,19 +11,25 @@ from roughflow.increments import Increment1
 from roughflow.liefields import FieldFamily, PolyVectorField, parse_polynomial
 from roughflow.norris import (
     TwoScale,
-    alpha,
     alpha_matrix,
     block_stats_mc,
     concentration_table,
-    hermite,
     hermite_moments,
-    isserlis_fourth_variation_moments,
     norris_dichotomy_mc,
     s_k,
-    sample_fourth_variation,
 )
 
-from helpers import block_stats, dichotomy_norms_augmented, interpolation_check, path_sup_norms, sheared_yamato
+from helpers import (
+    alpha,
+    block_stats,
+    dichotomy_norms_augmented,
+    hermite,
+    interpolation_check,
+    isserlis_fourth_variation_moments,
+    path_sup_norms,
+    sample_fourth_variation,
+    sheared_yamato,
+)
 
 
 class TestHermite:

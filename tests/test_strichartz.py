@@ -10,7 +10,7 @@ from roughflow.densitylab import flow_endpoint_samples, yamato_explicit_batch
 from roughflow.errors import BlowUpError, DomainError, PreconditionError
 from roughflow.fbm import HurstParam, SamplePath, TimeGrid, sample_fbm, sample_fbm_array
 from roughflow.flows import jacobian_path_strichartz, malliavin_via_jacobian
-from roughflow.liefields import CompiledField, FieldFamily, PolyVectorField, bracket_table, parse_polynomial
+from roughflow.liefields import CompiledField, FieldFamily, PolyVectorField, bracket_table, flow_certificate, parse_polynomial
 from roughflow.signature import batch_signature_levels, chen_concat, path_signature
 from roughflow import liefields, strichartz
 from roughflow.strichartz import (
@@ -18,12 +18,18 @@ from roughflow.strichartz import (
     descent_count,
     exp_flow_batch,
     flow_route,
+    frozen_flow,
+    polynomial_flow,
     psi_batch,
     rk4,
     strichartz_solve,
+    variational,
 )
 
 from helpers import (
+    augmented,
+    augmented_jacobian_fields,
+    chain_family,
     coefficient_abs_sum,
     frozen_field,
     prefix_signatures,
@@ -361,7 +367,7 @@ class TestFamilyFlow:
 
         warm = run()
         family = FieldFamily.of(yamato)
-        assert set(liefields._FAMILIES) == {family.key, family.augmented.key}
+        assert set(liefields._FAMILIES) == {family.key}
 
         def refuse(fields):
             raise AssertionError("a warm family was compiled again")
@@ -369,12 +375,12 @@ class TestFamilyFlow:
         monkeypatch.setattr(CompiledField, "stack", staticmethod(refuse))
         for before, after in zip(warm, run()):
             assert np.array_equal(before, after)
-        assert set(liefields._FAMILIES) == {family.key, family.augmented.key}
+        assert set(liefields._FAMILIES) == {family.key}
 
     @pytest.mark.parametrize("case, route", [("yamato", "polynomial"), ("augmented", "polynomial"), ("sheared", "rk4")])
     def test_route_run_is_the_route_recorded(self, case, route, yamato, rough_hurst, monkeypatch):
         base = FieldFamily.of(sheared_yamato() if case == "sheared" else yamato)
-        family = base.augmented if case == "augmented" else base
+        family = augmented(base) if case == "augmented" else base
         drivers = sample_fbm_array(rough_hurst, TimeGrid(1.0, 17), 3, 4, seed=7)
         weights = build_Z_batch(family, batch_signature_levels(drivers, 2), 3)
         ran = []
@@ -397,6 +403,40 @@ class TestFamilyFlow:
     def test_psi_rows_must_match_the_brackets(self, yamato):
         with pytest.raises(DomainError, match=r"psi must be \(4, n_paths\)"):
             exp_flow_batch(yamato, 3, np.ones((3, 2)), np.zeros(3))
+
+
+class TestVariational:
+    """The tangent columns of ``variational`` against the flow of the augmented (y, J, J^{-1}) fields."""
+
+    @given(fields=triangular_families(), seed=st.integers(0, 2**32 - 1))
+    @example(fields=chain_family(), seed=0)
+    @settings(max_examples=25, deadline=None)
+    def test_tangent_columns_match_the_augmented_flow(self, fields, seed):
+        certificate, aug = flow_certificate(fields), augmented_jacobian_fields(fields)
+        assert certificate is not None and flow_certificate(aug) is not None
+        rng = np.random.default_rng(seed)
+        n_paths, m = 4, fields[0].m
+        weights = rng.uniform(-1.0, 1.0, (len(fields), n_paths))
+        a = rng.uniform(-1.0, 1.0, (m, n_paths))
+        stack, eye = CompiledField.stack(fields), np.eye(m)
+
+        def tangent_flow(z, y0):
+            start = np.concatenate([y0[..., None], np.broadcast_to(eye[:, None], (m, n_paths, m))], axis=-1)
+            end = frozen_flow(variational(z), start, certificate, steps=1)
+            return end[..., 0], end[..., 1:].transpose(1, 0, 2)
+
+        y, J = tangent_flow(stack.weighted(weights), a)
+        J_inv = tangent_flow(stack.weighted(-weights), y)[1]
+        identity = np.broadcast_to(eye.reshape(m * m, 1), (m * m, n_paths))
+        start = np.vstack([a, identity, identity])
+        want = polynomial_flow(CompiledField.stack(aug).weighted(weights), start, *flow_certificate(aug))
+        blocks = (want[:m].T, want[m : m + m * m].T.reshape(n_paths, m, m), want[m + m * m :].T.reshape(n_paths, m, m))
+        for got, expect in zip((y.T, J, J_inv), blocks):
+            assert np.max(np.abs(got - expect) / np.maximum(1.0, np.abs(expect))) <= 1e-12
+
+    def test_chain_family_is_deep_and_of_high_degree(self):
+        # The explicit example above: depth 3 and degree 3.
+        assert flow_certificate(chain_family()) == (3, 3)
 
 
 def triangular_flow_closed_form(components, weights, a):
