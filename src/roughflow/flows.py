@@ -11,16 +11,18 @@ up to rounding, when the family has a flow certificate (Yamato's does), RK4
 otherwise.  A Davie pass over the joint (y, J, J^{-1}) system
 (``tests/helpers.jacobian_flow_rde``) is its independent cross-check.
 
-The Malliavin derivative D_u y_t is the derivative of exp(Z_t)(a) along
-D_u psi_t, which solves, in the flow parameter s,
+y_t depends on the driver only through the functionals psi_t^w of the
+brackets, so by the chain rule the Malliavin derivative is
 
-    d/ds D_u phi_s = grad Z_t(phi_s) D_u phi_s
-                     + V_j(phi_s) 1_{[0,t)}(u) e_j^T
-                     + sum_{k>=2, words w} D_u psi_t^w V_w(phi_s):
+    D_u y_t = sum_w E_t^w D_u psi_t^w,    E_t^w = d exp(Z_t)(a) / d psi^w:
 
-the variational flow of Z_t forced by the brackets weighted with D_u psi_t,
-one tangent column per (u, j), on the same route as the Jacobian.  The
-derivative of a signature entry splits at u:
+E_t is (m, W), one tangent column per bracket word w, of the variational
+flow of Z_t forced by the bracket V_w itself,
+
+    d/ds E^w_s = grad Z_t(phi_s) E^w_s + V_w(phi_s),    E^w_0 = 0,
+
+one flow of 1 + W columns whatever the grid, on the same route as the
+Jacobian.  The derivative of a signature entry splits at u:
 
     D^j_u B^{k, i_1..i_k}_{0t}
         = sum_{l: i_l = j} B^{l-1, i_1..i_{l-1}}_{0u} B^{k-l, i_{l+1}..i_k}_{ut}.
@@ -42,7 +44,7 @@ from .errors import DomainError
 from .fbm import SamplePath, TimeGrid
 from .liefields import FieldFamily, PolyVectorField
 from .signature import batch_signature_levels
-from .strichartz import DEFAULT_FLOW_STEPS, build_Z_batch, frozen_flow, psi_batch, variational
+from .strichartz import DEFAULT_FLOW_STEPS, _psi_terms, build_Z_batch, frozen_flow, psi_batch, variational
 
 
 @dataclass(frozen=True)
@@ -156,22 +158,23 @@ def split_signatures(p: SamplePath, k_t: int, level: int) -> tuple[list[np.ndarr
 def d_psi(prefixes: list[np.ndarray], suffixes: list[np.ndarray], words: list) -> np.ndarray:
     """D^j_u psi_t^w for each word at every tabulated u: (len(words), n_u, d).
 
-    The tables are those of ``split_signatures``.  Level k of D^j_u B^k_{0t} is
-    the sum over l of B^{l-1}_{0u} (x) e_j (x) B^{k-l}_{ut} (the empty word
-    counting 1), with the letter axes then j; ``psi_batch`` carries j along.
+    The tables are those of ``split_signatures``.  Each permuted entry
+    B^{k, v}_{0t} of the sum that ``psi_batch`` takes adds, at every position l,
+    its prefix B^{l-1, v_1..v_{l-1}}_{0u} times its suffix B^{k-l, v_{l+1}..v_k}_{ut}
+    at j = v_l, the empty word counting 1.
     """
-    n_u, d = prefixes[0].shape
-    eye = np.eye(d)[None, None, :, None, :]
-    pre = [np.ones((n_u, 1))] + [lvl.reshape(n_u, -1) for lvl in prefixes]
-    suf = [np.ones((n_u, 1))] + [lvl.reshape(n_u, -1) for lvl in suffixes]
-    levels = []
-    for k in range(1, len(prefixes) + 1):
-        total = sum(
-            (pre[l - 1][:, :, None, None, None] * eye * suf[k - l][:, None, None, :, None]).reshape(n_u, -1)
-            for l in range(1, k + 1)
-        )
-        levels.append(total.reshape((n_u,) + (d,) * (k + 1)))
-    return np.stack([psi_batch(levels, w) for w in words])
+
+    def entry(table: list[np.ndarray], letters: tuple[int, ...]):
+        return table[len(letters) - 1][(slice(None),) + letters] if letters else 1.0
+
+    out = np.zeros((len(words),) + prefixes[0].shape)
+    for q, word in enumerate(words):
+        w = tuple(int(i) - 1 for i in word)
+        for tau, coeff in _psi_terms(len(w)):
+            v = tuple(w[a - 1] for a in tau)
+            for l, j in enumerate(v):
+                out[q, :, j] += coeff * entry(prefixes, v[:l]) * entry(suffixes, v[l + 1 :])
+    return out
 
 
 def malliavin_derivative(
@@ -182,18 +185,17 @@ def malliavin_derivative(
     n: int,
     steps: int = DEFAULT_FLOW_STEPS,
 ) -> MalliavinSlice:
-    """D_u y_t for every grid u, by the forced variational flow of Z_t.
+    """D_u y_t for every grid u: the bracket columns E_t of the forced variational
+    flow of Z_t, contracted with D_u psi_t.
 
     Exact up to rounding when the family has a flow certificate; otherwise
-    RK4 with ``steps`` steps.  Requires constant brackets of order >= 2 (the
-    hypothesis that removes the gradient terms of the higher brackets from
-    the equation).
+    RK4 with ``steps`` steps, which is linear in the forcing, so the
+    contraction factors it the same way.  Requires constant brackets of
+    order >= 2, the paper's hypothesis.
     """
     family = FieldFamily.of(fields)
     family.require_constant_brackets(n)
     family.require_nilpotent(n)
-    if steps < 1:
-        raise DomainError(f"steps must be >= 1, got {steps}")
     m, d = family.m, family.d
     a = family.initial(a)
     grid = p.grid
@@ -207,15 +209,12 @@ def malliavin_derivative(
     prefixes, suffixes = split_signatures(p, k_t, n - 1)
     stack = family.bracket_stack(n)
     psi = np.array([psi_batch([lvl[k_t:] for lvl in prefixes], w)[0] for w in words])
-    # Forcing weights per (word, u_k, j) on the brackets V_w: D^j_{u_k} psi^w, for
-    # u_k < t only; D_u y_t = 0 for u >= t (adaptedness).
-    weights = d_psi(prefixes, suffixes, words)[:, :k_t].reshape(len(words), -1)
-    # Column 0 of the state is phi, column 1 + k d + j the derivative D^j_{u_k}.
-    start = np.zeros((m, 1 + k_t * d))
+    # Column 0 of the state is phi, column 1 + w the derivative along psi^w, forced by V_w.
+    start = np.zeros((m, 1 + len(words)))
     start[:, 0] = a
-    slope = variational(stack.weighted(psi), stack.weighted(weights))
-    state = frozen_flow(slope, start, family.flow_certificate(n), steps)
-    values[:k_t] = state[:, 1:].reshape(m, k_t, d).transpose(1, 0, 2)
+    state = frozen_flow(variational(stack.weighted(psi), stack), start, family.flow_certificate(n), steps)
+    # D_u y_t = 0 for u >= t (adaptedness).
+    values[:k_t] = np.einsum("iw,wuj->uij", state[:, 1:], d_psi(prefixes, suffixes, words)[:, :k_t])
     return MalliavinSlice(grid=grid, t=t, values=values)
 
 

@@ -184,26 +184,9 @@ class PolyVectorField:
     def m(self) -> int:
         return len(self.components)
 
-    def __add__(self, other: "PolyVectorField") -> "PolyVectorField":
-        if self.m != other.m:
-            raise DomainError("vector fields live on different spaces")
-        return PolyVectorField(
-            tuple(a + b for a, b in zip(self.components, other.components))
-        )
-
-    def __neg__(self) -> "PolyVectorField":
-        return PolyVectorField(tuple(-c for c in self.components))
-
-    def __sub__(self, other: "PolyVectorField") -> "PolyVectorField":
-        return self + (-other)
-
     @property
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.components)
-
-    @property
-    def degree(self) -> int:
-        return max(c.degree for c in self.components)
 
     @property
     def is_constant(self) -> bool:
@@ -231,13 +214,6 @@ class PolyVectorField:
     @staticmethod
     def zero(m: int) -> "PolyVectorField":
         return PolyVectorField(tuple(Polynomial.zero(m) for _ in range(m)))
-
-    @staticmethod
-    def from_arrays(m: int, entries: Sequence) -> "PolyVectorField":
-        """Constant field from a length-m vector of rationals."""
-        return PolyVectorField(
-            tuple(Polynomial.constant(m, e) for e in entries)
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -416,20 +392,6 @@ def bracket(v: PolyVectorField, w: PolyVectorField) -> PolyVectorField:
                         acc[e] = acc.get(e, 0) + c1 * c2
         comps.append(Polynomial(m, acc))
     return PolyVectorField(tuple(comps))
-
-
-def iterated_bracket(fields: Sequence[PolyVectorField], word: Iterable[int]) -> PolyVectorField:
-    """Left-nested bracket V_{i_1 ... i_k} = [V_{i_1} ... V_{i_k}]."""
-    w = [int(i) for i in word]
-    if not w:
-        raise DomainError("word must have length >= 1")
-    d = len(fields)
-    if any(not 1 <= i <= d for i in w):
-        raise DomainError(f"word {w} has letters outside 1..{d}")
-    acc = fields[w[0] - 1]
-    for i in w[1:]:
-        acc = bracket(acc, fields[i - 1])
-    return acc
 
 
 def is_nilpotent(fields: Sequence[PolyVectorField], n: int) -> tuple[bool, tuple[int, ...] | None]:

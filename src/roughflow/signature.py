@@ -75,25 +75,6 @@ class IteratedIntegrals:
         )
 
 
-def segment_signature(v: np.ndarray, n: int, s: float = 0.0, t: float = 1.0) -> IteratedIntegrals:
-    """Signature of a single linear segment with increment vector ``v``.
-
-    Level k is the tensor power v^{(x) k} / k!.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise DomainError("segment increment must be a vector")
-    if n < 1:
-        raise DomainError(f"truncation level must be >= 1, got {n}")
-    levels = []
-    current = v.copy()
-    for k in range(1, n + 1):
-        levels.append(current / math.factorial(k))
-        if k < n:
-            current = np.multiply.outer(current, v)
-    return IteratedIntegrals(s=s, t=t, d=v.shape[0], level=n, levels=levels)
-
-
 def chen_concat(a: IteratedIntegrals, b: IteratedIntegrals) -> IteratedIntegrals:
     """Chen concatenation of signatures over adjacent intervals."""
     if a.d != b.d or a.level != b.level:

@@ -66,8 +66,6 @@ def _psi_terms(k: int) -> tuple[tuple[tuple[int, ...], float], ...]:
 
 def rk4(rhs: Callable, y0, steps: int) -> np.ndarray:
     """Classical RK4 for the autonomous flow on s in [0, 1] of an array state."""
-    if steps < 1:
-        raise DomainError(f"steps must be >= 1, got {steps}")
     y = np.array(y0, dtype=float)
     h = 1.0 / steps
     for n in range(steps):
@@ -82,11 +80,7 @@ def rk4(rhs: Callable, y0, steps: int) -> np.ndarray:
 
 
 def psi_batch(levels: list[np.ndarray], word: Word) -> np.ndarray:
-    """psi^w for a batch of signatures (levels[k-1]: (n_paths, d, ..., d, *trailing)).
-
-    Axes after the k letter axes of level k ride along, so a table of
-    signature derivatives gives the derivatives of psi^w.
-    """
+    """psi^w for a batch of signatures (levels[k-1]: (n_paths, d, ..., d))."""
     w = tuple(int(i) for i in word)
     k = len(w)
     out = 0.0
@@ -226,7 +220,12 @@ def exp_flow_batch(
 
 def frozen_flow(z: Callable, y0: np.ndarray, certificate: tuple[int, int] | None, steps: int) -> np.ndarray:
     """Time-1 flow of the slope z from y0 (m, *batch): ``polynomial_flow`` under a flow
-    certificate, else RK4 with ``steps`` steps; overflow raises BlowUpError, unwarned."""
+    certificate, else RK4 with ``steps`` steps; overflow raises BlowUpError, unwarned.
+
+    ``steps`` must be >= 1 on either route, so that its check does not depend on the family.
+    """
+    if steps < 1:
+        raise DomainError(f"steps must be >= 1, got {steps}")
     with np.errstate(over="ignore", invalid="ignore"):
         if certificate is None:
             return rk4(z, y0, steps)

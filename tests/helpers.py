@@ -37,7 +37,6 @@ from roughflow.signature import (
     batch_signature_levels,
     chen_concat,
     path_signature,
-    segment_signature,
 )
 from roughflow.strichartz import DEFAULT_FLOW_STEPS, _psi_terms, build_Z_batch, exp_flow_batch, psi_batch
 
@@ -473,6 +472,26 @@ def batch_levy_prefix_loop(values):
     return out
 
 
+def segment_signature(v: np.ndarray, n: int, s: float = 0.0, t: float = 1.0) -> IteratedIntegrals:
+    """Signature of a single linear segment with increment vector ``v``.
+
+    Level k is the tensor power v^{(x) k} / k!: the per-segment factor of the
+    Chen folds below.
+    """
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1:
+        raise DomainError("segment increment must be a vector")
+    if n < 1:
+        raise DomainError(f"truncation level must be >= 1, got {n}")
+    levels = []
+    current = v.copy()
+    for k in range(1, n + 1):
+        levels.append(current / math.factorial(k))
+        if k < n:
+            current = np.multiply.outer(current, v)
+    return IteratedIntegrals(s=s, t=t, d=v.shape[0], level=n, levels=levels)
+
+
 def chen_fold(p: SamplePath, i: int, j: int, level: int) -> IteratedIntegrals:
     """Signature over [t_i, t_j] by one Chen concatenation per segment: the oracle of ``signature.path_signature``."""
     times = p.grid.times
@@ -686,6 +705,11 @@ def bracket_loop(v: PolyVectorField, w: PolyVectorField) -> PolyVectorField:
             acc = acc - w.components[l] * v.components[i].diff(l)
         comps.append(acc)
     return PolyVectorField(tuple(comps))
+
+
+def field_sum(*fields) -> PolyVectorField:
+    """Componentwise sum of fields on one space, for the bracket identities."""
+    return PolyVectorField(tuple(sum(cs[1:], cs[0]) for cs in zip(*(f.components for f in fields))))
 
 
 def iterated_bracket_loop(fields, word) -> PolyVectorField:

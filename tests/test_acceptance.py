@@ -41,7 +41,7 @@ from roughflow.norris import alpha_matrix, hermite_moments, norris_dichotomy_mc,
 from roughflow.signature import batch_signature_levels
 from roughflow.strichartz import build_Z_batch, exp_flow_batch, strichartz_solve
 
-from helpers import isserlis_fourth_variation_moments, sample_fourth_variation, triple_indices
+from helpers import field_sum, isserlis_fourth_variation_moments, sample_fourth_variation, triple_indices
 
 
 def report(num: int, name: str, detail: str):
@@ -190,12 +190,8 @@ def test_criterion_06_lie_algebra(yamato):
         assert hormander_rank(yamato, rng.standard_normal(3), 2) == 3
     for trial in range(50):
         u, v, w = (_random_cubic_field(2, rng) for _ in range(3))
-        assert (bracket(u, v) + bracket(v, u)).is_zero
-        jacobi = (
-            bracket(u, bracket(v, w))
-            + bracket(v, bracket(w, u))
-            + bracket(w, bracket(u, v))
-        )
+        assert field_sum(bracket(u, v), bracket(v, u)).is_zero
+        jacobi = field_sum(bracket(u, bracket(v, w)), bracket(v, bracket(w, u)), bracket(w, bracket(u, v)))
         assert jacobi.is_zero
     report(
         6,

@@ -14,7 +14,7 @@ from roughflow.flows import (
 from roughflow.liefields import FieldFamily, PolyVectorField, bracket, parse_polynomial
 from roughflow import strichartz
 from roughflow.strichartz import flow_route, strichartz_solve
-from roughflow.signature import path_signature
+from roughflow.signature import batch_signature_levels, path_signature
 
 from helpers import (
     augmented_jacobian_fields,
@@ -259,8 +259,19 @@ class TestMalliavinDerivative:
                 route()
 
     def test_steps_must_be_positive(self, yamato, fbm_path_d3):
-        with pytest.raises(DomainError, match="steps must be >= 1"):
-            malliavin_derivative(yamato, fbm_path_d3, A_INIT, 0.5, 3, steps=0)
+        # Yamato takes the certified route, which reads no steps; the check holds there too.
+        levels = batch_signature_levels(fbm_path_d3.values[None], 2)
+        psi_t = strichartz.build_Z_batch(yamato, levels, 3)
+        routes = (
+            lambda: malliavin_derivative(yamato, fbm_path_d3, A_INIT, 0.5, 3, steps=0),
+            lambda: malliavin_via_jacobian(yamato, fbm_path_d3, A_INIT, 0.5, 3, steps=0),
+            lambda: jacobian_path_strichartz(yamato, fbm_path_d3, A_INIT, 3, steps=0),
+            lambda: strichartz_solve(yamato, fbm_path_d3, A_INIT, 0.5, 3, steps=0),
+            lambda: strichartz.exp_flow_batch(yamato, 3, psi_t, A_INIT, steps=-5),
+        )
+        for route in routes:
+            with pytest.raises(DomainError, match="steps must be >= 1"):
+                route()
 
     def test_adaptedness(self, yamato, fbm_path_d3):
         ms = malliavin_derivative(yamato, fbm_path_d3, A_INIT, 0.5, 3, steps=64)
@@ -308,15 +319,20 @@ class TestMalliavinDerivative:
             expect = 2 * A_INIT[1] + 2 * (2 * b3[k] - b3[64])
             assert ms.values[k, 2, 1] == pytest.approx(expect, abs=1e-9)
 
-    @pytest.mark.parametrize("case", ["yamato", "sheared"])
+    @pytest.mark.parametrize("case", ["yamato", "sheared", "chain"])
     @pytest.mark.parametrize("t", [0.5, 1.0])
     @pytest.mark.parametrize("steps", [32, 128])
-    def test_forced_flow_matches_the_step_loop(self, yamato, fbm_path_d3, case, t, steps):
+    def test_forced_flow_matches_the_step_loop(self, yamato, fbm_path_d2, fbm_path_d3, case, t, steps):
         # Yamato runs the exact polynomial route, where RK4 is exact too; sheared
-        # Yamato has no flow certificate and runs RK4 with ``steps`` steps.
-        fields = yamato if case == "yamato" else sheared_yamato()
-        got = malliavin_derivative(fields, fbm_path_d3, A_INIT, t, 3, steps=steps)
-        want = malliavin_derivative_steps(fields, fbm_path_d3, A_INIT, t, 3, steps=steps)
+        # Yamato has no flow certificate and runs RK4 with ``steps`` steps; the
+        # 4-nilpotent chain is the one family with brackets of length 3.
+        fields, p, a, n = {
+            "yamato": (yamato, fbm_path_d3, A_INIT, 3),
+            "sheared": (sheared_yamato(), fbm_path_d3, A_INIT, 3),
+            "chain": (chain_family(), fbm_path_d2, np.array([0.3, -0.4, 0.2]), 4),
+        }[case]
+        got = malliavin_derivative(fields, p, a, t, n, steps=steps)
+        want = malliavin_derivative_steps(fields, p, a, t, n, steps=steps)
         assert np.max(np.abs(got.values - want.values)) <= 1e-14 * max(1.0, np.max(np.abs(want.values)))
 
     def test_hypothesis_gate(self, fbm_path_d3):
@@ -352,6 +368,19 @@ class TestFlowRoutes:
         ran.clear()
         malliavin_derivative(fields, p, A_INIT, 0.5, n, steps=8)
         assert ran == [recorded] == [route]
+
+    @pytest.mark.parametrize("case, n", [("yamato", 3), ("chain", 4), ("sheared", 3)])
+    def test_malliavin_flows_one_column_per_bracket(self, case, n, yamato, fbm_path_d2, fbm_path_d3, monkeypatch):
+        # phi and one tangent column per bracket word, whatever t and the grid.
+        fields = {"yamato": yamato, "chain": chain_family(), "sheared": sheared_yamato()}[case]
+        p = fbm_path_d2 if case == "chain" else fbm_path_d3
+        widths = []
+        real = flows.frozen_flow
+        monkeypatch.setattr(flows, "frozen_flow", lambda z, y0, *rest: widths.append(y0.shape) or real(z, y0, *rest))
+        for t in (0.5, 1.0):
+            malliavin_derivative(fields, p, A_INIT, t, n, steps=8)
+        family = FieldFamily.of(fields)
+        assert widths == [(family.m, 1 + len(family.brackets(n)))] * 2
 
 
 class TestZProcesses:

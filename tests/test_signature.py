@@ -7,14 +7,16 @@ from hypothesis import strategies as st
 
 from roughflow.errors import DomainError
 from roughflow.fbm import SamplePath, TimeGrid, sample_fbm, sample_fbm_array
-from roughflow.signature import (
-    batch_signature_levels,
-    chen_concat,
-    path_signature,
-    segment_signature,
-)
+from roughflow.signature import batch_signature_levels, chen_concat, path_signature
 
-from helpers import batch_levy_prefix_loop, batch_signature_levels_fold, chen_fold, levy_area, signature_scaling_check
+from helpers import (
+    batch_levy_prefix_loop,
+    batch_signature_levels_fold,
+    chen_fold,
+    levy_area,
+    segment_signature,
+    signature_scaling_check,
+)
 
 
 def simplex_oracle_level3(v, word, n_nodes=4001):

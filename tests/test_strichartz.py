@@ -154,7 +154,7 @@ class TestBuildZ:
 
     def test_yamato_assembly(self, yamato, fbm_path_d3):
         weights = build_Z_batch(yamato, signature_levels(fbm_path_d3, 2), 3)
-        assert max(fld.degree for fld in FieldFamily.of(yamato).brackets(3).values()) == 1
+        assert max(c.degree for fld in FieldFamily.of(yamato).brackets(3).values() for c in fld.components) == 1
         words = sorted(FieldFamily.of(yamato).brackets(3), key=lambda w: (len(w), w))
         assert words == [(2,), (3,), (2, 3), (3, 2)]
         # Z(y) = (psi^2, psi^3, 2 y2 psi^2 - 2 y1 psi^3 - 4 (psi^23 - psi^32)), psi by the oracle.
@@ -333,7 +333,7 @@ class TestBatchEngine:
         v2 = PolyVectorField((parse_polynomial("0", 2), parse_polynomial("x1^2", 2)))
         drivers = sample_fbm_array(rough_hurst, TimeGrid(1.0, 17), 2, 200, seed=6)
         weights = build_Z_batch([v1, v2], batch_signature_levels(drivers, 3), 4)
-        assert max(fld.degree for fld in FieldFamily.of([v1, v2]).brackets(4).values()) == 2
+        assert max(c.degree for fld in FieldFamily.of([v1, v2]).brackets(4).values() for c in fld.components) == 2
         a = np.random.default_rng(6).standard_normal((200, 2))  # one start per path
         fast = exp_flow_batch([v1, v2], 4, weights, a, steps=64)
         assert np.max(np.abs(fast - interpreted_exp_flow_batch([v1, v2], 4, weights, a, 64))) < 1e-12
