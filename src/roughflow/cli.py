@@ -40,12 +40,12 @@ from .strichartz import flow_route, strichartz_solve
 # ---------------------------------------------------------------------------
 
 
-def _schema(description: str, properties: dict, required: list[str]) -> dict:
+def _schema(description: str, properties: dict, required: tuple[str, ...] = ()) -> dict:
     return {
         "description": description,
         "type": "object",
         "properties": properties,
-        "required": required,
+        "required": list(required),
         "additionalProperties": False,
     }
 
@@ -84,7 +84,6 @@ def _flow(description: str, grid_points: int, steps: int) -> dict:
             "initial": _POINT,
             "seed": _SEED,
         },
-        ["fields", "hurst", "time", "grid_points", "level", "seed"],
     )
 
 
@@ -101,7 +100,6 @@ SCHEMAS = {
             "paths": _int(1, default=10),
             "seed": _SEED,
         },
-        ["hurst", "horizon", "grid_points", "dim", "paths", "seed"],
     ),
     "signature": _schema(
         "truncated signature of one sampled path",
@@ -115,7 +113,6 @@ SCHEMAS = {
             "t": _positive(),
             "seed": _SEED,
         },
-        ["hurst", "horizon", "grid_points", "dim", "level", "seed"],
     ),
     "sewing-test": _schema(
         "sewing-map norm and inversion residuals",
@@ -126,7 +123,6 @@ SCHEMAS = {
             "trials": _int(1, default=100),
             "seed": _SEED,
         },
-        ["mu", "grid_points", "trials", "seed"],
     ),
     "solve": _schema(
         "second-order RDE solve along a sampled driver",
@@ -138,7 +134,6 @@ SCHEMAS = {
             "initial": _POINT,
             "seed": _SEED,
         },
-        ["fields", "hurst", "horizon", "mesh_exp", "seed"],
     ),
     "check-fields": _schema(
         "bracket hypothesis checks for a field family",
@@ -150,7 +145,7 @@ SCHEMAS = {
             "up_to": _int(1, 5),
             "seed": _SEED,
         },
-        ["fields", "nilpotent", "seed"],
+        ("fields",),
     ),
     "strichartz": _flow("endpoint via the nilpotent flow representation", 65, 256),
     "jacobian": _flow("Jacobian flow path and residual checks", 65, 256),
@@ -164,7 +159,6 @@ SCHEMAS = {
             "paths": _int(1, default=2000),
             "seed": _SEED,
         },
-        ["hurst", "delta_exp", "ratio_exp", "paths", "seed"],
     ),
     "norris-mc": _schema(
         "smallness dichotomy Monte-Carlo probe",
@@ -178,7 +172,6 @@ SCHEMAS = {
             "grid_points": _grid(65),
             "seed": _SEED,
         },
-        ["fields", "hurst", "paths", "eps", "q", "horizon", "grid_points", "seed"],
     ),
     "density": _schema(
         "Monte-Carlo density probe of an endpoint component",
@@ -192,7 +185,6 @@ SCHEMAS = {
             "bandwidth": _positive(),
             "seed": _SEED,
         },
-        ["fields", "hurst", "time", "component", "paths", "grid_points", "seed"],
     ),
 }
 

@@ -143,7 +143,7 @@ def split_signatures(p: SamplePath, k_t: int, level: int) -> tuple[list[np.ndarr
     which at level 2 is B^2_{ut} = B^2_{0t} - B^2_{0u} - B^1_{0u} (x) B^1_{ut}, and
     exactly zero at u = t.
     """
-    prefixes = [lvl[:, 0] for lvl in batch_signature_levels(p.values[None], level, upto_idx=k_t, prefixes=True)]
+    prefixes = [lvl[:, 0] for lvl in batch_signature_levels(p.values[None, : k_t + 1], level, prefixes=True)]
     rows = k_t + 1
     pre = [lvl.reshape(rows, -1) for lvl in prefixes]
     suf: list[np.ndarray] = []

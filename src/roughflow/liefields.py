@@ -80,9 +80,6 @@ class Polynomial:
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
             if self.nvars != other.nvars:
@@ -139,20 +136,6 @@ class Polynomial:
         """Indices of the variables that occur in some term."""
         return frozenset(k for e in self.terms for k, p in enumerate(e) if p)
 
-    # -- evaluation ----------------------------------------------------------
-    def __call__(self, x) -> float | np.ndarray:
-        """Evaluate at a point (m,) or a batch of points (..., m)."""
-        x = np.asarray(x, dtype=float)
-        batch = x.ndim > 1
-        out = np.zeros(x.shape[:-1]) if batch else 0.0
-        for e, c in self.terms.items():
-            term = float(c)
-            for k, p in enumerate(e):
-                if p:
-                    term = term * x[..., k] ** p
-            out = out + term
-        return out
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -202,10 +185,6 @@ class PolyVectorField:
     def __call__(self, x) -> np.ndarray:
         """Evaluate at (m,) or batched (..., m) points; output matches."""
         return self.compiled.at(x)
-
-    def jacobian(self) -> list[list[Polynomial]]:
-        """Matrix of partials J[i][l] = d_l V^i, as polynomials."""
-        return [[c.diff(l) for l in range(self.m)] for c in self.components]
 
     def jacobian_at(self, x) -> np.ndarray:
         """Jacobian matrix evaluated at a point (m, m) or batch (..., m, m)."""
@@ -370,19 +349,17 @@ class CompiledField:
         return np.ascontiguousarray(np.moveaxis(jac, (0, 1), (-2, -1)))
 
 
-def bracket(v: PolyVectorField, w: PolyVectorField) -> PolyVectorField:
-    """Exact Lie bracket [V, W]^i = V^l d_l W^i - W^l d_l V^i.
+def _derivative_sum(terms: Sequence[tuple[int, PolyVectorField, PolyVectorField]]) -> PolyVectorField:
+    """Exact field sum over (sign, A, B) of sign * A^l d_l B^i, component by component.
 
-    Only the l with V^l (resp. W^l) nonzero and x_l in W^i (resp. V^i) contribute,
-    and the terms are summed in one exact table per component.
+    Only the l with A^l nonzero and x_l in B^i contribute, and the terms are
+    summed in one exact table per component.
     """
-    if v.m != w.m:
-        raise DomainError(f"bracket needs equal dimensions, got {v.m} and {w.m}")
-    m = v.m
+    m = terms[0][1].m
     comps = []
     for i in range(m):
         acc: dict[Exponent, Fraction] = {}
-        for sign, a, b in ((1, v, w), (-1, w, v)):
+        for sign, a, b in terms:
             target = b.components[i]
             for l in target.variables:
                 partial = [(e2, sign * e2[l] * c2) for e2, c2 in target.terms.items() if e2[l]]
@@ -394,23 +371,11 @@ def bracket(v: PolyVectorField, w: PolyVectorField) -> PolyVectorField:
     return PolyVectorField(tuple(comps))
 
 
-def is_nilpotent(fields: Sequence[PolyVectorField], n: int) -> tuple[bool, tuple[int, ...] | None]:
-    """True iff every order-n left-nested bracket vanishes identically.
-
-    On failure returns the first violating word (lexicographic) as witness:
-    ``bracket_table(fields, n + 1)`` holds exactly the nonzero brackets of order <= n.
-    """
-    if n < 2:
-        raise DomainError(f"nilpotency order must be >= 2, got {n}")
-    witness = next((w for w in bracket_table(fields, n + 1) if len(w) == n), None)
-    return witness is None, witness
-
-
-def constant_brackets(fields: Sequence[PolyVectorField], up_to: int) -> bool:
-    """True iff all brackets of order 2..up_to are constant vector fields."""
-    if up_to < 2:
-        raise DomainError(f"up_to must be >= 2, got {up_to}")
-    return all(b.is_constant for w, b in bracket_table(fields, up_to + 1).items() if len(w) >= 2)
+def bracket(v: PolyVectorField, w: PolyVectorField) -> PolyVectorField:
+    """Exact Lie bracket [V, W]^i = V^l d_l W^i - W^l d_l V^i."""
+    if v.m != w.m:
+        raise DomainError(f"bracket needs equal dimensions, got {v.m} and {w.m}")
+    return _derivative_sum(((1, v, w), (-1, w, v)))
 
 
 def dependency_levels(fields: Sequence[PolyVectorField]) -> tuple[tuple[int, ...], ...] | None:
@@ -589,7 +554,10 @@ class _Parser:
 
 def parse_polynomial(text: str, nvars: int) -> Polynomial:
     """Parse ``2*x2 - 4`` style expressions into an exact polynomial."""
-    return _Parser(text, nvars).parse()
+    try:
+        return _Parser(text, nvars).parse()
+    except RecursionError:
+        raise DomainError("polynomial nests too deeply") from None
 
 
 def parse_field_file(text: str) -> list[PolyVectorField]:
@@ -637,58 +605,9 @@ def fields_hash(fields: Sequence[PolyVectorField]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def bracket_table(fields: Sequence[PolyVectorField], n: int) -> dict[tuple[int, ...], PolyVectorField]:
-    """Left-nested brackets V_w for all words up to length n-1, by length, then lexicographic.
-
-    Zero brackets are pruned as the table is built level by level, so
-    nilpotent families stay cheap.
-    """
-    d = len(fields)
-    table: dict[tuple[int, ...], PolyVectorField] = {}
-    for i in range(1, d + 1):
-        fld = fields[i - 1]
-        if not fld.is_zero:
-            table[(i,)] = fld
-    for k in range(2, n):
-        for w in list(table):
-            if len(w) != k - 1:
-                continue
-            for i in range(1, d + 1):
-                b = bracket(table[w], fields[i - 1])
-                if not b.is_zero:
-                    table[w + (i,)] = b
-    return table
-
-
 def taylor_correction_fields(fields: Sequence[PolyVectorField]) -> list[list[PolyVectorField]]:
-    """Second-order scheme fields W[i][j] = grad V_j . V_i, exact."""
-    m = fields[0].m
-    out = []
-    for vi in fields:
-        row = []
-        for vj in fields:
-            jac = vj.jacobian()
-            comps = []
-            for a in range(m):
-                acc = Polynomial.zero(m)
-                for l in range(m):
-                    acc = acc + jac[a][l] * vi.components[l]
-                comps.append(acc)
-            row.append(PolyVectorField(tuple(comps)))
-        out.append(row)
-    return out
-
-
-def _covector_rows(jac: list[list[Polynomial]], total: int, first: int) -> list[Polynomial]:
-    """-(w grad V)_b = -sum_l w_l d_b V^l for b = 1..m, where w_l is variable first + l of R^total."""
-    m = len(jac)
-    out = []
-    for b_ in range(m):
-        acc = Polynomial.zero(total)
-        for l in range(m):
-            acc = acc + Polynomial.variable(total, first + l) * jac[l][b_].lift(total)
-        out.append(-acc)
-    return out
+    """Second-order scheme fields W[i][j] = grad V_j . V_i = V_i^l d_l V_j, exact."""
+    return [[_derivative_sum(((1, vi, vj),)) for vj in fields] for vi in fields]
 
 
 def cotangent_fields(fields: Sequence[PolyVectorField]) -> list[PolyVectorField]:
@@ -696,13 +615,17 @@ def cotangent_fields(fields: Sequence[PolyVectorField]) -> list[PolyVectorField]
 
     y occupies the first m slots and the row vector w the last m; w solves
     dw = -w grad V_i(y) dx^i, as each row of J_{0,t}^{-1} does, so w_0 = eta
-    gives w_t = eta^T J_{0,t}^{-1}.  The fields do not depend on eta.
+    gives w_t = eta^T J_{0,t}^{-1}.  Row b of dw is -d_b of the pairing
+    sum_l w_l V^l(y).  The fields do not depend on eta.
     """
     m = fields[0].m
-    return [
-        PolyVectorField(tuple(c.lift(2 * m) for c in v.components) + tuple(_covector_rows(v.jacobian(), 2 * m, m)))
-        for v in fields
-    ]
+    w = [tuple(int(k == l) for k in range(m)) for l in range(m)]  # the exponent of w_l
+    out = []
+    for v in fields:
+        pairing = Polynomial(2 * m, {e + w[l]: c for l, comp in enumerate(v.components) for e, c in comp.terms.items()})
+        rows = tuple(-pairing.diff(b) for b in range(m))
+        out.append(PolyVectorField(tuple(c.lift(2 * m) for c in v.components) + rows))
+    return out
 
 
 #: Field families ``FieldFamily.of`` keeps; the least recently used goes first.
@@ -718,9 +641,11 @@ class FieldFamily:
 
     Each member is built on first use and kept, so the exact work behind
     it (brackets, nilpotency, constancy, Taylor corrections) runs once per
-    family, however many paths reuse it.  Members are read-only: tuples,
-    mapping proxies and read-only compiled tables.  ``FieldFamily.of``
-    keeps one family per content (``fields_hash``).
+    family, however many paths reuse it.  The family is the one place the
+    bracket table is built: ``brackets(n)`` grows the kept ``brackets(n - 1)``
+    by one level, and the checks read the kept ``brackets(n + 1)``.  Members
+    are read-only: tuples, mapping proxies and read-only compiled tables.
+    ``FieldFamily.of`` keeps one family per content (``fields_hash``).
     """
 
     fields: tuple[PolyVectorField, ...]
@@ -760,12 +685,19 @@ class FieldFamily:
         return a
 
     def nilpotent(self, n: int) -> tuple[bool, tuple[int, ...] | None]:
-        """``is_nilpotent(fields, n)``: (ok, violating word or None)."""
-        return self._member(("nilpotent", n), lambda: is_nilpotent(self.fields, n))
+        """(ok, witness): ok iff ``brackets(n + 1)``, the nonzero brackets of order <= n,
+        has no word of length n; the witness is the first one (lexicographic), or None."""
+        if n < 2:
+            raise DomainError(f"nilpotency order must be >= 2, got {n}")
+        witness = next((w for w in self.brackets(n + 1) if len(w) == n), None)
+        return witness is None, witness
 
     def constant_brackets(self, n: int) -> bool:
-        """``constant_brackets(fields, n)``."""
-        return self._member(("constant", n), lambda: constant_brackets(self.fields, n))
+        """True iff all brackets of order 2..n, read off ``brackets(n + 1)``, are constant fields."""
+        if n < 2:
+            raise DomainError(f"up_to must be >= 2, got {n}")
+        brackets = self.brackets(n + 1)
+        return self._member(("constant", n), lambda: all(b.is_constant for w, b in brackets.items() if len(w) >= 2))
 
     def require_nilpotent(self, n: int) -> None:
         """Raise PreconditionError ``nilpotency`` unless the family is n-nilpotent."""
@@ -780,8 +712,22 @@ class FieldFamily:
             raise PreconditionError("brackets of order >= 2 are not constant", name="constant brackets")
 
     def brackets(self, n: int) -> Mapping[tuple[int, ...], PolyVectorField]:
-        """``bracket_table(fields, n)``, read-only."""
-        return self._member(("brackets", n), lambda: MappingProxyType(bracket_table(self.fields, n)))
+        """Left-nested brackets V_w of the nonzero words up to length n - 1 (the fields for
+        n <= 2), by length, then lexicographic, read-only: ``brackets(n - 1)`` grown by
+        one level, zero brackets pruned, so nilpotent families stay cheap."""
+
+        def build() -> Mapping:
+            if n <= 2:
+                return MappingProxyType({(i,): v for i, v in enumerate(self.fields, 1) if not v.is_zero})
+            table = dict(self.brackets(n - 1))
+            for w in [w for w in table if len(w) == n - 2]:
+                for i, v in enumerate(self.fields, 1):
+                    b = bracket(table[w], v)
+                    if not b.is_zero:
+                        table[w + (i,)] = b
+            return MappingProxyType(table)
+
+        return self._member(("brackets", n), build)
 
     def flow_certificate(self, n: int) -> tuple[int, int] | None:
         """``flow_certificate`` of ``brackets(n)``: it covers Z_t for every psi weighting.

@@ -104,17 +104,15 @@ def path_signature(p: SamplePath, s: float, t: float, n: int) -> IteratedIntegra
 # ---------------------------------------------------------------------------
 
 
-def batch_signature_levels(
-    values: np.ndarray, n: int, upto_idx: int | None = None, prefixes: bool = False
-) -> list[np.ndarray]:
+def batch_signature_levels(values: np.ndarray, n: int, prefixes: bool = False) -> list[np.ndarray]:
     """Signatures over [t_0, t_k] for a batch of piecewise-linear paths.
 
     ``values`` has shape (n_paths, n_points, d); returns per-level arrays of
-    shape (n_paths, d, ..., d) for the signature over the first ``upto_idx``
-    grid intervals (default: the whole path).  With ``prefixes`` each level is
-    instead (upto_idx + 1, n_paths, d, ..., d), time-major: the signature over
-    [t_0, t_j] for every j <= upto_idx, zero at j = 0.  Level k sums the Horner
-    form of Chen's update (Kidger & Lyons, ICLR 2021) over the segments m:
+    shape (n_paths, d, ..., d) for the signature over the whole path.  With
+    ``prefixes`` each level is instead (n_points, n_paths, d, ..., d),
+    time-major: the signature over [t_0, t_j] for every grid j, zero at j = 0.
+    Level k sums the Horner form of Chen's update (Kidger & Lyons, ICLR 2021)
+    over the segments m:
 
         G_m (x) D_m,  G_m = X^{k-1}_m + (... (X^1_m + D_m / k) (x) D_m / (k-1) ...) (x) D_m / 2,
 
@@ -124,12 +122,12 @@ def batch_signature_levels(
     segments and each path's result does not depend on the batch around it.
     """
     n_paths, n_points, d = values.shape
-    stop = n_points - 1 if upto_idx is None else upto_idx
-    if not 1 <= stop <= n_points - 1:
+    stop = n_points - 1
+    if stop < 1:
         raise DomainError(f"invalid segment count {stop}")
     if n < 1:
         raise DomainError(f"truncation level must be >= 1, got {n}")
-    x = values.transpose(1, 0, 2)[: stop + 1]
+    x = values.transpose(1, 0, 2)
     b = x - x[0] if prefixes else x[-1] - x[0]
     if d == 1:
         # A scalar path's signature is the exponential of its increment; matmul would

@@ -121,22 +121,18 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     W[l, k] is the integral over [0, s_l] of the k-th Lagrange basis polynomial
     on the nodes, so W f(s) integrates any f of degree < n exactly, and w f(s)
-    does so over [0, 1].  The nodes come from Golub-Welsch; W is built in the
-    Legendre basis, with the integral of P_j from -1 to x equal to
-    (P_{j+1}(x) - P_{j-1}(x)) / (2j + 1), since a Vandermonde inverse on the
-    nodes loses six digits near n = 15.
+    does so over [0, 1].  The nodes come from ``leggauss``; W is built in the
+    Legendre basis (``legint``), since a Vandermonde inverse on the nodes loses
+    six digits near n = 15.
     """
-    k = np.arange(1.0, n)
-    beta = k / np.sqrt(4.0 * k * k - 1.0)
-    x, vectors = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
-    w = vectors[0] ** 2
-    legendre = np.ones((n + 1, n))
-    legendre[1] = x
-    for j in range(1, n):
-        legendre[j + 1] = ((2 * j + 1) * x * legendre[j] - j * legendre[j - 1]) / (j + 1)
+    # Imported here, on the first certified flow, to keep numpy.polynomial off the CLI's import.
+    from numpy.polynomial.legendre import leggauss, legint, legval, legvander
+
+    x, weights = leggauss(n)
+    w = weights / 2
     # Lagrange basis k = w_k sum_j (2j + 1) P_j(x_k) P_j on [-1, 1]; s = (x + 1) / 2.
-    antiderivatives = np.vstack([x + 1.0, legendre[2:] - legendre[:-2]])
-    integrals = 0.5 * (antiderivatives.T @ legendre[:n]) * w
+    lagrange = (2 * np.arange(n) + 1)[:, None] * legvander(x, n - 1).T * w
+    integrals = 0.5 * legval(x, legint(lagrange, lbnd=-1)).T
     w.flags.writeable = integrals.flags.writeable = False
     return w, integrals
 

@@ -27,7 +27,6 @@ from roughflow.liefields import (
     FieldFamily,
     Polynomial,
     PolyVectorField,
-    _covector_rows,
     bracket,
     parse_polynomial,
 )
@@ -66,6 +65,26 @@ def frozen_field(fields, sig: IteratedIntegrals, n: int) -> CompiledField:
     brackets = family.brackets(n)
     stack = CompiledField.stack([PolyVectorField.zero(family.m), *brackets.values()])
     return stack.weighted([0.0] + [psi(sig, w) for w in brackets])
+
+
+def gauss_legendre_golub_welsch(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights w and integration matrix W of the n Gauss-Legendre nodes on [0, 1],
+    nodes by Golub-Welsch (``np.linalg.eigh``): the oracle of ``strichartz._gauss_legendre``.
+
+    W is built in the Legendre basis, with the integral of P_j from -1 to x equal
+    to (P_{j+1}(x) - P_{j-1}(x)) / (2j + 1).
+    """
+    k = np.arange(1.0, n)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    x, vectors = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+    w = vectors[0] ** 2
+    legendre = np.ones((n + 1, n))
+    legendre[1] = x
+    for j in range(1, n):
+        legendre[j + 1] = ((2 * j + 1) * x * legendre[j] - j * legendre[j - 1]) / (j + 1)
+    # Lagrange basis k = w_k sum_j (2j + 1) P_j(x_k) P_j on [-1, 1]; s = (x + 1) / 2.
+    antiderivatives = np.vstack([x + 1.0, legendre[2:] - legendre[:-2]])
+    return w, 0.5 * (antiderivatives.T @ legendre[:n]) * w
 
 
 def rk4_joint(rhs, y0: tuple, steps: int) -> tuple:
@@ -575,7 +594,7 @@ def augmented_jacobian_fields(fields) -> list[PolyVectorField]:
 
     out = []
     for v in fields:
-        jac = v.jacobian()  # jac[i][l] = d_l V^i, polynomials in y
+        jac = jacobian(v)  # jac[i][l] = d_l V^i, polynomials in y
         comps = [c.lift(total) for c in v.components]
         # dJ_{ab} = sum_l d_l V^a J_{lb}
         for a_ in range(m):
@@ -586,7 +605,7 @@ def augmented_jacobian_fields(fields) -> list[PolyVectorField]:
                 comps.append(acc)
         # dJinv = -Jinv grad V, one covector row of J^{-1} at a time
         for a_ in range(m):
-            comps += _covector_rows(jac, total, m + m * m + a_ * m)
+            comps += covector_rows(jac, total, m + m * m + a_ * m)
         out.append(PolyVectorField(tuple(comps)))
     return out
 
@@ -702,9 +721,113 @@ def bracket_loop(v: PolyVectorField, w: PolyVectorField) -> PolyVectorField:
         acc = Polynomial.zero(m)
         for l in range(m):
             acc = acc + v.components[l] * w.components[i].diff(l)
-            acc = acc - w.components[l] * v.components[i].diff(l)
+            acc = acc + -1 * w.components[l] * v.components[i].diff(l)
         comps.append(acc)
     return PolyVectorField(tuple(comps))
+
+
+def evaluate(poly: Polynomial, x) -> float | np.ndarray:
+    """A polynomial at a point (m,) or a batch of points (..., m), term by term in floats.
+
+    The interpreted oracle of the compiled evaluator.
+    """
+    x = np.asarray(x, dtype=float)
+    batch = x.ndim > 1
+    out = np.zeros(x.shape[:-1]) if batch else 0.0
+    for e, c in poly.terms.items():
+        term = float(c)
+        for k, p in enumerate(e):
+            if p:
+                term = term * x[..., k] ** p
+        out = out + term
+    return out
+
+
+def jacobian(v: PolyVectorField) -> list[list[Polynomial]]:
+    """Matrix of partials J[i][l] = d_l V^i, as polynomials."""
+    return [[c.diff(l) for l in range(v.m)] for c in v.components]
+
+
+def bracket_table(fields, n: int) -> dict[tuple[int, ...], PolyVectorField]:
+    """Left-nested brackets V_w for all words up to length n-1, by length, then lexicographic.
+
+    Built from scratch on every call: the per-call oracle of ``FieldFamily.brackets``,
+    which grows its kept table one level at a time.
+    """
+    d = len(fields)
+    table: dict[tuple[int, ...], PolyVectorField] = {}
+    for i in range(1, d + 1):
+        fld = fields[i - 1]
+        if not fld.is_zero:
+            table[(i,)] = fld
+    for k in range(2, n):
+        for w in list(table):
+            if len(w) != k - 1:
+                continue
+            for i in range(1, d + 1):
+                b = bracket(table[w], fields[i - 1])
+                if not b.is_zero:
+                    table[w + (i,)] = b
+    return table
+
+
+def is_nilpotent(fields, n: int) -> tuple[bool, tuple[int, ...] | None]:
+    """True iff every order-n left-nested bracket vanishes identically, with the first
+    violating word as witness: the per-call oracle of ``FieldFamily.nilpotent``."""
+    if n < 2:
+        raise DomainError(f"nilpotency order must be >= 2, got {n}")
+    witness = next((w for w in bracket_table(fields, n + 1) if len(w) == n), None)
+    return witness is None, witness
+
+
+def constant_brackets(fields, up_to: int) -> bool:
+    """True iff all brackets of order 2..up_to are constant: the per-call oracle of
+    ``FieldFamily.constant_brackets``."""
+    if up_to < 2:
+        raise DomainError(f"up_to must be >= 2, got {up_to}")
+    return all(b.is_constant for w, b in bracket_table(fields, up_to + 1).items() if len(w) >= 2)
+
+
+def taylor_correction_fields_loop(fields) -> list[list[PolyVectorField]]:
+    """W[i][j] = grad V_j . V_i by polynomial arithmetic over the Jacobian of V_j:
+    the oracle of ``liefields.taylor_correction_fields``."""
+    m = fields[0].m
+    out = []
+    for vi in fields:
+        row = []
+        for vj in fields:
+            jac = jacobian(vj)
+            comps = []
+            for a in range(m):
+                acc = Polynomial.zero(m)
+                for l in range(m):
+                    acc = acc + jac[a][l] * vi.components[l]
+                comps.append(acc)
+            row.append(PolyVectorField(tuple(comps)))
+        out.append(row)
+    return out
+
+
+def covector_rows(jac: list[list[Polynomial]], total: int, first: int) -> list[Polynomial]:
+    """-(w grad V)_b = -sum_l w_l d_b V^l for b = 1..m, where w_l is variable first + l of R^total."""
+    m = len(jac)
+    out = []
+    for b_ in range(m):
+        acc = Polynomial.zero(total)
+        for l in range(m):
+            acc = acc + Polynomial.variable(total, first + l) * jac[l][b_].lift(total)
+        out.append(-acc)
+    return out
+
+
+def cotangent_fields_loop(fields) -> list[PolyVectorField]:
+    """The cotangent lift (y, w) on R^{2m} row by row from the Jacobian:
+    the oracle of ``liefields.cotangent_fields``."""
+    m = fields[0].m
+    return [
+        PolyVectorField(tuple(c.lift(2 * m) for c in v.components) + tuple(covector_rows(jacobian(v), 2 * m, m)))
+        for v in fields
+    ]
 
 
 def field_sum(*fields) -> PolyVectorField:

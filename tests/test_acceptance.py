@@ -30,12 +30,11 @@ from roughflow.increments import (
     sewing,
 )
 from roughflow.liefields import (
+    FieldFamily,
     Polynomial,
     PolyVectorField,
     bracket,
-    constant_brackets,
     hormander_rank,
-    is_nilpotent,
 )
 from roughflow.norris import alpha_matrix, hermite_moments, norris_dichotomy_mc, s_k
 from roughflow.signature import batch_signature_levels
@@ -182,9 +181,9 @@ def _random_cubic_field(m, rng):
 
 def test_criterion_06_lie_algebra(yamato):
     """Exact bracket hypotheses for the example family; field identities."""
-    ok, witness = is_nilpotent(yamato, 3)
+    ok, witness = FieldFamily.of(yamato).nilpotent(3)
     assert ok and witness is None
-    assert constant_brackets(yamato, 3)
+    assert FieldFamily.of(yamato).constant_brackets(3)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(55)))
     for _ in range(10):
         assert hormander_rank(yamato, rng.standard_normal(3), 2) == 3

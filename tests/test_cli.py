@@ -145,6 +145,13 @@ def test_schema_is_valid_against_its_metaschema(command):
     validator_for(schema).check_schema(schema)
 
 
+@pytest.mark.parametrize("command", sorted(SCHEMAS))
+def test_required_keys_have_no_default(command):
+    # resolve_config fills every default first, so a required key with a default could never be missing.
+    schema = SCHEMAS[command]
+    assert all("default" not in schema["properties"][key] for key in schema["required"])
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -202,6 +209,17 @@ def test_field_file_header_must_be_positive_integers(header, tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_deeply_nested_field_file_exits_two(tmp_path):
+    deep = tmp_path / "deep.vf"
+    deep.write_text("1 1\n" + "(" * 3000 + "x1" + ")" * 3000 + "\n")
+    argv = ["check-fields", "--fields", str(deep), "--out", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-m", "roughflow.cli", *argv], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == ["config error: polynomial nests too deeply"]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("point", ["0", "0,0", "0,0,0,0"])

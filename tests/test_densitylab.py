@@ -20,7 +20,7 @@ from roughflow.densitylab import (
 )
 from roughflow.errors import DomainError, PreconditionError
 from roughflow.fbm import SamplePath, TimeGrid, sample_fbm_array
-from roughflow.liefields import PolyVectorField, constant_brackets, hormander_rank, is_nilpotent, parse_polynomial
+from roughflow.liefields import FieldFamily, PolyVectorField, hormander_rank, parse_polynomial
 from roughflow.strichartz import strichartz_solve
 
 from helpers import batch_levy_prefix_loop, flow_endpoint_samples_whole, sheared_yamato, yamato_explicit
@@ -33,8 +33,8 @@ class TestYamatoFields:
         assert [str(c) for c in yamato[2].components] == ["0", "1", "-2*x1"]
 
     def test_hypotheses_hold(self, yamato):
-        assert is_nilpotent(yamato, 3)[0]
-        assert constant_brackets(yamato, 3)
+        assert FieldFamily.of(yamato).nilpotent(3)[0]
+        assert FieldFamily.of(yamato).constant_brackets(3)
         assert hormander_rank(yamato, [1.0, 1.0, 1.0], 2) == 3
 
     def test_check_hypotheses_report(self, yamato, rng):

@@ -16,14 +16,11 @@ from roughflow.liefields import (
     Polynomial,
     PolyVectorField,
     bracket,
-    bracket_table,
-    constant_brackets,
     cotangent_fields,
     dependency_levels,
     flow_certificate,
     format_field_file,
     hormander_rank,
-    is_nilpotent,
     parse_field_file,
     parse_polynomial,
     taylor_correction_fields,
@@ -33,10 +30,18 @@ from helpers import (
     augmented,
     augmented_jacobian_fields,
     bracket_loop,
+    bracket_table,
+    chain_family,
+    constant_brackets,
     constant_brackets_loop,
+    cotangent_fields_loop,
+    evaluate,
     field_sum,
+    is_nilpotent,
     is_nilpotent_loop,
+    jacobian,
     sheared_yamato,
+    taylor_correction_fields_loop,
     triangular_families,
 )
 
@@ -82,9 +87,9 @@ class TestPolynomial:
         p = parse_polynomial("2*x1^2 - 3*x2 + 1/2", 2)
         q = parse_polynomial("x1*x2", 2)
         s = p * q
-        assert s((1.0, 2.0)) == pytest.approx(p((1.0, 2.0)) * q((1.0, 2.0)))
-        assert p.diff(0)((3.0, 0.0)) == pytest.approx(12.0)
-        assert p.diff(1)((3.0, 0.0)) == pytest.approx(-3.0)
+        assert evaluate(s, (1.0, 2.0)) == pytest.approx(evaluate(p, (1.0, 2.0)) * evaluate(q, (1.0, 2.0)))
+        assert evaluate(p.diff(0), (3.0, 0.0)) == pytest.approx(12.0)
+        assert evaluate(p.diff(1), (3.0, 0.0)) == pytest.approx(-3.0)
 
     def test_degree_and_predicates(self):
         assert parse_polynomial("0", 2).is_zero
@@ -95,7 +100,7 @@ class TestPolynomial:
     def test_batch_evaluation(self, rng):
         p = parse_polynomial("x1^2 - 2*x2", 2)
         xs = rng.standard_normal((10, 2))
-        vals = p(xs)
+        vals = evaluate(p, xs)
         assert vals.shape == (10,)
         assert vals[3] == pytest.approx(xs[3, 0] ** 2 - 2 * xs[3, 1])
 
@@ -103,7 +108,7 @@ class TestPolynomial:
         p = parse_polynomial("x1*x2 - 3", 2)
         lifted = p.lift(5, offset=1)
         x = rng.standard_normal(5)
-        assert lifted(x) == pytest.approx(p(x[1:3]))
+        assert evaluate(lifted, x) == pytest.approx(evaluate(p, x[1:3]))
 
     def test_exact_rational_coefficients(self):
         p = parse_polynomial("1/3*x1", 1)
@@ -131,11 +136,11 @@ class TestCompiledField:
         z = CompiledField.stack(fields).weighted(w)
         # Oracle: the interpreted Polynomial evaluator and the exact partials.
         expect = sum(
-            w[f][:, None] * np.stack([c(x) for c in fld.components], axis=-1)
+            w[f][:, None] * np.stack([evaluate(c, x) for c in fld.components], axis=-1)
             for f, fld in enumerate(fields)
         )
         jexpect = sum(
-            w[f][:, None, None] * np.array([[d(x) for d in row] for row in fld.jacobian()]).transpose(2, 0, 1)
+            w[f][:, None, None] * np.array([[evaluate(d, x) for d in row] for row in jacobian(fld)]).transpose(2, 0, 1)
             for f, fld in enumerate(fields)
         )
         assert np.allclose(z(x.T).T, expect, rtol=1e-12, atol=1e-12)
@@ -306,6 +311,32 @@ class TestFieldFamily:
                     moved = {e[:m] + e[start : start + m]: c for e, c in terms.items()}
                     assert v_lift.components[m + b].terms == moved
 
+    @pytest.mark.parametrize("name, n", [("yamato", 3), ("chain", 4)])
+    def test_each_bracket_word_is_built_once(self, name, n, monkeypatch):
+        fields = {"yamato": yamato_fields, "chain": chain_family}[name]()
+        family = FieldFamily(tuple(fields), f"spy-{name}")  # a fresh family, not the kept one
+        calls = []
+        kernel = liefields._derivative_sum
+        monkeypatch.setattr(liefields, "_derivative_sum", lambda terms: calls.append(terms) or kernel(terms))
+        family.nilpotent(n)
+        family.constant_brackets(n)
+        family.brackets(n)
+        family.bracket_stack(n)
+        hormander_rank(family, np.zeros(family.m), n)
+        table = family.brackets(n + 1)
+        # Each kernel call is the bracket [V_w, V_i] of one word w + (i,), read back by identity.
+        word = {id(b): w for w, b in table.items()}
+        letter = {id(v): i for i, v in enumerate(fields, 1)}
+        built = [word[id(terms[0][1])] + (letter[id(terms[0][2])],) for terms in calls]
+        assert len(built) == len(set(built))
+        assert set(built) == {w + (i,) for w in table if len(w) < n for i in range(1, len(fields) + 1)}
+
+    @pytest.mark.parametrize("name", [*sorted(ORACLE_FAMILIES), "chain", "sheared"])
+    def test_derived_fields_equal_the_loop_versions(self, name):
+        fields = {**ORACLE_FAMILIES, "chain": chain_family, "sheared": sheared_yamato}[name]()
+        assert taylor_correction_fields(fields) == taylor_correction_fields_loop(fields)
+        assert cotangent_fields(fields) == cotangent_fields_loop(fields)
+
     def test_members_are_kept_and_read_only(self, yamato):
         family = FieldFamily.of(yamato)
         assert family.brackets(3) is family.brackets(3)
@@ -387,14 +418,16 @@ class TestBracketOracle:
             assert is_nilpotent(fields, n) == is_nilpotent_loop(fields, n)
             assert constant_brackets(fields, n) == constant_brackets_loop(fields, n)
             assert FieldFamily.of(fields).nilpotent(n) == is_nilpotent_loop(fields, n)
+            assert FieldFamily.of(fields).constant_brackets(n) == constant_brackets_loop(fields, n)
 
     def test_augmented_yamato_is_certified_exactly(self):
         aug = augmented_jacobian_fields(yamato_fields())
         for v in aug:
             assert bracket(aug[0], v) == bracket_loop(aug[0], v)
-        assert is_nilpotent(aug, 3) == is_nilpotent_loop(aug, 3) == (True, None)
-        assert is_nilpotent(aug, 2) == is_nilpotent_loop(aug, 2)
-        assert not is_nilpotent(aug, 2)[0]
+        family = FieldFamily.of(aug)
+        assert family.nilpotent(3) == is_nilpotent_loop(aug, 3) == (True, None)
+        assert family.nilpotent(2) == is_nilpotent_loop(aug, 2)
+        assert not family.nilpotent(2)[0]
 
 
 class TestFlowCertificate:
@@ -524,32 +557,32 @@ class TestBracket:
 
 class TestHypothesisCheckers:
     def test_yamato_is_three_nilpotent(self, yamato):
-        ok, witness = is_nilpotent(yamato, 3)
+        ok, witness = FieldFamily.of(yamato).nilpotent(3)
         assert ok and witness is None
 
     def test_yamato_not_two_nilpotent(self, yamato):
-        ok, witness = is_nilpotent(yamato, 2)
+        ok, witness = FieldFamily.of(yamato).nilpotent(2)
         assert not ok
         assert witness == (2, 3)
 
     def test_single_field_trivially_nilpotent(self, rng):
         v = random_field(2, 2, rng)
-        ok, _ = is_nilpotent([v], 2)
+        ok, _ = FieldFamily.of([v]).nilpotent(2)
         assert ok
 
     def test_nilpotency_is_monotone_in_order(self, yamato):
         for n in (3, 4, 5):
-            assert is_nilpotent(yamato, n)[0]
+            assert FieldFamily.of(yamato).nilpotent(n)[0]
 
     def test_constant_brackets(self, yamato):
-        assert constant_brackets(yamato, 3)
+        assert FieldFamily.of(yamato).constant_brackets(3)
         v1 = PolyVectorField((parse_polynomial("x2", 2), parse_polynomial("0", 2)))
         v2 = PolyVectorField((parse_polynomial("0", 2), parse_polynomial("1", 2)))
-        assert constant_brackets([v1, v2], 2)
+        assert FieldFamily.of([v1, v2]).constant_brackets(2)
         # A genuinely nonconstant bracket: [w1, e1] has component -2 x1.
         w1 = PolyVectorField((parse_polynomial("x1^2", 2), parse_polynomial("0", 2)))
         e1 = PolyVectorField((parse_polynomial("1", 2), parse_polynomial("0", 2)))
-        assert not constant_brackets([w1, e1], 2)
+        assert not FieldFamily.of([w1, e1]).constant_brackets(2)
 
     def test_hormander_rank_yamato(self, yamato, rng):
         assert hormander_rank(yamato, [0.0, 0.0, 0.0], 2) == 3
@@ -599,7 +632,8 @@ class TestParsing:
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "2", "2 2\nx1", "1 1\nx2", "1 1\n2.5", "1 1\n2*", "1 1\n(x1", "1 1\n1/0", "1 1\nx1 - 0/0"],
+        ["", "2", "2 2\nx1", "1 1\nx2", "1 1\n2.5", "1 1\n2*", "1 1\n(x1", "1 1\n1/0", "1 1\nx1 - 0/0"]
+        + [pytest.param("1 1\n" + "(" * 3000 + "x1" + ")" * 3000, id="nested-past-the-recursion-limit")],
     )
     def test_malformed_files_rejected(self, bad):
         with pytest.raises(DomainError):
@@ -627,4 +661,4 @@ class TestParsing:
         a = parse_polynomial("x1^2", 1)
         b = parse_polynomial("x1**2", 1)
         c = parse_polynomial("x1*x1", 1)
-        assert (a - b).is_zero and (a - c).is_zero
+        assert a == b == c

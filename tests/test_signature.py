@@ -224,10 +224,10 @@ class TestBatchEngines:
     )
     @settings(max_examples=60, deadline=None)
     def test_levels_match_chen_fold(self, seed, n, d, n_points, n_paths, data):
-        stop = data.draw(st.one_of(st.none(), st.integers(1, n_points - 1)), label="upto_idx")
+        stop = data.draw(st.one_of(st.none(), st.integers(1, n_points - 1)), label="stop")
         steps = np.random.default_rng(seed).standard_normal((n_paths, n_points - 1, d))
         vals = np.concatenate([np.zeros((n_paths, 1, d)), np.cumsum(steps, axis=1)], axis=1)
-        got = batch_signature_levels(vals, n, stop)
+        got = batch_signature_levels(vals[:, : None if stop is None else stop + 1], n)
         want = batch_signature_levels_fold(vals, n, stop)
         for k in range(n):
             assert got[k].shape == (n_paths,) + (d,) * (k + 1)
@@ -244,11 +244,11 @@ class TestBatchEngines:
     )
     @settings(max_examples=30, deadline=None)
     def test_prefix_levels_match_chen_fold_at_every_time(self, seed, n, d, n_points, n_paths, data):
-        stop = data.draw(st.one_of(st.none(), st.integers(1, n_points - 1)), label="upto_idx")
+        stop = data.draw(st.one_of(st.none(), st.integers(1, n_points - 1)), label="stop")
         steps = np.random.default_rng(seed).standard_normal((n_paths, n_points - 1, d))
         vals = np.concatenate([np.zeros((n_paths, 1, d)), np.cumsum(steps, axis=1)], axis=1)
-        got = batch_signature_levels(vals, n, stop, prefixes=True)
-        rows = (n_points if stop is None else stop + 1)
+        rows = n_points if stop is None else stop + 1
+        got = batch_signature_levels(vals[:, :rows], n, prefixes=True)
         for j in range(rows):
             want = batch_signature_levels_fold(vals, n, j) if j else None
             for k in range(n):
@@ -275,10 +275,8 @@ class TestBatchEngines:
         vals = np.zeros((2, 5, 2))
         with pytest.raises(DomainError):
             batch_signature_levels(vals, 0)
-        with pytest.raises(DomainError):
-            batch_signature_levels(vals, 2, upto_idx=0)
-        with pytest.raises(DomainError):
-            batch_signature_levels(vals, 2, upto_idx=5)
+        with pytest.raises(DomainError, match="invalid segment count"):
+            batch_signature_levels(vals[:, :1], 2)
 
     def test_levy_prefix_matches_segment_loop(self, rough_hurst):
         drivers = sample_fbm_array(rough_hurst, TimeGrid(1.0, 65), 3, 50, seed=9)

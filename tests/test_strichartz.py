@@ -10,7 +10,7 @@ from roughflow.densitylab import flow_endpoint_samples, yamato_explicit_batch
 from roughflow.errors import BlowUpError, DomainError, PreconditionError
 from roughflow.fbm import HurstParam, SamplePath, TimeGrid, sample_fbm, sample_fbm_array
 from roughflow.flows import jacobian_path_strichartz, malliavin_via_jacobian
-from roughflow.liefields import CompiledField, FieldFamily, PolyVectorField, bracket_table, flow_certificate, parse_polynomial
+from roughflow.liefields import CompiledField, FieldFamily, PolyVectorField, flow_certificate, parse_polynomial
 from roughflow.signature import batch_signature_levels, chen_concat, path_signature
 from roughflow import liefields, strichartz
 from roughflow.strichartz import (
@@ -31,7 +31,9 @@ from helpers import (
     augmented_jacobian_fields,
     chain_family,
     coefficient_abs_sum,
+    evaluate,
     frozen_field,
+    gauss_legendre_golub_welsch,
     prefix_signatures,
     psi,
     sheared_yamato,
@@ -66,7 +68,7 @@ def interpreted_exp_flow_batch(fields, n, weights, a, steps):
     """The term-by-term route the compiled batched flow replaced (its oracle).
 
     Every RK4 stage reads each bracket field's exact Fraction polynomials
-    through ``Polynomial.__call__`` and weights it by the per-path psi.
+    through ``helpers.evaluate`` and weights it by the per-path psi.
     """
     terms = list(zip(FieldFamily.of(fields).brackets(n).values(), weights))
     n_paths, m = weights.shape[1], terms[0][0].m
@@ -74,7 +76,7 @@ def interpreted_exp_flow_batch(fields, n, weights, a, steps):
     def rhs(y):
         out = np.zeros_like(y)
         for fld, scalars in terms:
-            out += scalars[:, None] * np.stack([c(y) for c in fld.components], axis=-1)
+            out += scalars[:, None] * np.stack([evaluate(c, y) for c in fld.components], axis=-1)
         return out
 
     return rk4(rhs, np.broadcast_to(np.asarray(a, dtype=float), (n_paths, m)).copy(), steps)
@@ -201,7 +203,7 @@ class TestBuildZ:
             build_Z_batch(yamato, signature_levels(fbm_path_d2, 2), 3)
 
     def test_bracket_table_prunes_zeros(self, yamato):
-        table = bracket_table(yamato, 3)
+        table = FieldFamily.of(yamato).brackets(3)
         assert (1,) not in table  # the zero field never enters
         assert set(table) == {(2,), (3,), (2, 3), (3, 2)}
 
@@ -500,6 +502,17 @@ class TestPolynomialFlow:
         assert np.max(np.abs(weighted_flow(fields, weights, a) - exact)) <= 1e-13 * max(1.0, np.max(np.abs(exact)))
         monkeypatch.setattr(strichartz, "gauss_nodes", lambda degree: nodes - 1)
         assert np.max(np.abs(weighted_flow(fields, weights, a) - exact)) > 1e-6
+
+    def test_gauss_legendre_tables_match_golub_welsch(self):
+        for n in range(1, 21):
+            w, integrals = strichartz._gauss_legendre(n)
+            w_gw, integrals_gw = gauss_legendre_golub_welsch(n)
+            assert np.max(np.abs(w - w_gw)) <= 2e-15
+            assert np.max(np.abs(integrals - integrals_gw)) <= 2e-15
+            assert not w.flags.writeable and not integrals.flags.writeable
+        # Yamato's flows need one node, where both give the same bits.
+        for got, want in zip(strichartz._gauss_legendre(1), gauss_legendre_golub_welsch(1)):
+            assert np.array_equal(got, want)
 
     def test_uncertified_dilation_keeps_fourth_order_rk4(self):
         weights = np.array([0.5, -1.0, 1.5])
