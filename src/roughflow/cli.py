@@ -32,8 +32,8 @@ from .increments import Increment2, delta2, holder_norm, holder_norm_c3, sewing
 from .liefields import FieldFamily, PolyVectorField, fields_hash, hormander_rank, parse_field_file
 from .norris import TwoScale, block_stats_mc, concentration_table, hermite_moments, norris_dichotomy_mc, s_k
 from .reporting import svg_line_plot, write_csv, write_json, write_manifest
-from .signature import path_signature
-from .strichartz import flow_route, strichartz_solve
+from .signature import batch_signature_levels, path_signature
+from .strichartz import build_Z_batch, exp_flow_batch, flow_route, strichartz_solve
 
 # ---------------------------------------------------------------------------
 # Config plumbing
@@ -118,7 +118,7 @@ SCHEMAS = {
         "sewing-map norm and inversion residuals",
         {
             "mu": {"type": "number", "exclusiveMinimum": 1.0, "maximum": 2.0, "default": 1.2},
-            # A triple needs three points; the triple table grows as n^3 (278 MB peak at 257).
+            # A triple needs three points; the triple table grows as n^3 (278.5 MB peak RSS at 257, 3 trials).
             "grid_points": _int(3, 257, 65),
             "trials": _int(1, default=100),
             "seed": _SEED,
@@ -413,14 +413,13 @@ def run_jacobian(config: dict, outdir: Path, fields: list[PolyVectorField]) -> N
         for k, t in enumerate(grid.times)
     ]
     write_csv(outdir / "jacobian.csv", header, rows)
+    # Central differences of y_T in a: the 2m starts a +- eps e_k as one batch on the path's psi.
     eps = 1e-4
-    fd = np.empty((m, m))
-    for k in range(m):
-        e = np.zeros(m)
-        e[k] = eps
-        hi = strichartz_solve(fields, p, initial + e, config["time"], config["level"], steps=config["steps"])
-        lo = strichartz_solve(fields, p, initial - e, config["time"], config["level"], steps=config["steps"])
-        fd[:, k] = (hi - lo) / (2 * eps)
+    family, n = FieldFamily.of(fields), config["level"]
+    psi = build_Z_batch(family, batch_signature_levels(p.values[None], n - 1), n)
+    starts = initial + eps * np.concatenate([np.eye(m), -np.eye(m)])
+    ends = exp_flow_batch(family, n, np.repeat(psi, 2 * m, axis=1), starts, config["steps"])
+    fd = (ends[:m] - ends[m:]).T / (2 * eps)
     write_json(
         outdir / "summary.json",
         {

@@ -62,20 +62,19 @@ def yamato_explicit_batch(values: np.ndarray, initial) -> np.ndarray:
     if values.shape[2] != 3:
         raise DomainError("batch drivers must have 3 components")
     y1, y2, y3 = (float(v) for v in np.asarray(initial, dtype=float))
-    # B^2_{0t} as a running sum of per-segment Chen updates, independent of batch_levy_prefix.
-    area = np.zeros((values.shape[0], 3, 3))
-    b1 = np.zeros((values.shape[0], 3))
+    # (B^{2,32}_{0t}, B^{2,23}_{0t}) by the per-segment Chen update area += b1 (x) dv + dv (x) dv / 2
+    # of those two entries, independent of batch_signature_levels; b1 is B^1 of components 2 and 3.
+    area = np.zeros((values.shape[0], 2))
+    b1 = np.zeros((values.shape[0], 2))
     for k in range(values.shape[1] - 1):
-        dv = values[:, k + 1] - values[:, k]
-        area = area + np.einsum("pi,pj->pij", b1, dv) + 0.5 * np.einsum("pi,pj->pij", dv, dv)
+        dv = values[:, k + 1, 1:] - values[:, k, 1:]
+        area = area + b1[:, ::-1] * dv + 0.5 * (dv[:, 1] * dv[:, 0])[:, None]
         b1 = b1 + dv
     b = values[:, -1] - values[:, 0]
     out = np.empty((values.shape[0], 3))
     out[:, 0] = y1 + b[:, 1]
     out[:, 1] = y2 + b[:, 2]
-    out[:, 2] = y3 + 2.0 * y2 * b[:, 1] - 2.0 * y1 * b[:, 2] + 2.0 * (
-        area[:, 2, 1] - area[:, 1, 2]
-    )
+    out[:, 2] = y3 + 2.0 * y2 * b[:, 1] - 2.0 * y1 * b[:, 2] + 2.0 * (area[:, 0] - area[:, 1])
     return out
 
 

@@ -18,9 +18,7 @@ one-sided approximations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,28 +117,24 @@ def _flat_pairs(values: Array) -> Array:
 
 @dataclass(frozen=True)
 class Increment3:
-    """Grid function (s, u, t) -> h_{sut}, evaluated on demand.
+    """Grid function (s, u, t) -> h_{sut} on the grid's triple table.
 
-    ``eval_idx`` maps integer index arrays (i, u, j) to values; storing the
-    full cube would be O(n^3) for nothing.  ``values`` is h on the grid's
-    triple table, evaluated on first use and kept: the closedness check,
-    ``holder_norm_c3`` and residuals all read that one array.  When h is
-    ``delta2(source)``, it is three flat gathers from the source.
+    ``values`` holds h on ``triples(grid)``, one row per strict triple
+    i < u < j in the table's order: the closedness check, ``holder_norm_c3``
+    and residuals all read that one array.
     """
 
     grid: TimeGrid
-    eval_idx: Callable[[Array, Array, Array], Array] = field(repr=False)
-    source: Increment2 | None = field(default=None, repr=False)
+    values: Array
 
-    def __call__(self, i, u, j) -> Array:
-        return self.eval_idx(np.asarray(i), np.asarray(u), np.asarray(j))
-
-    @cached_property
-    def values(self) -> Array:
-        tab = triples(self.grid)
-        if self.source is None:
-            return np.asarray(self(tab.i, tab.u, tab.j), dtype=float)
-        return _delta2_flat(self.source.values, tab.ij, tab.iu, tab.uj)
+    def __post_init__(self):
+        n = self.grid.n_points
+        if n < 3:
+            raise DomainError("a 3-increment needs a grid of at least 3 points")
+        v = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "values", v)
+        if v.shape[:1] != (n * (n - 1) * (n - 2) // 6,):
+            raise DomainError("Increment3 values must have one row per strict triple of the grid")
 
 
 def delta1(g: Increment1) -> Increment2:
@@ -149,19 +143,11 @@ def delta1(g: Increment1) -> Increment2:
     return Increment2(g.grid, v[None, :, ...] - v[:, None, ...])
 
 
-def _delta2_flat(v: Array, ij: Array, iu: Array, uj: Array) -> Array:
-    f = _flat_pairs(v)
-    return f[ij] - f[iu] - f[uj]
-
-
 def delta2(h: Increment2) -> Increment3:
-    """(delta h)_{sut} = h_{st} - h_{su} - h_{ut}, by flat gathers from h."""
-    v, n = h.values, h.grid.n_points
-
-    def ev(i, u, j):
-        return _delta2_flat(v, i * n + j, i * n + u, u * n + j)
-
-    return Increment3(h.grid, ev, source=h)
+    """(delta h)_{sut} = h_{st} - h_{su} - h_{ut} on the triple table, by flat gathers from h."""
+    tab = triples(h.grid)
+    f = _flat_pairs(h.values)
+    return Increment3(h.grid, f[tab.ij] - f[tab.iu] - f[tab.uj])
 
 
 def _pair_indices(n: int) -> tuple[Array, Array]:
@@ -179,15 +165,6 @@ def holder_norm(x: Increment2, mu: float) -> float:
     return float(np.max(mags / (t[j] - t[i]) ** mu))
 
 
-def _sampled_triples(n: int, size: int, seed: int = 0) -> tuple[Array, Array, Array]:
-    """A deterministic sample of ``size`` strict triples i < u < j."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    i = rng.integers(0, n - 2, size=size)
-    j = rng.integers(i + 2, n, size=size)
-    u = rng.integers(i + 1, j, size=size)
-    return i, u, j
-
-
 def holder_norm_c3(h: Increment3, gamma: float, rho: float) -> float:
     """Single-split norm sup |h_{sut}| / (|u-s|^gamma |t-u|^rho)."""
     if gamma <= 0 or rho <= 0:
@@ -202,32 +179,23 @@ CLOSED_TOL = 1e-10
 def _check_closed(h: Increment3) -> Array:
     """Return h_{0ab} on all pairs after verifying delta h = 0 to ``CLOSED_TOL``.
 
-    Closedness is equivalent to h_{sut} = h_{0ut} - h_{0st} + h_{0su} for
-    all triples, which is O(n^2) data plus an O(n^3) comparison: on the
-    grid's triple table, or on a deterministic sample of 200,000 triples
-    when the table would be larger.
+    Closedness is equivalent to h_{sut} = h_{0ut} - h_{0st} + h_{0su} on every
+    triple.  h_{0ab} is the table's leading i = 0 block; pairs (a, b) with no
+    strict triple (0, a, b) stay zero: a 3-increment vanishes where adjacent
+    arguments coincide, and ``sewing`` reads only a < b.
     """
     n = h.grid.n_points
-    idx = np.arange(n)
-    h0 = np.asarray(
-        h(
-            np.zeros((n, n), dtype=int),
-            np.broadcast_to(idx[:, None], (n, n)),
-            np.broadcast_to(idx[None, :], (n, n)),
-        ),
-        dtype=float,
-    )  # h0[a, b] = h_{0, a, b}
-    if n * (n - 1) * (n - 2) // 6 > 200_000:
-        i, u, j = _sampled_triples(n, 200_000)
-        direct = np.asarray(h(i, u, j), dtype=float)
-        ij, iu, uj = i * n + j, i * n + u, u * n + j
-    else:
-        tab = triples(h.grid)
-        direct, ij, iu, uj = h.values, tab.ij, tab.iu, tab.uj
+    tab = triples(h.grid)
+    first = (n - 1) * (n - 2) // 2  # rows of the i = 0 block
+    h0 = np.zeros((n, n) + h.values.shape[1:])
+    h0[tab.u[:first], tab.j[:first]] = h.values[:first]
     f = _flat_pairs(h0)
-    recon = f[uj] - f[ij] + f[iu]
-    scale = max(1.0, float(np.max(_mag(direct, 1))))
-    worst = float(np.max(_mag(direct - recon, 1)))
+    # recon - h, built in place: a table-sized temporary is 22 MB at 257 points.
+    defect = f[tab.uj] - f[tab.ij]
+    defect += f[tab.iu]
+    defect -= h.values
+    scale = max(1.0, float(np.max(_mag(h.values, 1))))
+    worst = float(np.max(_mag(defect, 1)))
     if worst > CLOSED_TOL * scale:
         raise ValidationError(
             f"increment is not closed: max |delta h| = {worst:.3e} (tol {CLOSED_TOL:.0e})"

@@ -20,7 +20,7 @@ from roughflow.errors import ConvergenceError, DomainError
 from roughflow.fbm import HurstParam, SamplePath, TimeGrid, sample_fbm_array
 from roughflow import flows
 from roughflow.flows import JacobianPath, MalliavinSlice, jacobian_path_strichartz, split_signatures
-from roughflow.increments import Increment1, Increment2, Increment3, _mag, _pair_indices, delta1, holder_norm, sewing
+from roughflow.increments import Increment1, Increment2, Increment3, _mag, _pair_indices, delta1, holder_norm, sewing, triples
 from roughflow.norris import TwoScale, _path_norms, alpha_matrix
 from roughflow.liefields import (
     CompiledField,
@@ -360,22 +360,22 @@ def triple_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ii, uu, jj
 
 
-def delta2_fancy(h: Increment2) -> Increment3:
-    """delta h by 2-D fancy indexing on every call: the oracle of the flat gathers of ``delta2``."""
+def increment3_of(grid: TimeGrid, ev) -> Increment3:
+    """The 3-increment whose value at (i, u, j) is ``ev(i, u, j)``, evaluated on the grid's triple table."""
+    tab = triples(grid)
+    return Increment3(grid, ev(tab.i, tab.u, tab.j))
+
+
+def delta2_fancy(h: Increment2, i, u, j) -> np.ndarray:
+    """(delta h)_{iuj} by 2-D fancy indexing: the oracle of the flat gathers of ``delta2``."""
     v = h.values
-
-    def ev(i, u, j):
-        return v[i, j, ...] - v[i, u, ...] - v[u, j, ...]
-
-    return Increment3(h.grid, ev)
+    return v[i, j, ...] - v[i, u, ...] - v[u, j, ...]
 
 
-def holder_norm_c3_per_call(h: Increment3, gamma: float, rho: float) -> float:
-    """``holder_norm_c3`` with the triples and split weights rebuilt and h evaluated per call."""
-    i, u, j = triple_indices(h.grid.n_points)
-    t = h.grid.times
-    mags = _mag(np.asarray(h(i, u, j), dtype=float), 1)
-    return float(np.max(mags / ((t[u] - t[i]) ** gamma * (t[j] - t[u]) ** rho)))
+def holder_norm_c3_per_call(times, i, u, j, values, gamma: float, rho: float) -> float:
+    """``holder_norm_c3`` of the values h_{iuj} on index arrays, the split weights rebuilt per call."""
+    mags = _mag(np.asarray(values, dtype=float), 1)
+    return float(np.max(mags / ((times[u] - times[i]) ** gamma * (times[j] - times[u]) ** rho)))
 
 
 def product_rule_defect(g: Increment2, h: Increment1) -> float:
@@ -422,10 +422,11 @@ def sewing_trials_per_call(grid_points: int, trials: int, seed: int, mu: float =
         c = rng.standard_normal(6)
         f = c[0] * np.sin(np.pi * times) + c[1] * times**2 + c[2]
         x = c[3] * np.cos(2 * np.pi * times) + c[4] * times + c[5] * times**3
-        h = delta2_fancy(Increment2(grid, f[:, None] * (x[None, :] - x[:, None])))
-        lam = sewing(h, mu)
-        ratio = holder_norm(lam, mu) / holder_norm_c3_per_call(h, mu / 2, mu / 2)
-        residual = float(np.max(np.abs(delta2_fancy(lam)(i, u, j) - h(i, u, j))))
+        germ = Increment2(grid, f[:, None] * (x[None, :] - x[:, None]))
+        hv = delta2_fancy(germ, i, u, j)
+        lam = sewing(Increment3(grid, hv), mu)
+        ratio = holder_norm(lam, mu) / holder_norm_c3_per_call(times, i, u, j, hv, mu / 2, mu / 2)
+        residual = float(np.max(np.abs(delta2_fancy(lam, i, u, j) - hv)))
         rows.append((trial, ratio, residual))
     return rows
 

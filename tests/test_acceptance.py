@@ -106,7 +106,6 @@ def test_criterion_03_sewing_theorem():
     grid = TimeGrid(1.0, 65)
     times = grid.times
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(41)))
-    i, u, j = triple_indices(65)
     worst_ratio, worst_res = 0.0, 0.0
     for _ in range(100):
         c = rng.standard_normal(6)
@@ -116,7 +115,7 @@ def test_criterion_03_sewing_theorem():
         h = delta2(germ)
         lam = sewing(h, mu)
         ratio = holder_norm(lam, mu) / holder_norm_c3(h, mu / 2, mu / 2)
-        residual = float(np.max(np.abs(delta2(lam)(i, u, j) - h(i, u, j))))
+        residual = float(np.max(np.abs(delta2(lam).values - h.values)))
         worst_ratio = max(worst_ratio, ratio)
         worst_res = max(worst_res, residual)
     assert worst_ratio <= bound + 0.05

@@ -27,6 +27,7 @@ from helpers import (
     delta2_fancy,
     holder_norm_c3_per_call,
     holder_sup_norm,
+    increment3_of,
     interpolation_chain_check,
     interpolation_constant,
     product_rule_defect,
@@ -67,8 +68,8 @@ class TestDelta:
         t = grid.times
         h = Increment2(grid, (t[None, :] - t[:, None]) ** 2)
         d = delta2(h)
-        # (delta h)_{0, 1/2, 1} = 1 - 1/4 - 1/4 = 1/2
-        assert d(0, 1, 2) == pytest.approx(0.5)
+        # (delta h)_{0, 1/2, 1} = 1 - 1/4 - 1/4 = 1/2, the one triple of the grid
+        assert d.values.shape == (1,) and d.values[0] == pytest.approx(0.5)
 
     @given(seed=st.integers(0, 10**9))
     @settings(max_examples=30, deadline=None)
@@ -77,8 +78,7 @@ class TestDelta:
         rng = np.random.default_rng(seed)
         g = Increment1(grid, rng.standard_normal((17, 2)))
         dd = delta2(delta1(g))
-        i, u, j = triple_indices(17)
-        assert np.max(np.abs(dd(i, u, j))) < 1e-14
+        assert np.max(np.abs(dd.values)) < 1e-14
 
     def test_diagonal_must_vanish(self, grid65):
         with pytest.raises(DomainError):
@@ -96,18 +96,19 @@ class TestTripleTable:
         tab = triples(germ.grid)
         i, u, j = triple_indices(n)
         assert np.array_equal(tab.i, i) and np.array_equal(tab.u, u) and np.array_equal(tab.j, j)
-        expect = delta2_fancy(germ)(i, u, j)
+        expect = delta2_fancy(germ, i, u, j)
         assert expect.shape == (len(i),) + shape
         assert np.array_equal(delta2(germ).values, expect)
-        assert np.array_equal(delta2(germ)(i, u, j), expect)
 
     @pytest.mark.parametrize("n", [3, 4, 17, 65])
     @pytest.mark.parametrize("shape", [(), (2,)])
     def test_holder_norm_c3_equals_per_call_route(self, n, shape):
         rng = np.random.default_rng(n + 1)
         germ = random_increment2(TimeGrid(1.0, n), rng, shape)
+        i, u, j = triple_indices(n)
+        hv = delta2_fancy(germ, i, u, j)
         for gamma, rho in ((0.6, 0.6), (0.3, 0.9)):
-            assert holder_norm_c3(delta2(germ), gamma, rho) == holder_norm_c3_per_call(delta2_fancy(germ), gamma, rho)
+            assert holder_norm_c3(delta2(germ), gamma, rho) == holder_norm_c3_per_call(germ.grid.times, i, u, j, hv, gamma, rho)
 
     def test_one_table_per_grid_dies_with_the_grid(self):
         grid = TimeGrid(1.0, 9)
@@ -124,22 +125,56 @@ class TestTripleTable:
         h = delta2(random_increment2(grid65, rng))
         assert h.values is h.values
 
-    def test_subsampled_closedness_check_rejects_non_closed(self, rng):
-        grid = TimeGrid(1.0, 129)  # 349,504 triples: above the 200,000 sample
+    def test_closedness_check_at_129_points_rejects_non_closed(self, rng):
+        grid = TimeGrid(1.0, 129)  # 349,504 triples, every one compared
         v = rng.standard_normal((129, 129, 129))
-
-        def ev(i, u, j):
-            return v[i, u, j]
-
         with pytest.raises(ValidationError):
-            _check_closed(Increment3(grid, ev))
-        assert "_triples" not in grid.__dict__
+            _check_closed(increment3_of(grid, lambda i, u, j: v[i, u, j]))
 
-    def test_subsampled_closedness_check_accepts_closed(self, rng):
+    def test_closedness_check_at_129_points_accepts_closed(self, rng):
         grid = TimeGrid(1.0, 129)
         _, h = smooth_closed_c3(grid, rng.standard_normal(6))
         assert _check_closed(h).shape == (129, 129)
-        assert "_triples" not in grid.__dict__
+
+    def test_defect_at_one_triple_of_150_points_rejected(self, rng):
+        # 551,300 triples; the defect at (1, 4, 6) shows only if every triple is compared.
+        grid = TimeGrid(1.0, 150)
+        _, h = smooth_closed_c3(grid, rng.standard_normal(6))
+        tab = triples(grid)
+        values = h.values.copy()
+        values[(tab.i == 1) & (tab.u == 4) & (tab.j == 6)] += 1.0
+        with pytest.raises(ValidationError):
+            sewing(Increment3(grid, values), 1.2)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_unit_defect_at_any_triple_rejected(self, data):
+        n = data.draw(st.integers(4, 40), label="n")
+        grid = TimeGrid(1.0, n)
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        h = delta2(random_increment2(grid, np.random.default_rng(seed)))
+        # The i = 0 block leads the table; it is what the check reconstructs from.
+        first_block = data.draw(st.booleans(), label="first_block")
+        rows = (n - 1) * (n - 2) // 2 if first_block else len(h.values)
+        k = data.draw(st.integers(0, rows - 1), label="row")
+        values = h.values.copy()
+        values[k] += 1.0
+        with pytest.raises(ValidationError):
+            _check_closed(Increment3(grid, values))
+
+    def test_two_point_grid_has_no_3_increment(self):
+        grid = TimeGrid(1.0, 2)
+        germ = Increment2(grid, np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        with pytest.raises(DomainError, match="at least 3 points"):
+            sewing(delta2(germ), 1.2)
+        with pytest.raises(DomainError, match="at least 3 points"):
+            holder_norm_c3(delta2(germ), 0.6, 0.6)
+        with pytest.raises(DomainError, match="at least 3 points"):
+            Increment3(grid, np.zeros(0))
+
+    def test_values_need_one_row_per_triple(self, grid65):
+        with pytest.raises(DomainError, match="one row per strict triple"):
+            Increment3(grid65, np.zeros(65))
 
     @pytest.mark.parametrize("argv, points, trials, seed", [([], 65, 100, 0), (["--grid-points", "33", "--seed", "7"], 33, 100, 7)])
     def test_sewing_test_trials_equal_per_call_route(self, argv, points, trials, seed, tmp_path):
@@ -184,16 +219,14 @@ class TestHolderNorms:
 
 class TestSewing:
     def test_zero_maps_to_zero(self, grid65):
-        h = Increment3(grid65, lambda i, u, j: np.zeros(np.shape(i)))
+        h = increment3_of(grid65, lambda i, u, j: np.zeros(np.shape(i)))
         lam = sewing(h, 1.2)
         assert np.max(np.abs(lam.values)) == 0.0
 
     def test_inverts_delta_to_machine_precision(self, grid65, rng):
         _, h = smooth_closed_c3(grid65, rng.standard_normal(6))
         lam = sewing(h, 1.2)
-        dl = delta2(lam)
-        i, u, j = triple_indices(65)
-        assert np.max(np.abs(dl(i, u, j) - h(i, u, j))) < 1e-12
+        assert np.max(np.abs(delta2(lam).values - h.values)) < 1e-12
 
     def test_norm_bound_with_slack(self, grid65, rng):
         bound = 1.0 / (2**1.2 - 2.0)
@@ -206,9 +239,7 @@ class TestSewing:
     def test_linearity(self, grid65, rng):
         g1, h1 = smooth_closed_c3(grid65, rng.standard_normal(6))
         g2, h2 = smooth_closed_c3(grid65, rng.standard_normal(6))
-        combo = Increment3(
-            grid65, lambda i, u, j: 2.0 * h1(i, u, j) - 0.5 * h2(i, u, j)
-        )
+        combo = Increment3(grid65, 2.0 * h1.values - 0.5 * h2.values)
         lam = sewing(combo, 1.2).values
         expect = 2.0 * sewing(h1, 1.2).values - 0.5 * sewing(h2, 1.2).values
         assert np.max(np.abs(lam - expect)) < 1e-12
@@ -233,18 +264,14 @@ class TestSewing:
         assert errors[1] < 1e-2
 
     def test_mu_must_exceed_one(self, grid65):
-        h = Increment3(grid65, lambda i, u, j: np.zeros(np.shape(i)))
+        h = increment3_of(grid65, lambda i, u, j: np.zeros(np.shape(i)))
         with pytest.raises(DomainError):
             sewing(h, 1.0)
 
     def test_non_closed_rejected(self, grid65, rng):
         v = rng.standard_normal((65, 65, 65))
-
-        def ev(i, u, j):
-            return v[i, u, j]
-
         with pytest.raises(ValidationError):
-            sewing(Increment3(grid65, ev), 1.2)
+            sewing(increment3_of(grid65, lambda i, u, j: v[i, u, j]), 1.2)
 
 
 class TestProductRule:
