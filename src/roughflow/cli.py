@@ -71,7 +71,7 @@ def _grid(default: int) -> dict:
 
 
 def _flow(description: str, grid_points: int, steps: int) -> dict:
-    """The schema of a frozen-field flow experiment (strichartz, jacobian, malliavin)."""
+    """The schema of a frozen-field flow experiment (strichartz, jacobian, malliavin), run at ``FieldFamily.order``."""
     return _schema(
         description,
         {
@@ -79,7 +79,6 @@ def _flow(description: str, grid_points: int, steps: int) -> dict:
             "hurst": _HURST,
             "time": _positive(1.0),
             "grid_points": _grid(grid_points),
-            "level": _int(2, 5, 3),
             "steps": _int(1, 65536, steps),
             "initial": _POINT,
             "seed": _SEED,
@@ -193,13 +192,18 @@ class ConfigError(Exception):
     pass
 
 
+def read_input(path: str, kind: str) -> str:
+    """The text of the UTF-8 ``kind`` file at ``path``; ConfigError naming it otherwise."""
+    if not Path(path).is_file():
+        raise ConfigError(f"{kind} file does not exist: {path}")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ConfigError(f"{kind} file is not UTF-8 text: {path}") from None
+
+
 def load_fields(spec: str) -> list[PolyVectorField]:
-    if spec == "yamato":
-        return yamato_fields()
-    path = Path(spec)
-    if not path.is_file():
-        raise ConfigError(f"fields file does not exist: {spec}")
-    return parse_field_file(path.read_text())
+    return yamato_fields() if spec == "yamato" else parse_field_file(read_input(spec, "fields"))
 
 
 def resolve_config(command: str, args: argparse.Namespace) -> dict:
@@ -207,11 +211,8 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict:
     props = schema["properties"]
     config = copy.deepcopy({k: p["default"] for k, p in props.items() if "default" in p})
     if getattr(args, "config", None):
-        cfg_path = Path(args.config)
-        if not cfg_path.is_file():
-            raise ConfigError(f"config file does not exist: {args.config}")
         try:
-            file_cfg = json.loads(cfg_path.read_text())
+            file_cfg = json.loads(read_input(args.config, "config"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
@@ -238,9 +239,11 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict:
 
 
 def check_fit(command: str, config: dict, fields: list[PolyVectorField] | None) -> None:
-    """Refuse values that do not fit the fields or the grid: point lengths, the component, s and t."""
+    """Refuse values that do not fit the fields or the grid: point lengths, the component, U, s and t."""
     if fields is not None:
         m = fields[0].m
+        if command == "norris-mc" and all(f.is_zero for f in fields):
+            raise ConfigError("norris-mc needs a nonzero field for U")
         for key in ("initial", "hormander"):
             point = config.get(key)
             if point is not None and len(point) != m:
@@ -380,9 +383,9 @@ def run_check_fields(config: dict, outdir: Path, fields: list[PolyVectorField]) 
 
 def run_strichartz(config: dict, outdir: Path, fields: list[PolyVectorField]) -> None:
     _, p, initial = _driven(config, fields, config["time"], config["grid_points"])
-    y_flow = strichartz_solve(
-        fields, p, initial, config["time"], config["level"], steps=config["steps"]
-    )
+    family = FieldFamily.of(fields)
+    n = family.order()
+    y_flow = strichartz_solve(family, p, initial, config["time"], n, steps=config["steps"])
     y_rde, _ = rde_solve(fields, initial, RoughDriver.from_path(p))
     write_json(
         outdir / "result.json",
@@ -392,17 +395,17 @@ def run_strichartz(config: dict, outdir: Path, fields: list[PolyVectorField]) ->
             "endpoint_rde": y_rde.values[-1].tolist(),
             "max_abs_difference": float(np.max(np.abs(y_flow - y_rde.values[-1]))),
             "initial": initial.tolist(),
-            "flow": flow_route(FieldFamily.of(fields), config["level"], config["steps"]),
+            "order": n,
+            "flow": flow_route(family, n, config["steps"]),
         },
     )
 
 
 def run_jacobian(config: dict, outdir: Path, fields: list[PolyVectorField]) -> None:
     grid, p, initial = _driven(config, fields, config["time"], config["grid_points"])
-    m = fields[0].m
-    _, jac = jacobian_path_strichartz(
-        fields, p, initial, config["level"], steps=config["steps"]
-    )
+    family = FieldFamily.of(fields)
+    m, n = family.m, family.order()
+    _, jac = jacobian_path_strichartz(family, p, initial, n, steps=config["steps"])
     header = (
         ["t"]
         + [f"J_{i + 1}{j + 1}" for i in range(m) for j in range(m)]
@@ -415,7 +418,6 @@ def run_jacobian(config: dict, outdir: Path, fields: list[PolyVectorField]) -> N
     write_csv(outdir / "jacobian.csv", header, rows)
     # Central differences of y_T in a: the 2m starts a +- eps e_k as one batch on the path's psi.
     eps = 1e-4
-    family, n = FieldFamily.of(fields), config["level"]
     psi = build_Z_batch(family, batch_signature_levels(p.values[None], n - 1), n)
     starts = initial + eps * np.concatenate([np.eye(m), -np.eye(m)])
     ends = exp_flow_batch(family, n, np.repeat(psi, 2 * m, axis=1), starts, config["steps"])
@@ -426,17 +428,19 @@ def run_jacobian(config: dict, outdir: Path, fields: list[PolyVectorField]) -> N
             "fields_hash": fields_hash(fields),
             "inverse_residual": jac.inverse_residual(),
             "fd_residual": float(np.max(np.abs(fd - jac.J[-1]))),
-            "flow": flow_route(FieldFamily.of(fields), config["level"], config["steps"]),
+            "order": n,
+            "flow": flow_route(family, n, config["steps"]),
         },
     )
 
 
 def run_malliavin(config: dict, outdir: Path, fields: list[PolyVectorField]) -> None:
     grid, p, initial = _driven(config, fields, config["time"], config["grid_points"])
-    m, d = fields[0].m, len(fields)
+    family = FieldFamily.of(fields)
+    m, d, n = family.m, family.d, family.order()
     t = config["time"]
-    slice_ode = malliavin_derivative(fields, p, initial, t, config["level"], steps=config["steps"])
-    slice_jac = malliavin_via_jacobian(fields, p, initial, t, config["level"], steps=config["steps"])
+    slice_ode = malliavin_derivative(family, p, initial, t, n, steps=config["steps"])
+    slice_jac = malliavin_via_jacobian(family, p, initial, t, n, steps=config["steps"])
     header = ["u"] + [f"D_{i + 1}{j + 1}" for i in range(m) for j in range(d)]
     rows = [(u, *slice_ode.values[k].ravel()) for k, u in enumerate(grid.times)]
     write_csv(outdir / "malliavin.csv", header, rows)
@@ -449,7 +453,8 @@ def run_malliavin(config: dict, outdir: Path, fields: list[PolyVectorField]) -> 
             "route_residual": float(
                 np.max(np.abs(slice_ode.values[: k_t + 1] - slice_jac.values[: k_t + 1]))
             ),
-            "flow": flow_route(FieldFamily.of(fields), config["level"], config["steps"]),
+            "order": n,
+            "flow": flow_route(family, n, config["steps"]),
         },
     )
 
@@ -488,7 +493,7 @@ def run_norris_stats(config: dict, outdir: Path) -> None:
 
 
 def run_norris_mc(config: dict, outdir: Path, fields: list[PolyVectorField]) -> None:
-    u_field = fields[1] if config["fields"] == "yamato" else fields[0]
+    u_field = next(f for f in fields if not f.is_zero)
     eta = np.zeros(fields[0].m)
     eta[-1] = 1.0
     rep = norris_dichotomy_mc(
@@ -608,12 +613,12 @@ def main(argv: list[str] | None = None) -> int:
         # Parsed once, here, so a bad file or a point that does not fit it is a config error.
         fields = load_fields(config["fields"]) if "fields" in config else None
         check_fit(command, config, fields)
-    except (ConfigError, RoughflowError) as exc:
+        outdir = Path(args.out) / f"{command}-seed{config['seed']}"
+        outdir.mkdir(parents=True, exist_ok=True)
+    except (ConfigError, RoughflowError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     print(json.dumps({"command": command, "config": config}, sort_keys=True))
-    outdir = Path(args.out) / f"{command}-seed{config['seed']}"
-    outdir.mkdir(parents=True, exist_ok=True)
     try:
         write_json(outdir / "config.json", {"command": command, "config": config})
         if fields is None:

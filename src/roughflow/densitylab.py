@@ -238,49 +238,33 @@ def density_report(
     hurst: HurstParam,
     t: float,
     n_paths: int,
-    functional,
-    initial=None,
-    n: int = 3,
+    functional: int,
     seed: int = 0,
     grid_points: int = 33,
     bandwidth: float | None = None,
 ) -> dict:
-    """KDE and smoothness proxies for a 1-d functional of the endpoint law.
+    """KDE and smoothness proxies for component ``functional`` (1-based) of the
+    endpoint law from the origin.
 
-    ``functional`` is either a 1-based component index or a weight vector.
-    Refuses to run when any of the three bracket hypotheses fails, naming
+    The flow runs at the family's own nilpotency order n, ``FieldFamily.order``,
+    which raises PreconditionError ``nilpotency`` when there is none up to 5.
+    Refuses to run when constant brackets or spanning fails at that n, naming
     the failed one.  For Yamato's family an independent driver batch is pushed
     through ``yamato_explicit_batch`` and the two-sample Kolmogorov-Smirnov
     distance to it is reported.
     """
-    m = fields[0].m
-    initial = np.zeros(m) if initial is None else np.asarray(initial, dtype=float)
-    checks = check_hypotheses(fields, n, initial)
-    for key, label in (
-        ("nilpotent", "nilpotency"),
-        ("constant_brackets", "constant brackets"),
-        ("hormander_full", "Hoermander spanning"),
-    ):
+    family = FieldFamily.of(fields)
+    m, n = family.m, family.order()
+    initial = np.zeros(m)
+    checks = check_hypotheses(family, n, initial)
+    for key, label in (("constant_brackets", "constant brackets"), ("hormander_full", "Hoermander spanning")):
         if not checks[key]:
-            raise PreconditionError(
-                f"hypothesis check failed: {label}", name=label
-            )
-    if isinstance(functional, (int, np.integer)):
-        if not 1 <= int(functional) <= m:
-            raise DomainError(f"component index {functional} out of range 1..{m}")
-        weights = np.eye(m)[int(functional) - 1]
-        label = f"component {int(functional)}"
-    else:
-        weights = np.asarray(functional, dtype=float)
-        if weights.shape != (m,):
-            raise DomainError(f"functional must have shape ({m},)")
-        label = "linear functional"
-
-    endpoints = flow_endpoint_samples(
-        fields, hurst, t, n_paths, seed, n, initial, grid_points
-    )
-    flow = flow_route(FieldFamily.of(fields), n, FLOW_STEPS)
-    samples = endpoints @ weights
+            raise PreconditionError(f"hypothesis check failed: {label}", name=label)
+    if not 1 <= functional <= m:
+        raise DomainError(f"component index {functional} out of range 1..{m}")
+    endpoints = flow_endpoint_samples(family, hurst, t, n_paths, seed, n, initial, grid_points)
+    flow = flow_route(family, n, FLOW_STEPS)
+    samples = endpoints[:, functional - 1]
     full = kde(samples, bandwidth=bandwidth)
     half = kde(samples[: n_paths // 2], bandwidth=bandwidth)
     proxies_full = smoothness_proxies(full)
@@ -296,7 +280,7 @@ def density_report(
     group_skews = np.array([_skewness(g) for g in groups])
     skew_stderr = float(np.std(group_skews, ddof=1) / np.sqrt(len(groups)))
     report = {
-        "functional": label,
+        "functional": f"component {functional}",
         "hurst": hurst.value,
         "t": t,
         "n_paths": n_paths,
@@ -311,10 +295,10 @@ def density_report(
         "skewness": skew,
         "skewness_stderr": skew_stderr,
     }
-    if fields_hash(fields) == fields_hash(yamato_fields()):
+    if family.key == fields_hash(yamato_fields()):
         from scipy.stats import ks_2samp
-        drivers = sample_fbm_array(hurst, TimeGrid(t, grid_points), len(fields), n_paths, seed + 1)
-        explicit = yamato_explicit_batch(drivers, initial) @ weights
+        drivers = sample_fbm_array(hurst, TimeGrid(t, grid_points), family.d, n_paths, seed + 1)
+        explicit = yamato_explicit_batch(drivers, initial)[:, functional - 1]
         ks = ks_2samp(samples, explicit)
         report["ks_statistic"] = float(ks.statistic)
         report["ks_pvalue"] = float(ks.pvalue)

@@ -460,10 +460,13 @@ _TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|(x\d+)|(\*\*|[()+\-*^]))")
 class _Parser:
     """Recursive-descent parser for polynomial expressions.
 
-    Grammar: expr := ['+'|'-'] term (('+'|'-') term)*;
+    Grammar: expr := term (('+'|'-') term)*;
              term := factor (('*') factor)*;
-             factor := atom (('^'|'**') nat)?;
+             factor := ('+'|'-')* atom (('^'|'**') nat)?;
              atom := rational | x<k> | '(' expr ')'.
+
+    A sign applies to the whole power after it, wherever it stands, as in
+    Python: ``x1*-x2^2`` is x1 * (-(x2^2)).
     """
 
     def __init__(self, text: str, nvars: int):
@@ -497,11 +500,7 @@ class _Parser:
         return p
 
     def expr(self) -> Polynomial:
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.take() == "-":
-                sign = -sign
-        acc = self.term() * sign
+        acc = self.term()
         while self.peek() in ("+", "-"):
             op = self.take()
             acc = acc + self.term() * (1 if op == "+" else -1)
@@ -515,18 +514,20 @@ class _Parser:
         return acc
 
     def factor(self) -> Polynomial:
-        base = self.atom()
+        sign = 1
+        while self.peek() in ("+", "-"):
+            if self.take() == "-":
+                sign = -sign
+        acc = self.atom()
         if self.peek() in ("^", "**"):
             self.take()
             tok = self.take()
             if not tok.isdigit():
                 raise DomainError(f"exponent must be a nonnegative integer, got {tok!r}")
-            power = int(tok)
-            acc = Polynomial.constant(self.nvars, 1)
-            for _ in range(power):
+            base, acc = acc, Polynomial.constant(self.nvars, 1)
+            for _ in range(int(tok)):
                 acc = acc * base
-            return acc
-        return base
+        return acc * sign
 
     def atom(self) -> Polynomial:
         tok = self.take()
@@ -535,8 +536,6 @@ class _Parser:
             if self.take() != ")":
                 raise DomainError("unbalanced parenthesis in polynomial")
             return inner
-        if tok == "-":
-            return -self.atom()
         if tok.startswith("x"):
             k = int(tok[1:])
             if not 1 <= k <= self.nvars:
@@ -698,6 +697,13 @@ class FieldFamily:
             raise DomainError(f"up_to must be >= 2, got {n}")
         brackets = self.brackets(n + 1)
         return self._member(("constant", n), lambda: all(b.is_constant for w, b in brackets.items() if len(w) >= 2))
+
+    def order(self) -> int:
+        """The least n <= 5 at which the family is n-nilpotent, read off the kept
+        ``brackets(n + 1)``; PreconditionError ``nilpotency`` when there is none."""
+        n = next((n for n in range(2, 5) if self.nilpotent(n)[0]), 5)
+        self.require_nilpotent(n)
+        return n
 
     def require_nilpotent(self, n: int) -> None:
         """Raise PreconditionError ``nilpotency`` unless the family is n-nilpotent."""

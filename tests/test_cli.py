@@ -5,13 +5,19 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 from jsonschema.validators import validator_for
 
 from roughflow import cli
 from roughflow.cli import SCHEMAS, ConfigError, main, resolve_config
-from roughflow.densitylab import yamato_fields
+from roughflow.densitylab import _skewness, flow_endpoint_samples, yamato_fields
+from roughflow.fbm import HurstParam, TimeGrid, sample_fbm
+from roughflow.flows import jacobian_path_strichartz, malliavin_derivative
 from roughflow.liefields import format_field_file, parse_field_file
+from roughflow.strichartz import strichartz_solve
+
+from helpers import chain_family
 
 SMALL_RUNS = {
     "sample-fbm": ["--grid-points", "17", "--paths", "2"],
@@ -35,9 +41,9 @@ DEFAULTS = {
     "sewing-test": {"mu": 1.2, "grid_points": 65, "trials": 100, "seed": 0},
     "solve": {"fields": "yamato", "hurst": 0.4, "horizon": 1.0, "mesh_exp": 8, "seed": 0},
     "check-fields": {"nilpotent": 3, "seed": 0},
-    "strichartz": {"fields": "yamato", "hurst": 0.4, "time": 1.0, "grid_points": 65, "level": 3, "steps": 256, "seed": 0},
-    "jacobian": {"fields": "yamato", "hurst": 0.4, "time": 1.0, "grid_points": 65, "level": 3, "steps": 256, "seed": 0},
-    "malliavin": {"fields": "yamato", "hurst": 0.4, "time": 1.0, "grid_points": 33, "level": 3, "steps": 128, "seed": 0},
+    "strichartz": {"fields": "yamato", "hurst": 0.4, "time": 1.0, "grid_points": 65, "steps": 256, "seed": 0},
+    "jacobian": {"fields": "yamato", "hurst": 0.4, "time": 1.0, "grid_points": 65, "steps": 256, "seed": 0},
+    "malliavin": {"fields": "yamato", "hurst": 0.4, "time": 1.0, "grid_points": 33, "steps": 128, "seed": 0},
     "norris-stats": {"hurst": 0.4, "delta_exp": 10, "ratio_exp": 5, "paths": 2000, "seed": 0},
     "norris-mc": {"fields": "yamato", "hurst": 0.4, "paths": 2000, "eps": [0.4, 0.2, 0.1, 0.05], "q": 0.5, "horizon": 1e-4, "grid_points": 65, "seed": 0},
     "density": {"fields": "yamato", "hurst": 0.4, "time": 1.0, "component": 3, "paths": 20000, "grid_points": 33, "seed": 0},
@@ -381,8 +387,6 @@ def test_numeric_failure_exits_three(tmp_path):
             str(bad),
             "--grid-points",
             "9",
-            "--level",
-            "2",
             "--out",
             str(tmp_path),
         ]
@@ -459,3 +463,88 @@ def test_density_svg_is_emitted(tmp_path):
     svg = (tmp_path / "density-seed0" / "density.svg").read_text()
     assert svg.startswith("<?xml")
     assert "polyline" in svg
+
+
+#: chain_family as a field file: V1 = d1, V2 = x1 d2 + x2 d3, 4-nilpotent with constant brackets.
+CHAIN_FILE = "3 2\n1\n0\n0\n0\nx1\nx2\n"
+
+
+def _csv_values(path) -> np.ndarray:
+    _, *rows = path.read_text().strip().splitlines()
+    return np.array([[float(v) for v in row.split(",")] for row in rows])
+
+
+@pytest.mark.parametrize("command", ["strichartz", "jacobian", "malliavin", "density"])
+def test_flows_run_at_the_family_order(command, tmp_path):
+    vf = tmp_path / "chain.vf"
+    vf.write_text(CHAIN_FILE)
+    assert main([command, "--fields", str(vf), *SMALL_RUNS[command], "--out", str(tmp_path)]) == 0
+    outdir = tmp_path / f"{command}-seed0"
+    name = "result.json" if command == "strichartz" else "summary.json"
+    summary = json.loads((outdir / name).read_text())
+    fields, hurst = chain_family(), HurstParam(0.4)
+    if command == "density":
+        assert summary["hypotheses"]["order"] == 4
+        want = flow_endpoint_samples(fields, hurst, 1.0, 1000, 0, 4, np.zeros(3), 9)[:, 2]
+        assert summary["skewness"] == _skewness(want)
+        return
+    assert summary["order"] == 4
+    p = sample_fbm(hurst, TimeGrid(1.0, 9), 2, 1, 0)[0]
+    a = np.zeros(3)
+    if command == "strichartz":
+        assert summary["endpoint_flow"] == strichartz_solve(fields, p, a, 1.0, 4, steps=32).tolist()
+    elif command == "jacobian":
+        _, jac = jacobian_path_strichartz(fields, p, a, 4, steps=32)
+        assert np.array_equal(_csv_values(outdir / "jacobian.csv")[:, 1:10], jac.J.reshape(9, 9))
+    else:
+        got = _csv_values(outdir / "malliavin.csv")[:, 1:]
+        assert np.array_equal(got, malliavin_derivative(fields, p, a, 1.0, 4, steps=32).values.reshape(9, 6))
+
+
+@pytest.mark.parametrize("command", ["strichartz", "jacobian", "malliavin"])
+def test_level_is_not_an_option(command, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--level", "3", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"level": 3}))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_norris_mc_reads_u_off_the_content_not_the_name(tmp_path):
+    vf = tmp_path / "yamato.vf"
+    vf.write_text(format_field_file(yamato_fields()))
+    outputs = []
+    for spec, out in (("yamato", tmp_path / "a"), (str(vf), tmp_path / "b")):
+        assert main(["norris-mc", "--fields", spec, *SMALL_RUNS["norris-mc"], "--out", str(out)]) == 0
+        outputs.append([(out / "norris-mc-seed0" / f).read_bytes() for f in ("dichotomy.csv", "summary.json")])
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[1][1])["fitted_exponent"] is not None
+
+
+def test_norris_mc_without_a_nonzero_field_exits_two(tmp_path, capsys):
+    zero = tmp_path / "zero.vf"
+    zero.write_text("3 2\n" + "0\n" * 6)
+    assert main(["norris-mc", "--fields", str(zero), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == ["config error: norris-mc needs a nonzero field for U"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["fields", "config", "out"])
+def test_unreadable_input_or_output_path_exits_two(case, tmp_path, capsys):
+    latin1 = tmp_path / "latin1"
+    latin1.write_bytes("3 3 # café\n".encode("latin-1"))
+    plain = tmp_path / "plain.txt"
+    plain.write_text("a regular file\n")
+    argv = {
+        "fields": ["solve", "--fields", str(latin1), "--out", str(tmp_path / "out")],
+        "config": ["sample-fbm", "--config", str(latin1), "--out", str(tmp_path / "out")],
+        "out": ["sample-fbm", "--grid-points", "9", "--paths", "1", "--out", str(plain / "sub")],
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert (str(plain) if case == "out" else str(latin1)) in err
+    assert not (tmp_path / "out").exists()

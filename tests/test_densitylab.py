@@ -239,17 +239,10 @@ class TestDensityReport:
         for rel in rep["proxy_stability_rel"].values():
             assert rel <= 0.2
 
-    def test_linear_functional_accepted(self, yamato, rough_hurst):
-        rep = density_report(
-            yamato, rough_hurst, 1.0, 5000, functional=np.array([1.0, 1.0, 0.0]) / 2,
-            seed=1,
-        )
-        assert rep["functional"] == "linear functional"
-
     def test_refusal_names_failed_hypothesis(self, rough_hurst):
         e1 = PolyVectorField((parse_polynomial("1", 2), parse_polynomial("0", 2)))
         with pytest.raises(PreconditionError) as err:
-            density_report([e1], rough_hurst, 1.0, 1000, functional=2, n=2)
+            density_report([e1], rough_hurst, 1.0, 1000, functional=2)
         assert err.value.name == "Hoermander spanning"
 
     def test_component_out_of_range(self, yamato, rough_hurst):

@@ -574,6 +574,18 @@ class TestHypothesisCheckers:
         for n in (3, 4, 5):
             assert FieldFamily.of(yamato).nilpotent(n)[0]
 
+    @pytest.mark.parametrize(
+        "fields, order", [(yamato_fields(), 3), (chain_family(), 4), (parse_field_file("1 1\n1\n"), 2)]
+    )
+    def test_order_is_the_least_nilpotency_order(self, fields, order):
+        assert FieldFamily.of(fields).order() == order
+
+    def test_order_refuses_a_family_not_nilpotent_up_to_five(self):
+        # [V1, V2] = -d1 and every further bracket with V1 is nonzero.
+        with pytest.raises(PreconditionError, match="not 5-nilpotent") as err:
+            FieldFamily.of(parse_field_file("1 2\nx1\n1\n")).order()
+        assert err.value.name == "nilpotency"
+
     def test_constant_brackets(self, yamato):
         assert FieldFamily.of(yamato).constant_brackets(3)
         v1 = PolyVectorField((parse_polynomial("x2", 2), parse_polynomial("0", 2)))
@@ -656,6 +668,29 @@ class TestParsing:
             parse_polynomial(" ".join(tokens), 2)
         except DomainError:
             pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        text=st.recursive(
+            st.sampled_from(["x1", "x2", "2", "3"]),
+            lambda inner: st.one_of(
+                st.tuples(st.sampled_from(["-", "+"]), inner).map("".join),
+                st.tuples(inner, st.sampled_from([" + ", " - ", "*"]), inner).map("".join),
+                st.tuples(inner, st.integers(0, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+                st.tuples(st.sampled_from(["x1", "x2", "3"]), st.integers(0, 3)).map(lambda t: f"{t[0]}^{t[1]}"),
+            ),
+            max_leaves=8,
+        )
+    )
+    def test_signs_and_powers_bind_as_in_python(self, text):
+        # A sign applies to the whole power after it, after an operator too: x1*-x2^2 is -x1*x2^2.
+        poly = parse_polynomial(text, 2)
+        for point in ((Fraction(2, 3), Fraction(-5, 7)), (Fraction(-3, 2), Fraction(1, 5))):
+            want = eval(text.replace("^", "**"), {"x1": point[0], "x2": point[1]})
+            assert sum(c * point[0] ** e[0] * point[1] ** e[1] for e, c in poly.terms.items()) == want
+
+    def test_long_sign_runs_parse_without_recursion(self):
+        assert parse_polynomial("-" * 5000 + "x1*" + "-" * 5001 + "x2", 2) == parse_polynomial("-x1*x2", 2)
 
     def test_power_syntax_variants(self):
         a = parse_polynomial("x1^2", 1)
