@@ -2,8 +2,11 @@
 
 Every subcommand resolves its configuration (flags over an optional
 ``--config`` JSON file over defaults), validates it against a schema,
-echoes the resolved config as JSON on stdout, and writes its artifacts
-plus a SHA-256 manifest under ``<out>/<experiment>-seed<seed>/``.
+and writes its artifacts plus a SHA-256 manifest under
+``<out>/<experiment>-seed<seed>/``.  ``config.json``, echoed on stdout,
+is the one record of the run's inputs: the config, with ``initial``
+resolved, and the ``fields_hash`` of a run on fields.  The other files
+hold results only.
 
 Exit codes: 0 success, 2 configuration/schema violation, 3 numeric or
 model failure (the offending module's message goes to stderr).
@@ -29,7 +32,7 @@ from .errors import RoughflowError
 from .fbm import HurstParam, TimeGrid, sample_fbm
 from .flows import jacobian_path_strichartz, malliavin_derivative, malliavin_via_jacobian
 from .increments import Increment2, delta2, holder_norm, holder_norm_c3, sewing
-from .liefields import FieldFamily, PolyVectorField, fields_hash, hormander_rank, parse_field_file
+from .liefields import FieldFamily, PolyVectorField, bracket, fields_hash, hormander_rank, parse_field_file
 from .norris import TwoScale, block_stats_mc, concentration_table, hermite_moments, norris_dichotomy_mc, s_k
 from .reporting import svg_line_plot, write_csv, write_json, write_manifest
 from .signature import batch_signature_levels, path_signature
@@ -165,7 +168,8 @@ SCHEMAS = {
             "fields": _FIELDS,
             "hurst": _HURST,
             "paths": _int(1, default=2000),
-            "eps": {"type": "array", "items": _positive(), "minItems": 2, "default": [0.4, 0.2, 0.1, 0.05]},
+            "eps": {"type": "array", "items": _positive(), "minItems": 2, "uniqueItems": True,
+                    "default": [0.4, 0.2, 0.1, 0.05]},
             "q": _positive(0.5),
             "horizon": _positive(1e-4),
             "grid_points": _grid(65),
@@ -238,12 +242,25 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict:
     return config
 
 
+def dichotomy_directions(fields: list[PolyVectorField]) -> tuple[PolyVectorField, np.ndarray]:
+    """norris-mc's U, the first nonzero field, and eta, the first nonzero [V_j, U] at the origin."""
+    u_field = next((f for f in fields if not f.is_zero), None)
+    if u_field is None:
+        raise ConfigError("norris-mc needs a nonzero field for U")
+    origin = np.zeros(u_field.m)
+    for v in fields:
+        eta = bracket(v, u_field)(origin)
+        if np.any(eta):
+            return u_field, eta
+    raise ConfigError("norris-mc needs a bracket [V_j, U] that is nonzero at the origin for eta")
+
+
 def check_fit(command: str, config: dict, fields: list[PolyVectorField] | None) -> None:
-    """Refuse values that do not fit the fields or the grid: point lengths, the component, U, s and t."""
+    """Refuse values that miss the fields, the grid or each other: points, component, U and eta, s < t, Delta <= 1."""
     if fields is not None:
         m = fields[0].m
-        if command == "norris-mc" and all(f.is_zero for f in fields):
-            raise ConfigError("norris-mc needs a nonzero field for U")
+        if command == "norris-mc":
+            dichotomy_directions(fields)
         for key in ("initial", "hormander"):
             point = config.get(key)
             if point is not None and len(point) != m:
@@ -255,6 +272,9 @@ def check_fit(command: str, config: dict, fields: list[PolyVectorField] | None) 
         s, t = config.get("s", 0.0), config.get("t", config["horizon"])
         if grid.index_of(s) >= grid.index_of(t):
             raise ConfigError(f"signature needs s < t, got s = {s}, t = {t}")
+    ratio_exp, delta_exp = config.get("ratio_exp", 0), config.get("delta_exp", 0)
+    if ratio_exp > delta_exp:
+        raise ConfigError(f"norris-stats needs ratio_exp <= delta_exp, got {ratio_exp} > {delta_exp}")
 
 
 # ---------------------------------------------------------------------------
@@ -270,17 +290,6 @@ def run_sample_fbm(config: dict, outdir: Path) -> None:
     header = ["t"] + [f"comp_{j + 1}" for j in range(config["dim"])]
     for idx, p in enumerate(paths):
         write_csv(outdir / f"path_{idx:03d}.csv", header, [(t, *vals) for t, vals in zip(grid.times, p.values)])
-    write_json(
-        outdir / "metadata.json",
-        {
-            "H": config["hurst"],
-            "T": config["horizon"],
-            "n_points": config["grid_points"],
-            "d": config["dim"],
-            "paths": config["paths"],
-            "seed": config["seed"],
-        },
-    )
 
 
 def run_signature(config: dict, outdir: Path) -> None:
@@ -290,7 +299,6 @@ def run_signature(config: dict, outdir: Path) -> None:
     t = config.get("t", config["horizon"])
     sig = path_signature(p, s, t, config["level"])
     (outdir / "signature.json").write_text(sig.to_json() + "\n")
-    write_json(outdir / "metadata.json", {k: config[k] for k in sorted(config)})
 
 
 def run_sewing_test(config: dict, outdir: Path) -> None:
@@ -316,23 +324,20 @@ def run_sewing_test(config: dict, outdir: Path) -> None:
     write_json(
         outdir / "summary.json",
         {
-            "mu": mu,
             "bound": bound,
             "max_ratio": max(ratios),
             "max_residual": max(residuals),
             "ratio_ok": max(ratios) <= bound + 0.05,
             "residual_ok": max(residuals) <= 1e-10,
-            "trials": config["trials"],
         },
     )
 
 
 def _driven(config: dict, fields: list[PolyVectorField], horizon: float, n_points: int):
-    """Grid, one sampled driver on it and the initial point (zero unless given)."""
+    """Grid, one sampled driver on it and the resolved initial point."""
     grid = TimeGrid(horizon, n_points)
     p = sample_fbm(HurstParam(config["hurst"]), grid, len(fields), 1, config["seed"])[0]
-    initial = np.asarray(config.get("initial", [0.0] * fields[0].m), dtype=float)
-    return grid, p, initial
+    return grid, p, np.asarray(config["initial"], dtype=float)
 
 
 def run_solve(config: dict, outdir: Path, fields: list[PolyVectorField]) -> None:
@@ -341,16 +346,6 @@ def run_solve(config: dict, outdir: Path, fields: list[PolyVectorField]) -> None
     header = ["t"] + [f"y_{i + 1}" for i in range(fields[0].m)]
     rows = [(t, *vals) for t, vals in zip(grid.times, solution.values)]
     write_csv(outdir / "solution.csv", header, rows)
-    write_json(
-        outdir / "metadata.json",
-        {
-            "fields_hash": fields_hash(fields),
-            "H": config["hurst"],
-            "mesh": grid.mesh,
-            "seed": config["seed"],
-            "initial": initial.tolist(),
-        },
-    )
 
 
 def run_check_fields(config: dict, outdir: Path, fields: list[PolyVectorField]) -> None:
@@ -358,7 +353,6 @@ def run_check_fields(config: dict, outdir: Path, fields: list[PolyVectorField]) 
     n = config["nilpotent"]
     nil, witness = family.nilpotent(n)
     report = {
-        "fields_hash": family.key,
         "nilpotent": {"order": n, "ok": nil, "witness": list(witness) if witness else None},
     }
     if config.get("constant_brackets"):
@@ -390,11 +384,9 @@ def run_strichartz(config: dict, outdir: Path, fields: list[PolyVectorField]) ->
     write_json(
         outdir / "result.json",
         {
-            "fields_hash": fields_hash(fields),
             "endpoint_flow": y_flow.tolist(),
             "endpoint_rde": y_rde.values[-1].tolist(),
             "max_abs_difference": float(np.max(np.abs(y_flow - y_rde.values[-1]))),
-            "initial": initial.tolist(),
             "order": n,
             "flow": flow_route(family, n, config["steps"]),
         },
@@ -425,7 +417,6 @@ def run_jacobian(config: dict, outdir: Path, fields: list[PolyVectorField]) -> N
     write_json(
         outdir / "summary.json",
         {
-            "fields_hash": fields_hash(fields),
             "inverse_residual": jac.inverse_residual(),
             "fd_residual": float(np.max(np.abs(fd - jac.J[-1]))),
             "order": n,
@@ -448,8 +439,6 @@ def run_malliavin(config: dict, outdir: Path, fields: list[PolyVectorField]) -> 
     write_json(
         outdir / "summary.json",
         {
-            "fields_hash": fields_hash(fields),
-            "t": t,
             "route_residual": float(
                 np.max(np.abs(slice_ode.values[: k_t + 1] - slice_jac.values[: k_t + 1]))
             ),
@@ -475,11 +464,9 @@ def run_norris_stats(config: dict, outdir: Path) -> None:
     write_json(
         outdir / "summary.json",
         {
-            "hurst": config["hurst"],
             "delta": delta,
             "Delta": scales.Delta,
             "r": scales.r,
-            "paths": config["paths"],
             "mc_mean": rep["mean"],
             "mean_target": rep["mean_target"],
             "mean_stderr": rep["mean_stderr"],
@@ -493,9 +480,7 @@ def run_norris_stats(config: dict, outdir: Path) -> None:
 
 
 def run_norris_mc(config: dict, outdir: Path, fields: list[PolyVectorField]) -> None:
-    u_field = next(f for f in fields if not f.is_zero)
-    eta = np.zeros(fields[0].m)
-    eta[-1] = 1.0
+    u_field, eta = dichotomy_directions(fields)
     rep = norris_dichotomy_mc(
         fields,
         u_field,
@@ -508,25 +493,9 @@ def run_norris_mc(config: dict, outdir: Path, fields: list[PolyVectorField]) -> 
         grid_points=config["grid_points"],
         seed=config["seed"],
     )
-    write_csv(
-        outdir / "dichotomy.csv",
-        ["eps", "eps_q", "count", "frequency", "stderr", "upper_bound_only"],
-        [
-            (r["eps"], r["eps_q"], r["count"], r["frequency"], r["stderr"], r["upper_bound_only"])
-            for r in rep["rows"]
-        ],
-    )
-    write_json(
-        outdir / "summary.json",
-        {
-            "fields_hash": fields_hash(fields),
-            "fitted_exponent": rep["fitted_exponent"],
-            "non_increasing": rep["non_increasing"],
-            "q": rep["q"],
-            "horizon": rep["horizon"],
-            "paths": rep["n_paths"],
-        },
-    )
+    header = ["eps", "eps_q", "count", "frequency", "stderr", "upper_bound_only"]
+    write_csv(outdir / "dichotomy.csv", header, [[r[k] for k in header] for r in rep["rows"]])
+    write_json(outdir / "summary.json", {k: rep[k] for k in ("fitted_exponent", "non_increasing")})
 
 
 def run_density(config: dict, outdir: Path, fields: list[PolyVectorField]) -> None:
@@ -613,14 +582,19 @@ def main(argv: list[str] | None = None) -> int:
         # Parsed once, here, so a bad file or a point that does not fit it is a config error.
         fields = load_fields(config["fields"]) if "fields" in config else None
         check_fit(command, config, fields)
+        if "initial" in SCHEMAS[command]["properties"]:
+            config.setdefault("initial", [0.0] * fields[0].m)
         outdir = Path(args.out) / f"{command}-seed{config['seed']}"
         outdir.mkdir(parents=True, exist_ok=True)
     except (ConfigError, RoughflowError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps({"command": command, "config": config}, sort_keys=True))
+    record = {"command": command, "config": config}
+    if fields is not None:
+        record["fields_hash"] = fields_hash(fields)
+    print(json.dumps(record, sort_keys=True))
     try:
-        write_json(outdir / "config.json", {"command": command, "config": config})
+        write_json(outdir / "config.json", record)
         if fields is None:
             RUNNERS[command](config, outdir)
         else:

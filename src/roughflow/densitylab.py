@@ -280,12 +280,6 @@ def density_report(
     group_skews = np.array([_skewness(g) for g in groups])
     skew_stderr = float(np.std(group_skews, ddof=1) / np.sqrt(len(groups)))
     report = {
-        "functional": f"component {functional}",
-        "hurst": hurst.value,
-        "t": t,
-        "n_paths": n_paths,
-        "seed": seed,
-        "initial": initial.tolist(),
         "hypotheses": checks,
         "flow": flow,
         "kde": full,

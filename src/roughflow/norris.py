@@ -127,12 +127,6 @@ def block_stats_mc(
     est_mean = float(np.mean(x))
     stderr = float(np.std(x.mean(axis=1)) / np.sqrt(n_paths))
     return {
-        "hurst": hurst.value,
-        "delta": scales.delta,
-        "Delta": scales.Delta,
-        "r": r,
-        "n_paths": n_paths,
-        "n_blocks": n_blocks,
         "mean": est_mean,
         "mean_stderr": stderr,
         "mean_target": mean_target,
@@ -206,8 +200,8 @@ def norris_dichotomy_mc(
     seminorms of the ||.||_{gamma,infty} norms add events that are
     unobservably rare at desk scale at the listed eps).
     Returns per-eps frequencies and the fitted decay exponent over the
-    rows with at least one event; zero-count rows carry the resolution
-    bound 1/n_paths as an upper-bound marker.
+    rows with at least one event; zero-count rows are flagged
+    ``upper_bound_only``, their frequency being below 1/n_paths.
     """
     if q <= 0:
         raise DomainError(f"q must be positive, got {q}")
@@ -256,7 +250,6 @@ def norris_dichotomy_mc(
                 "frequency": freq,
                 "stderr": float(np.sqrt(max(freq * (1 - freq), 0.0) / n_paths)),
                 "upper_bound_only": hits == 0,
-                "resolution": 1.0 / n_paths,
             }
         )
     pos = [(r["eps"], r["frequency"]) for r in rows if r["count"] > 0]
@@ -272,10 +265,6 @@ def norris_dichotomy_mc(
         "non_increasing": all(
             freqs[k] >= freqs[k + 1] - 1e-15 for k in range(len(freqs) - 1)
         ),
-        "q": q,
-        "horizon": horizon,
-        "n_paths": n_paths,
-        "seed": seed,
         "y_norms": y_norms,
         "z_norms": z_norms,
     }

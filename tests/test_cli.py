@@ -10,11 +10,11 @@ import pytest
 from jsonschema.validators import validator_for
 
 from roughflow import cli
-from roughflow.cli import SCHEMAS, ConfigError, main, resolve_config
+from roughflow.cli import SCHEMAS, ConfigError, dichotomy_directions, main, resolve_config
 from roughflow.densitylab import _skewness, flow_endpoint_samples, yamato_fields
 from roughflow.fbm import HurstParam, TimeGrid, sample_fbm
 from roughflow.flows import jacobian_path_strichartz, malliavin_derivative
-from roughflow.liefields import format_field_file, parse_field_file
+from roughflow.liefields import fields_hash, format_field_file, parse_field_file
 from roughflow.strichartz import strichartz_solve
 
 from helpers import chain_family
@@ -436,8 +436,8 @@ def test_sample_fbm_artifacts_match_metadata(tmp_path):
     )
     assert rc == 0
     outdir = tmp_path / "sample-fbm-seed0"
-    meta = json.loads((outdir / "metadata.json").read_text())
-    assert meta["d"] == 2 and meta["n_points"] == 9 and meta["T"] == 1.0
+    config = json.loads((outdir / "config.json").read_text())["config"]
+    assert config["dim"] == 2 and config["grid_points"] == 9 and config["horizon"] == 1.0
     header, *rows = (outdir / "path_000.csv").read_text().strip().splitlines()
     assert header == "t,comp_1,comp_2"
     assert len(rows) == 9
@@ -548,3 +548,94 @@ def test_unreadable_input_or_output_path_exits_two(case, tmp_path, capsys):
     assert err.startswith("config error: ") and "Traceback" not in err
     assert (str(plain) if case == "out" else str(latin1)) in err
     assert not (tmp_path / "out").exists()
+
+
+#: Result keys named after a schema property that are results, not echoes of the input:
+#: density's resolved KDE bandwidth, check-fields' sections (the outcome of the check each
+#: option asks for) and the truncation level inside the serialised signature.
+RESULT_KEYS_NAMED_AFTER_OPTIONS = {
+    "density": {"bandwidth"},
+    "check-fields": {"nilpotent", "constant_brackets", "hormander"},
+    "signature": {"level"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+def test_config_json_is_the_one_record_of_inputs(command, tmp_path, capsys):
+    assert main([command, *SMALL_RUNS[command], "--out", str(tmp_path)]) == 0
+    outdir = tmp_path / f"{command}-seed0"
+    record = json.loads((outdir / "config.json").read_text())
+    assert json.loads(capsys.readouterr().out.splitlines()[0]) == record
+    props = SCHEMAS[command]["properties"]
+    if "fields" in props:
+        assert record["fields_hash"] == fields_hash(yamato_fields())
+    else:
+        assert "fields_hash" not in record
+    assert not (outdir / "metadata.json").exists()
+    allowed = RESULT_KEYS_NAMED_AFTER_OPTIONS.get(command, set())
+    for path in outdir.iterdir():
+        if path.name in ("config.json", "manifest.json"):
+            continue
+        assert "fields_hash" not in path.read_text(), path.name
+        if path.suffix == ".json":
+            echoed = set(json.loads(path.read_text())) & set(props)
+            assert echoed <= allowed, (path.name, echoed - allowed)
+
+
+@pytest.mark.parametrize("command", ["solve", "strichartz", "jacobian", "malliavin"])
+def test_config_json_holds_the_resolved_initial(command, tmp_path):
+    runs = {"origin": [], "given": ["--initial", "0.1,-0.2,0.3"]}
+    for name, extra in runs.items():
+        out = tmp_path / name
+        assert main([command, *SMALL_RUNS[command], *extra, "--out", str(out)]) == 0
+        runs[name] = json.loads((out / f"{command}-seed0" / "config.json").read_text())["config"]["initial"]
+    assert runs == {"origin": [0.0, 0.0, 0.0], "given": [0.1, -0.2, 0.3]}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["norris-stats", "--delta-exp", "2", "--ratio-exp", "8", "--paths", "10"],  # Delta = 2^6 > 1
+            "norris-stats needs ratio_exp <= delta_exp, got 8 > 2",
+        ),
+        (
+            ["norris-mc", "--paths", "10", "--eps", "0.4,0.4"],
+            "config violates schema: [0.4, 0.4] has non-unique elements",
+        ),
+    ],
+    ids=["norris-stats-Delta-above-one", "norris-mc-repeated-eps"],
+)
+def test_scales_and_eps_that_cannot_fit_exit_two(argv, message, tmp_path, capsys):
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_norris_mc_without_a_nonzero_bracket_exits_two(tmp_path, capsys):
+    flat = tmp_path / "flat.vf"
+    flat.write_text("2 2\n1\n0\n0\n1\n")  # d1 and d2 commute
+    assert main(["norris-mc", "--fields", str(flat), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: norris-mc needs a bracket [V_j, U] that is nonzero at the origin for eta"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_norris_mc_eta_is_the_first_nonzero_bracket_at_the_origin():
+    yamato = yamato_fields()
+    u_field, eta = dichotomy_directions(yamato)
+    assert u_field is yamato[1]
+    assert eta.tolist() == [0.0, 0.0, 4.0]  # [A_3, A_2] = 4 e_3, so eta / |eta| = e_3
+    chain = parse_field_file(CHAIN_FILE)
+    u_field, eta = dichotomy_directions(chain)
+    assert u_field is chain[0]
+    assert np.array_equal(eta, [0.0, -1.0, 0.0])  # [V_2, V_1] = -d_2
+
+
+def test_norris_mc_on_the_chain_file_counts_events(tmp_path):
+    vf = tmp_path / "chain.vf"
+    vf.write_text(CHAIN_FILE)
+    assert main(["norris-mc", "--fields", str(vf), *SMALL_RUNS["norris-mc"], "--out", str(tmp_path)]) == 0
+    _, *rows = (tmp_path / "norris-mc-seed0" / "dichotomy.csv").read_text().strip().splitlines()
+    assert max(int(row.split(",")[2]) for row in rows) > 0
+    assert json.loads((tmp_path / "norris-mc-seed0" / "summary.json").read_text())["fitted_exponent"] is not None
