@@ -108,8 +108,6 @@ def jacobian_path_strichartz(
     ``steps`` is used only when the family has no flow certificate (RK4).
     """
     family = FieldFamily.of(fields)
-    family.require_constant_brackets(n)
-    family.require_nilpotent(n)
     a = family.initial(a)
     m, rows = family.m, p.grid.n_points
     y, J = np.tile(a, (rows, 1)), np.tile(np.eye(m), (rows, 1, 1))
@@ -190,11 +188,10 @@ def malliavin_derivative(
 
     Exact up to rounding when the family has a flow certificate; otherwise
     RK4 with ``steps`` steps, which is linear in the forcing, so the
-    contraction factors it the same way.  Requires constant brackets of
-    order >= 2, the paper's hypothesis.
+    contraction factors it the same way.  Requires an n-nilpotent family,
+    checked before the t = 0 return, where no psi is built.
     """
     family = FieldFamily.of(fields)
-    family.require_constant_brackets(n)
     family.require_nilpotent(n)
     m, d = family.m, family.d
     a = family.initial(a)

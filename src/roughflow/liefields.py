@@ -525,8 +525,8 @@ class _Parser:
             if not tok.isdigit():
                 raise DomainError(f"exponent must be a nonnegative integer, got {tok!r}")
             base, acc = acc, Polynomial.constant(self.nvars, 1)
-            for _ in range(int(tok)):
-                acc = acc * base
+            for bit in f"{int(tok):b}":  # binary powering: about 2 log2(power) exact products
+                acc = acc * acc * base if bit == "1" else acc * acc
         return acc * sign
 
     def atom(self) -> Polynomial:
@@ -711,11 +711,6 @@ class FieldFamily:
         if not ok:
             message = f"fields are not {n}-nilpotent: bracket along {witness} is nonzero"
             raise PreconditionError(message, name="nilpotency")
-
-    def require_constant_brackets(self, n: int) -> None:
-        """Raise PreconditionError ``constant brackets`` unless brackets of order 2..n are constant."""
-        if not self.constant_brackets(n):
-            raise PreconditionError("brackets of order >= 2 are not constant", name="constant brackets")
 
     def brackets(self, n: int) -> Mapping[tuple[int, ...], PolyVectorField]:
         """Left-nested brackets V_w of the nonzero words up to length n - 1 (the fields for

@@ -206,8 +206,8 @@ def norris_dichotomy_mc(
     if q <= 0:
         raise DomainError(f"q must be positive, got {q}")
     eps_arr = np.asarray(sorted(eps_list, reverse=True), dtype=float)
-    if np.any(eps_arr <= 0):
-        raise DomainError("eps values must be positive")
+    if np.any(eps_arr <= 0) or np.any(eps_arr[1:] == eps_arr[:-1]):
+        raise DomainError(f"eps values must be positive and distinct, got {list(eps_list)}")
     family = FieldFamily.of(fields)
     m = family.m
     a = family.initial(np.zeros(m) if a is None else a)

@@ -28,6 +28,7 @@ from roughflow.liefields import (
     Polynomial,
     PolyVectorField,
     bracket,
+    parse_field_file,
     parse_polynomial,
 )
 from roughflow.signature import (
@@ -269,6 +270,31 @@ def chain_family():
     ]
 
 
+#: V1 = d1, V2 = x1^2 d2 as a field file: [V1, V2] = 2 x1 d2 is not constant,
+#: [V1, [V1, V2]] = 2 d2 is, and every order-4 bracket vanishes, so it is 4-nilpotent
+#: and outside the paper's constant-bracket hypothesis.
+QUADRATIC_SHEAR_FILE = "2 2\n1\n0\n0\nx1^2\n"
+
+
+def quadratic_shear() -> list[PolyVectorField]:
+    return parse_field_file(QUADRATIC_SHEAR_FILE)
+
+
+def ode_endpoints(fields, p: SamplePath, starts, substeps: int) -> np.ndarray:
+    """y_T of dy = V_j(y) dx^j along the piecewise-linear interpolation of p, from each
+    of the starts (k, m): classical RK4 with ``substeps`` steps per grid segment.
+
+    No signature, bracket or Strichartz code is involved, so it is the ODE oracle of
+    the flow routes for any polynomial fields, nilpotent or not.
+    """
+    stack = CompiledField.stack(list(fields))
+    y = np.asarray(starts, dtype=float).T
+    for dx in np.diff(p.values, axis=0):
+        segment = stack.weighted(dx)
+        (y,) = rk4_joint(lambda state: (segment(state[0]),), (y,), substeps)
+    return y.T
+
+
 @st.composite
 def triangular_families(draw):
     """Polynomial fields on R^m, m <= 4, whose components depend only on earlier
@@ -297,7 +323,6 @@ def jacobian_flow_strichartz(fields, p, a, t, n, steps=DEFAULT_FLOW_STEPS):
     The per-time oracle of ``flows.jacobian_path_strichartz``.
     """
     family = FieldFamily.of(fields)
-    family.require_constant_brackets(n)
     family.require_nilpotent(n)
     if t == 0.0:
         return np.eye(family.m), np.eye(family.m)

@@ -17,7 +17,7 @@ from roughflow.flows import jacobian_path_strichartz, malliavin_derivative
 from roughflow.liefields import fields_hash, format_field_file, parse_field_file
 from roughflow.strichartz import strichartz_solve
 
-from helpers import chain_family
+from helpers import QUADRATIC_SHEAR_FILE, chain_family
 
 SMALL_RUNS = {
     "sample-fbm": ["--grid-points", "17", "--paths", "2"],
@@ -499,6 +499,28 @@ def test_flows_run_at_the_family_order(command, tmp_path):
     else:
         got = _csv_values(outdir / "malliavin.csv")[:, 1:]
         assert np.array_equal(got, malliavin_derivative(fields, p, a, 1.0, 4, steps=32).values.reshape(9, 6))
+
+
+@pytest.mark.parametrize("command", ["jacobian", "malliavin"])
+def test_flows_run_on_non_constant_brackets(command, tmp_path):
+    vf = tmp_path / "shear.vf"
+    vf.write_text(QUADRATIC_SHEAR_FILE)
+    argv = [command, "--fields", str(vf), "--initial", "0.3,-0.2", "--seed", "3", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    summary = json.loads((tmp_path / f"{command}-seed3" / "summary.json").read_text())
+    assert summary["order"] == 4 and summary["flow"]["route"] == "polynomial"
+    if command == "jacobian":
+        assert summary["fd_residual"] < 1e-6 and summary["inverse_residual"] < 1e-9
+    else:
+        assert summary["route_residual"] < 1e-6
+
+
+def test_density_refuses_non_constant_brackets(tmp_path, capsys):
+    vf = tmp_path / "shear.vf"
+    vf.write_text(QUADRATIC_SHEAR_FILE)
+    argv = ["density", "--fields", str(vf), "--component", "2", *SMALL_RUNS["density"], "--out", str(tmp_path)]
+    assert main(argv) == 3
+    assert "constant brackets" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["strichartz", "jacobian", "malliavin"])

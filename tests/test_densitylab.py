@@ -23,7 +23,13 @@ from roughflow.fbm import SamplePath, TimeGrid, sample_fbm_array
 from roughflow.liefields import FieldFamily, PolyVectorField, hormander_rank, parse_polynomial
 from roughflow.strichartz import strichartz_solve
 
-from helpers import batch_levy_prefix_loop, flow_endpoint_samples_whole, sheared_yamato, yamato_explicit
+from helpers import (
+    batch_levy_prefix_loop,
+    flow_endpoint_samples_whole,
+    quadratic_shear,
+    sheared_yamato,
+    yamato_explicit,
+)
 
 
 class TestYamatoFields:
@@ -244,6 +250,12 @@ class TestDensityReport:
         with pytest.raises(PreconditionError) as err:
             density_report([e1], rough_hurst, 1.0, 1000, functional=2)
         assert err.value.name == "Hoermander spanning"
+
+    def test_refuses_non_constant_brackets(self, rough_hurst):
+        # The flows run on this 4-nilpotent family; the density theorem's hypothesis fails.
+        with pytest.raises(PreconditionError) as err:
+            density_report(quadratic_shear(), rough_hurst, 1.0, 1000, functional=2)
+        assert err.value.name == "constant brackets"
 
     def test_component_out_of_range(self, yamato, rough_hurst):
         with pytest.raises(DomainError):

@@ -25,9 +25,11 @@ from helpers import (
     jacobian_flow_strichartz,
     jacobian_path_rk4,
     malliavin_derivative_steps,
+    ode_endpoints,
     pair_integral,
     prefix_signatures,
     psi,
+    quadratic_shear,
     sheared_yamato,
     suffix_signatures,
     yamato_explicit,
@@ -127,10 +129,10 @@ class TestJacobianFlows:
             jacobian_flow_strichartz(
                 [grow, e1, PolyVectorField.zero(3)], fbm_path_d3, A_INIT, 1.0, 3
             )
-        # The family's checks fire before any flow runs.
+        # [x1^2 d1, d1, 0] is not 3-nilpotent: build_Z_batch refuses before any flow runs.
         with pytest.raises(PreconditionError) as err:
             jacobian_path_strichartz([grow, e1, PolyVectorField.zero(3)], fbm_path_d3, A_INIT, 3)
-        assert err.value.name == "constant brackets"
+        assert err.value.name == "nilpotency"
 
     def test_nilpotency_checked_on_every_jacobian_route(self, fbm_path_d2):
         # [V1, V2] = d2 is constant but nonzero: the pair is not 2-nilpotent.
@@ -141,6 +143,9 @@ class TestJacobianFlows:
             lambda: jacobian_flow_strichartz(fields, fbm_path_d2, a, 1.0, 2),
             lambda: jacobian_path_strichartz(fields, fbm_path_d2, a, 2),
             lambda: malliavin_via_jacobian(fields, fbm_path_d2, a, 1.0, 2),
+            lambda: malliavin_derivative(fields, fbm_path_d2, a, 1.0, 2),
+            # At t = 0 no psi is built, so the route checks the family itself.
+            lambda: malliavin_derivative(fields, fbm_path_d2, a, 0.0, 2),
             lambda: z_process(fields, RoughDriver.from_path(fbm_path_d2), v1, np.ones(2), a, method="strichartz", n=2),
         )
         for route in routes:
@@ -170,6 +175,24 @@ class TestJacobianFlows:
         ypath, jac = jacobian_path_strichartz(fields, fbm_path_d2, a, 4)
         y, J, Jb = jacobian_path_rk4(fields, fbm_path_d2, a, 4)
         assert max_gap([(ypath.values, y), (jac.J, J), (jac.J_inv, Jb)]) <= 1e-12
+
+    def test_non_constant_brackets_match_the_ode_oracle(self, fbm_path_d2):
+        # Constant brackets are a hypothesis of the density theorem, not of y_t = exp(Z_t)(a).
+        fields, a = quadratic_shear(), np.array([0.3, -0.2])
+        family = FieldFamily.of(fields)
+        assert family.order() == 4 and not family.constant_brackets(4)
+        assert family.flow_certificate(4) is not None
+        ypath, jac = jacobian_path_strichartz(fields, fbm_path_d2, a, 4)
+        y, J, Jb = jacobian_path_rk4(fields, fbm_path_d2, a, 4)
+        assert max_gap([(ypath.values, y), (jac.J, J), (jac.J_inv, Jb)]) <= 1e-12
+        assert jac.inverse_residual() < 1e-9
+        # Central differences of an ODE solve along the piecewise-linear driver.
+        eps = 1e-4
+        starts = np.vstack([a, a + eps * np.eye(2), a - eps * np.eye(2)])
+        ends = ode_endpoints(fields, fbm_path_d2, starts, substeps=4)
+        assert np.max(np.abs(ypath.values[-1] - ends[0])) < 1e-12
+        fd = (ends[1:3] - ends[3:5]).T / (2 * eps)
+        assert np.max(np.abs(fd - jac.J[-1])) < 1e-6
 
     def test_augmented_fields_shapes(self, yamato):
         aug = augmented_jacobian_fields(yamato)
@@ -311,6 +334,14 @@ class TestMalliavinDerivative:
             jac = malliavin_via_jacobian(fields, fbm_path_d2, a, t, 4)
             assert np.max(np.abs(ode.values[:k_t] - jac.values[:k_t])) < 1e-9
 
+    def test_two_routes_agree_on_non_constant_brackets(self, fbm_path_d2):
+        fields, a = quadratic_shear(), np.array([0.3, -0.2])
+        for t in (0.5, 1.0):
+            k_t = fbm_path_d2.grid.index_of(t)
+            ode = malliavin_derivative(fields, fbm_path_d2, a, t, 4, steps=128)
+            jac = malliavin_via_jacobian(fields, fbm_path_d2, a, t, 4, steps=128)
+            assert np.max(np.abs(ode.values[:k_t] - jac.values[:k_t])) < 1e-6
+
     def test_closed_form_on_explicit_system(self, yamato, fbm_path_d3):
         # D^2_u y^3_t = 2 a_2 + 2 (2 B^3_u - B^3_t) from the explicit solution.
         ms = malliavin_derivative(yamato, fbm_path_d3, A_INIT, 1.0, 3, steps=128)
@@ -345,7 +376,7 @@ class TestMalliavinDerivative:
         bad = [grow, e1, PolyVectorField.zero(3)]
         with pytest.raises(PreconditionError) as err:
             malliavin_derivative(bad, fbm_path_d3, A_INIT, 1.0, 3)
-        assert "constant" in err.value.name
+        assert err.value.name == "nilpotency"
 
 
 class TestFlowRoutes:

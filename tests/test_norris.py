@@ -242,6 +242,16 @@ class TestDichotomyProbe:
         assert all(r["upper_bound_only"] for r in rep["rows"])
         assert np.isnan(rep["fitted_exponent"])
 
+    @pytest.mark.parametrize("eps", [[0.4, 0.4], [0.4, 0.4, 0.2]])
+    def test_repeated_eps_raises(self, yamato, rough_hurst, eps):
+        # A repeated eps would be one more row of the fit, weighted twice, or a
+        # degenerate fit on a single abscissa.
+        with pytest.raises(DomainError, match="distinct"):
+            norris_dichotomy_mc(
+                yamato, yamato[1], np.array([0, 0, 1.0]), rough_hurst,
+                eps, q=0.5, n_paths=10, horizon=1e-4, seed=0,
+            )
+
     def test_q_must_be_positive(self, yamato, rough_hurst):
         with pytest.raises(DomainError):
             norris_dichotomy_mc(
