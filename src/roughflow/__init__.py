@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     BlowUpError,
-    ConvergenceError,
     DomainError,
     FactorizationError,
     PreconditionError,
@@ -30,7 +29,6 @@ from .fbm import HurstParam, SamplePath, TimeGrid, covariance, sample_fbm
 __all__ = [
     "__version__",
     "BlowUpError",
-    "ConvergenceError",
     "DomainError",
     "FactorizationError",
     "PreconditionError",

@@ -8,8 +8,8 @@ is the one record of the run's inputs: the config, with ``initial``
 resolved, and the ``fields_hash`` of a run on fields.  The other files
 hold results only.
 
-Exit codes: 0 success, 2 configuration/schema violation, 3 numeric or
-model failure (the offending module's message goes to stderr).
+Exit codes: 0 success, 2 configuration/schema violation, 3 numeric,
+model or allocation failure (the offending module's message goes to stderr).
 """
 
 from __future__ import annotations
@@ -600,7 +600,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             RUNNERS[command](config, outdir, fields)
         write_manifest(outdir)
-    except RoughflowError as exc:
+    except (RoughflowError, MemoryError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     return 0

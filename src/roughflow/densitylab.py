@@ -118,14 +118,18 @@ def kde(
     """Gaussian-kernel density estimate with Silverman's default bandwidth.
 
     Degenerate samples (zero spread) signal an atom in the law, which is
-    reported as an error rather than smoothed over.
+    reported as an error rather than smoothed over; so is a spread that is
+    not finite.
     """
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < 100:
         raise DomainError(f"kde needs at least 100 samples, got {x.size}")
     if grid_points < 2:
         raise DomainError(f"kde needs grid_points >= 2, got {grid_points}")
-    sigma = float(np.std(x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = float(np.std(x))
+    if not np.isfinite(sigma):
+        raise DomainError(f"sample spread is not finite (std {sigma}); no density to estimate")
     if sigma == 0.0:
         raise DomainError("samples are a single atom; no density to estimate")
     if bandwidth is None:
@@ -203,7 +207,7 @@ def check_hypotheses(
 #: 140, 165, 215 MB.  Alternating runs: 2^11 beat 2^12 on time (median of 8, 0.305
 #: against 0.317 s) and peak; 2^10 peaked 3 MB lower but ran slower than 2^11.
 FLOW_BLOCK = 2**11
-#: RK4 steps of the endpoint flow, used only for families without a flow certificate.
+#: RK4 steps of the endpoint flow, used only when the bracket stack has no certificate.
 FLOW_STEPS = 128
 
 

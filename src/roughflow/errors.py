@@ -22,10 +22,6 @@ class ValidationError(RoughflowError):
     """A structural precondition (e.g. closedness of an increment) failed."""
 
 
-class ConvergenceError(RoughflowError):
-    """A refinement sequence did not stabilize within the allowed depth."""
-
-
 class BlowUpError(RoughflowError):
     """A numerical flow produced a non-finite state.
 

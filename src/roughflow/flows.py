@@ -7,7 +7,7 @@ columns of one frozen flow, ``strichartz.variational``: started from (a, I)
 under Z_t, and from (y_t, I) under -Z_t.  The prefix signatures S_{0,t_k} of
 every grid time are one batch of ``batch_signature_levels``, and the flows of
 all grid times one batch of ``strichartz.frozen_flow``: exact in the driver,
-up to rounding, when the family has a flow certificate (Yamato's does), RK4
+up to rounding, when the bracket stack has a certificate (Yamato's does), RK4
 otherwise.  A Davie pass over the joint (y, J, J^{-1}) system
 (``tests/helpers.jacobian_flow_rde``) is its independent cross-check.
 
@@ -44,7 +44,7 @@ from .errors import DomainError
 from .fbm import SamplePath, TimeGrid
 from .liefields import FieldFamily, PolyVectorField
 from .signature import batch_signature_levels
-from .strichartz import DEFAULT_FLOW_STEPS, _psi_terms, build_Z_batch, frozen_flow, psi_batch, variational
+from .strichartz import DEFAULT_FLOW_STEPS, _psi_terms, build_Z_batch, frozen_flow, variational
 
 
 @dataclass(frozen=True)
@@ -103,25 +103,20 @@ def jacobian_path_strichartz(
     steps: int = DEFAULT_FLOW_STEPS,
 ) -> tuple[SamplePath, JacobianPath]:
     """(y, J, J^{-1}) at every grid time: the tangent flows of exp(Z_t) and exp(-Z_t) at every
-    prefix signature, each as one batch.
+    prefix signature, each as one batch.  At t = 0, psi = 0 and the flows give a and I exactly.
 
-    ``steps`` is used only when the family has no flow certificate (RK4).
+    ``steps`` is used only when the bracket stack has no certificate (RK4).
     """
     family = FieldFamily.of(fields)
     a = family.initial(a)
-    m, rows = family.m, p.grid.n_points
-    y, J = np.tile(a, (rows, 1)), np.tile(np.eye(m), (rows, 1, 1))
-    J_inv = J.copy()
-    levels = [lvl[1:, 0] for lvl in batch_signature_levels(p.values[None], n - 1, prefixes=True)]
+    levels = [lvl[:, 0] for lvl in batch_signature_levels(p.values[None], n - 1, prefixes=True)]
     psi = build_Z_batch(family, levels, n)
-    # With no nonzero bracket Z_t = 0: every flow is the identity.
-    if len(psi):
-        stack, certificate = family.bracket_stack(n), family.flow_certificate(n)
-        start = np.broadcast_to(a[:, None], (m, rows - 1))
-        end, tangent = _tangent_flow(stack.weighted(psi), start, certificate, steps)
-        y[1:], J[1:] = end.T, tangent.transpose(1, 0, 2)
-        J_inv[1:] = _tangent_flow(stack.weighted(-psi), end, certificate, steps)[1].transpose(1, 0, 2)
-    return SamplePath(grid=p.grid, values=y, hurst=None), JacobianPath(grid=p.grid, J=J, J_inv=J_inv)
+    stack = family.bracket_stack(n)
+    start = np.broadcast_to(a[:, None], (family.m, p.grid.n_points))
+    end, J = _tangent_flow(stack.weighted(psi), start, stack.certificate, steps)
+    J_inv = _tangent_flow(stack.weighted(-psi), end, stack.certificate, steps)[1]
+    jacobian = JacobianPath(grid=p.grid, J=J.transpose(1, 0, 2).copy(), J_inv=J_inv.transpose(1, 0, 2).copy())
+    return SamplePath(grid=p.grid, values=end.T.copy(), hurst=None), jacobian
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +181,7 @@ def malliavin_derivative(
     """D_u y_t for every grid u: the bracket columns E_t of the forced variational
     flow of Z_t, contracted with D_u psi_t.
 
-    Exact up to rounding when the family has a flow certificate; otherwise
+    Exact up to rounding when the bracket stack has a certificate; otherwise
     RK4 with ``steps`` steps, which is linear in the forcing, so the
     contraction factors it the same way.  Requires an n-nilpotent family,
     checked before the t = 0 return, where no psi is built.
@@ -198,20 +193,18 @@ def malliavin_derivative(
     grid = p.grid
     k_t = grid.index_of(t)
     values = np.zeros((grid.n_points, m, d))
-    words = list(family.brackets(n))
-    # With no nonzero bracket the fields vanish, and so does D_u y_t.
-    if k_t == 0 or not words:
+    if k_t == 0:
         return MalliavinSlice(grid=grid, t=t, values=values)
 
     prefixes, suffixes = split_signatures(p, k_t, n - 1)
+    psi = build_Z_batch(family, [lvl[k_t:] for lvl in prefixes], n)[:, 0]
     stack = family.bracket_stack(n)
-    psi = np.array([psi_batch([lvl[k_t:] for lvl in prefixes], w)[0] for w in words])
     # Column 0 of the state is phi, column 1 + w the derivative along psi^w, forced by V_w.
-    start = np.zeros((m, 1 + len(words)))
+    start = np.zeros((m, 1 + len(psi)))
     start[:, 0] = a
-    state = frozen_flow(variational(stack.weighted(psi), stack), start, family.flow_certificate(n), steps)
+    state = frozen_flow(variational(stack.weighted(psi), stack), start, stack.certificate, steps)
     # D_u y_t = 0 for u >= t (adaptedness).
-    values[:k_t] = np.einsum("iw,wuj->uij", state[:, 1:], d_psi(prefixes, suffixes, words)[:, :k_t])
+    values[:k_t] = np.einsum("iw,wuj->uij", state[:, 1:], d_psi(prefixes, suffixes, list(family.brackets(n)))[:, :k_t])
     return MalliavinSlice(grid=grid, t=t, values=values)
 
 

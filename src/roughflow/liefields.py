@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from math import prod
@@ -179,7 +179,7 @@ class PolyVectorField:
     def compiled(self) -> "CompiledField":
         """Float evaluator of this field, built on first use and kept."""
         if "_compiled" not in self.__dict__:
-            object.__setattr__(self, "_compiled", CompiledField.stack([self]).weighted(np.ones(1)))
+            object.__setattr__(self, "_compiled", CompiledField.stack([self], self.m).weighted(np.ones(1)))
         return self.__dict__["_compiled"]
 
     def __call__(self, x) -> np.ndarray:
@@ -202,8 +202,9 @@ class CompiledField:
     ``exponents`` is the (n, m) monomial table, closed under first partials,
     and ``plan`` lists each table row's (variable, power) factors.  ``levels``
     are the components by ``dependency_levels`` of the exact fields: a
-    component reads only components on lower levels.  It is None when the
-    dependency graph has a cycle.
+    component reads only components on lower levels.  ``certificate`` is
+    (degree bound, Picard depth) of the flow of every weighted sum of the
+    fields (see ``stack``).  Both are None when the dependency graph has a cycle.
     Row k of ``coef`` is the coefficient of component i on monomial q for
     ``pairs[k] = (i, q)``; ``jac_coef`` does the same for d_l V^i and
     ``jac_pairs[k] = ((i, l), q)``.  Only pairs nonzero somewhere are kept.  The
@@ -220,11 +221,21 @@ class CompiledField:
     jac_coef: np.ndarray
     plan: tuple[tuple[tuple[int, int], ...], ...]
     levels: tuple[tuple[int, ...], ...] | None
+    certificate: tuple[int, int] | None
 
     @staticmethod
-    def stack(fields: Sequence[PolyVectorField]) -> "CompiledField":
-        """Compile exact fields on a shared table; the last coef axis picks the field."""
-        m = fields[0].m
+    def stack(fields: Sequence[PolyVectorField], m: int) -> "CompiledField":
+        """Compile exact fields on R^m, none or more, on a shared table; the last coef axis
+        picks the field.
+
+        When the dependency graph is acyclic the flow s -> exp(sZ)(a) of every
+        weighted sum Z of the fields is a polynomial in s: component i has degree
+        at most D_i = 1 + max over its monomials e of sum_j e_j D_j (0 when it has
+        none), and L Picard sweeps make it exact, L the number of levels.  The
+        certificate is (max(1, max D_i), max(1, L)).
+        """
+        if any(fld.m != m for fld in fields):
+            raise DomainError(f"stack needs fields on R^{m}, got dimensions {sorted({fld.m for fld in fields})}")
         values: dict = {}
         partials: dict = {}
         for f, fld in enumerate(fields):
@@ -252,19 +263,23 @@ class CompiledField:
         exponents = np.array(table, dtype=int).reshape(len(table), m)
         exponents.flags.writeable = False
         plan = tuple(tuple((k, p) for k, p in enumerate(e) if p) for e in table)
-        return CompiledField(exponents, pairs, coef, jac_pairs, jac_coef, plan, dependency_levels(fields))
+        monomials = [[e for k, e in values if k == i] for i in range(m)]
+        levels, certificate = dependency_levels(monomials), None
+        if levels is not None:
+            degree = [0] * m
+            for i in (i for level in levels for i in level):
+                degree[i] = max((1 + sum(p * degree[j] for j, p in enumerate(e)) for e in monomials[i]), default=0)
+            certificate = max([1, *degree]), max(1, len(levels))
+        return CompiledField(exponents, pairs, coef, jac_pairs, jac_coef, plan, levels, certificate)
 
     def weighted(self, w) -> "CompiledField":
         """The field sum_f w[f] V_f of a stack; w is (n_fields, *family)."""
         w = np.asarray(w, dtype=float)
 
         def contract(c: np.ndarray) -> np.ndarray:
-            return (c @ w.reshape(w.shape[0], -1)).reshape(c.shape[:1] + w.shape[1:])
+            return (c @ w.reshape(w.shape[0], prod(w.shape[1:]))).reshape(c.shape[:1] + w.shape[1:])
 
-        return CompiledField(
-            self.exponents, self.pairs, contract(self.coef), self.jac_pairs, contract(self.jac_coef), self.plan,
-            self.levels,
-        )
+        return replace(self, coef=contract(self.coef), jac_coef=contract(self.jac_coef))
 
     @cached_property
     def terms(self) -> tuple[np.ndarray, np.ndarray]:
@@ -378,16 +393,16 @@ def bracket(v: PolyVectorField, w: PolyVectorField) -> PolyVectorField:
     return _derivative_sum(((1, v, w), (-1, w, v)))
 
 
-def dependency_levels(fields: Sequence[PolyVectorField]) -> tuple[tuple[int, ...], ...] | None:
-    """Components of ``fields`` by dependency level, or None when the graph has a cycle.
+def dependency_levels(monomials: Sequence[Iterable[Exponent]]) -> tuple[tuple[int, ...], ...] | None:
+    """Components by dependency level, or None when the graph has a cycle.
 
-    Component i depends on component j when x_j occurs in a monomial of the
-    i-th component of some field.  Level 0 holds the components that depend on
-    none, and level k those whose dependencies all sit below level k, one of
-    them on level k - 1.
+    ``monomials[i]`` are the exponents of component i over a list of fields;
+    component i depends on component j when x_j occurs in one of them.  Level 0
+    holds the components that depend on none, and level k those whose
+    dependencies all sit below level k, one of them on level k - 1.
     """
-    m = fields[0].m if fields else 0
-    needs = [{j for fld in fields for e in fld.components[i].terms for j, p in enumerate(e) if p} for i in range(m)]
+    m = len(monomials)
+    needs = [{j for e in mono for j, p in enumerate(e) if p} for mono in monomials]
     levels: list[tuple[int, ...]] = []
     placed: set[int] = set()
     while len(placed) < m:
@@ -397,26 +412,6 @@ def dependency_levels(fields: Sequence[PolyVectorField]) -> tuple[tuple[int, ...
         levels.append(ready)
         placed.update(ready)
     return tuple(levels)
-
-
-def flow_certificate(fields: Sequence[PolyVectorField]) -> tuple[int, int] | None:
-    """Degree bound and Picard depth of the flow of every weighted sum of ``fields``.
-
-    When the dependency graph of ``dependency_levels`` is acyclic the flow
-    s -> exp(sZ)(a) is a polynomial in s whatever the weights: component i
-    has degree at most D_i = 1 + max over its monomials e of sum_j e_j D_j
-    (0 when it has none), and L Picard sweeps make it exact, L the number of
-    levels.  Returns (max(1, max D_i), max(1, L)), or None when the graph has
-    a cycle.
-    """
-    levels = dependency_levels(fields)
-    if levels is None:
-        return None
-    degree: dict[int, int] = {}
-    for i in (i for level in levels for i in level):
-        monomials = {e for fld in fields for e in fld.components[i].terms}
-        degree[i] = max((1 + sum(p * degree[j] for j, p in enumerate(e) if p) for e in monomials), default=0)
-    return max([1, *degree.values()]), max(1, len(levels))
 
 
 def hormander_rank(fields: "Sequence[PolyVectorField] | FieldFamily", x, up_to: int) -> int:
@@ -730,22 +725,16 @@ class FieldFamily:
 
         return self._member(("brackets", n), build)
 
-    def flow_certificate(self, n: int) -> tuple[int, int] | None:
-        """``flow_certificate`` of ``brackets(n)``: it covers Z_t for every psi weighting.
-
-        At n = 2 the brackets are the fields themselves, so it covers their weighted sums.
-        """
-        return self._member(("flow", n), lambda: flow_certificate(list(self.brackets(n).values())))
-
     def bracket_stack(self, n: int) -> CompiledField:
-        """The brackets of ``brackets(n)``, in its order, compiled as one stack with its levels."""
-        return self._member(("bracket_stack", n), lambda: CompiledField.stack(list(self.brackets(n).values())))
+        """The brackets of ``brackets(n)``, in its order, compiled as one stack with its levels;
+        its certificate covers Z_t for every psi weighting (at n = 2, the fields' weighted sums)."""
+        return self._member(("bracket_stack", n), lambda: CompiledField.stack(list(self.brackets(n).values()), self.m))
 
     @cached_property
     def davie_stack(self) -> CompiledField:
         """V_1..V_d then W[i][j] = grad V_j . V_i (row-major), compiled as one stack with its levels."""
         corrections = taylor_correction_fields(self.fields)
-        return CompiledField.stack(list(self.fields) + [w for row in corrections for w in row])
+        return CompiledField.stack(list(self.fields) + [w for row in corrections for w in row], self.m)
 
     @cached_property
     def cotangent(self) -> "FieldFamily":

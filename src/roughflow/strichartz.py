@@ -16,9 +16,9 @@ scalar functionals combine signature entries over all permutations,
 with tau the inverse permutation and e(sigma) the descent count.  The
 permutation sum is enumerated literally (k <= 5 keeps it tiny).  The
 exponential flow integrates dPsi/ds = Z(Psi) on [0, 1] for a batch of
-paths at once, on the bracket stack and flow certificate that the family
-keeps; ``strichartz_solve`` is its batch of one.  ``frozen_flow`` reads
-the family's certificate at order n: when the brackets' dependency graph is
+paths at once, on the bracket stack that the family keeps;
+``strichartz_solve`` is its batch of one.  ``frozen_flow`` reads the
+stack's certificate: when the brackets' dependency graph is
 acyclic (triangular fields, Yamato's family among them) the flow is a
 polynomial in s of known degree D, and L Picard steps on max(1, ceil(D / 2))
 Gauss-Legendre nodes (the last one at s = 1 only) give it exactly up to
@@ -145,7 +145,7 @@ def gauss_nodes(degree: int) -> int:
 def polynomial_flow(z: Callable, y0: np.ndarray, degree: int, depth: int) -> np.ndarray:
     """Time-1 flow of z from y0 (m, *batch) when it is a polynomial of degree <= ``degree`` in s.
 
-    With ``degree`` and ``depth`` from ``liefields.flow_certificate``, Picard step
+    With ``degree`` and ``depth`` from a stack's ``certificate``, Picard step
     k is exact on every component whose dependency chain has at most k
     components.  The first depth - 1 steps run on the n = ``gauss_nodes(degree)``
     Gauss-Legendre nodes, y(s_l) <- y0 + sum_k W[l, k] z(y(s_k)), with the node
@@ -195,10 +195,11 @@ def exp_flow_batch(
     ``psi`` is (n_brackets, n_paths), as from ``build_Z_batch``.  The family's
     kept bracket stack is summed once into per-path coefficients
     C[pair, path] = sum_w psi^w[path] coef_w[pair], and the state is
-    component-major (m, n_paths).  When the family has a flow certificate at
-    order n (the one ``flow_route`` records), the flow is a polynomial in s for
-    every weighting and ``polynomial_flow`` gives it exactly up to rounding;
-    otherwise RK4 runs ``steps`` steps, the only use of ``steps``.
+    component-major (m, n_paths).  When the stack carries a certificate (the one
+    ``flow_route`` records), the flow is a polynomial in s for every weighting
+    and ``polynomial_flow`` gives it exactly up to rounding; otherwise RK4 runs
+    ``steps`` steps, the only use of ``steps``.  With no bracket Z = 0, and either
+    route returns a.
     """
     family = FieldFamily.of(fields)
     psi = np.asarray(psi, dtype=float)
@@ -208,10 +209,8 @@ def exp_flow_batch(
     if a.shape not in ((family.m,), (psi.shape[1], family.m)):
         raise DomainError(f"a must be shape ({family.m},) or ({psi.shape[1]}, {family.m}), got {a.shape}")
     y0 = np.broadcast_to(a, (psi.shape[1], family.m)).T
-    if not psi.shape[0]:
-        # No bracket: Z_t = 0, and the flow is the identity.
-        return y0.T.copy()
-    return frozen_flow(family.bracket_stack(n).weighted(psi), y0, family.flow_certificate(n), steps).T
+    stack = family.bracket_stack(n)
+    return frozen_flow(stack.weighted(psi), y0, stack.certificate, steps).T
 
 
 def frozen_flow(z: Callable, y0: np.ndarray, certificate: tuple[int, int] | None, steps: int) -> np.ndarray:
@@ -234,7 +233,7 @@ def variational(z: CompiledField, forcing: CompiledField | None = None) -> Calla
 
     From (a, I) the columns end at D exp(z)(a).  When z and the forcing weight one
     stack, D_c^i reads what phi^i reads, with no higher degree in s, so the stack's
-    flow certificate covers the whole state.
+    certificate covers the whole state.
     """
 
     def slope(state: np.ndarray) -> np.ndarray:
@@ -260,7 +259,7 @@ def strichartz_solve(
     """Solution at time t via the nilpotent flow representation: ``exp_flow_batch`` on a batch of one.
 
     Exact in the piecewise-linear driver up to rounding when the brackets carry
-    a flow certificate; otherwise up to the RK4 error of ``steps`` steps.
+    a certificate; otherwise up to the RK4 error of ``steps`` steps.
     """
     family = FieldFamily.of(fields)
     levels = batch_signature_levels(p.values[None, : p.grid.index_of(t) + 1], n - 1)
@@ -270,7 +269,7 @@ def strichartz_solve(
 def flow_route(family: FieldFamily, n: int, steps: int) -> dict:
     """The route ``frozen_flow`` takes for the Z_t of ``family`` at order n (in ``exp_flow_batch``
     and the tangent flows of ``flows``), as a run record."""
-    certificate = family.flow_certificate(n)
+    certificate = family.bracket_stack(n).certificate
     if certificate is None:
         return {"route": "rk4", "steps": steps}
     degree, depth = certificate

@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from roughflow.controlled import ControlledPath, RoughDriver, rde_solve_batch
-from roughflow.errors import ConvergenceError, DomainError
+from roughflow.errors import DomainError, RoughflowError
 from roughflow.fbm import HurstParam, SamplePath, TimeGrid, sample_fbm_array
 from roughflow import flows
 from roughflow.flows import JacobianPath, MalliavinSlice, jacobian_path_strichartz, split_signatures
@@ -41,6 +41,39 @@ from roughflow.signature import (
 from roughflow.strichartz import DEFAULT_FLOW_STEPS, _psi_terms, build_Z_batch, exp_flow_batch, psi_batch
 
 
+class ConvergenceError(RoughflowError):
+    """A refinement sequence of ``rough_integral`` did not stabilize within the allowed depth."""
+
+
+def flow_certificate(fields) -> tuple[int, int] | None:
+    """Degree bound and Picard depth of the flow of every weighted sum of ``fields``, or None
+    when some component reads itself through a chain of components.
+
+    The oracle of ``CompiledField.stack``'s certificate, by memoised recursion along
+    the graph "component i reads x_j" instead of a level walk: the degree of
+    component i is 1 + max over its monomials e of sum_j e_j deg_j (0 with no
+    monomial), its depth 1 + the largest depth of a component it reads.
+    """
+    monomials = [set().union(*(fld.components[i].terms for fld in fields)) for i in range(fields[0].m)] if fields else []
+    memo: dict[int, tuple[int, int] | None] = {}
+
+    def visit(i: int) -> tuple[int, int] | None:
+        if i in memo:
+            return memo[i]
+        memo[i] = None  # i is on the current chain: reaching it again closes a cycle
+        below = {j: visit(j) for e in monomials[i] for j, p in enumerate(e) if p}
+        if None in below.values():
+            return None
+        degree = max((1 + sum(p * below[j][0] for j, p in enumerate(e) if p) for e in monomials[i]), default=0)
+        memo[i] = (degree, 1 + max((depth for _, depth in below.values()), default=0))
+        return memo[i]
+
+    found = [visit(i) for i in range(len(monomials))]
+    if None in found:
+        return None
+    return max([1, *(degree for degree, _ in found)]), max([1, *(depth for _, depth in found)])
+
+
 def psi(sig: IteratedIntegrals, word: Word) -> float:
     """Permutation functional psi^w of one signature over [0, t], entry by entry.
 
@@ -58,14 +91,10 @@ def psi(sig: IteratedIntegrals, word: Word) -> float:
 
 
 def frozen_field(fields, sig: IteratedIntegrals, n: int) -> CompiledField:
-    """Z_t = sum_w psi^w V_w of one signature, weighted by the oracle ``psi``.
-
-    A leading zero field keeps the table defined when the family has no bracket.
-    """
+    """Z_t = sum_w psi^w V_w of one signature, weighted by the oracle ``psi``."""
     family = FieldFamily.of(fields)
     brackets = family.brackets(n)
-    stack = CompiledField.stack([PolyVectorField.zero(family.m), *brackets.values()])
-    return stack.weighted([0.0] + [psi(sig, w) for w in brackets])
+    return CompiledField.stack(list(brackets.values()), family.m).weighted([psi(sig, w) for w in brackets])
 
 
 def gauss_legendre_golub_welsch(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -155,12 +184,12 @@ def malliavin_derivative_steps(fields, p: SamplePath, a, t: float, n: int, steps
     k_t = p.grid.index_of(t)
     values = np.zeros((p.grid.n_points, m, d))
     words = list(family.brackets(n))
-    if k_t == 0 or not words:
+    if k_t == 0:
         return MalliavinSlice(grid=p.grid, t=t, values=values)
     prefixes, suffixes = split_signatures(p, k_t, n - 1)
     stack = family.bracket_stack(n)
     psi_t = np.array([psi_batch([lvl[k_t:] for lvl in prefixes], w)[0] for w in words])
-    weights = flows.d_psi(prefixes, suffixes, words)[:, :k_t].reshape(len(words), -1)
+    weights = flows.d_psi(prefixes, suffixes, words)[:, :k_t].reshape(len(words), k_t * d)
 
     # Each stage evaluates the brackets V_w(phi) once; Z_t and the forcing are their psi and D psi sums.
     def rhs(state):
@@ -287,7 +316,7 @@ def ode_endpoints(fields, p: SamplePath, starts, substeps: int) -> np.ndarray:
     No signature, bracket or Strichartz code is involved, so it is the ODE oracle of
     the flow routes for any polynomial fields, nilpotent or not.
     """
-    stack = CompiledField.stack(list(fields))
+    stack = CompiledField.stack(list(fields), fields[0].m)
     y = np.asarray(starts, dtype=float).T
     for dx in np.diff(p.values, axis=0):
         segment = stack.weighted(dx)

@@ -353,6 +353,22 @@ def test_flow_blow_up_exits_three_with_one_stderr_line(command, when, tmp_path):
     assert proc.stderr.splitlines() == [f"BlowUpError: RK4 flow state became non-finite (at {when})"]
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        # numpy refuses the 720 TiB driver table at once, so nothing is allocated.
+        (["--paths", "1000000000000"], "MemoryError: Unable to allocate 720. TiB for an array with shape (33, 3000000000000)"),
+        (["--time", "1e300", "--paths", "200", "--grid-points", "3"], "DomainError: sample spread is not finite (std inf)"),
+    ],
+    ids=["allocation", "spread"],
+)
+def test_density_failures_exit_three_with_one_stderr_line(argv, line, tmp_path):
+    argv = ["density", *argv, "--out", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-m", "roughflow.cli", *argv], capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith(line)
+
+
 def test_cli_import_leaves_out_heavy_scipy_modules():
     code = (
         "import sys, roughflow.cli; "

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from roughflow import controlled
 from roughflow.controlled import ControlledPath, RoughDriver, rde_solve, rde_solve_batch
-from roughflow.errors import BlowUpError, ConvergenceError, DomainError
+from roughflow.errors import BlowUpError, DomainError
 from roughflow.fbm import HurstParam, SamplePath, TimeGrid, sample_fbm, sample_fbm_array
 from roughflow.liefields import FieldFamily, PolyVectorField, parse_polynomial, taylor_correction_fields
 from roughflow.signature import path_signature
@@ -17,6 +17,7 @@ from roughflow.signature import path_signature
 from roughflow.densitylab import yamato_fields
 
 from helpers import (
+    ConvergenceError,
     augmented,
     b1,
     b2,

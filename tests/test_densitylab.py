@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,18 @@ class TestKde:
     def test_atom_detected(self):
         with pytest.raises(DomainError):
             kde(np.full(500, 2.5))
+
+    @pytest.mark.parametrize("bad", ["overflow", "inf", "nan"])
+    def test_spread_that_is_not_finite_refused_unwarned(self, rng, bad):
+        x = rng.standard_normal(500)
+        if bad == "overflow":
+            x *= 1e200  # finite samples whose squares overflow
+        else:
+            x[7] = float(bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="sample spread is not finite"):
+                kde(x)
 
     def test_minimum_sample_size(self, rng):
         with pytest.raises(DomainError):

@@ -163,7 +163,7 @@ class TestJacobianFlows:
 
     def test_uncertified_family_takes_rk4_fallback(self, fbm_path_d3):
         sheared = sheared_yamato()
-        assert FieldFamily.of(sheared).flow_certificate(3) is None
+        assert FieldFamily.of(sheared).bracket_stack(3).certificate is None
         a = np.array([0.1, -0.5, 0.8])
         ypath, jac = jacobian_path_strichartz(sheared, fbm_path_d3, a, 3, steps=64)
         y, J, Jb = jacobian_path_rk4(sheared, fbm_path_d3, a, 3, steps=64)
@@ -171,7 +171,7 @@ class TestJacobianFlows:
 
     def test_four_nilpotent_family_matches_rk4_oracle(self, fbm_path_d2):
         fields, a = chain_family(), np.array([0.3, -0.4, 0.2])
-        assert FieldFamily.of(fields).flow_certificate(4) is not None
+        assert FieldFamily.of(fields).bracket_stack(4).certificate is not None
         ypath, jac = jacobian_path_strichartz(fields, fbm_path_d2, a, 4)
         y, J, Jb = jacobian_path_rk4(fields, fbm_path_d2, a, 4)
         assert max_gap([(ypath.values, y), (jac.J, J), (jac.J_inv, Jb)]) <= 1e-12
@@ -181,7 +181,7 @@ class TestJacobianFlows:
         fields, a = quadratic_shear(), np.array([0.3, -0.2])
         family = FieldFamily.of(fields)
         assert family.order() == 4 and not family.constant_brackets(4)
-        assert family.flow_certificate(4) is not None
+        assert family.bracket_stack(4).certificate is not None
         ypath, jac = jacobian_path_strichartz(fields, fbm_path_d2, a, 4)
         y, J, Jb = jacobian_path_rk4(fields, fbm_path_d2, a, 4)
         assert max_gap([(ypath.values, y), (jac.J, J), (jac.J_inv, Jb)]) <= 1e-12
@@ -281,6 +281,18 @@ class TestMalliavinDerivative:
             with pytest.raises(DomainError, match=r"must be shape \(3,\), got"):
                 route()
 
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_wrong_driver_dimension_raises(self, yamato, rough_hurst, d):
+        p = sample_fbm(rough_hurst, TimeGrid(1.0, 17), d=d, n_paths=1, seed=5)[0]
+        routes = (
+            lambda: malliavin_derivative(yamato, p, A_INIT, 0.5, 3),
+            lambda: malliavin_via_jacobian(yamato, p, A_INIT, 0.5, 3),
+            lambda: jacobian_path_strichartz(yamato, p, A_INIT, 3),
+        )
+        for route in routes:
+            with pytest.raises(DomainError, match=f"3 fields for alphabet size {d}"):
+                route()
+
     def test_steps_must_be_positive(self, yamato, fbm_path_d3):
         # Yamato takes the certified route, which reads no steps; the check holds there too.
         levels = batch_signature_levels(fbm_path_d3.values[None], 2)
@@ -350,17 +362,19 @@ class TestMalliavinDerivative:
             expect = 2 * A_INIT[1] + 2 * (2 * b3[k] - b3[64])
             assert ms.values[k, 2, 1] == pytest.approx(expect, abs=1e-9)
 
-    @pytest.mark.parametrize("case", ["yamato", "sheared", "chain"])
+    @pytest.mark.parametrize("case", ["yamato", "sheared", "chain", "zero"])
     @pytest.mark.parametrize("t", [0.5, 1.0])
     @pytest.mark.parametrize("steps", [32, 128])
     def test_forced_flow_matches_the_step_loop(self, yamato, fbm_path_d2, fbm_path_d3, case, t, steps):
         # Yamato runs the exact polynomial route, where RK4 is exact too; sheared
         # Yamato has no flow certificate and runs RK4 with ``steps`` steps; the
-        # 4-nilpotent chain is the one family with brackets of length 3.
+        # 4-nilpotent chain is the one family with brackets of length 3; the
+        # all-zero family has no bracket at all, so D is 0.
         fields, p, a, n = {
             "yamato": (yamato, fbm_path_d3, A_INIT, 3),
             "sheared": (sheared_yamato(), fbm_path_d3, A_INIT, 3),
             "chain": (chain_family(), fbm_path_d2, np.array([0.3, -0.4, 0.2]), 4),
+            "zero": ([PolyVectorField.zero(2)] * 2, fbm_path_d2, np.array([0.3, -0.4]), 3),
         }[case]
         got = malliavin_derivative(fields, p, a, t, n, steps=steps)
         want = malliavin_derivative_steps(fields, p, a, t, n, steps=steps)

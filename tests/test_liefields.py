@@ -17,8 +17,6 @@ from roughflow.liefields import (
     PolyVectorField,
     bracket,
     cotangent_fields,
-    dependency_levels,
-    flow_certificate,
     format_field_file,
     hormander_rank,
     parse_field_file,
@@ -37,6 +35,7 @@ from helpers import (
     cotangent_fields_loop,
     evaluate,
     field_sum,
+    flow_certificate,
     is_nilpotent,
     is_nilpotent_loop,
     jacobian,
@@ -133,7 +132,7 @@ class TestCompiledField:
         fields = [random_field(2, 3, rng) for _ in range(3)]
         w = rng.standard_normal((3, 7))  # one weight vector per path
         x = rng.standard_normal((7, 2))  # one point per path
-        z = CompiledField.stack(fields).weighted(w)
+        z = CompiledField.stack(fields, 2).weighted(w)
         # Oracle: the interpreted Polynomial evaluator and the exact partials.
         expect = sum(
             w[f][:, None] * np.stack([evaluate(c, x) for c in fld.components], axis=-1)
@@ -147,7 +146,7 @@ class TestCompiledField:
         assert np.allclose(np.moveaxis(z.jacobian(x.T), -1, 0), jexpect, rtol=1e-12, atol=1e-12)
 
     def test_table_closed_under_partials(self, rng):
-        z = CompiledField.stack([random_field(3, 3, rng)])
+        z = CompiledField.stack([random_field(3, 3, rng)], 3)
         table = [tuple(e) for e in z.exponents.tolist()]
         for _, q in z.pairs:
             e = table[q]
@@ -228,7 +227,7 @@ class TestMonomialPlan:
     def test_single_fields_bitwise_equal_to_interpreted_sum(self, seed):
         rng = np.random.default_rng(seed)
         fields = planned_table_fields(rng, 2)
-        table = {tuple(e) for e in CompiledField.stack(fields).exponents.tolist()}
+        table = {tuple(e) for e in CompiledField.stack(fields, 3).exponents.tolist()}
         assert {(0, 0, 0), (1, 0, 0), (0, 2, 0), (1, 1, 0)} <= table
         for fld in fields:
             z = fld.compiled  # coef rows without family axes
@@ -242,7 +241,7 @@ class TestMonomialPlan:
         fields = planned_table_fields(rng, 4)
         w = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -3.5], size=(4, 40))
         x = special_points(rng, (3, 40))
-        stack = CompiledField.stack(fields)
+        stack = CompiledField.stack(fields, 3)
         # The raw stack evaluates every field at every point: (m, 40, 4).
         for z, pts in ((stack, x[..., None]), (stack.weighted(w), x), (stack.weighted(w[:, 0]), x)):
             assert_bitwise_equal(z(pts), interpreted_sum(z, pts, z.pairs, z.coef, 1))
@@ -268,7 +267,7 @@ ORACLE_FAMILIES = {"yamato": yamato_fields, "dilation": dilation_family, "noncon
 
 def assert_same_compiled(got, expect):
     assert got.pairs == expect.pairs and got.jac_pairs == expect.jac_pairs and got.plan == expect.plan
-    assert got.levels == expect.levels
+    assert got.levels == expect.levels and got.certificate == expect.certificate
     for a, b in ((got.exponents, expect.exponents), (got.coef, expect.coef), (got.jac_coef, expect.jac_coef)):
         assert np.array_equal(a, b)
 
@@ -283,12 +282,13 @@ class TestFieldFamily:
             assert family.constant_brackets(n) == constant_brackets(fields, n)
             assert dict(family.brackets(n)) == bracket_table(fields, n)
             assert list(family.brackets(n)) == list(bracket_table(fields, n))
-            assert_same_compiled(family.bracket_stack(n), CompiledField.stack(list(bracket_table(fields, n).values())))
+            expect = CompiledField.stack(list(bracket_table(fields, n).values()), family.m)
+            assert_same_compiled(family.bracket_stack(n), expect)
         corrections = [w for row in taylor_correction_fields(fields) for w in row]
-        assert_same_compiled(family.davie_stack, CompiledField.stack(fields + corrections))
+        assert_same_compiled(family.davie_stack, CompiledField.stack(fields + corrections, family.m))
         aug = augmented_jacobian_fields(fields)
         aug_corrections = [w for row in taylor_correction_fields(aug) for w in row]
-        assert_same_compiled(augmented(family).davie_stack, CompiledField.stack(aug + aug_corrections))
+        assert_same_compiled(augmented(family).davie_stack, CompiledField.stack(aug + aug_corrections, aug[0].m))
 
     @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
     def test_cotangent_lift_is_the_y_block_and_one_inverse_row(self, name):
@@ -426,24 +426,29 @@ class TestBracketOracle:
         assert not family.nilpotent(2)[0]
 
 
+def stack_certificate(fields, m: int | None = None):
+    """The certificate that ``CompiledField.stack`` computes for ``fields`` on R^m."""
+    return CompiledField.stack(fields, fields[0].m if m is None else m).certificate
+
+
 class TestFlowCertificate:
     def test_yamato_degree_two_depth_two(self, yamato):
         family = FieldFamily.of(yamato)
-        assert family.flow_certificate(3) == (2, 2)
-        assert family.flow_certificate(3) is family.flow_certificate(3)
+        assert family.bracket_stack(3).certificate == (2, 2)
+        assert family.bracket_stack(3) is family.bracket_stack(3)
         # The brackets as a family of their own carry the same certificate at n = 2.
-        assert FieldFamily.of(list(family.brackets(3).values())).flow_certificate(2) == (2, 2)
+        assert FieldFamily.of(list(family.brackets(3).values())).bracket_stack(2).certificate == (2, 2)
 
     def test_quadratic_shear_at_order_four(self):
         # Brackets: d/dx1, x1^2 d/dx2, 2 x1 d/dx2, -2 d/dx2; y2 is cubic in s.
         fields = [_field("1", "0"), _field("0", "x1^2")]
-        assert FieldFamily.of(fields).flow_certificate(4) == (3, 2)
+        assert FieldFamily.of(fields).bracket_stack(4).certificate == (3, 2)
 
     def test_chain_degrees_compose(self):
         # y1 linear, y2 = O(s^3) from x1^2, y3 = O(s^4) from x1 x2: a chain of three.
-        assert flow_certificate([_field("1", "x1^2", "x1*x2")]) == (5, 3)
-        assert flow_certificate([_field("0", "0", "0")]) == (1, 1)
-        assert flow_certificate([]) == (1, 1)
+        assert stack_certificate([_field("1", "x1^2", "x1*x2")]) == (5, 3)
+        assert stack_certificate([_field("0", "0", "0")]) == (1, 1)
+        assert stack_certificate([], 3) == (1, 1)
 
     @pytest.mark.parametrize(
         "fields",
@@ -452,9 +457,46 @@ class TestFlowCertificate:
     )
     def test_cycles_are_not_certified(self, fields):
         assert flow_certificate(fields) is None
-        assert FieldFamily.of(fields).flow_certificate(2) is None
-        assert dependency_levels(fields) is None
-        assert CompiledField.stack(fields).levels is None
+        assert FieldFamily.of(fields).bracket_stack(2).certificate is None
+        stack = CompiledField.stack(fields, fields[0].m)
+        assert stack.levels is None and stack.certificate is None
+
+    @pytest.mark.parametrize(
+        "name", ["empty", "zero", "yamato", "chain", "sheared", "dilation", "nonconstant", "augmented", "shear"]
+    )
+    def test_stack_certificate_matches_the_oracle_on_named_families(self, name):
+        fields = {
+            "empty": lambda: [],
+            "zero": lambda: [PolyVectorField.zero(3)],
+            "yamato": yamato_fields,
+            "chain": chain_family,
+            "sheared": sheared_yamato,
+            "dilation": dilation_family,
+            "nonconstant": nonconstant_pair,
+            "augmented": lambda: augmented_jacobian_fields(yamato_fields()),
+            "shear": lambda: [_field("1", "0"), _field("0", "x1^2")],
+        }[name]()
+        assert stack_certificate(fields, 3 if not fields else None) == flow_certificate(fields)
+        if fields:
+            family = FieldFamily.of(fields)
+            for n in (2, 3, 4):
+                brackets = list(family.brackets(n).values())
+                assert family.bracket_stack(n).certificate == flow_certificate(brackets)
+
+    @given(fields=triangular_families())
+    @settings(max_examples=60, deadline=None)
+    def test_stack_certificate_matches_the_oracle_on_triangular_families(self, fields):
+        assert stack_certificate(fields) == flow_certificate(fields) is not None
+
+    @given(case=exact_field_and_point(), more=st.lists(exact_field_and_point(), max_size=2))
+    @settings(max_examples=100, deadline=None)
+    def test_stack_certificate_matches_the_oracle_on_random_fields(self, case, more):
+        fields = [case[0]] + [fld for fld, _ in more if fld.m == case[0].m]
+        assert stack_certificate(fields) == flow_certificate(fields)
+
+    def test_stack_needs_fields_of_its_dimension(self, yamato):
+        with pytest.raises(DomainError, match="R\\^2"):
+            CompiledField.stack(yamato, 2)
 
 
 class TestDependencyLevels:
@@ -464,12 +506,21 @@ class TestDependencyLevels:
         # w_3 is constant; w_1 and w_2 read it, as y_3 reads y_1 and y_2.
         assert family.cotangent.davie_stack.levels == ((0, 1, 5), (2, 3, 4))
         assert family.bracket_stack(3).levels == ((0, 1), (2,))
-        assert family.davie_stack.weighted(np.ones(12)).levels == family.davie_stack.levels
+        weighted = family.davie_stack.weighted(np.ones(12))
+        assert (weighted.levels, weighted.certificate) == (family.davie_stack.levels, family.davie_stack.certificate)
 
     def test_sheared_yamato_is_one_cycle(self):
         family = FieldFamily.of(sheared_yamato())
         assert family.davie_stack.levels is None
         assert family.cotangent.davie_stack.levels is None
+
+    def test_empty_stack_has_every_component_on_level_zero(self):
+        stack = CompiledField.stack([], 3)
+        assert stack.levels == ((0, 1, 2),) and stack.certificate == (1, 1)
+        assert stack.coef.shape == (0, 0) and stack.exponents.shape == (0, 3)
+        z = stack.weighted(np.zeros((0, 5)))
+        assert np.array_equal(z(np.ones((3, 5))), np.zeros((3, 5)))
+        assert np.array_equal(z.jacobian(np.ones((3, 5))), np.zeros((3, 3, 5)))
 
     @pytest.mark.parametrize(
         "fields",
@@ -485,15 +536,15 @@ class TestDependencyLevels:
     def test_certified_depth_is_the_number_of_levels(self, fields):
         family = FieldFamily.of(fields)
         for n in (2, 3, 4):
-            brackets = list(family.brackets(n).values())
-            if brackets:
-                assert family.flow_certificate(n)[1] == len(family.bracket_stack(n).levels)
-        assert flow_certificate(fields)[1] == len(dependency_levels(fields))
+            stack, expect = family.bracket_stack(n), flow_certificate(list(family.brackets(n).values()))
+            assert stack.certificate == expect and expect[1] == len(stack.levels)
+        stack = CompiledField.stack(fields, family.m)
+        assert flow_certificate(fields)[1] == stack.certificate[1] == len(stack.levels)
 
     @given(fields=triangular_families())
     @settings(max_examples=30, deadline=None)
     def test_every_level_reads_only_lower_levels(self, fields):
-        levels = dependency_levels(fields)
+        levels = CompiledField.stack(fields, fields[0].m).levels
         assert flow_certificate(fields)[1] == len(levels)
         assert sorted(i for level in levels for i in level) == list(range(fields[0].m))
         rank = {i: r for r, level in enumerate(levels) for i in level}
@@ -510,7 +561,7 @@ class TestContract:
     @pytest.mark.parametrize("seed", range(4))
     def test_weighted_sum_that_does_not_depend_on_the_batch(self, seed):
         rng = np.random.default_rng(seed)
-        stack = CompiledField.stack(planned_table_fields(rng, 5))
+        stack = CompiledField.stack(planned_table_fields(rng, 5), 3)
         w = rng.standard_normal((5, 40))
         got = stack.contract(w)
         assert got.shape == (len(stack.pairs), 40)

@@ -10,7 +10,7 @@ from roughflow.densitylab import flow_endpoint_samples, yamato_explicit_batch
 from roughflow.errors import BlowUpError, DomainError, PreconditionError
 from roughflow.fbm import HurstParam, SamplePath, TimeGrid, sample_fbm, sample_fbm_array
 from roughflow.flows import jacobian_path_strichartz, malliavin_via_jacobian
-from roughflow.liefields import CompiledField, FieldFamily, PolyVectorField, flow_certificate, parse_polynomial
+from roughflow.liefields import CompiledField, FieldFamily, PolyVectorField, parse_polynomial
 from roughflow.signature import batch_signature_levels, chen_concat, path_signature
 from roughflow import liefields, strichartz
 from roughflow.strichartz import (
@@ -49,7 +49,8 @@ def signature_levels(p, level):
 
 def frozen(fields, n, weights):
     """Z_t from ``build_Z_batch``'s psi rows as one compiled field per path, as ``exp_flow_batch`` sums it."""
-    return CompiledField.stack(list(FieldFamily.of(fields).brackets(n).values())).weighted(weights)
+    family = FieldFamily.of(fields)
+    return CompiledField.stack(list(family.brackets(n).values()), family.m).weighted(weights)
 
 
 def weighted_flow(fields, weights, a, steps=256):
@@ -287,7 +288,7 @@ class TestStrichartzSolve:
 
     def test_uncertified_family_matches_rk4_oracle(self, fbm_path_d3):
         sheared = sheared_yamato()
-        assert FieldFamily.of(sheared).flow_certificate(3) is None
+        assert FieldFamily.of(sheared).bracket_stack(3).certificate is None
         a = np.array([0.3, -0.5, 0.9])
         sig = prefix_signatures(fbm_path_d3, 64, 2)[64]
         want = rk4(frozen_field(sheared, sig, 3), a, 64)
@@ -414,13 +415,14 @@ class TestVariational:
     @example(fields=chain_family(), seed=0)
     @settings(max_examples=25, deadline=None)
     def test_tangent_columns_match_the_augmented_flow(self, fields, seed):
-        certificate, aug = flow_certificate(fields), augmented_jacobian_fields(fields)
-        assert certificate is not None and flow_certificate(aug) is not None
-        rng = np.random.default_rng(seed)
         n_paths, m = 4, fields[0].m
+        aug = augmented_jacobian_fields(fields)
+        stack, aug_stack, eye = CompiledField.stack(fields, m), CompiledField.stack(aug, aug[0].m), np.eye(m)
+        certificate = stack.certificate
+        assert certificate is not None and aug_stack.certificate is not None
+        rng = np.random.default_rng(seed)
         weights = rng.uniform(-1.0, 1.0, (len(fields), n_paths))
         a = rng.uniform(-1.0, 1.0, (m, n_paths))
-        stack, eye = CompiledField.stack(fields), np.eye(m)
 
         def tangent_flow(z, y0):
             start = np.concatenate([y0[..., None], np.broadcast_to(eye[:, None], (m, n_paths, m))], axis=-1)
@@ -431,14 +433,14 @@ class TestVariational:
         J_inv = tangent_flow(stack.weighted(-weights), y)[1]
         identity = np.broadcast_to(eye.reshape(m * m, 1), (m * m, n_paths))
         start = np.vstack([a, identity, identity])
-        want = polynomial_flow(CompiledField.stack(aug).weighted(weights), start, *flow_certificate(aug))
+        want = polynomial_flow(aug_stack.weighted(weights), start, *aug_stack.certificate)
         blocks = (want[:m].T, want[m : m + m * m].T.reshape(n_paths, m, m), want[m + m * m :].T.reshape(n_paths, m, m))
         for got, expect in zip((y.T, J, J_inv), blocks):
             assert np.max(np.abs(got - expect) / np.maximum(1.0, np.abs(expect))) <= 1e-12
 
     def test_chain_family_is_deep_and_of_high_degree(self):
         # The explicit example above: depth 3 and degree 3.
-        assert flow_certificate(chain_family()) == (3, 3)
+        assert CompiledField.stack(chain_family(), 3).certificate == (3, 3)
 
 
 def triangular_flow_closed_form(components, weights, a):
@@ -464,13 +466,13 @@ class TestPolynomialFlow:
     @example(fields=[PolyVectorField(tuple(parse_polynomial(c, 4) for c in ("1", "x1^2", "x2^2", "x3^2")))], seed=0)
     @settings(max_examples=25, deadline=None)
     def test_triangular_families_match_fine_rk4(self, fields, seed):
-        assert FieldFamily.of(fields).flow_certificate(2) is not None
+        assert FieldFamily.of(fields).bracket_stack(2).certificate is not None
         rng = np.random.default_rng(seed)
         n_paths, m = 5, fields[0].m
         weights = rng.uniform(-1.0, 1.0, (len(fields), n_paths))
         a = rng.uniform(-1.0, 1.0, (n_paths, m))
         got = weighted_flow(fields, weights, a)
-        want = rk4(CompiledField.stack(fields).weighted(weights), a.T, 4096).T
+        want = rk4(CompiledField.stack(fields, m).weighted(weights), a.T, 4096).T
         assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-10
 
     def test_yamato_matches_explicit_solution(self, yamato, rough_hurst):
@@ -494,7 +496,7 @@ class TestPolynomialFlow:
             PolyVectorField(tuple(parse_polynomial(c if k == i else "0", 3) for k in range(3)))
             for i, c in enumerate(components)
         ]
-        assert FieldFamily.of(fields).flow_certificate(2) == certificate
+        assert FieldFamily.of(fields).bracket_stack(2).certificate == certificate
         assert strichartz.gauss_nodes(certificate[0]) == nodes
         rng = np.random.default_rng(8)
         weights, a = rng.uniform(-1.5, 1.5, (3, 6)), rng.uniform(-1.0, 1.0, (6, 3))
@@ -517,7 +519,7 @@ class TestPolynomialFlow:
     def test_uncertified_dilation_keeps_fourth_order_rk4(self):
         weights = np.array([0.5, -1.0, 1.5])
         dilation = [PolyVectorField((parse_polynomial("x1", 1),))]
-        assert FieldFamily.of(dilation).flow_certificate(2) is None
+        assert FieldFamily.of(dilation).bracket_stack(2).certificate is None
         a = np.array([[1.0], [2.0], [-0.5]])
         exact = a[:, 0] * np.exp(weights)
         errors = [np.max(np.abs(exp_flow_batch(dilation, 2, weights[None], a, steps)[:, 0] - exact)) for steps in (8, 16, 32)]
