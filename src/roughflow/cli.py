@@ -28,7 +28,7 @@ from jsonschema.validators import validator_for
 from . import __version__
 from .controlled import RoughDriver, rde_solve
 from .densitylab import density_report, yamato_fields
-from .errors import RoughflowError
+from .errors import PreconditionError, RoughflowError
 from .fbm import HurstParam, TimeGrid, sample_fbm
 from .flows import jacobian_path_strichartz, malliavin_derivative, malliavin_via_jacobian
 from .increments import Increment2, delta2, holder_norm, holder_norm_c3, sewing
@@ -36,7 +36,7 @@ from .liefields import FieldFamily, PolyVectorField, bracket, fields_hash, horma
 from .norris import TwoScale, block_stats_mc, concentration_table, hermite_moments, norris_dichotomy_mc, s_k
 from .reporting import svg_line_plot, write_csv, write_json, write_manifest
 from .signature import batch_signature_levels, path_signature
-from .strichartz import build_Z_batch, exp_flow_batch, flow_route, strichartz_solve
+from .strichartz import build_Z_batch, exp_flow_batch, flow_route, gauss_nodes, strichartz_solve
 
 # ---------------------------------------------------------------------------
 # Config plumbing
@@ -255,12 +255,41 @@ def dichotomy_directions(fields: list[PolyVectorField]) -> tuple[PolyVectorField
     raise ConfigError("norris-mc needs a bracket [V_j, U] that is nonzero at the origin for eta")
 
 
+#: The experiments that run the family's frozen flow at ``FieldFamily.order``.
+CERTIFIED_FLOWS = ("strichartz", "jacobian", "malliavin", "density")
+#: Most Gauss-Legendre nodes N = ``gauss_nodes(degree)`` a certified flow may use.  The node
+#: tables of ``_gauss_legendre`` are N x N floats, 0.5 MB each at N = 256 (20 GB at the 50,001
+#: nodes of ``x1^100000``).  ``polynomial_flow`` holds m x N floats per path, 4 MB per
+#: component on one FLOW_BLOCK of 2,048 paths at N = 256, and its quadrature costs m N^2
+#: products per path and Picard step: one FLOW_BLOCK of a 2-component, depth-2 flow takes
+#: 0.6 s at N = 256, 2.1 s at 512 and 11 s at 1,024.
+MAX_FLOW_NODES = 256
+
+
+def check_flow_nodes(fields: list[PolyVectorField]) -> None:
+    """Refuse a certified flow of more than MAX_FLOW_NODES nodes, read off the certificate alone."""
+    family = FieldFamily.of(fields)
+    try:
+        certificate = family.bracket_stack(family.order()).certificate
+    except PreconditionError:
+        return  # not nilpotent: the runner refuses it before any flow
+    degree = certificate[0] if certificate else 0  # no certificate: RK4, no nodes
+    if gauss_nodes(degree) > MAX_FLOW_NODES:
+        raise ConfigError(
+            f"the flow of degree {degree} needs {gauss_nodes(degree)} Gauss-Legendre nodes, "
+            f"over the cap of {MAX_FLOW_NODES}"
+        )
+
+
 def check_fit(command: str, config: dict, fields: list[PolyVectorField] | None) -> None:
-    """Refuse values that miss the fields, the grid or each other: points, component, U and eta, s < t, Delta <= 1."""
+    """Refuse values that miss the fields, the grid or each other: points, component, U and eta,
+    a flow over the node cap, s < t, Delta <= 1."""
     if fields is not None:
         m = fields[0].m
         if command == "norris-mc":
             dichotomy_directions(fields)
+        if command in CERTIFIED_FLOWS:
+            check_flow_nodes(fields)
         for key in ("initial", "hormander"):
             point = config.get(key)
             if point is not None and len(point) != m:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from jsonschema.validators import validator_for
 
-from roughflow import cli
+from roughflow import cli, strichartz
 from roughflow.cli import SCHEMAS, ConfigError, dichotomy_directions, main, resolve_config
 from roughflow.densitylab import _skewness, flow_endpoint_samples, yamato_fields
 from roughflow.fbm import HurstParam, TimeGrid, sample_fbm
@@ -377,6 +377,68 @@ def test_cli_import_leaves_out_heavy_scipy_modules():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+#: Runs SMALL_RUNS through ``cli.main`` with every ``scipy`` import refused; prints the exit codes
+#: and the scipy modules loaded.
+NO_SCIPY_RUNS = """
+import importlib.abc, json, sys
+
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is not a runtime dependency of roughflow")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+from roughflow.cli import main
+
+runs, out = json.loads(sys.argv[1]), sys.argv[2]
+codes = {name: main([name, *argv, "--out", out]) for name, argv in runs.items()}
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_experiments_run_without_scipy(tmp_path):
+    # Keeps pyproject's runtime dependencies true: scipy is for the tests only.
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_RUNS, json.dumps(SMALL_RUNS), str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": {name: 0 for name in SMALL_RUNS}, "scipy": []}
+
+
+#: One field of degree 100,000: certificate (100001, 2), 50,001 nodes, about 20 GB of node table.
+STEEP_FIELD_FILE = "2 1\n1\nx1^100000\n"
+
+
+@pytest.mark.parametrize("command", cli.CERTIFIED_FLOWS)
+def test_flow_over_node_cap_exits_two_before_any_flow(command, tmp_path, monkeypatch, capsys):
+    steep = tmp_path / "steep.vf"
+    steep.write_text(STEEP_FIELD_FILE)
+
+    def no_flow(n):
+        raise AssertionError("a flow ran")
+
+    monkeypatch.setattr(strichartz, "_gauss_legendre", no_flow)
+    assert main([command, "--fields", str(steep), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: the flow of degree 100001 needs 50001 Gauss-Legendre nodes, over the cap of 256"
+    ]
+
+
+@pytest.mark.parametrize("nodes", [cli.MAX_FLOW_NODES, cli.MAX_FLOW_NODES + 1])
+def test_node_cap_reads_the_certificate(nodes):
+    # x1^(2N - 1) makes a flow of degree 2N, which needs N nodes.
+    fields = parse_field_file(f"2 1\n1\nx1^{2 * nodes - 1}\n")
+    if nodes > cli.MAX_FLOW_NODES:
+        with pytest.raises(ConfigError, match=f"needs {nodes} Gauss-Legendre nodes"):
+            cli.check_fit("strichartz", {}, fields)
+    else:
+        cli.check_fit("strichartz", {}, fields)
 
 
 def test_density_paths_below_minimum_exit_two(tmp_path):

@@ -1,5 +1,9 @@
+import itertools
+import math
 import tracemalloc
 import warnings
+from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from roughflow.densitylab import (
     density_report,
     flow_endpoint_samples,
     kde,
+    ks_two_sample,
     smoothness_proxies,
     yamato_explicit_batch,
 )
@@ -247,6 +252,61 @@ class TestFlowSamples:
             tracemalloc.stop()
         drivers = n_paths * grid_points * 3 * 8
         assert peak - drivers < 16 * 2**20
+
+
+@cache
+def interleaving_highs(n: int) -> tuple[int, ...]:
+    """max_x |#{a <= x} - #{b <= x}| for each of the C(2n, n) interleavings of two sorted samples of size n."""
+    highs = []
+    for positions in itertools.combinations(range(2 * n), n):
+        walk, high = 0, 0
+        for i in range(2 * n):
+            walk += 1 if i in positions else -1
+            high = max(high, abs(walk))
+        highs.append(high)
+    return tuple(highs)
+
+
+class TestKsTwoSample:
+    @pytest.mark.parametrize("n", [200, 1000, 10000, 20000])
+    @pytest.mark.parametrize("shift, below", [(0.0, 1.0), (3.0, 0.05), (10.0, 1e-9)])
+    def test_matches_scipy_exact_bit_for_bit(self, n, shift, below):
+        from scipy.stats import ks_2samp
+
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal(n)
+        b = rng.standard_normal(n) + shift / np.sqrt(n)
+        oracle = ks_2samp(a, b, method="exact")
+        assert ks_two_sample(a, b) == (float(oracle.statistic), float(oracle.pvalue))
+        assert oracle.pvalue <= below
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_exact_law_by_counting_interleavings(self, n):
+        # b = a + h - 1/2 puts the largest count difference at exactly h.
+        highs = interleaving_highs(n)
+        a = np.arange(n, dtype=float)
+        for h in range(1, n + 1):
+            d, p = ks_two_sample(a, a + h - 0.5)
+            assert d == h / n
+            exact = Fraction(sum(high >= h for high in highs), math.comb(2 * n, n))
+            assert p == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_statistic_is_the_largest_count_difference(self, seed):
+        rng = np.random.default_rng(seed)
+        a, b = rng.standard_normal(8), rng.standard_normal(8)
+        h = max(abs(int(np.sum(a <= x)) - int(np.sum(b <= x))) for x in np.concatenate([a, b]))
+        assert ks_two_sample(a, b)[0] == h / 8
+
+    def test_equal_counts_everywhere(self, rng):
+        a = rng.standard_normal(50)
+        assert ks_two_sample(a, rng.permutation(a)) == (0.0, 1.0)
+        assert ks_two_sample([1.0, 2.0, 2.0], [2.0, 1.0, 2.0]) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("sizes", [(10, 11), (200, 100), (0, 0), (0, 1)])
+    def test_other_sizes_refused(self, sizes):
+        with pytest.raises(DomainError, match="one size"):
+            ks_two_sample(np.zeros(sizes[0]), np.ones(sizes[1]))
 
 
 class TestDensityReport:
